@@ -73,8 +73,9 @@ let budget_with_sigint deadline =
          Budget.cancel budget));
   budget
 
-(* Exit 130 when the run ended because of ^C; callers flush their
-   checkpointed/partial state before reaching this. *)
+(* Exit 130 when the run ended because of ^C; callers print their
+   partial result (finished stages and matrix shards are already in the
+   store) before reaching this. *)
 let exit_if_interrupted budget =
   match Budget.stop_reason budget with
   | Some Budget.Cancelled -> exit (Error.exit_code Error.Interrupted)
@@ -134,17 +135,16 @@ let deadline_arg =
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the parallel phases (default: available cores).")
 
-let checkpoint_arg =
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc:"Stream completed detection-matrix rows to $(docv) (crash-safe chunks) and resume from whatever valid rows it already holds.")
-
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Record phase spans and write a Chrome trace_event JSON to $(docv) (open in Perfetto or chrome://tracing).")
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Write the work-counter registry to $(docv) as JSON, or NDJSON if $(docv) ends in .ndjson.")
 
-let cache_arg =
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc:"Content-addressed artifact store: completed pipeline stages (ATPG, matrix, reduce, solve, truncate) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set.")
+let cache_info ?(extra = "") names =
+  Arg.info names ~docv:"DIR" ~doc:("Content-addressed artifact store: completed pipeline stages (ATPG, matrix, reduce, solve, truncate) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set." ^ extra)
+
+let cache_arg = Arg.(value & opt (some string) None & cache_info [ "cache" ])
 
 let chaos_arg =
   Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc:"Deterministic fault injection schedule $(i,SEED:POINT=KIND[:ARG][@SEL][,...]) — a development/testing tool (see the manual).  Overrides $(b,RESEED_CHAOS).")
@@ -293,8 +293,15 @@ let solve_cmd =
   let objective_arg =
     Arg.(value & opt objective_conv Flow.Min_triplets & info [ "objective" ] ~docv:"O" ~doc:"$(b,triplets) (paper) or $(b,length) (weighted extension).")
   in
+  let store_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & cache_info [ "cache"; "checkpoint" ]
+          ~extra:"  $(b,--checkpoint) is another name for it: detection-matrix rows are published in 16-row shards as they finish, so an interrupted solve resumes from them.")
+  in
   let run name scale tpg_kind cycles fault_model method_ verify objective deadline
-      jobs checkpoint cache chaos trace metrics =
+      jobs cache chaos trace metrics =
     guard @@ fun () ->
     apply_chaos chaos;
     setup_observability ~trace ~metrics;
@@ -313,7 +320,7 @@ let solve_cmd =
       }
     in
     let r =
-      Flow.run ~config ?pool ~budget ?checkpoint ?store:p.Suite.store
+      Flow.run ~config ?pool ~budget ?store:p.Suite.store
         ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg ~tests:p.Suite.tests
         ~targets:p.Suite.targets
     in
@@ -351,7 +358,7 @@ let solve_cmd =
               l.Reseed_setcover.Portfolio.improvements
               (if l.Reseed_setcover.Portfolio.proved then "  PROVED" else ""))
           stats.Reseed_setcover.Solution.portfolio_legs);
-    if checkpoint <> None then
+    if r.Flow.initial.Builder.rows_restored > 0 then
       Printf.printf "checkpoint: %d rows restored, %d rows skipped\n"
         r.Flow.initial.Builder.rows_restored r.Flow.initial.Builder.rows_skipped;
     Printf.printf "solution: %d triplets, test length %d, coverage %.2f%%\n"
@@ -378,7 +385,7 @@ let solve_cmd =
     Term.(
       const run $ circuit_arg $ scale_arg $ tpg_arg $ cycles_arg $ fault_model_arg
       $ method_arg $ verify_arg $ objective_arg $ deadline_arg $ jobs_arg
-      $ checkpoint_arg $ cache_arg $ chaos_arg $ trace_arg $ metrics_arg)
+      $ store_arg $ chaos_arg $ trace_arg $ metrics_arg)
 
 (* gatsby *)
 
@@ -627,14 +634,14 @@ let gen_cmd =
 
    Sweeps every registered faultpoint × a set of fault kinds, each leg a
    child [reseed solve] process with a one-shot injection ([@1]) into a
-   fresh cache + checkpoint.  A leg passes when the run either
+   fresh artifact store.  A leg passes when the run either
    - exits 0 with output byte-identical to a clean reference run
      (the fault healed through retries, or never fired), or
    - exits with a documented failure code (the fault surfaced as a
      diagnostic, never a wrong answer), or
    - aborts at the crashpoint (exit 66) and a chaos-free rerun against
-     the same cache/checkpoint then reproduces the reference exactly
-     (crash consistency: the interrupted state is resumable). *)
+     the same store then reproduces the reference exactly (crash
+     consistency: finished stages and matrix shards are resumable). *)
 
 let chaos_cmd =
   let circuit_arg =
@@ -676,7 +683,7 @@ let chaos_cmd =
     | Unix.WEXITED c -> c
     | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
   in
-  (* Cache and checkpoint statistics legitimately differ between cold,
+  (* Cache and shard-restore statistics legitimately differ between cold,
      faulted and resumed runs; everything else must be byte-identical. *)
   let filtered_output file =
     In_channel.with_open_bin file In_channel.input_all
@@ -702,18 +709,16 @@ let chaos_cmd =
     let fresh_leg () =
       incr n;
       let dir = Filename.concat root (Printf.sprintf "leg-%03d" !n) in
-      let sub s = Filename.concat dir s in
       Artifact.mkdir_p dir;
-      (sub "cache", sub "ckpt", sub "out")
+      (Filename.concat dir "store", Filename.concat dir "out")
     in
-    let solve_args ~cache ~ckpt chaos =
-      [ "solve"; circuit; "--jobs"; string_of_int jobs; "--cache"; cache;
-        "--checkpoint"; ckpt ]
+    let solve_args ~store chaos =
+      [ "solve"; circuit; "--jobs"; string_of_int jobs; "--cache"; store ]
       @ (match chaos with Some s -> [ "--chaos"; s ] | None -> [])
     in
     let reference =
-      let cache, ckpt, out = fresh_leg () in
-      let code = run_child (solve_args ~cache ~ckpt None) ~out_file:out in
+      let store, out = fresh_leg () in
+      let code = run_child (solve_args ~store None) ~out_file:out in
       if code <> 0 then
         Error.fail Error.Internal "chaos: clean reference run exited %d" code;
       filtered_output out
@@ -727,15 +732,15 @@ let chaos_cmd =
       let spec =
         Printf.sprintf "%d:%s=%s@1" seed point (Faultpoint.kind_name kind)
       in
-      let cache, ckpt, out = fresh_leg () in
-      let code = run_child (solve_args ~cache ~ckpt (Some spec)) ~out_file:out in
+      let store, out = fresh_leg () in
+      let code = run_child (solve_args ~store (Some spec)) ~out_file:out in
       let ok, detail =
         if code = 0 then
           if filtered_output out = reference then (true, "healed, output identical")
           else (false, "exit 0 but output diverged")
         else if code = Faultpoint.abort_exit_code then begin
-          let _, _, out2 = fresh_leg () in
-          let rcode = run_child (solve_args ~cache ~ckpt None) ~out_file:out2 in
+          let _, out2 = fresh_leg () in
+          let rcode = run_child (solve_args ~store None) ~out_file:out2 in
           if rcode = 0 && filtered_output out2 = reference then
             (true, "aborted, resume identical")
           else (false, Printf.sprintf "aborted, resume exit %d/diverged" rcode)

@@ -10,9 +10,7 @@
     so a rerun with identical inputs loads the bytes instead of
     recomputing, across processes and across the points of a campaign.
 
-    Durability discipline (shared with — and generalised from — the
-    {!Checkpoint} row store, which is now a thin client of the same
-    codec):
+    Durability discipline:
 
     - {e write-then-rename, fsynced}: an artifact appears under its
       final name only complete; the payload is fsynced before the rename
@@ -53,15 +51,6 @@ val write_atomic : string -> string -> unit
 (** [mkdir_p dir] — [mkdir -p], raising {!Error.Reseed_error} on failure
     or when [dir] exists and is not a directory. *)
 val mkdir_p : string -> unit
-
-(** [encode ~kind ~fingerprint payload] frames [payload] with the blob
-    header (magic, version, kind digest, fingerprint, length, checksum). *)
-val encode : kind:string -> fingerprint:Fingerprint.t -> string -> string
-
-(** [decode ~kind ~fingerprint blob] recovers the payload, or [None] on
-    any structural defect: wrong magic/version, foreign kind or
-    fingerprint, bad length or checksum. *)
-val decode : kind:string -> fingerprint:Fingerprint.t -> string -> string option
 
 (** Little-endian scalar codecs for artifact payloads. *)
 module Codec : sig
@@ -130,7 +119,8 @@ val root : store -> string
 val path : store -> stage:string -> Fingerprint.t -> string
 
 (** [load store ~stage fp] is the decoded payload, or [None] when the
-    artifact is absent or fails {!decode}. *)
+    artifact is absent or structurally defective: wrong magic or
+    version, foreign stage or fingerprint, bad length or checksum. *)
 val load : store -> stage:string -> Fingerprint.t -> string option
 
 (** [save store ~stage fp payload] persists atomically. *)

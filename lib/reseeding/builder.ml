@@ -27,7 +27,7 @@ let m_rows_computed =
   Metrics.counter ~help:"detection-matrix rows fault-simulated" "builder_rows_computed"
 
 let m_ck_hits =
-  Metrics.counter ~help:"rows restored from a checkpoint" "builder_checkpoint_hits"
+  Metrics.counter ~help:"rows restored from matrix shards" "builder_checkpoint_hits"
 
 let m_rows_skipped =
   Metrics.counter ~help:"rows abandoned to an expired budget" "builder_rows_skipped"
@@ -111,12 +111,14 @@ let decode_built ~config ~tests ~targets tpg r =
     rows_restored = 0;
   }
 
-(* One shard = one checkpoint-sized row range, published to the store as
-   soon as its rows are complete and keyed by the matrix fingerprint
+(* One shard = one [shard_rows]-sized row range, published to the store
+   as soon as its rows are complete and keyed by the matrix fingerprint
    plus the range.  A run that dies (or runs out of budget) after
    finishing some shards leaves them behind; the rerun restores them
    row-for-row and simulates only the rest — and at no point does any
    encoder need more than one shard of dense scratch in memory. *)
+let shard_rows = 16
+
 let encode_shard group =
   match group with
   | None -> None
@@ -140,30 +142,24 @@ let decode_shard ~nf ~expect r =
          if Rowset.length row <> nf then raise Artifact.Codec.Malformed;
          (useful, row)))
 
-let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targets
+let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
     ~config =
   let nf = Fault_sim.fault_count sim in
   if Bitvec.length targets <> nf then invalid_arg "Builder.build: target mask size";
   let fp =
     match (store, fp) with
+    | _, Some fp -> fp
     | Some _, None ->
-        Some
-          (fingerprint ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg
-             ~config)
-    | _ -> fp
+        fingerprint ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg ~config
+    | None, None -> Fingerprint.empty
   in
-  Artifact.cached
-    (if fp = None then None else store)
-    ~stage:"matrix"
-    ~fp:(Option.value fp ~default:Fingerprint.empty)
-    ~encode:encode_built
+  Artifact.cached store ~stage:"matrix" ~fp ~encode:encode_built
     ~decode:(decode_built ~config ~tests ~targets tpg)
   @@ fun () ->
   Trace.with_span "builder.build"
     ~args:
       [ ("rows", string_of_int (Array.length tests)); ("faults", string_of_int nf) ]
   @@ fun () ->
-  let width = tpg.Tpg.width in
   let sims_before = Fault_sim.sims_performed sim in
   let triplets = make_triplets ~config tpg tests in
   let n = Array.length triplets in
@@ -175,60 +171,22 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
   let empty_row = Rowset.of_sorted_array nf [||] in
   let rows = Array.make n empty_row in
   let completed = Array.make n false in
-  (* Resume: rows are pure functions of their index, so any complete row
-     from a fingerprint-matching checkpoint is the row we would compute. *)
-  let ck =
-    Option.map
-      (fun dir ->
-        let fp =
-          Checkpoint.fingerprint ~tests ~targets ~cycles:config.cycles
-            ~seed:config.seed
-            ~operand_tag:(operand_tag config.operand_mode)
-            ~fault_model:(Fault_model.name (Fault_sim.model sim))
-            ~tpg:tpg.Tpg.name ~width
-        in
-        Checkpoint.open_dir ~dir ~fingerprint:fp ~rows:n ~cols:nf)
-      checkpoint
-  in
   let restored = ref 0 in
-  Option.iter
-    (fun ck ->
-      ignore
-        (Checkpoint.restore ck (fun ~row ~useful bits ->
-             if not completed.(row) then begin
-               completed.(row) <- true;
-               incr restored;
-               rows.(row) <- Rowset.of_bitvec bits;
-               useful_cycles.(row) <- useful
-             end)))
-    ck;
   (* One task per matrix row; each worker fault-simulates on its own
      simulator shard, and every write lands in the task's own row slot, so
-     the matrix is bit-identical at every job count.  With a checkpoint or
-     an artifact store the rows are processed in chunk-sized groups so each
-     finished group can be persisted — and, for the store, restored —
-     independently before the next starts; a budget-abandoned row stays
-     empty and [completed] false, and is never persisted. *)
+     the matrix is bit-identical at every job count.  With an artifact
+     store the rows are processed in [shard_rows]-sized groups so each
+     finished group can be persisted and restored independently before the
+     next starts; a budget-abandoned row stays empty and [completed] false,
+     and is never persisted. *)
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let sim_shard = Fault_sim.shard sim (Pool.jobs pool) in
-  let shard_store =
-    match (store, fp) with Some s, Some _ -> Some s | _ -> None
-  in
-  let group =
-    match (ck, shard_store) with
-    | None, None -> max 1 n
-    | _ -> Checkpoint.chunk_rows
-  in
-  let base_fp = Option.value fp ~default:Fingerprint.empty in
+  let group = if Option.is_none store then max 1 n else shard_rows in
   let glo = ref 0 in
   while !glo < n do
     let lo = !glo and hi = min n (!glo + group) in
     glo := hi;
-    let missing = ref false in
-    for i = lo to hi - 1 do
-      if not completed.(i) then missing := true
-    done;
-    if !missing && not (Budget.check budget) then begin
+    if not (Budget.check budget) then begin
       let computed = ref false in
       let compute () =
         Trace.with_span "builder.chunk"
@@ -240,7 +198,7 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
             let s = sim_shard.(worker) in
             for j = tlo to thi - 1 do
               let i = lo + j in
-              if (not completed.(i)) && not (Budget.check budget) then begin
+              if not (Budget.check budget) then begin
                 let burst = Triplet.patterns tpg triplets.(i) in
                 let firsts =
                   Fault_sim.first_detections ?budget s ~active:targets burst
@@ -273,37 +231,24 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
         else None
       in
       let shard_result =
-        Artifact.cached shard_store ~stage:"matrixshard"
-          ~fp:Fingerprint.(int (int base_fp lo) hi)
+        Artifact.cached store ~stage:"matrixshard"
+          ~fp:Fingerprint.(int (int fp lo) hi)
           ~encode:encode_shard
           ~decode:(decode_shard ~nf ~expect:(hi - lo))
           compute
       in
-      (match shard_result with
+      match shard_result with
       | Some group_rows when not !computed ->
           (* Shard cache hit: adopt the stored rows. *)
           Array.iteri
             (fun j (useful, row) ->
               let i = lo + j in
-              if not completed.(i) then begin
-                completed.(i) <- true;
-                incr restored;
-                rows.(i) <- row;
-                useful_cycles.(i) <- useful
-              end)
+              completed.(i) <- true;
+              incr restored;
+              rows.(i) <- row;
+              useful_cycles.(i) <- useful)
             group_rows
-      | _ -> ());
-      match ck with
-      | Some ck ->
-          let all = ref true in
-          for i = lo to hi - 1 do
-            if not completed.(i) then all := false
-          done;
-          if !all then
-            Checkpoint.store ck ~lo ~hi
-              ~useful:(fun i -> useful_cycles.(i))
-              ~row:(fun i -> Rowset.to_bitvec rows.(i))
-      | None -> ()
+      | _ -> ()
     end
   done;
   Fault_sim.merge_sims ~into:sim sim_shard;

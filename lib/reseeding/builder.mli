@@ -27,7 +27,7 @@ type config = {
 val default_config : config
 
 (** [operand_tag mode] is a stable textual tag of the operand mode, used
-    as a fingerprint/checkpoint key component. *)
+    as a fingerprint key component. *)
 val operand_tag : operand_mode -> string
 
 type t = {
@@ -45,8 +45,8 @@ type t = {
           triplet detects nothing in the matrix, so the covering step
           sees an honestly smaller instance *)
   rows_restored : int;
-      (** rows loaded from the [checkpoint] directory or from shard
-          artifacts in the [store] instead of being re-simulated *)
+      (** rows loaded from shard artifacts in the [store] instead of
+          being re-simulated *)
 }
 
 (** [make_triplets ~config tpg tests] is the initial reseeding [T] alone:
@@ -71,38 +71,33 @@ val fingerprint :
   ?fault_model:Fault_model.t ->
   tests:bool array array -> targets:Bitvec.t -> Tpg.t -> config:config -> Fingerprint.t
 
-(** [build ?pool ?budget ?checkpoint ?store ?fingerprint sim tpg ~tests
-    ~targets ~config] — [tests] is ATPGTS; [targets] selects the fault
-    list F among the simulator's faults.  Matrix columns outside
-    [targets] are left empty (they are not constraints).  Matrix rows are
+(** [build ?pool ?budget ?store ?fingerprint sim tpg ~tests ~targets
+    ~config] — [tests] is ATPGTS; [targets] selects the fault list F
+    among the simulator's faults.  Matrix columns outside [targets] are
+    left empty (they are not constraints).  Matrix rows are
     fault-simulated in parallel over [pool] (default: {!Pool.default}) on
     per-worker simulator shards; the result — matrix, [useful_cycles] and
-    [fault_sims] — is bit-identical at every job count.
-
-    [checkpoint] names a directory: completed rows are streamed to it in
-    {!Checkpoint.chunk_rows}-sized crash-safe chunks, and any valid rows
-    already present (same build fingerprint) are restored instead of
-    re-simulated, bit-identically.  An expired [budget] stops the build
-    at the next row boundary; unfinished rows stay empty and are counted
-    in [rows_skipped], never persisted.
+    [fault_sims] — is bit-identical at every job count.  An expired
+    [budget] stops the build at the next row boundary; unfinished rows
+    stay empty and are counted in [rows_skipped], never persisted.
 
     [store] memoises the whole stage under [fingerprint] (computed via
     {!fingerprint} when omitted): a warm hit reconstructs the result with
     zero fault simulations ([fault_sims = 0]); results with
     [rows_skipped > 0] are never persisted.  On a whole-stage miss the
-    build is sharded: rows are simulated in chunk-sized groups, and each
+    build is sharded: rows are simulated in 16-row groups, and each
     complete group is published to the store independently (stage
     [matrixshard], keyed by the matrix fingerprint and the row range) the
     moment it finishes — so a crashed or budget-stopped run leaves its
     finished shards behind, and the rerun restores them row-for-row
-    (counted in [rows_restored]) and simulates only the rest.  Rows are
-    compacted to their {!Reseed_util.Rowset} representation as soon as
-    they are produced; the full dense matrix is never resident during
-    construction. *)
+    (counted in [rows_restored]) and simulates only the rest.  A shard
+    that fails its checksum or decode is re-simulated, and a failed save
+    only costs a miss next run.  Rows are compacted to their
+    {!Reseed_util.Rowset} representation as soon as they are produced;
+    the full dense matrix is never resident during construction. *)
 val build :
   ?pool:Pool.t ->
   ?budget:Budget.t ->
-  ?checkpoint:string ->
   ?store:Artifact.store ->
   ?fingerprint:Fingerprint.t ->
   Fault_sim.t -> Tpg.t -> tests:bool array array -> targets:Bitvec.t -> config:config -> t

@@ -376,8 +376,8 @@ let run_prebuilt ?(config = default_config) ?pool ?budget ?store ?fingerprint:fp
     stop_reason = Option.join (Option.map Budget.stop_reason budget);
   }
 
-let run ?(config = default_config) ?pool ?budget ?checkpoint ?store ?fingerprint sim
-    tpg ~tests ~targets =
+let run ?(config = default_config) ?pool ?budget ?store ?fingerprint sim tpg ~tests
+    ~targets =
   Trace.with_span "flow.run" ~args:[ ("tpg", tpg.Tpg.name) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let fpm =
@@ -385,7 +385,7 @@ let run ?(config = default_config) ?pool ?budget ?checkpoint ?store ?fingerprint
       ~tests ~targets tpg ~config:config.builder
   in
   let initial =
-    Builder.build ?pool ?budget ?checkpoint ?store ~fingerprint:fpm sim tpg ~tests
+    Builder.build ?pool ?budget ?store ~fingerprint:fpm sim tpg ~tests
       ~targets ~config:config.builder
   in
   let r =

@@ -71,27 +71,26 @@ val truncate_solution :
   int list ->
   Triplet.t list * Bitvec.t * int
 
-(** [run ?config ?pool ?budget ?checkpoint ?store ?fingerprint sim tpg
-    ~tests ~targets] executes the whole flow.  [tests] is the
-    deterministic test set (ATPGTS), [targets] the fault list F.  [pool]
-    is forwarded to the parallel Detection-Matrix build
-    ({!Builder.build}) and to the portfolio method's racing legs,
-    [budget] to every expensive phase (matrix build
-    and covering solver), [checkpoint] to the matrix build for crash-safe
-    resume.  On budget expiry the result is valid but possibly partial:
-    see [degraded], [coverage_pct] and {!Builder.t.rows_skipped}.
+(** [run ?config ?pool ?budget ?store ?fingerprint sim tpg ~tests
+    ~targets] executes the whole flow.  [tests] is the deterministic test
+    set (ATPGTS), [targets] the fault list F.  [pool] is forwarded to the
+    parallel Detection-Matrix build ({!Builder.build}) and to the
+    portfolio method's racing legs, [budget] to every expensive phase
+    (matrix build and covering solver).  On budget expiry the result is
+    valid but possibly partial: see [degraded], [coverage_pct] and
+    {!Builder.t.rows_skipped}.
 
     [store] memoises each stage — [matrix], [reduce], [solve],
     [truncate] — in the artifact store, keyed by {!Builder.fingerprint}
     salted with [fingerprint] (the upstream ATPG-stage lineage, see
-    {!Suite.prepared}).  A fully warm run touches no fault simulator and
-    no solver; results are bit-identical to the uncached path.  Degraded
-    results are never persisted. *)
+    {!Suite.prepared}), and makes the matrix build crash-resumable
+    through its row shards.  A fully warm run touches no fault simulator
+    and no solver; results are bit-identical to the uncached path.
+    Degraded results are never persisted. *)
 val run :
   ?config:config ->
   ?pool:Pool.t ->
   ?budget:Budget.t ->
-  ?checkpoint:string ->
   ?store:Artifact.store ->
   ?fingerprint:Fingerprint.t ->
   Fault_sim.t ->

@@ -103,7 +103,7 @@ val append_ones : t -> int list -> int list
 
 (** [to_bytes v] is a compact little-endian byte serialisation (8 bits
     per byte, [ceil (length / 8)] bytes); platform- and version-stable,
-    used by the checkpoint format. *)
+    used by the artifact codec and {!Fingerprint.bitvec}. *)
 val to_bytes : t -> bytes
 
 (** [of_bytes n b] rebuilds a vector of length [n] from {!to_bytes}

@@ -10,12 +10,12 @@
     {v
     0    success (including deadline-degraded runs: valid partial result)
     2    usage error (bad command line; produced by Cmdliner)
-    3    input error (malformed .bench, unknown circuit, bad checkpoint)
+    3    input error (malformed .bench, unknown circuit, unusable store dir)
     4    infeasible instance (no valid cover exists)
     5    worker task failure (a pool task kept failing after retries)
     66   chaos abort (an injected {!Faultpoint} crashpoint; testing only)
     70   internal error (a bug: unexpected exception)
-    130  interrupted (SIGINT; checkpointed state was flushed first)
+    130  interrupted (SIGINT; finished stages and matrix shards are kept)
     v} *)
 
 type code =

@@ -24,7 +24,8 @@ type t = int64
 val code_version : string
 
 (** The raw FNV-1a offset basis — an unsalted starting point, used where
-    a format owns its own version tag (e.g. the checkpoint files). *)
+    a format owns its own version tag (e.g. the artifact payload
+    checksum). *)
 val empty : t
 
 (** [salted tag] is the starting fingerprint for stage [tag], salted with

@@ -1,7 +1,7 @@
 (* Bounded retry with exponential backoff and deterministic jitter.
 
    One policy for every transient-failure site (worker chunks, artifact
-   and checkpoint IO): classify the exception, retry transients up to a
+   IO): classify the exception, retry transients up to a
    bounded attempt count with exponentially growing delays, give up on
    permanents immediately.  Jitter is drawn from a splitmix64 stream
    seeded by (label, attempt), so two runs back off identically — the

@@ -1,7 +1,7 @@
 (** Bounded retry with exponential backoff and deterministic jitter.
 
     The one retry policy shared by every transient-failure site: pool
-    worker chunks, artifact-store IO, checkpoint chunk writes.  An
+    worker chunks and artifact-store IO.  An
     exception is {e classified} transient or permanent; transients are
     retried up to a bounded attempt count with exponentially growing,
     deterministically jittered delays; permanents (and exhausted

@@ -49,7 +49,7 @@ val reset : unit -> unit
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** [instant ?args name] records a zero-duration marker (warnings,
-    incumbent updates, checkpoint flushes). *)
+    incumbent updates, artifact hits). *)
 val instant : ?args:(string * string) list -> string -> unit
 
 (** [events ()] is the merged, time-sorted view of every domain's

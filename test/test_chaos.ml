@@ -17,7 +17,6 @@ let check_string = Alcotest.(check string)
    library member with no other reference would never run its
    initialiser, silently shrinking the catalog). *)
 let touch_registrars () =
-  ignore Checkpoint.chunk_rows;
   ignore (Batch.parse_string "job c17 adder 10");
   ignore (Bench_io.parse ~name:"t" "INPUT(a)\nOUTPUT(o)\no = NOT(a)\n")
 
@@ -91,8 +90,8 @@ let test_catalog_registered () =
   List.iter
     (fun p -> check ("catalog has " ^ p) true (List.mem p all))
     [
-      "artifact.read"; "artifact.write"; "artifact.publish"; "checkpoint.store";
-      "pool.task"; "batch.job"; "bench.write";
+      "artifact.read"; "artifact.write"; "artifact.publish"; "pool.task";
+      "batch.job"; "bench.write";
     ]
 
 (* --- deterministic schedules ------------------------------------------- *)
@@ -350,29 +349,27 @@ let run_flow ~dir =
     }
   in
   let store = Artifact.open_store (Filename.concat dir "cache") in
-  Flow.run ~config ~store
-    ~checkpoint:(Filename.concat dir "ckpt")
-    ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg ~tests:p.Suite.tests
-    ~targets:p.Suite.targets
+  Flow.run ~config ~store ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg
+    ~tests:p.Suite.tests ~targets:p.Suite.targets
 
-let test_checkpoint_store_fault_heals () =
+(* A save that keeps failing only costs cache misses: with every
+   artifact write (matrix shards included) failing with EIO, the sharded
+   flow still returns the clean answer. *)
+let test_persistent_write_fault_heals () =
   with_temp_dir @@ fun dir ->
   let clean = flow_signature (run_flow ~dir:(Filename.concat dir "a")) in
-  let faulted =
-    with_chaos "3:checkpoint.store=eio@1" (fun () ->
-        flow_signature (run_flow ~dir:(Filename.concat dir "b")))
+  let faulted, failures =
+    delta "artifact_write_failures" (fun () ->
+        with_chaos "1:artifact.write=eio" (fun () ->
+            flow_signature (run_flow ~dir:(Filename.concat dir "b"))))
   in
-  check "flow identical under checkpoint fault" true (clean = faulted)
+  check "flow identical under persistent write fault" true (clean = faulted);
+  check "saves failed" true (failures > 0)
 
 (* Any single injected fault: the flow either produces the exact clean
    solution or raises a documented diagnostic — never a wrong answer. *)
 let prop_single_fault_never_wrong =
-  let points =
-    [
-      "artifact.read"; "artifact.write"; "artifact.publish"; "checkpoint.store";
-      "pool.task";
-    ]
-  in
+  let points = [ "artifact.read"; "artifact.write"; "artifact.publish"; "pool.task" ] in
   let kinds = Faultpoint.[ Eio; Enospc; Torn; Flip; Fail ] in
   QCheck.Test.make ~name:"single fault: clean answer or documented error"
     ~count:25
@@ -438,8 +435,8 @@ let suite =
           test_pool_task_fault_heals;
         Alcotest.test_case "pool: persistent fault is Task_error" `Quick
           test_pool_task_exhaustion_is_task_error;
-        Alcotest.test_case "flow: checkpoint fault heals" `Quick
-          test_checkpoint_store_fault_heals;
+        Alcotest.test_case "flow: persistent write EIO heals" `Quick
+          test_persistent_write_fault_heals;
         QCheck_alcotest.to_alcotest prop_single_fault_never_wrong;
       ] );
   ]

@@ -1,7 +1,7 @@
 (* Anytime-flow resilience: deadlines and cancellation degrade gracefully,
-   checkpointed matrix builds resume bit-identically (even past truncated
-   or stale chunk files), and pool worker failures surface structured
-   errors instead of hanging or killing the pool. *)
+   sharded matrix builds resume bit-identically from the store (even past
+   truncated, corrupt or stale shards), and pool worker failures surface
+   structured errors instead of hanging or killing the pool. *)
 
 open Reseed_core
 open Reseed_gatsby
@@ -17,23 +17,6 @@ let prepared_c17 = lazy (Suite.prepare "c17")
 
 let mk_matrix ~cols rows =
   Matrix.of_rows ~cols (Array.of_list (List.map (Bitvec.of_list cols) rows))
-
-let temp_counter = ref 0
-
-let with_temp_dir f =
-  incr temp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "reseed-resilience-%d-%d" (Unix.getpid ()) !temp_counter)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
 
 (* --- budgets --- *)
 
@@ -128,127 +111,113 @@ let test_flow_degraded_result_is_sound () =
   check "coverage honest" true (r.Flow.coverage_pct < 100.0);
   check "no phantom triplets" true (List.length r.Flow.final_triplets = 0)
 
-(* --- checkpoint/resume --- *)
+(* --- checkpoint/resume through the store's matrix shards --- *)
 
-let build_ck p tpg ?budget ?checkpoint () =
-  Builder.build ?budget ?checkpoint p.Suite.sim tpg ~tests:p.Suite.tests
-    ~targets:p.Suite.targets ~config:Builder.default_config
+let config = Builder.default_config
 
-let matrices_equal a b =
-  Matrix.rows a = Matrix.rows b
-  && Matrix.cols a = Matrix.cols b
-  && Array.for_all
-       (fun i -> Bitvec.equal (Matrix.row a i) (Matrix.row b i))
-       (Array.init (Matrix.rows a) Fun.id)
+let build_ck ?budget ?(config = config) (sim, tpg, tests, targets) store =
+  Builder.build ?budget ~store sim tpg ~tests ~targets ~config
+
+let plain_build ?(config = config) (sim, tpg, tests, targets) =
+  Builder.build sim tpg ~tests ~targets ~config
+
+(* Remove the whole-stage [matrix] artifact so the next build misses it
+   and resumes row-by-row from the shards. *)
+let drop_matrix store (_, tpg, tests, targets) =
+  Sys.remove
+    (Artifact.path store ~stage:"matrix" (Builder.fingerprint ~tests ~targets tpg ~config))
+
+(* The shard holding rows [0,16): keyed by the matrix fingerprint plus
+   the row range. *)
+let first_shard store (_, tpg, tests, targets) =
+  let fp = Builder.fingerprint ~tests ~targets tpg ~config in
+  Artifact.path store ~stage:"matrixshard" Fingerprint.(int (int fp 0) 16)
+
+let rows_of (_, _, tests, _) = Array.length tests
 
 let test_checkpoint_roundtrip_bit_identical () =
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      let first = build_ck p tpg ~checkpoint:dir () in
-      check_int "nothing restored on first run" 0 first.Builder.rows_restored;
-      check "first run matches plain build" true
-        (matrices_equal reference.Builder.matrix first.Builder.matrix);
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      check_int "full restore"
-        (Array.length p.Suite.tests)
-        resumed.Builder.rows_restored;
-      check "resumed matrix bit-identical" true
-        (matrices_equal reference.Builder.matrix resumed.Builder.matrix);
-      check "useful cycles restored" true
-        (reference.Builder.useful_cycles = resumed.Builder.useful_cycles))
+  let fx = Test_scale.build_fixture () in
+  let reference = plain_build fx in
+  Test_scale.with_tmp_store @@ fun store ->
+  let first = build_ck fx store in
+  check_int "nothing restored on first run" 0 first.Builder.rows_restored;
+  Test_scale.same_build reference first;
+  drop_matrix store fx;
+  let resumed = build_ck fx store in
+  check_int "full restore" (rows_of fx) resumed.Builder.rows_restored;
+  check_int "no simulations on restore" 0 resumed.Builder.fault_sims;
+  Test_scale.same_build reference resumed
+
+(* Damage the first shard with [damage], then resume: exactly its 16 rows
+   are re-simulated, the other shards restored, and the matrix is
+   bit-identical.  The recomputed shard is rewritten, so the next resume
+   restores everything. *)
+let resume_past_damaged_shard damage =
+  let fx = Test_scale.build_fixture () in
+  let reference = plain_build fx in
+  Test_scale.with_tmp_store @@ fun store ->
+  ignore (build_ck fx store);
+  drop_matrix store fx;
+  damage (first_shard store fx);
+  let resumed = build_ck fx store in
+  check_int "only the damaged shard re-simulated" (rows_of fx - 16)
+    resumed.Builder.rows_restored;
+  Test_scale.same_build reference resumed;
+  drop_matrix store fx;
+  check_int "damaged shard rewritten" (rows_of fx)
+    (build_ck fx store).Builder.rows_restored
 
 let test_checkpoint_truncated_chunk_is_resimulated () =
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      (* Kill mid-write: truncate the first chunk inside a row record. *)
-      let chunk =
-        Array.to_list (Sys.readdir dir)
-        |> List.filter (fun n -> Filename.check_suffix n ".ck")
-        |> List.sort compare |> List.hd |> Filename.concat dir
-      in
-      let size = (Unix.stat chunk).Unix.st_size in
-      let fd = Unix.openfile chunk [ Unix.O_WRONLY ] 0 in
+  resume_past_damaged_shard (fun shard ->
+      (* Kill mid-write: cut the shard inside its payload. *)
+      let size = (Unix.stat shard).Unix.st_size in
+      let fd = Unix.openfile shard [ Unix.O_WRONLY ] 0 in
       Unix.ftruncate fd (size / 2);
-      Unix.close fd;
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      (* c17 fits in one chunk, so truncation can drop everything; what
-         matters is that the damaged chunk is not trusted. *)
-      check "truncated chunk dropped" true
-        (resumed.Builder.rows_restored < Array.length p.Suite.tests);
-      check "matrix still bit-identical" true
-        (matrices_equal reference.Builder.matrix resumed.Builder.matrix))
+      Unix.close fd)
 
 let test_checkpoint_corrupt_payload_is_resimulated () =
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      let chunk =
-        Array.to_list (Sys.readdir dir)
-        |> List.filter (fun n -> Filename.check_suffix n ".ck")
-        |> List.sort compare |> List.hd |> Filename.concat dir
-      in
-      (* Flip one payload byte: the checksum must catch it. *)
-      let fd = Unix.openfile chunk [ Unix.O_RDWR ] 0 in
-      ignore (Unix.lseek fd 45 Unix.SEEK_SET);
+  resume_past_damaged_shard (fun shard ->
+      (* Flip the low byte of the first row's useful-cycle count (after
+         the 36-byte blob header and the u32 row count): any value decodes,
+         so only the checksum can catch it. *)
+      let off = 36 + 4 in
+      let fd = Unix.openfile shard [ Unix.O_RDWR ] 0 in
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
       let b = Bytes.create 1 in
       ignore (Unix.read fd b 0 1);
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      ignore (Unix.lseek fd 45 Unix.SEEK_SET);
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
       ignore (Unix.write fd b 0 1);
-      Unix.close fd;
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      check "corrupt chunk dropped" true
-        (resumed.Builder.rows_restored < Array.length p.Suite.tests);
-      check "matrix still bit-identical" true
-        (matrices_equal reference.Builder.matrix resumed.Builder.matrix))
+      Unix.close fd)
 
-let test_checkpoint_fingerprint_mismatch_resets () =
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      (* Different evolution length → different matrix → the stale chunks
-         must be wiped, not restored. *)
-      let other_config = { Builder.default_config with Builder.cycles = 40 } in
-      let other =
-        Builder.build ~checkpoint:dir p.Suite.sim tpg ~tests:p.Suite.tests
-          ~targets:p.Suite.targets ~config:other_config
-      in
-      check_int "stale chunks not restored" 0 other.Builder.rows_restored;
-      let reference =
-        Builder.build p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets
-          ~config:other_config
-      in
-      check "fresh matrix correct" true
-        (matrices_equal reference.Builder.matrix other.Builder.matrix))
+let test_checkpoint_fingerprint_mismatch_restores_nothing () =
+  let fx = Test_scale.build_fixture () in
+  Test_scale.with_tmp_store @@ fun store ->
+  ignore (build_ck fx store);
+  (* Different evolution length → different matrix → the stored shards
+     describe another build and must not be restored. *)
+  let config = { config with Builder.cycles = 40 } in
+  let other = build_ck ~config fx store in
+  check_int "stale shards not restored" 0 other.Builder.rows_restored;
+  Test_scale.same_build (plain_build ~config fx) other
 
 let test_checkpoint_interrupted_build_resumes_bit_identically () =
-  (* Cancel the budget part-way through a checkpointed build (after the
-     first chunk, via a budget that a worker trips), then resume without
-     a budget: D and the final solution must match an uninterrupted run. *)
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
+  (* Cancel the budget of a sharded build, then resume without one: D and
+     the final solution must match an uninterrupted run. *)
+  let fx = Test_scale.build_fixture () in
+  let reference = plain_build fx in
   let ref_solution = Solution.solve reference.Builder.matrix in
-  with_temp_dir (fun dir ->
-      let budget = Budget.create () in
-      Budget.cancel budget;
-      let partial = build_ck p tpg ~budget ~checkpoint:dir () in
-      check "interrupted run incomplete" true (partial.Builder.rows_skipped > 0);
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      check_int "no rows skipped after resume" 0 resumed.Builder.rows_skipped;
-      check "resumed D bit-identical" true
-        (matrices_equal reference.Builder.matrix resumed.Builder.matrix);
-      let resumed_solution = Solution.solve resumed.Builder.matrix in
-      check "identical solution rows" true
-        (ref_solution.Solution.rows = resumed_solution.Solution.rows))
+  Test_scale.with_tmp_store @@ fun store ->
+  let budget = Budget.create () in
+  Budget.cancel budget;
+  let partial = build_ck ~budget fx store in
+  check "interrupted run incomplete" true (partial.Builder.rows_skipped > 0);
+  let resumed = build_ck fx store in
+  check_int "no rows skipped after resume" 0 resumed.Builder.rows_skipped;
+  Test_scale.same_build reference resumed;
+  let resumed_solution = Solution.solve resumed.Builder.matrix in
+  check "identical solution rows" true
+    (ref_solution.Solution.rows = resumed_solution.Solution.rows)
 
 (* --- pool failure containment --- *)
 
@@ -355,8 +324,8 @@ let suite =
           test_checkpoint_truncated_chunk_is_resimulated;
         Alcotest.test_case "checkpoint: corrupt payload re-simulated" `Quick
           test_checkpoint_corrupt_payload_is_resimulated;
-        Alcotest.test_case "checkpoint: fingerprint mismatch resets" `Quick
-          test_checkpoint_fingerprint_mismatch_resets;
+        Alcotest.test_case "checkpoint: fingerprint mismatch restores nothing" `Quick
+          test_checkpoint_fingerprint_mismatch_restores_nothing;
         Alcotest.test_case "checkpoint: interrupt + resume = uninterrupted" `Quick
           test_checkpoint_interrupted_build_resumes_bit_identically;
         Alcotest.test_case "pool: task error carries context" `Quick

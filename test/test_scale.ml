@@ -115,8 +115,8 @@ let build_fixture () =
   let faults = Fault.all c in
   let sim = Fault_sim.create c faults in
   let rng = Rng.create 7 in
-  (* More rows than Checkpoint.chunk_rows, so the sharded build spans
-     several shard artifacts. *)
+  (* 40 rows: the sharded build spans the 16-row shards [0,16), [16,32)
+     and [32,40), so damaging one shard leaves the others intact. *)
   let tests = Array.init 40 (fun _ -> Array.init 8 (fun _ -> Rng.bool rng)) in
   let targets = Bitvec.create (Array.length faults) in
   Bitvec.fill_all targets;
@@ -147,16 +147,7 @@ let test_sharded_build_matches () =
   let mono = Builder.build sim tpg ~tests ~targets ~config in
   with_tmp_store @@ fun store ->
   let sharded = Builder.build ~store sim tpg ~tests ~targets ~config in
-  same_build mono sharded;
-  (* Drop the whole-stage artifact but keep the shards: the rebuild must
-     restore every row from them without a single fault simulation. *)
-  let fp = Builder.fingerprint ~tests ~targets tpg ~config in
-  Sys.remove (Artifact.path store ~stage:"matrix" fp);
-  let restored = Builder.build ~store sim tpg ~tests ~targets ~config in
-  same_build mono restored;
-  Alcotest.(check int) "all rows restored from shards" (Array.length tests)
-    restored.Builder.rows_restored;
-  Alcotest.(check int) "no simulations on shard restore" 0 restored.Builder.fault_sims
+  same_build mono sharded
 
 let test_build_identical_across_reprs () =
   let sim, tpg, tests, targets = build_fixture () in
