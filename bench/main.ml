@@ -45,10 +45,7 @@
                            peak-RSS budget recorded in the scale summary
                            (default: 1.5x the measured peak, rounded up
                            to a 64 MB boundary) — the value CI gates
-                           fresh runs against.
-     RESEED_ROWSET=R       pin the row representation (dense | sparse |
-                           big | auto); used by the CI solution-identity
-                           check. *)
+                           fresh runs against. *)
 
 open Reseed_core
 open Reseed_gatsby
@@ -601,15 +598,11 @@ let run_scale () =
           log "scale FAILED: %s solution does not cover the matrix" name;
           exit 1
         end;
-        let repr = [| 0; 0; 0 |] in
+        let dense = ref 0 and sparse = ref 0 in
         for i = 0 to Matrix.rows m - 1 do
-          let k =
-            match Rowset.repr (Matrix.rowset m i) with
-            | Rowset.Dense -> 0
-            | Rowset.Sparse -> 1
-            | Rowset.Big -> 2
-          in
-          repr.(k) <- repr.(k) + 1
+          match Rowset.repr (Matrix.rowset m i) with
+          | Rowset.Dense -> incr dense
+          | Rowset.Sparse -> incr sparse
         done;
         let universe =
           match p.Suite.collapse with
@@ -626,8 +619,7 @@ let run_scale () =
           sc_rows = Matrix.rows m;
           sc_cols = Matrix.cols m;
           sc_ones = Matrix.ones m;
-          sc_repr =
-            [ ("dense", repr.(0)); ("sparse", repr.(1)); ("big", repr.(2)) ];
+          sc_repr = [ ("dense", !dense); ("sparse", !sparse) ];
           sc_solution = Solution.cardinality sol;
           sc_sims = built.Builder.fault_sims;
           sc_stages = List.rev !stages;
@@ -651,10 +643,6 @@ let run_scale () =
   pr "  \"jobs\": %d,\n" (Pool.default_jobs ());
   pr "  \"engine\": \"%s\",\n" (Reseed_fault.Fault_sim.engine_name sim_engine);
   pr "  \"collapse\": %b,\n" collapse_on;
-  pr "  \"rowset\": \"%s\",\n"
-    (match Rowset.forced () with
-    | Some r -> Rowset.repr_name r
-    | None -> "auto");
   pr "  \"circuits\": [";
   List.iteri
     (fun i r ->

@@ -127,7 +127,7 @@ module Codec = struct
         u32 b (Rowset.length r);
         u32 b (Rowset.count r);
         Rowset.iter_ones (fun i -> u32 b i) r
-    | Rowset.Dense | Rowset.Big ->
+    | Rowset.Dense ->
         Buffer.add_char b '\000';
         bitvec b (Rowset.to_bitvec r)
 
@@ -214,23 +214,16 @@ module Codec = struct
 
   let get_rowset r =
     let tag = String.get r.s (take r 1) in
-    let rs =
-      match tag with
-      | '\000' -> Rowset.of_bitvec (get_bitvec r)
-      | '\001' ->
-          let len = get_u32 r in
-          let cnt = get_u32 r in
-          if cnt > len then raise Malformed;
-          let idx = Array.init cnt (fun _ -> get_u32 r) in
-          (try Rowset.of_sorted_array len idx
-           with Invalid_argument _ -> raise Malformed)
-      | _ -> raise Malformed
-    in
-    (* A forced representation (RESEED_ROWSET) must win over whatever
-       representation the artifact was written with. *)
-    match Rowset.forced () with
-    | Some _ -> Rowset.of_bitvec (Rowset.to_bitvec rs)
-    | None -> rs
+    match tag with
+    | '\000' -> Rowset.of_bitvec (get_bitvec r)
+    | '\001' ->
+        let len = get_u32 r in
+        let cnt = get_u32 r in
+        if cnt > len then raise Malformed;
+        let idx = Array.init cnt (fun _ -> get_u32 r) in
+        (try Rowset.of_sorted_array len idx
+         with Invalid_argument _ -> raise Malformed)
+    | _ -> raise Malformed
 
   let get_pattern r =
     let n = get_u32 r in

@@ -66,8 +66,8 @@ module Codec : sig
 
   (** [rowset] stores a detection-matrix row representation-aware: a
       sparse row as its index list, a dense one as packed bits.
-      [get_rowset] honours a forced [RESEED_ROWSET] representation
-      regardless of how the row was written. *)
+      [get_rowset] rebuilds a packed row through {!Rowset.of_bitvec}'s
+      policy and an index list as a sparse row. *)
   val rowset : Buffer.t -> Rowset.t -> unit
 
   (** [pattern] / [patterns] pack simulator bit patterns LSB-first, eight

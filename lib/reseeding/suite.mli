@@ -150,4 +150,4 @@ val full_suite : string list
 val xl_suite : string list
 (** the scale tier ({!Reseed_netlist.Library.xl_names}): scaled-up
     catalog members with roughly 10k-100k universe faults, exercising
-    the sparse/off-heap matrix paths.  Minutes each — bench-only. *)
+    the sparse-row and sharded matrix paths.  Minutes each — bench-only. *)

@@ -5,8 +5,7 @@
     detects fault [j].
 
     Rows are the only authoritative storage, each held as a {!Rowset.t}
-    (dense in-heap, sorted-sparse, or dense off-heap, picked per row by
-    density) — at 10k x 100k the redundant column-wise copy the matrix
+    (dense packed bits or sorted-sparse, picked per row by density) — at 10k x 100k the redundant column-wise copy the matrix
     used to keep would double a multi-hundred-megabyte footprint.  The
     column view still exists, but as a one-shot transposed shard
     materialised on the first {!col} and cached; scale-critical code
@@ -33,8 +32,8 @@ val rows : t -> int
 val cols : t -> int
 
 (** [set m ~row ~col] sets one cell.  Only meaningful for matrices built
-    with {!create} (test rigs and the reduction residual); a sparse or
-    off-heap row is converted to mutable dense form first. *)
+    with {!create} (test rigs and the reduction residual); a sparse row
+    is converted to mutable dense form first. *)
 val set : t -> row:int -> col:int -> unit
 
 val get : t -> row:int -> col:int -> bool

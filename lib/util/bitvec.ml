@@ -227,134 +227,3 @@ let unsafe_set v i =
   let w = i / bits_per_word in
   Array.unsafe_set v.words w
     (Array.unsafe_get v.words w lor (1 lsl (i mod bits_per_word)))
-
-module Big = struct
-  open Bigarray
-
-  type big = { blen : int; ba : (int64, int64_elt, c_layout) Array1.t }
-
-  (* Same 62-bits-per-word packing as the heap representation, stored in
-     the low bits of each int64 element; the top two bits stay zero, so
-     [Int64.to_int] is lossless and mixed in-heap/off-heap operations
-     work directly on native ints. *)
-  let create len =
-    if len < 0 then invalid_arg "Bitvec.Big.create: negative length";
-    let ba = Array1.create int64 c_layout (nwords len) in
-    Array1.fill ba 0L;
-    { blen = len; ba }
-
-  let length b = b.blen
-
-  let word b i = Int64.to_int (Array1.unsafe_get b.ba i)
-
-  let check b i =
-    if i < 0 || i >= b.blen then invalid_arg "Bitvec.Big: index out of range"
-
-  let unsafe_get b i = word b (i / bits_per_word) lsr (i mod bits_per_word) land 1 = 1
-
-  let unsafe_set b i =
-    let w = i / bits_per_word in
-    Array1.unsafe_set b.ba w
-      (Int64.of_int (word b w lor (1 lsl (i mod bits_per_word))))
-
-  let get b i = check b i; unsafe_get b i
-  let set b i = check b i; unsafe_set b i
-
-  let count b =
-    let acc = ref 0 in
-    for i = 0 to Array1.dim b.ba - 1 do
-      acc := !acc + popcount_int (word b i)
-    done;
-    !acc
-
-  let iter_ones f b =
-    for wi = 0 to Array1.dim b.ba - 1 do
-      let w = ref (word b wi) in
-      let base = wi * bits_per_word in
-      while !w <> 0 do
-        let low = !w land (- !w) in
-        let rec bit_index x i = if x = 1 then i else bit_index (x lsr 1) (i + 1) in
-        f (base + bit_index low 0);
-        w := !w land lnot low
-      done
-    done
-
-  let fold_ones f acc b =
-    let acc = ref acc in
-    iter_ones (fun i -> acc := f !acc i) b;
-    !acc
-
-  let of_bitvec v =
-    let b = create v.len in
-    for i = 0 to Array.length v.words - 1 do
-      Array1.unsafe_set b.ba i (Int64.of_int v.words.(i))
-    done;
-    b
-
-  let to_bitvec b =
-    (* [create] here is [Big.create]; build the heap record directly. *)
-    let v = { len = b.blen; words = Array.make (nwords b.blen) 0 } in
-    for i = 0 to Array.length v.words - 1 do
-      v.words.(i) <- word b i
-    done;
-    v
-
-  let same_len_bd b v =
-    if b.blen <> v.len then invalid_arg "Bitvec.Big: length mismatch"
-
-  let union_into ~into b =
-    same_len_bd b into;
-    for i = 0 to Array.length into.words - 1 do
-      into.words.(i) <- into.words.(i) lor word b i
-    done
-
-  let diff_into ~into b =
-    same_len_bd b into;
-    for i = 0 to Array.length into.words - 1 do
-      into.words.(i) <- into.words.(i) land lnot (word b i)
-    done
-
-  let count_inter b v =
-    same_len_bd b v;
-    let acc = ref 0 in
-    for i = 0 to Array.length v.words - 1 do
-      acc := !acc + popcount_int (word b i land v.words.(i))
-    done;
-    !acc
-
-  let subset_masked_bb a b ~mask =
-    same_len_bd a mask;
-    same_len_bd b mask;
-    let ok = ref true in
-    let i = ref 0 in
-    let n = Array.length mask.words in
-    while !ok && !i < n do
-      if word a !i land mask.words.(!i) land lnot (word b !i) <> 0 then ok := false;
-      incr i
-    done;
-    !ok
-
-  let subset_masked_bd a b ~mask =
-    same_len_bd a b;
-    same_len_bd a mask;
-    let ok = ref true in
-    let i = ref 0 in
-    let n = Array.length mask.words in
-    while !ok && !i < n do
-      if word a !i land mask.words.(!i) land lnot b.words.(!i) <> 0 then ok := false;
-      incr i
-    done;
-    !ok
-
-  let subset_masked_db a b ~mask =
-    same_len_bd b a;
-    same_len_bd b mask;
-    let ok = ref true in
-    let i = ref 0 in
-    let n = Array.length mask.words in
-    while !ok && !i < n do
-      if a.words.(!i) land mask.words.(!i) land lnot (word b !i) <> 0 then ok := false;
-      incr i
-    done;
-    !ok
-end

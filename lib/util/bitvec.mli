@@ -124,45 +124,3 @@ val popcount_int : int -> int
 val unsafe_get : t -> int -> bool
 
 val unsafe_set : t -> int -> unit
-
-(** Off-heap bit vectors backed by an int64 [Bigarray].
-
-    Same 62-payload-bits-per-word layout as {!t}, so mixed operations
-    (an off-heap vector against an in-heap mask) run word-wise with no
-    conversion.  The backing store lives outside the OCaml heap: the GC
-    neither scans nor copies it, which is what makes 10k x 100k
-    detection matrices tractable. *)
-module Big : sig
-  type big
-
-  val create : int -> big
-  val length : big -> int
-  val get : big -> int -> bool
-  val set : big -> int -> unit
-  val unsafe_get : big -> int -> bool
-  val unsafe_set : big -> int -> unit
-  val count : big -> int
-  val iter_ones : (int -> unit) -> big -> unit
-  val fold_ones : ('a -> int -> 'a) -> 'a -> big -> 'a
-
-  (** [of_bitvec v] / [to_bitvec b] copy between heaps. *)
-  val of_bitvec : t -> big
-
-  val to_bitvec : big -> t
-
-  (** [union_into ~into b] ors the off-heap [b] into the in-heap [into]. *)
-  val union_into : into:t -> big -> unit
-
-  (** [diff_into ~into b] clears [into]'s bits that are set in [b]. *)
-  val diff_into : into:t -> big -> unit
-
-  (** [count_inter b v] is [|b ∩ v|] without allocating. *)
-  val count_inter : big -> t -> int
-
-  (** [subset_masked_* a b ~mask] — [a ∩ mask ⊆ b ∩ mask] for the
-      off-heap/in-heap operand combinations. *)
-  val subset_masked_bb : big -> big -> mask:t -> bool
-
-  val subset_masked_bd : big -> t -> mask:t -> bool
-  val subset_masked_db : t -> big -> mask:t -> bool
-end

@@ -1,44 +1,25 @@
-type repr = Dense | Sparse | Big
+type repr = Dense | Sparse
 
 type rep =
   | RDense of Bitvec.t
   | RSparse of int array (* strictly increasing column indices *)
-  | RBig of Bitvec.Big.big
 
 type t = { len : int; mutable cnt : int; mutable rep : rep }
 
-let repr_name = function Dense -> "dense" | Sparse -> "sparse" | Big -> "big"
+let repr r = match r.rep with RDense _ -> Dense | RSparse _ -> Sparse
 
-let repr r =
-  match r.rep with RDense _ -> Dense | RSparse _ -> Sparse | RBig _ -> Big
-
-let repr_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "big" -> Some Big
-  | _ -> None
-
-let force =
-  ref
-    (match Sys.getenv_opt "RESEED_ROWSET" with
-    | Some s -> repr_of_string s
-    | None -> None)
+let force = ref None
 
 let set_force f = force := f
 let forced () = !force
 
 (* Density cutover: at one set bit per 64 columns a sorted-int-array row
    costs about the same memory as the packed words; below it, strictly
-   less, and iteration touches only the set entries.  Dense rows move
-   off-heap once they are wide enough for GC scanning to matter. *)
+   less, and iteration touches only the set entries. *)
 let sparse_cutover_shift = 6 (* sparse iff count <= len / 64 *)
-let big_threshold = 4096 (* dense rows at least this wide go off-heap *)
 
 let auto_repr ~len ~count =
-  if count lsl sparse_cutover_shift <= len then Sparse
-  else if len >= big_threshold then Big
-  else Dense
+  if count lsl sparse_cutover_shift <= len then Sparse else Dense
 
 let sparse_of_bitvec v =
   let idx = Array.make (Bitvec.count v) 0 in
@@ -57,7 +38,6 @@ let of_bitvec v =
   let rep =
     match r with
     | Sparse -> RSparse (sparse_of_bitvec v)
-    | Big -> RBig (Bitvec.Big.of_bitvec v)
     | Dense -> RDense (Bitvec.copy v)
   in
   { len; cnt; rep }
@@ -97,7 +77,6 @@ let sparse_mem idx i =
 let mem r i =
   match r.rep with
   | RDense v -> Bitvec.get v i
-  | RBig b -> Bitvec.Big.get b i
   | RSparse idx ->
       if i < 0 || i >= r.len then invalid_arg "Rowset.mem: index out of range";
       sparse_mem idx i
@@ -105,13 +84,11 @@ let mem r i =
 let iter_ones f r =
   match r.rep with
   | RDense v -> Bitvec.iter_ones f v
-  | RBig b -> Bitvec.Big.iter_ones f b
   | RSparse idx -> Array.iter f idx
 
 let fold_ones f acc r =
   match r.rep with
   | RDense v -> Bitvec.fold_ones f acc v
-  | RBig b -> Bitvec.Big.fold_ones f acc b
   | RSparse idx -> Array.fold_left f acc idx
 
 let to_list r = List.rev (fold_ones (fun acc i -> i :: acc) [] r)
@@ -119,22 +96,15 @@ let to_list r = List.rev (fold_ones (fun acc i -> i :: acc) [] r)
 let to_bitvec r =
   match r.rep with
   | RDense v -> v
-  | RBig b -> Bitvec.Big.to_bitvec b
   | RSparse idx ->
       let v = Bitvec.create r.len in
       Array.iter (fun i -> Bitvec.set v i) idx;
       v
 
 let add r i =
-  let v =
-    match r.rep with
-    | RDense v -> v
-    | RBig _ | RSparse _ ->
-        let v = to_bitvec r in
-        let v = match r.rep with RDense _ -> Bitvec.copy v | _ -> v in
-        r.rep <- RDense v;
-        v
-  in
+  (* [to_bitvec] of a dense row is its own backing vector. *)
+  let v = to_bitvec r in
+  r.rep <- RDense v;
   if not (Bitvec.get v i) then begin
     Bitvec.set v i;
     r.cnt <- r.cnt + 1
@@ -144,7 +114,6 @@ let add r i =
 let union_into ~into r =
   match r.rep with
   | RDense v -> Bitvec.union_into ~into v
-  | RBig b -> Bitvec.Big.union_into ~into b
   | RSparse idx ->
       if Bitvec.length into <> r.len then invalid_arg "Rowset: length mismatch";
       Array.iter (fun i -> Bitvec.unsafe_set into i) idx
@@ -152,7 +121,6 @@ let union_into ~into r =
 let diff_into ~into r =
   match r.rep with
   | RDense v -> Bitvec.diff_into ~into v
-  | RBig b -> Bitvec.Big.diff_into ~into b
   | RSparse idx ->
       if Bitvec.length into <> r.len then invalid_arg "Rowset: length mismatch";
       Array.iter (fun i -> Bitvec.clear into i) idx
@@ -160,7 +128,6 @@ let diff_into ~into r =
 let count_inter r v =
   match r.rep with
   | RDense d -> Bitvec.count_inter d v
-  | RBig b -> Bitvec.Big.count_inter b v
   | RSparse idx ->
       if Bitvec.length v <> r.len then invalid_arg "Rowset: length mismatch";
       let acc = ref 0 in
@@ -172,7 +139,7 @@ let count_inter r v =
 let intersects r v =
   match r.rep with
   | RDense d -> Bitvec.intersects d v
-  | RBig _ | RSparse _ -> count_inter r v > 0
+  | RSparse _ -> count_inter r v > 0
 
 exception Not_subset
 
@@ -181,9 +148,6 @@ let subset_masked a b ~mask =
     invalid_arg "Rowset.subset_masked: length mismatch";
   match (a.rep, b.rep) with
   | RDense da, RDense db -> Bitvec.subset_masked da db ~mask
-  | RBig ba, RBig bb -> Bitvec.Big.subset_masked_bb ba bb ~mask
-  | RBig ba, RDense db -> Bitvec.Big.subset_masked_bd ba db ~mask
-  | RDense da, RBig bb -> Bitvec.Big.subset_masked_db da bb ~mask
   | RSparse idx, _ -> (
       try
         Array.iter

@@ -1,28 +1,24 @@
-(** One detection-matrix row behind three storage representations.
+(** One detection-matrix row behind two storage representations.
 
-    A row over [n] columns is stored either as an in-heap {!Bitvec.t}
-    ([Dense]), as a sorted int array of set columns ([Sparse]), or as an
-    off-heap {!Bitvec.Big} vector ([Big]).  {!of_bitvec} picks the
-    representation automatically: rows at or below the density cutover
-    (one set bit per 64 columns) go sparse; denser rows go off-heap once
-    the row is wide enough for the GC pressure to matter, and stay
-    in-heap below that.  The cardinality is cached at construction, so
-    {!count} is O(1) for every representation.
+    A row over [n] columns is stored either as a packed {!Bitvec.t}
+    ([Dense]) or as a sorted int array of set columns ([Sparse]).
+    {!of_bitvec} picks the representation by density: rows at or below
+    the cutover of one set bit per 64 columns go sparse, denser rows
+    dense.  The cardinality is cached at construction, so {!count} is
+    O(1) for both representations.
 
-    The choice can be forced — for the dense-vs-sparse solution-identity
-    check in CI and for the equivalence property tests — with the
-    [RESEED_ROWSET] environment variable ([dense] | [sparse] | [big] |
-    [auto]) or {!set_force}. *)
+    Tests pin the choice with {!set_force} to check that both
+    representations give identical results. *)
 
 type t
 
-type repr = Dense | Sparse | Big
+type repr = Dense | Sparse
 
 val repr : t -> repr
-val repr_name : repr -> string
 
 (** [of_bitvec v] compacts [v] into the representation the policy picks
-    for its length and cardinality.  [v] is copied; the result never
+    for its length and cardinality ([Sparse] iff [count <= length / 64]),
+    or the one {!set_force} pinned.  [v] is copied; the result never
     aliases it. *)
 val of_bitvec : Bitvec.t -> t
 
@@ -54,8 +50,8 @@ val to_list : t -> int list
 val to_bitvec : t -> Bitvec.t
 
 (** [add r i] is [r] with column [i] set.  A [Dense] row is mutated in
-    place and returned; other representations are converted to [Dense]
-    first.  Only the small mutable-matrix path uses this. *)
+    place and returned; a [Sparse] row is converted to [Dense] first.
+    Only the small mutable-matrix path uses this. *)
 val add : t -> int -> t
 
 (** [union_into ~into r] ors [r] into the dense accumulator. *)
@@ -79,12 +75,8 @@ val subset_masked : t -> t -> mask:Bitvec.t -> bool
 val equal : t -> t -> bool
 
 (** [set_force (Some r)] pins every subsequent {!of_bitvec} to
-    representation [r]; [set_force None] restores the automatic policy.
-    Initialised from [RESEED_ROWSET] at program start. *)
+    representation [r]; [set_force None] (the initial state) restores
+    the automatic policy. *)
 val set_force : repr option -> unit
 
 val forced : unit -> repr option
-
-(** [repr_of_string s] parses ["dense"] / ["sparse"] / ["big"];
-    ["auto"] and anything else is [None]. *)
-val repr_of_string : string -> repr option

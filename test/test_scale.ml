@@ -1,7 +1,8 @@
-(* Scale-tier equivalence properties: the three Rowset representations
-   are interchangeable, the sharded matrix build reproduces the
-   monolithic one, and the streaming reduction matches a direct
-   column-wise reference on random instances and real built matrices. *)
+(* Scale-tier equivalence properties: the dense and sparse Rowset
+   representations are interchangeable down to the end-to-end flow
+   result, the sharded matrix build reproduces the monolithic one, and
+   the streaming reduction matches a direct column-wise reference on
+   random instances and real built matrices. *)
 
 open Reseed_core
 open Reseed_fault
@@ -10,11 +11,10 @@ open Reseed_setcover
 open Reseed_tpg
 open Reseed_util
 
-let reprs = [ Rowset.Dense; Rowset.Sparse; Rowset.Big ]
+let reprs = [ Rowset.Dense; Rowset.Sparse ]
 
 (* Run [f] with every subsequent [Rowset.of_bitvec] pinned to [r],
-   restoring the automatic policy (or whatever RESEED_ROWSET forced)
-   afterwards even on failure. *)
+   restoring the previous setting afterwards even on failure. *)
 let with_force r f =
   let prev = Rowset.forced () in
   Rowset.set_force r;
@@ -30,7 +30,7 @@ let random_bitvec rng len ~density =
 (* Every representation of the same bit set answers every query the
    dense one does. *)
 let prop_rowset_equivalence =
-  QCheck.Test.make ~name:"rowset: dense/sparse/big are interchangeable"
+  QCheck.Test.make ~name:"rowset: dense/sparse are interchangeable"
     ~count:60
     QCheck.(triple (int_range 1 300) (int_bound 100) (int_bound 9999))
     (fun (len, density, seed) ->
@@ -77,32 +77,19 @@ let prop_rowset_equivalence =
                reprs)
         reprs)
 
-let prop_big_roundtrip =
-  QCheck.Test.make ~name:"bitvec.big: off-heap round-trip" ~count:60
-    QCheck.(triple (int_range 1 500) (int_bound 100) (int_bound 9999))
-    (fun (len, density, seed) ->
-      let rng = Rng.create seed in
-      let v = random_bitvec rng len ~density in
-      let b = Bitvec.Big.of_bitvec v in
-      Bitvec.Big.count b = Bitvec.count v
-      && Bitvec.equal (Bitvec.Big.to_bitvec b) v
-      && Bitvec.Big.fold_ones (fun acc i -> acc && Bitvec.get v i) true b
-      &&
-      let i = Rng.int rng len in
-      Bitvec.Big.get b i = Bitvec.get v i)
-
-(* The automatic policy honours the density cutover: rows at or below
-   one set bit per 64 columns go sparse. *)
+(* The automatic policy is the density cutover alone: rows at or below
+   one set bit per 64 columns go sparse, every denser row goes dense
+   whatever its width. *)
 let prop_rowset_policy =
   QCheck.Test.make ~name:"rowset: density cutover policy" ~count:40
-    QCheck.(pair (int_range 64 2000) (int_bound 9999))
+    QCheck.(pair (int_range 64 10000) (int_bound 9999))
     (fun (len, seed) ->
       let rng = Rng.create seed in
       let sparse_v = Bitvec.create len in
       Bitvec.set sparse_v (Rng.int rng len);
       let dense_v = random_bitvec rng len ~density:50 in
       Rowset.repr (Rowset.of_bitvec sparse_v) = Rowset.Sparse
-      && Rowset.repr (Rowset.of_bitvec dense_v) <> Rowset.Sparse)
+      && Rowset.repr (Rowset.of_bitvec dense_v) = Rowset.Dense)
 
 (* --- Sharded build vs monolithic build ------------------------------- *)
 
@@ -159,6 +146,31 @@ let test_build_identical_across_reprs () =
         with_force (Some r) (fun () -> Builder.build sim tpg ~tests ~targets ~config)
       in
       same_build auto b)
+    reprs
+
+(* The whole flow on a library circuit — build, reduce, exact solve,
+   truncation — gives the same triplets, coverage and test length with
+   every row pinned dense, every row pinned sparse, and the automatic
+   mix. *)
+let test_flow_identical_across_reprs () =
+  let p = Suite.prepare ~scale_factor:1 "s953" in
+  let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
+  let run r =
+    with_force r (fun () ->
+        Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets)
+  in
+  let auto = run None in
+  let triplet = Alcotest.testable Triplet.pp ( = ) in
+  List.iter
+    (fun r ->
+      let f = run (Some r) in
+      let what = Rowset.(match r with Dense -> "dense" | Sparse -> "sparse") in
+      Alcotest.(check (list triplet)) (what ^ " triplets")
+        auto.Flow.final_triplets f.Flow.final_triplets;
+      Alcotest.(check (float 0.)) (what ^ " coverage") auto.Flow.coverage_pct
+        f.Flow.coverage_pct;
+      Alcotest.(check int) (what ^ " test length") auto.Flow.test_length
+        f.Flow.test_length)
     reprs
 
 (* --- Streaming reduction vs column-wise reference --------------------- *)
@@ -404,12 +416,13 @@ let suite =
     ( "scale",
       [
         QCheck_alcotest.to_alcotest prop_rowset_equivalence;
-        QCheck_alcotest.to_alcotest prop_big_roundtrip;
         QCheck_alcotest.to_alcotest prop_rowset_policy;
         Alcotest.test_case "sharded build = monolithic build" `Quick
           test_sharded_build_matches;
         Alcotest.test_case "build identical across representations" `Quick
           test_build_identical_across_reprs;
+        Alcotest.test_case "flow identical across representations" `Quick
+          test_flow_identical_across_reprs;
         QCheck_alcotest.to_alcotest prop_reduce_matches_reference;
         QCheck_alcotest.to_alcotest prop_reduce_coldom_limit;
         Alcotest.test_case "streaming reduce = reference on built matrix" `Quick
