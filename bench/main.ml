@@ -24,10 +24,6 @@
                            equivalence/dominance class).
      RESEED_ENGINE=E       fault-simulation engine: event | cpt | hybrid
                            (default hybrid).
-     RESEED_BENCH_BASELINE=F
-                           embed a previously written summary (e.g. a
-                           sequential event-engine run) verbatim under the
-                           "baseline" key of the new summary.
      RESEED_JOBS=N         worker-domain count for the parallel phases
                            (default: the machine's recommended count).
      RESEED_CACHE=DIR      artifact store: completed pipeline stages
@@ -167,20 +163,7 @@ let write_bench_json ~total_s () =
   pr "  \"cache\": { \"enabled\": %b, \"hits\": %d, \"misses\": %d, \"corrupt\": %d },\n"
     (store <> None) (cv "artifact_hits") (cv "artifact_misses") (cv "artifact_corrupt");
   pr "  \"metrics\": %s,\n" (Metrics.to_json ());
-  pr "  \"total_s\": %.3f" total_s;
-  (* A previous run's summary (typically RESEED_ENGINE=event RESEED_JOBS=1)
-     embeds verbatim so one file carries both sides of the comparison. *)
-  (match Sys.getenv_opt "RESEED_BENCH_BASELINE" with
-  | Some path when Sys.file_exists path ->
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let contents =
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-            really_input_string ic len)
-      in
-      pr ",\n  \"baseline\": %s" (String.trim contents)
-  | _ -> ());
-  pr "\n}\n";
+  pr "  \"total_s\": %.3f\n}\n" total_s;
   let oc = open_out bench_json_path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
       output_string oc (Buffer.contents buf));

@@ -132,13 +132,13 @@ let decode_reduce r =
 
 (* Only proven-complete end-games are worth reusing; an incumbent cut
    short by a budget must be recomputed next time (maybe with more time). *)
-let encode_solve (selected, nodes, stop, optimal) =
-  if stop <> Ilp.Complete then None
+let encode_solve (e : Solution.endgame) =
+  if e.Solution.stop <> Ilp.Complete then None
   else begin
     let b = Buffer.create 64 in
-    Artifact.Codec.int_list b selected;
-    Artifact.Codec.vint b nodes;
-    Artifact.Codec.u32 b (if optimal then 1 else 0);
+    Artifact.Codec.int_list b e.Solution.selected;
+    Artifact.Codec.vint b e.Solution.nodes;
+    Artifact.Codec.u32 b (if e.Solution.optimal then 1 else 0);
     Some (Buffer.contents b)
   end
 
@@ -151,7 +151,7 @@ let decode_solve r =
     | 1 -> true
     | _ -> raise Artifact.Codec.Malformed
   in
-  (selected, nodes, Ilp.Complete, optimal)
+  { Solution.selected; nodes; stop = Ilp.Complete; optimal }
 
 let encode_truncate ~targets (final, missed, dropped) =
   if Bitvec.length missed <> Bitvec.length targets then None
@@ -185,126 +185,20 @@ let decode_truncate ~targets r =
   in
   (final, missed, dropped)
 
-(* Mirror of [Solution.solve] with each expensive leg memoised in the
-   artifact store.  The stats record is assembled field-for-field the
-   same way, so staged and plain runs are bit-identical. *)
-let staged_solve ~method_ ~reduce ?row_weights ?budget ?pool store fpm m =
-  Trace.with_span "solution.solve"
-    ~args:[ ("method", Solution.method_name method_) ]
-  @@ fun () ->
-  let uncovered = Matrix.uncoverable m in
-  match method_ with
-  | Solution.No_reduction_exact ->
-      let fp = solve_fingerprint ~base:fpm ~method_ ~row_weights in
-      let selected, nodes, stop, optimal =
-        Artifact.cached (Some store) ~stage:"solve" ~fp ~encode:encode_solve
-          ~decode:decode_solve
-        @@ fun () ->
-        let r = Ilp.solve ?weights:row_weights ?budget m in
-        (r.Ilp.selected, r.Ilp.nodes_explored, r.Ilp.stop_reason, r.Ilp.optimal)
-      in
-      {
-        Solution.rows = selected;
-        stats =
-          {
-            Solution.initial_rows = Matrix.rows m;
-            initial_cols = Matrix.cols m;
-            necessary = [];
-            reduced_rows = Matrix.rows m;
-            reduced_cols = Matrix.cols m;
-            from_solver = selected;
-            reduction_iterations = 0;
-            solver_nodes = nodes;
-            solver_optimal = optimal;
-            solver_stop = stop;
-            degraded = Solution.is_degraded method_ stop;
-            uncovered;
-            portfolio_legs = [];
-            portfolio_winner = None;
-          };
-      }
-  | Solution.Exact | Solution.Greedy_only | Solution.Portfolio_race ->
-      let fp_reduce = reduce_fingerprint ~fpm ~reduce ~row_weights in
-      let red =
-        Artifact.cached (Some store) ~stage:"reduce" ~fp:fp_reduce
-          ~encode:encode_reduce ~decode:decode_reduce
-        @@ fun () -> Reduce.run ~config:reduce ?row_weights m
-      in
-      (* The residual is cheap to rebuild and deterministic in (m, red),
-         so it is recomputed rather than stored. *)
-      let residual, row_map, _col_map = Reduce.residual m red in
-      let weights =
-        Option.map (fun w -> Array.map (fun ri -> w.(ri)) row_map) row_weights
-      in
-      let from_solver, nodes, stop, optimal, legs, winner =
-        if Matrix.rows residual = 0 || Matrix.cols residual = 0 then
-          ([], 0, Ilp.Complete, true, [], None)
-        else
-          match method_ with
-          | Solution.Portfolio_race ->
-              (* Per-leg attribution does not round-trip the solve codec,
-                 and the race reads the shared incumbent as it runs — the
-                 solve stage is recomputed rather than memoised (the
-                 reduce stage above is still cached). *)
-              let r = Portfolio.solve ?weights ?budget ?pool residual in
-              let ilp_nodes =
-                List.fold_left
-                  (fun acc l ->
-                    if l.Portfolio.leg = "ilp" then l.Portfolio.work else acc)
-                  0 r.Portfolio.legs
-              in
-              ( List.map (fun ri -> row_map.(ri)) r.Portfolio.selected,
-                ilp_nodes,
-                r.Portfolio.stop_reason,
-                r.Portfolio.optimal,
-                r.Portfolio.legs,
-                Some r.Portfolio.winner )
-          | Solution.Greedy_only | Solution.Exact | Solution.No_reduction_exact
-            ->
-              let fp_solve =
-                solve_fingerprint ~base:fp_reduce ~method_ ~row_weights
-              in
-              let from_solver, nodes, stop, optimal =
-                Artifact.cached (Some store) ~stage:"solve" ~fp:fp_solve
-                  ~encode:encode_solve ~decode:decode_solve
-                @@ fun () ->
-                match method_ with
-                | Solution.Greedy_only ->
-                    let picks = Greedy.solve residual in
-                    ( List.map (fun ri -> row_map.(ri)) picks,
-                      0,
-                      Ilp.Complete,
-                      false )
-                | _ ->
-                    let r = Ilp.solve ?weights ?budget residual in
-                    ( List.map (fun ri -> row_map.(ri)) r.Ilp.selected,
-                      r.Ilp.nodes_explored,
-                      r.Ilp.stop_reason,
-                      r.Ilp.optimal )
-              in
-              (from_solver, nodes, stop, optimal, [], None)
-      in
-      let rows = List.sort_uniq compare (red.Reduce.necessary @ from_solver) in
-      {
-        Solution.rows;
-        stats =
-          {
-            Solution.initial_rows = Matrix.rows m;
-            initial_cols = Matrix.cols m;
-            necessary = red.Reduce.necessary;
-            reduced_rows = Matrix.rows residual;
-            reduced_cols = Matrix.cols residual;
-            from_solver;
-            reduction_iterations = red.Reduce.iterations;
-            solver_nodes = nodes;
-            solver_optimal = optimal;
-            solver_stop = stop;
-            degraded = Solution.is_degraded method_ stop;
-            uncovered;
-            portfolio_legs = legs;
-            portfolio_winner = winner;
-          };
-      }
+(* Only the reduce result is stored: the residual is cheap to rebuild and
+   deterministic in (m, red), so [Solution.solve] recomputes it. *)
+let memo ~method_ ~reduce ~row_weights store fpm =
+  let fp_reduce = reduce_fingerprint ~fpm ~reduce ~row_weights in
+  let base = if method_ = Solution.No_reduction_exact then fpm else fp_reduce in
+  let fp_solve = solve_fingerprint ~base ~method_ ~row_weights in
+  {
+    Solution.reduce =
+      Artifact.cached (Some store) ~stage:"reduce" ~fp:fp_reduce
+        ~encode:encode_reduce ~decode:decode_reduce;
+    endgame =
+      Artifact.cached (Some store) ~stage:"solve" ~fp:fp_solve
+        ~encode:encode_solve ~decode:decode_solve;
+  }
 
 let run_prebuilt ?(config = default_config) ?pool ?budget ?store ?fingerprint:fpm
     sim tpg ~initial ~targets =
@@ -318,26 +212,28 @@ let run_prebuilt ?(config = default_config) ?pool ?budget ?store ?fingerprint:fp
   in
   (* A matrix with skipped rows differs from what its fingerprint
      promises: neither read nor write any downstream artifact for it. *)
-  let store =
-    if initial.Builder.rows_skipped > 0 then None
-    else match (store, fpm) with Some st, Some _ -> Some st | _ -> None
+  let cache =
+    match (store, fpm) with
+    | Some st, Some fpm when initial.Builder.rows_skipped = 0 -> Some (st, fpm)
+    | _ -> None
+  in
+  let memo =
+    Option.map
+      (fun (st, fpm) ->
+        memo ~method_:config.method_ ~reduce:config.reduce ~row_weights st fpm)
+      cache
   in
   let solution =
-    match (store, fpm) with
-    | Some st, Some fpm ->
-        staged_solve ~method_:config.method_ ~reduce:config.reduce ?row_weights
-          ?budget ?pool st fpm initial.Builder.matrix
-    | _ ->
-        Solution.solve ~method_:config.method_ ~reduce_config:config.reduce
-          ?row_weights ?budget ?pool initial.Builder.matrix
+    Solution.solve ~method_:config.method_ ~reduce_config:config.reduce
+      ?row_weights ?budget ?pool ?memo initial.Builder.matrix
   in
   let final_triplets, missed, dropped =
     let compute () =
       truncate_solution sim tpg ~triplets:initial.Builder.triplets ~targets
         solution.Solution.rows
     in
-    match (store, fpm) with
-    | Some st, Some fpm when not solution.Solution.stats.Solution.degraded ->
+    match cache with
+    | Some (st, fpm) when not solution.Solution.stats.Solution.degraded ->
         let fp = truncate_fingerprint ~fpm ~rows:solution.Solution.rows in
         Artifact.cached (Some st) ~stage:"truncate" ~fp
           ~encode:(encode_truncate ~targets) ~decode:(decode_truncate ~targets)

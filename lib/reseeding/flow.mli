@@ -99,23 +99,21 @@ val run :
   targets:Bitvec.t ->
   result
 
-(** [staged_solve ~method_ ~reduce ?row_weights ?budget ?pool store fpm m]
-    is {!Reseed_setcover.Solution.solve} with each expensive leg —
-    reduce, end-game solve — memoised in [store], keyed off the
-    matrix-stage fingerprint [fpm] exactly as {!run} keys them.  Staged
-    and plain runs are bit-identical.  Exposed so other workloads mapped
-    onto the same covering {!Reseed_setcover.Matrix} (the compression
-    workload, see {!Workload}) can reuse the cached covering pipeline. *)
-val staged_solve :
+(** [memo ~method_ ~reduce ~row_weights store fpm] memoises
+    {!Reseed_setcover.Solution.solve}'s reduce and end-game legs in
+    [store], keyed off the matrix-stage fingerprint [fpm] exactly as
+    {!run} keys them: the reduce stage off [fpm], the solve stage off the
+    reduce key ([fpm] itself for [No_reduction_exact]).  Cached and plain
+    solves are bit-identical.  Exposed so other workloads mapped onto the
+    same covering {!Reseed_setcover.Matrix} (the compression workload,
+    see {!Workload}) reuse the cached covering pipeline. *)
+val memo :
   method_:Solution.method_ ->
   reduce:Reduce.config ->
-  ?row_weights:float array ->
-  ?budget:Budget.t ->
-  ?pool:Pool.t ->
+  row_weights:float array option ->
   Artifact.store ->
   Fingerprint.t ->
-  Matrix.t ->
-  Solution.t
+  Solution.memo
 
 (** [run_prebuilt ?config ?pool ?budget ?store ?fingerprint sim tpg
     ~initial ~targets] is the back half of {!run} — covering, end-game

@@ -144,15 +144,17 @@ let solve ?(method_ = Solution.Exact) ?(reduce = Reduce.default_config) ?budget
   @@ fun () ->
   let cands = candidates corpus in
   let m = matrix corpus cands in
-  let solution =
-    if Array.length corpus.blocks = 0 then
-      Solution.solve ~method_ ~reduce_config:reduce ?budget ?pool m
+  (* An empty corpus has nothing worth caching: it never touches the store. *)
+  let memo =
+    if Array.length corpus.blocks = 0 then None
     else
-      match store with
-      | Some st ->
-          Flow.staged_solve ~method_ ~reduce ?budget ?pool st
-            (fingerprint corpus) m
-      | None -> Solution.solve ~method_ ~reduce_config:reduce ?budget ?pool m
+      Option.map
+        (fun st ->
+          Flow.memo ~method_ ~reduce ~row_weights:None st (fingerprint corpus))
+        store
+  in
+  let solution =
+    Solution.solve ~method_ ~reduce_config:reduce ?budget ?pool ?memo m
   in
   let entries = List.map (fun r -> cands.(r)) solution.Solution.rows in
   let nb = Array.length corpus.blocks in

@@ -21,7 +21,7 @@
     This module holds the workload tags plus the whole compression
     workload: corpus construction, candidate minting, the covering
     matrix, and a solver that reuses the cached covering pipeline
-    ({!Flow.staged_solve}) under a compression-salted fingerprint. *)
+    ({!Flow.memo}) under a compression-salted fingerprint. *)
 
 open Reseed_setcover
 open Reseed_util
@@ -98,7 +98,7 @@ type compressed = {
 
 (** [solve ?method_ ?reduce ?budget ?pool ?store corpus] selects a
     minimum dictionary covering every block.  With [store] the reduce and
-    end-game stages are memoised through {!Flow.staged_solve} under
+    end-game stages are memoised through {!Flow.memo} under
     {!fingerprint} — cached compression artifacts share the store with
     reseeding runs but can never collide with them (different stage
     salt and workload tag).  [method_] defaults to

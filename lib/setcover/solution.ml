@@ -35,7 +35,22 @@ let method_name = function
   | No_reduction_exact -> "noreduce"
   | Portfolio_race -> "portfolio"
 
-let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool m =
+type endgame = {
+  selected : int list;
+  nodes : int;
+  stop : Ilp.stop_reason;
+  optimal : bool;
+}
+
+type memo = {
+  reduce : (unit -> Reduce.result) -> Reduce.result;
+  endgame : (unit -> endgame) -> endgame;
+}
+
+let no_memo = { reduce = (fun f -> f ()); endgame = (fun f -> f ()) }
+
+let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool
+    ?(memo = no_memo) m =
   Reseed_util.Trace.with_span "solution.solve"
     ~args:[ ("method", method_name method_) ]
   @@ fun () ->
@@ -44,89 +59,77 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool m =
      them the same way — by skipping them — so they are surfaced here
      once instead of being dropped on the floor per-solver. *)
   let uncovered = Matrix.uncoverable m in
-  match method_ with
-  | No_reduction_exact ->
-      (* Ilp.solve itself excludes uncoverable columns and reports them,
-         so the unreduced matrix goes to the solver as-is. *)
-      let r = Ilp.solve ?weights:row_weights ?budget m in
-      {
-        rows = r.Ilp.selected;
-        stats =
-          {
-            initial_rows = Matrix.rows m;
-            initial_cols = Matrix.cols m;
-            necessary = [];
-            reduced_rows = Matrix.rows m;
-            reduced_cols = Matrix.cols m;
-            from_solver = r.Ilp.selected;
-            reduction_iterations = 0;
-            solver_nodes = r.Ilp.nodes_explored;
-            solver_optimal = r.Ilp.optimal;
-            solver_stop = r.Ilp.stop_reason;
-            degraded = is_degraded method_ r.Ilp.stop_reason;
-            uncovered = r.Ilp.uncovered;
-            portfolio_legs = [];
-            portfolio_winner = None;
-          };
-      }
-  | Exact | Greedy_only | Portfolio_race ->
-      let red = Reduce.run ?config:reduce_config ?row_weights m in
-      let residual, row_map, _col_map = Reduce.residual m red in
-      let from_solver, nodes, stop, optimal, legs, winner =
-        if Matrix.rows residual = 0 || Matrix.cols residual = 0 then
-          ([], 0, Ilp.Complete, true, [], None)
-        else
-          let weights =
-            Option.map (fun w -> Array.map (fun ri -> w.(ri)) row_map) row_weights
+  (* [No_reduction_exact] hands the whole matrix to the solver, which
+     itself excludes the uncoverable columns. *)
+  let necessary, iterations, residual, row_of =
+    match method_ with
+    | No_reduction_exact -> ([], 0, m, Fun.id)
+    | Exact | Greedy_only | Portfolio_race ->
+        let red =
+          memo.reduce (fun () -> Reduce.run ?config:reduce_config ?row_weights m)
+        in
+        let residual, row_map, _col_map = Reduce.residual m red in
+        (red.Reduce.necessary, red.Reduce.iterations, residual, fun ri -> row_map.(ri))
+  in
+  let weights =
+    Option.map
+      (fun w -> Array.init (Matrix.rows residual) (fun ri -> w.(row_of ri)))
+      row_weights
+  in
+  let mapped selected nodes stop optimal =
+    { selected = List.map row_of selected; nodes; stop; optimal }
+  in
+  let e, legs, winner =
+    if method_ <> No_reduction_exact
+       && (Matrix.rows residual = 0 || Matrix.cols residual = 0)
+    then (mapped [] 0 Ilp.Complete true, [], None)
+    else
+      match method_ with
+      | Greedy_only ->
+          let greedy () = mapped (Greedy.solve residual) 0 Ilp.Complete false in
+          (memo.endgame greedy, [], None)
+      | Exact | No_reduction_exact ->
+          let ilp () =
+            let r = Ilp.solve ?weights ?budget residual in
+            mapped r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
+              r.Ilp.optimal
           in
-          match method_ with
-          | Greedy_only ->
-              let picks = Greedy.solve residual in
-              (List.map (fun ri -> row_map.(ri)) picks, 0, Ilp.Complete, false, [], None)
-          | Portfolio_race ->
-              let r = Portfolio.solve ?weights ?budget ?pool residual in
-              let ilp_nodes =
-                List.fold_left
-                  (fun acc l ->
-                    if l.Portfolio.leg = "ilp" then l.Portfolio.work else acc)
-                  0 r.Portfolio.legs
-              in
-              ( List.map (fun ri -> row_map.(ri)) r.Portfolio.selected,
-                ilp_nodes,
-                r.Portfolio.stop_reason,
-                r.Portfolio.optimal,
-                r.Portfolio.legs,
-                Some r.Portfolio.winner )
-          | Exact | No_reduction_exact ->
-              let r = Ilp.solve ?weights ?budget residual in
-              ( List.map (fun ri -> row_map.(ri)) r.Ilp.selected,
-                r.Ilp.nodes_explored,
-                r.Ilp.stop_reason,
-                r.Ilp.optimal,
-                [],
-                None )
-      in
-      let rows = List.sort_uniq compare (red.Reduce.necessary @ from_solver) in
+          (memo.endgame ilp, [], None)
+      | Portfolio_race ->
+          (* Never memoised: per-leg attribution does not fit an
+             [endgame], and the race reads the shared incumbent as it
+             runs. *)
+          let r = Portfolio.solve ?weights ?budget ?pool residual in
+          let ilp_nodes =
+            List.fold_left
+              (fun acc l -> if l.Portfolio.leg = "ilp" then l.Portfolio.work else acc)
+              0 r.Portfolio.legs
+          in
+          ( mapped r.Portfolio.selected ilp_nodes r.Portfolio.stop_reason
+              r.Portfolio.optimal,
+            r.Portfolio.legs,
+            Some r.Portfolio.winner )
+  in
+  {
+    rows = List.sort_uniq compare (necessary @ e.selected);
+    stats =
       {
-        rows;
-        stats =
-          {
-            initial_rows = Matrix.rows m;
-            initial_cols = Matrix.cols m;
-            necessary = red.Reduce.necessary;
-            reduced_rows = Matrix.rows residual;
-            reduced_cols = Matrix.cols residual;
-            from_solver;
-            reduction_iterations = red.Reduce.iterations;
-            solver_nodes = nodes;
-            solver_optimal = optimal;
-            solver_stop = stop;
-            degraded = is_degraded method_ stop;
-            uncovered;
-            portfolio_legs = legs;
-            portfolio_winner = winner;
-          };
-      }
+        initial_rows = Matrix.rows m;
+        initial_cols = Matrix.cols m;
+        necessary;
+        reduced_rows = Matrix.rows residual;
+        reduced_cols = Matrix.cols residual;
+        from_solver = e.selected;
+        reduction_iterations = iterations;
+        solver_nodes = e.nodes;
+        solver_optimal = e.optimal;
+        solver_stop = e.stop;
+        degraded = is_degraded method_ e.stop;
+        uncovered;
+        portfolio_legs = legs;
+        portfolio_winner = winner;
+      };
+  }
 
 let verify m t = Matrix.covers m ~rows_subset:t.rows
 

@@ -21,12 +21,6 @@ type method_ =
     component. *)
 val method_name : method_ -> string
 
-(** [is_degraded method_ stop] is [solve]'s degradation contract — an
-    exact method that stopped early delivered an incumbent; [Greedy_only]
-    is never degraded.  Exposed so the staged flow pipeline assembles
-    stats identical to [solve]'s. *)
-val is_degraded : method_ -> Ilp.stop_reason -> bool
-
 type stats = {
   initial_rows : int;
   initial_cols : int;
@@ -55,7 +49,25 @@ type stats = {
 
 type t = { rows : int list;  (** the final solution N, ascending *) stats : stats }
 
-(** [solve ?method_ ?reduce_config ?row_weights ?budget ?pool m] —
+(** An end-game solver's answer, in rows of the {e input} matrix. *)
+type endgame = {
+  selected : int list;
+  nodes : int;  (** branch-and-bound nodes; 0 for greedy *)
+  stop : Ilp.stop_reason;
+  optimal : bool;
+}
+
+(** Hooks around [solve]'s two expensive legs: each receives its leg as
+    a thunk and must return what the thunk would (e.g. a cached copy).
+    [endgame] wraps the greedy or exact solve; it is skipped when
+    reduction leaves an empty residual, and never called for
+    [Portfolio_race], whose racing legs always rerun. *)
+type memo = {
+  reduce : (unit -> Reduce.result) -> Reduce.result;
+  endgame : (unit -> endgame) -> endgame;
+}
+
+(** [solve ?method_ ?reduce_config ?row_weights ?budget ?pool ?memo m] —
     [method_] defaults to [Exact].  [Greedy_only] replaces the exact
     end-game with greedy (ablation #2); [No_reduction_exact] skips
     reduction entirely (ablation showing why the paper reduces first);
@@ -71,13 +83,18 @@ type t = { rows : int list;  (** the final solution N, ascending *) stats : stat
     (the greedy cover at worst) is used and the degradation is recorded
     in {!stats} ([degraded], [solver_stop]) instead of pretending
     optimality.  The returned rows are always a valid cover of the
-    coverable columns. *)
+    coverable columns.
+
+    [memo] (default: run every thunk) lets a caller memoise the reduce
+    and end-game legs; the result is the same either way, so long as
+    the hooks return what their thunks would. *)
 val solve :
   ?method_:method_ ->
   ?reduce_config:Reduce.config ->
   ?row_weights:float array ->
   ?budget:Budget.t ->
   ?pool:Pool.t ->
+  ?memo:memo ->
   Matrix.t ->
   t
 

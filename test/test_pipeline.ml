@@ -178,7 +178,7 @@ let test_matrix_stage_bit_identity () =
   let _, m = delta "stage_matrix_cache_misses" (fun () -> build ~cycles:80) in
   check_int "different cycles miss" 1 m
 
-(* --- staged flow vs plain flow ---------------------------------------- *)
+(* --- cached flow vs plain flow ----------------------------------------- *)
 
 let flow_signature r =
   ( Flow.reseedings r,
@@ -188,23 +188,52 @@ let flow_signature r =
     r.Flow.coverage_pct,
     r.Flow.degraded )
 
-let test_staged_flow_matches_plain () =
-  with_store @@ fun store ->
+let methods =
+  Solution.[ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
+
+(* Every method x objective: the memoised solve must hand back the very
+   same [Solution.t] as the plain one — rows and every stats field — cold
+   and warm.  The mp-lfsr TPG at T=5 leaves c17 a non-empty residual, so
+   the end-game stage is exercised, not only the reducer. *)
+let test_cached_flow_matches_plain () =
   let p = Suite.prepare_circuit (Library.load "c17") in
-  let tpg = Accumulator.multiplier (Circuit.input_count p.Suite.circuit) in
-  let run ?store ?fingerprint () =
-    Flow.run ?store ?fingerprint p.Suite.sim tpg ~tests:p.Suite.tests
-      ~targets:p.Suite.targets
-  in
-  let plain = run () in
-  let cold = run ~store ~fingerprint:p.Suite.fingerprint () in
-  let warm, sims =
-    delta "fault_sims" (fun () -> run ~store ~fingerprint:p.Suite.fingerprint ())
-  in
-  check "cold = plain" true (flow_signature cold = flow_signature plain);
-  check "warm = plain" true (flow_signature warm = flow_signature plain);
-  check_int "fully warm run simulates nothing" 0 sims;
-  check "verifies" true (Flow.verify p.Suite.sim tpg warm)
+  let tpg = Lfsr.multi_polynomial (Circuit.input_count p.Suite.circuit) in
+  let builder = { Builder.default_config with Builder.cycles = 5 } in
+  List.iter
+    (fun method_ ->
+      List.iter
+        (fun (objective, oname) ->
+          with_store @@ fun store ->
+          let config =
+            { Flow.default_config with Flow.builder; method_; objective }
+          in
+          let run ?store ?fingerprint () =
+            Flow.run ~config ?store ?fingerprint p.Suite.sim tpg
+              ~tests:p.Suite.tests ~targets:p.Suite.targets
+          in
+          let fingerprint = p.Suite.fingerprint in
+          let label what =
+            Printf.sprintf "%s/%s: %s" (Solution.method_name method_) oname what
+          in
+          let plain = run () in
+          let cold = run ~store ~fingerprint () in
+          let (warm, sims), misses =
+            delta "artifact_misses" (fun () ->
+                delta "fault_sims" (fun () -> run ~store ~fingerprint ()))
+          in
+          let stats = plain.Flow.solution.Solution.stats in
+          check (label "residual non-empty") true (stats.Solution.reduced_rows > 0);
+          check (label "cold solution = plain") true
+            (cold.Flow.solution = plain.Flow.solution);
+          check (label "warm solution = plain") true
+            (warm.Flow.solution = plain.Flow.solution);
+          check (label "cold = plain") true (flow_signature cold = flow_signature plain);
+          check (label "warm = plain") true (flow_signature warm = flow_signature plain);
+          check_int (label "fully warm run simulates nothing") 0 sims;
+          check_int (label "fully warm run misses nothing") 0 misses;
+          check (label "verifies") true (Flow.verify p.Suite.sim tpg warm))
+        [ (Flow.Min_triplets, "triplets"); (Flow.Min_test_length, "length") ])
+    methods
 
 (* --- trade-off sweep --------------------------------------------------- *)
 
@@ -384,8 +413,8 @@ let suite =
           test_atpg_stage_invalidation;
         Alcotest.test_case "matrix stage: warm hit bit-identical" `Quick
           test_matrix_stage_bit_identity;
-        Alcotest.test_case "flow: staged = plain, warm sims nothing" `Quick
-          test_staged_flow_matches_plain;
+        Alcotest.test_case "flow: cached = plain" `Quick
+          test_cached_flow_matches_plain;
         Alcotest.test_case "sweep: prefix sharing = per-point flows" `Quick
           test_sweep_matches_per_point_runs;
         Alcotest.test_case "tradeoff: default_grid edges" `Quick test_default_grid_edges;

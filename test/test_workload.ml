@@ -8,6 +8,7 @@ open Reseed_atpg
 open Reseed_core
 open Reseed_fault
 open Reseed_netlist
+open Reseed_setcover
 open Reseed_tpg
 open Reseed_util
 
@@ -456,17 +457,37 @@ let test_compress_solve_and_accounting () =
   check "entry renders bit 0 first" true
     (Workload.entry_to_string ~width:3 (List.hd r.Workload.entries) = "101")
 
+(* Every method: the memoised solve hands back the very same
+   [Solution.t] — rows and every stats field — cold and warm.  This
+   corpus leaves a 4x4 residual after reduction, so the end-game stage
+   is exercised, not only the reducer. *)
 let test_compress_cached_solve_identical () =
-  with_store @@ fun store ->
   let corpus =
-    Workload.corpus_of_text ~width:4 "1011X110\n0X100101\n11110000\n10X1\n"
+    Workload.corpus_of_text ~width:5
+      "00XXX\nX111X\nX10X00XX0XX1X1X\n1X100XX01X\n"
   in
-  let cold = Workload.solve ~store corpus in
-  let warm, hits = delta "artifact_hits" (fun () -> Workload.solve ~store corpus) in
-  check "warm rerun hits the store" true (hits > 0);
-  check "entries identical" true (cold.Workload.entries = warm.Workload.entries);
-  let plain = Workload.solve corpus in
-  check "cached = uncached" true (plain.Workload.entries = cold.Workload.entries)
+  List.iter
+    (fun method_ ->
+      with_store @@ fun store ->
+      let label what = Solution.method_name method_ ^ ": " ^ what in
+      let plain = Workload.solve ~method_ corpus in
+      let cold = Workload.solve ~method_ ~store corpus in
+      let (warm, hits), misses =
+        delta "artifact_misses" (fun () ->
+            delta "artifact_hits" (fun () -> Workload.solve ~method_ ~store corpus))
+      in
+      check (label "residual non-empty") true
+        (plain.Workload.solution.Solution.stats.Solution.reduced_rows > 0);
+      check (label "warm rerun hits the store") true (hits > 0);
+      check_int (label "warm rerun misses nothing") 0 misses;
+      check (label "cold solution = plain") true
+        (cold.Workload.solution = plain.Workload.solution);
+      check (label "warm solution = plain") true
+        (warm.Workload.solution = plain.Workload.solution);
+      check (label "entries identical") true
+        (cold.Workload.entries = plain.Workload.entries
+        && warm.Workload.entries = plain.Workload.entries))
+    Solution.[ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
 
 let random_corpus_text rng ~lines ~width ~exact ~allow_x =
   String.concat "\n"
