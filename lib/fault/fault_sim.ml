@@ -21,6 +21,7 @@ type t = {
   site_sig : int array;
       (* transition model only: per-fault launch-signal node (the stem
          whose good value at the launch pattern gates activation) *)
+  good : int array; (* good-machine values of the current block *)
   launch_prev : Bytes.t;
       (* transition model only: every node's good value at the last lane
          of the previous block — the launch value of the next block's
@@ -33,14 +34,22 @@ type t = {
       (* stems whose observability needs a flip propagation — they reach a
          PO without being one; descending (reverse-topological) order so
          an eager sweep finishes downstream stems first *)
-  (* Event-propagation scratch reused across injections; [stamp]/[in_heap]
+  (* Event-propagation scratch reused across injections; [stamp]/[queued]
      hold the id of the propagation that last wrote them, so no clearing
      is ever needed. *)
   stamp : int array;
   fval : int array;
-  heap : int array;
-  mutable heap_len : int;
-  in_heap : int array;
+  (* Level-bucketed event queue: level [l]'s pending nodes form a stack in
+     [queue] at [queue_off.(l)], [queue_count.(l)] deep.  [queue_off] is
+     computed once by [create] and shared by every [copy]; a level's slot
+     range holds every node of that level, and [queued] admits a node at
+     most once per propagation, so no stack can overflow. *)
+  queue_off : int array;
+  queue : int array;
+  queue_count : int array;
+  mutable queue_len : int;
+  mutable queue_low : int; (* no level below it is non-empty *)
+  queued : int array;
   mutable cur : int;
   (* Per-block CPT scratch, invalidated by bumping [block]. *)
   mutable block : int;
@@ -52,15 +61,31 @@ type t = {
   mutable props : int;
 }
 
-let scratch n =
-  ( Array.make n (-1),
+let scratch c =
+  let n = Circuit.node_count c in
+  ( Array.make n 0,
+    Array.make n (-1),
     Array.make n 0,
-    Array.make (max 16 n) 0,
+    Array.make n 0,
+    Array.make (Circuit.max_level c + 1) 0,
     Array.make n (-1),
     Array.make n 0,
     Array.make n (-1),
     Array.make n 0,
     Array.make n (-1) )
+
+(* Start of each level's slot range in the event queue: the number of
+   nodes on lower levels. *)
+let queue_offsets c =
+  let off = Array.make (Circuit.max_level c + 1) 0 in
+  Array.iter (fun l -> off.(l) <- off.(l) + 1) c.Circuit.level;
+  let base = ref 0 in
+  Array.iteri
+    (fun l size ->
+      off.(l) <- !base;
+      base := !base + size)
+    off;
+  off
 
 let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
   let n = Circuit.node_count circuit in
@@ -74,7 +99,9 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
       [] (Ffr.stems ffr)
     |> Array.of_list
   in
-  let stamp, fval, heap, in_heap, obs, obs_stamp, sens, sens_stamp = scratch n in
+  let good, stamp, fval, queue, queue_count, queued, obs, obs_stamp, sens, sens_stamp =
+    scratch circuit
+  in
   let site_sig =
     match model with
     | Fault_model.Stuck_at -> [||]
@@ -87,6 +114,7 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
     engine;
     model;
     site_sig;
+    good;
     launch_prev = Bytes.make n '\000';
     launch_valid = false;
     ffr;
@@ -94,9 +122,12 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
     prop_stems;
     stamp;
     fval;
-    heap;
-    heap_len = 0;
-    in_heap;
+    queue_off = queue_offsets circuit;
+    queue;
+    queue_count;
+    queue_len = 0;
+    queue_low = 0;
+    queued;
     cur = -1;
     block = 0;
     obs;
@@ -107,22 +138,27 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
     props = 0;
   }
 
-(* Fresh scratch over the same immutable circuit/fault/FFR/PO-map arrays:
-   the copy can run [process] concurrently with the original from another
-   domain.  Its work counters start at zero so per-worker tallies can be
-   summed back with [merge_sims]. *)
+(* Fresh scratch over the same immutable circuit/fault/FFR/PO-map/queue
+   offset arrays: the copy can run [process] concurrently with the
+   original from another domain.  Its work counters start at zero so
+   per-worker tallies can be summed back with [merge_sims]. *)
 let copy t =
   let n = Circuit.node_count t.circuit in
-  let stamp, fval, heap, in_heap, obs, obs_stamp, sens, sens_stamp = scratch n in
+  let good, stamp, fval, queue, queue_count, queued, obs, obs_stamp, sens, sens_stamp =
+    scratch t.circuit
+  in
   {
     t with
+    good;
     launch_prev = Bytes.make n '\000';
     launch_valid = false;
     stamp;
     fval;
-    heap;
-    heap_len = 0;
-    in_heap;
+    queue;
+    queue_count;
+    queue_len = 0;
+    queue_low = 0;
+    queued;
     cur = -1;
     block = 0;
     obs;
@@ -156,47 +192,50 @@ let sims_performed t = t.sims
 let event_propagations t = t.props
 let engine t = t.engine
 
-(* Min-heap over node indices: pops nodes in topological order so every
-   fanin is final before a node is evaluated. *)
-let heap_push t i =
-  if t.in_heap.(i) <> t.cur then begin
-    t.in_heap.(i) <- t.cur;
-    let pos = ref t.heap_len in
-    t.heap_len <- t.heap_len + 1;
-    t.heap.(!pos) <- i;
-    let continue = ref true in
-    while !continue && !pos > 0 do
-      let parent = (!pos - 1) / 2 in
-      if t.heap.(parent) > t.heap.(!pos) then begin
-        let tmp = t.heap.(parent) in
-        t.heap.(parent) <- t.heap.(!pos);
-        t.heap.(!pos) <- tmp;
-        pos := parent
-      end
-      else continue := false
-    done
+(* Event queue.  Pops come out in non-decreasing level order: every push
+   during a propagation is a fanout of the node just popped, hence on a
+   higher level, so every fanin of a popped node is final before it is
+   evaluated.  Within one level the order is irrelevant — no node reads
+   another of its own level.  Both operations are O(1) apart from the
+   [queue_low] cursor, which only moves up between resets and so scans
+   each level at most once per propagation. *)
+
+(* Start a propagation.  Every propagation drains the queue, so the
+   counts are normally all zero already; clear them only if one was cut
+   short. *)
+let queue_reset t =
+  if t.queue_len <> 0 then begin
+    Array.fill t.queue_count 0 (Array.length t.queue_count) 0;
+    t.queue_len <- 0
+  end;
+  t.queue_low <- Array.length t.queue_count - 1
+
+let push t i =
+  if Array.unsafe_get t.queued i <> t.cur then begin
+    Array.unsafe_set t.queued i t.cur;
+    let l = Array.unsafe_get t.circuit.Circuit.level i in
+    let c = Array.unsafe_get t.queue_count l in
+    Array.unsafe_set t.queue (Array.unsafe_get t.queue_off l + c) i;
+    Array.unsafe_set t.queue_count l (c + 1);
+    t.queue_len <- t.queue_len + 1;
+    if l < t.queue_low then t.queue_low <- l
   end
 
-let heap_pop t =
-  let top = t.heap.(0) in
-  t.heap_len <- t.heap_len - 1;
-  t.heap.(0) <- t.heap.(t.heap_len);
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !pos) + 1 and r = (2 * !pos) + 2 in
-    let smallest = ref !pos in
-    if l < t.heap_len && t.heap.(l) < t.heap.(!smallest) then smallest := l;
-    if r < t.heap_len && t.heap.(r) < t.heap.(!smallest) then smallest := r;
-    if !smallest <> !pos then begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!pos);
-      t.heap.(!pos) <- tmp;
-      pos := !smallest
-    end
-    else continue := false
-  done;
-  top
+(* Requires [queue_len > 0]. *)
+let pop t =
+  let l = ref t.queue_low in
+  while Array.unsafe_get t.queue_count !l = 0 do incr l done;
+  t.queue_low <- !l;
+  let c = Array.unsafe_get t.queue_count !l - 1 in
+  Array.unsafe_set t.queue_count !l c;
+  t.queue_len <- t.queue_len - 1;
+  Array.unsafe_get t.queue (Array.unsafe_get t.queue_off !l + c)
+
+let push_fanouts t i =
+  let fanouts = t.circuit.Circuit.fanouts.(i) in
+  for k = 0 to Array.length fanouts - 1 do
+    push t (Array.unsafe_get fanouts k)
+  done
 
 let full = max_int
 
@@ -204,29 +243,44 @@ let full = max_int
 let value t (good : int array) f =
   if t.stamp.(f) = t.cur then t.fval.(f) else good.(f)
 
+(* Faulty-machine value of fanin [j] of a gate, with fanin [force_pin]
+   pinned to [force_word]. *)
+let[@inline] fanin_value t good fanins j force_pin force_word =
+  if j = force_pin then force_word
+  else
+    let f = Array.unsafe_get fanins j in
+    if Array.unsafe_get t.stamp f = t.cur then Array.unsafe_get t.fval f
+    else Array.unsafe_get good f
+
 (* Re-evaluate node [i] in the faulty machine.  For a [Pin] fault at this
-   node, [force_pin >= 0] pins that fanin to [force_word]. *)
+   node, [force_pin >= 0] pins that fanin to [force_word].  Each gate kind
+   folds its fanins in its own loop: no closure is allocated per call. *)
 let eval_faulty t good i ~force_pin ~force_word =
   let node = t.circuit.Circuit.nodes.(i) in
   let fanins = node.Circuit.fanins in
-  let arg j = if j = force_pin then force_word else value t good fanins.(j) in
-  let fold op seed =
-    let acc = ref seed in
-    for j = 0 to Array.length fanins - 1 do
-      acc := op !acc (arg j)
-    done;
-    !acc
-  in
+  let last = Array.length fanins - 1 in
   match node.Circuit.kind with
   | Gate.Input -> value t good i
-  | Gate.Buf -> arg 0
-  | Gate.Not -> lnot (arg 0) land full
-  | Gate.And -> fold ( land ) full
-  | Gate.Nand -> lnot (fold ( land ) full) land full
-  | Gate.Or -> fold ( lor ) 0
-  | Gate.Nor -> lnot (fold ( lor ) 0) land full
-  | Gate.Xor -> fold ( lxor ) 0
-  | Gate.Xnor -> lnot (fold ( lxor ) 0) land full
+  | Gate.Buf -> fanin_value t good fanins 0 force_pin force_word
+  | Gate.Not -> lnot (fanin_value t good fanins 0 force_pin force_word) land full
+  | (Gate.And | Gate.Nand) as kind ->
+      let acc = ref full in
+      for j = 0 to last do
+        acc := !acc land fanin_value t good fanins j force_pin force_word
+      done;
+      if kind = Gate.And then !acc else lnot !acc land full
+  | (Gate.Or | Gate.Nor) as kind ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lor fanin_value t good fanins j force_pin force_word
+      done;
+      if kind = Gate.Or then !acc else lnot !acc land full
+  | (Gate.Xor | Gate.Xnor) as kind ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lxor fanin_value t good fanins j force_pin force_word
+      done;
+      if kind = Gate.Xor then !acc else lnot !acc land full
   | Gate.Const0 -> 0
   | Gate.Const1 -> full
 
@@ -251,17 +305,17 @@ let process t (good : int array) mask (fault : Fault.t) =
     t.stamp.(site) <- t.cur;
     t.fval.(site) <- site_value;
     let detect = ref (if t.po_position.(site) >= 0 then diff0 else 0) in
-    t.heap_len <- 0;
-    Array.iter (fun s -> heap_push t s) t.circuit.Circuit.fanouts.(site);
-    while t.heap_len > 0 do
-      let i = heap_pop t in
+    queue_reset t;
+    push_fanouts t site;
+    while t.queue_len > 0 do
+      let i = pop t in
       let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
       let diff = (v lxor good.(i)) land mask in
       if diff <> 0 then begin
         t.stamp.(i) <- t.cur;
         t.fval.(i) <- v;
         if t.po_position.(i) >= 0 then detect := !detect lor diff;
-        Array.iter (fun s -> heap_push t s) t.circuit.Circuit.fanouts.(i)
+        push_fanouts t i
       end
     done;
     !detect
@@ -275,17 +329,20 @@ let process t (good : int array) mask (fault : Fault.t) =
 let deriv t (good : int array) i ~pin =
   let node = t.circuit.Circuit.nodes.(i) in
   let fanins = node.Circuit.fanins in
-  let fold_others op seed =
-    let acc = ref seed in
-    for j = 0 to Array.length fanins - 1 do
-      if j <> pin then acc := op !acc good.(fanins.(j))
-    done;
-    !acc
-  in
   match node.Circuit.kind with
   | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> full
-  | Gate.And | Gate.Nand -> fold_others ( land ) full
-  | Gate.Or | Gate.Nor -> lnot (fold_others ( lor ) 0) land full
+  | Gate.And | Gate.Nand ->
+      let acc = ref full in
+      for j = 0 to Array.length fanins - 1 do
+        if j <> pin then acc := !acc land good.(fanins.(j))
+      done;
+      !acc
+  | Gate.Or | Gate.Nor ->
+      let acc = ref 0 in
+      for j = 0 to Array.length fanins - 1 do
+        if j <> pin then acc := !acc lor good.(fanins.(j))
+      done;
+      lnot !acc land full
   | Gate.Input | Gate.Const0 | Gate.Const1 ->
       (* gates with fanins only *)
       assert false
@@ -301,10 +358,11 @@ let pin_of t g p =
    lane, with the flip simulation.  Computed by one event-driven
    propagation of the flip; under [Hybrid] the propagation hands off early
    when the difference frontier collapses onto a single downstream stem
-   whose observability is already known for this block — by construction
-   all remaining fault effects funnel through that stem (its fanout cone
-   is the only un-evaluated region left), which in practice fires at the
-   stem's immediate dominator chain. *)
+   whose observability is already known for this block.  The queue pops
+   in level order, so nothing evaluated so far lies in that stem's fanout
+   cone, and every evaluated difference has pushed its fanouts: all
+   remaining fault effects funnel through the stem.  In practice this
+   fires along [s]'s immediate dominator chain. *)
 let compute_obs t (good : int array) mask s =
   if not (Ffr.reaches_po t.ffr s) then 0
   else if t.po_position.(s) >= 0 then mask (* flips are their own witness *)
@@ -314,32 +372,28 @@ let compute_obs t (good : int array) mask s =
     t.stamp.(s) <- t.cur;
     t.fval.(s) <- lnot good.(s) land full;
     let detect = ref 0 in
-    t.heap_len <- 0;
-    Array.iter (fun q -> heap_push t q) t.circuit.Circuit.fanouts.(s);
+    queue_reset t;
+    push_fanouts t s;
     let chain = t.engine = Hybrid in
     let running = ref true in
-    while !running && t.heap_len > 0 do
+    while !running && t.queue_len > 0 do
+      let i = pop t in
+      let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
+      let diff = (v lxor good.(i)) land mask in
       if
-        chain && t.heap_len = 1
-        && Ffr.is_stem t.ffr t.heap.(0)
-        && t.obs_stamp.(t.heap.(0)) = t.block
+        chain && t.queue_len = 0
+        && Ffr.is_stem t.ffr i
+        && t.obs_stamp.(i) = t.block
       then begin
-        let x = heap_pop t in
-        let v = eval_faulty t good x ~force_pin:(-1) ~force_word:0 in
-        let diff = (v lxor good.(x)) land mask in
-        detect := !detect lor (diff land t.obs.(x));
+        (* [i] was the whole frontier: finish through its observability. *)
+        detect := !detect lor (diff land t.obs.(i));
         running := false
       end
-      else begin
-        let i = heap_pop t in
-        let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
-        let diff = (v lxor good.(i)) land mask in
-        if diff <> 0 then begin
-          t.stamp.(i) <- t.cur;
-          t.fval.(i) <- v;
-          if t.po_position.(i) >= 0 then detect := !detect lor diff;
-          Array.iter (fun q -> heap_push t q) t.circuit.Circuit.fanouts.(i)
-        end
+      else if diff <> 0 then begin
+        t.stamp.(i) <- t.cur;
+        t.fval.(i) <- v;
+        if t.po_position.(i) >= 0 then detect := !detect lor diff;
+        push_fanouts t i
       end
     done;
     !detect
@@ -463,7 +517,8 @@ let process_fault t good mask mode fi fault =
    sweep: a tripped budget is honoured before the next block starts.
    Every sweep treats its pattern array as a {e sequence}: under the
    transition model the launch value of each block's lane 0 carries over
-   from the previous block's last lane. *)
+   from the previous block's last lane.  The good values of each block
+   overwrite [t.good]: [f] must not keep them past its return. *)
 let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
   let stop () = stop () || Budget.check budget in
   let total = Array.length patterns in
@@ -472,7 +527,8 @@ let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
   while !base < total && not (stop ()) do
     let len = min Logic_sim.block_width (total - !base) in
     let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
-    let good = Logic_sim.simulate t.circuit block in
+    let good = t.good in
+    Logic_sim.simulate_into t.circuit block good;
     let mask = Logic_sim.valid_mask block.Logic_sim.width in
     f ~base:!base ~good ~mask;
     if t.model = Fault_model.Transition_delay then begin
@@ -555,6 +611,10 @@ let first_detections ?budget t ?active patterns =
   | _ -> ());
   with_sweep "fault_sim.first_detections" t patterns @@ fun () ->
   let result = Array.make (fault_count t) None in
+  (* One shared [Some p] per pattern index: a detection stores a pointer,
+     not a fresh box that the result array (on the major heap for any
+     sizable fault list) would drag out of the minor heap. *)
+  let firsts = Array.init (Array.length patterns) Option.some in
   let live fi =
     match active with None -> true | Some a -> Bitvec.unsafe_get a fi
   in
@@ -574,7 +634,7 @@ let first_detections ?budget t ?active patterns =
             if d <> 0 then begin
               let k = ref 0 in
               while d lsr !k land 1 = 0 do incr k done;
-              result.(fi) <- Some (base + !k);
+              result.(fi) <- firsts.(base + !k);
               decr remaining
             end
           end)

@@ -34,33 +34,40 @@ let pack_all c patterns =
   in
   go 0 []
 
-(* Evaluate one gate directly against the node-value array, avoiding any
-   per-gate allocation in the hot loop. *)
+(* Evaluate one gate directly against the node-value array.  Each gate kind
+   folds its fanins in its own loop, so no closure is allocated per gate. *)
 let eval_node (values : int array) kind (fanins : int array) =
   let full = max_int in
-  let fold op seed =
-    let acc = ref seed in
-    for j = 0 to Array.length fanins - 1 do
-      acc := op !acc values.(fanins.(j))
-    done;
-    !acc
-  in
+  let last = Array.length fanins - 1 in
   match kind with
   | Gate.Input -> invalid_arg "Logic_sim.eval_node: Input"
   | Gate.Buf -> values.(fanins.(0))
   | Gate.Not -> lnot values.(fanins.(0)) land full
-  | Gate.And -> fold ( land ) full
-  | Gate.Nand -> lnot (fold ( land ) full) land full
-  | Gate.Or -> fold ( lor ) 0
-  | Gate.Nor -> lnot (fold ( lor ) 0) land full
-  | Gate.Xor -> fold ( lxor ) 0
-  | Gate.Xnor -> lnot (fold ( lxor ) 0) land full
+  | Gate.And | Gate.Nand ->
+      let acc = ref full in
+      for j = 0 to last do
+        acc := !acc land values.(fanins.(j))
+      done;
+      if kind = Gate.And then !acc else lnot !acc land full
+  | Gate.Or | Gate.Nor ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lor values.(fanins.(j))
+      done;
+      if kind = Gate.Or then !acc else lnot !acc land full
+  | Gate.Xor | Gate.Xnor ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lxor values.(fanins.(j))
+      done;
+      if kind = Gate.Xor then !acc else lnot !acc land full
   | Gate.Const0 -> 0
   | Gate.Const1 -> full
 
-let simulate c block =
+let simulate_into c block values =
   let n = Circuit.node_count c in
-  let values = Array.make n 0 in
+  if Array.length values <> n then
+    invalid_arg "Logic_sim.simulate_into: value array size mismatch";
   let pi = ref 0 in
   for i = 0 to n - 1 do
     let node = c.Circuit.nodes.(i) in
@@ -69,13 +76,17 @@ let simulate c block =
         values.(i) <- block.per_input.(!pi);
         incr pi
     | kind -> values.(i) <- eval_node values kind node.Circuit.fanins
-  done;
+  done
+
+let simulate c block =
+  let values = Array.make (Circuit.node_count c) 0 in
+  simulate_into c block values;
   values
 
 let outputs c values = Array.map (fun o -> values.(o)) c.Circuit.outputs
 
-(* Boolean twin of [eval_node]: reads fanin values in place, so the
-   single-pattern reference simulator allocates nothing per gate. *)
+(* Boolean twin of [eval_node], kept as the readable single-pattern
+   oracle: one [fold] over the fanins, read in place. *)
 let eval_node_bool (values : bool array) kind (fanins : int array) =
   let fold op seed =
     let acc = ref seed in

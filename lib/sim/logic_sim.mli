@@ -26,6 +26,11 @@ val pack_all : Circuit.t -> bool array array -> block list
 (** [simulate c block] returns the value word of every node. *)
 val simulate : Circuit.t -> block -> int array
 
+(** [simulate_into c block values] is {!simulate} writing into [values]
+    (length [node_count c]), so a caller that simulates block after block
+    reuses one array.  Every entry is overwritten. *)
+val simulate_into : Circuit.t -> block -> int array -> unit
+
 (** [outputs c values] extracts PO words from a node-value array. *)
 val outputs : Circuit.t -> int array -> int array
 

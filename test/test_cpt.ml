@@ -108,7 +108,10 @@ let test_first_detections_identical () =
     [ "c17"; "s420" ]
 
 (* The optimisation claim itself: on a reconvergent benchmark the CPT
-   engines must launch fewer event propagations than the event engine. *)
+   engines must launch fewer event propagations than the event engine.
+   The exact work counters are pinned too: they are the paper's cost
+   metric, and a change to the event queue's pop order or to dominator
+   chaining that altered them would show here. *)
 let test_props_reduction () =
   let rng = Rng.create 781 in
   let c = Library.load "c432" in
@@ -124,8 +127,145 @@ let test_props_reduction () =
       if not (2 * cpt <= ev) then
         Alcotest.failf "cpt props %d not >=2x below event props %d" cpt ev;
       if not (2 * hy <= ev) then
-        Alcotest.failf "hybrid props %d not >=2x below event props %d" hy ev
+        Alcotest.failf "hybrid props %d not >=2x below event props %d" hy ev;
+      let check_int = Alcotest.(check int) in
+      check_int "event props" 1373 ev;
+      check_int "cpt props" 206 cpt;
+      check_int "hybrid props" 206 hy;
+      List.iter
+        (fun sim ->
+          check_int
+            (Fault_sim.engine_name (Fault_sim.engine sim) ^ " sims")
+            1418
+            (Fault_sim.sims_performed sim))
+        [ ev_sim; cpt_sim; hy_sim ]
   | _ -> assert false
+
+(* Deep enough (>= 20 levels) that the event queue holds many levels at
+   once. *)
+let deep_circuit () =
+  let c =
+    Generator.generate
+      {
+        (Generator.default_spec "deep" ~inputs:10 ~outputs:6 ~gates:400) with
+        Generator.seed = 4242;
+      }
+  in
+  if Circuit.max_level c < 20 then
+    Alcotest.failf "deep circuit has depth %d, want >= 20" (Circuit.max_level c);
+  c
+
+type sweep = Map | Firsts | Detected
+
+(* Results compare structurally: [Bitvec.equal] is structural equality. *)
+type answer =
+  | Map_of of Bitvec.t array
+  | Firsts_of of int option array
+  | Detected_of of Bitvec.t
+
+let run_sweep sim active patterns = function
+  | Map -> Map_of (Fault_sim.detection_map sim patterns)
+  | Firsts -> Firsts_of (Fault_sim.first_detections sim ~active patterns)
+  | Detected -> Detected_of (Fault_sim.detected_set sim patterns ~active)
+
+(* A budget-stopped detection map must be the fresh map cut at a block
+   boundary.  The one cut to test is after the block holding its last
+   detection: further blocks it swept, if any, show no detections, so the
+   fresh map has none there either. *)
+let is_block_prefix ~full ~cut =
+  let w = Reseed_sim.Logic_sim.block_width in
+  let last = Array.fold_left (Bitvec.fold_ones (fun acc i -> max acc i)) (-1) cut in
+  let stop = (last + w) / w * w in
+  Array.for_all2
+    (fun f k ->
+      let expect = Bitvec.copy f in
+      Bitvec.iter_ones (fun i -> if i >= stop then Bitvec.clear expect i) f;
+      Bitvec.equal expect k)
+    full cut
+
+(* One long-lived simulator per engine and fault model serves an
+   interleaved stream of sweeps.  Every sweep must return what the same
+   sweep returns on a fresh simulator: no event-queue, block or launch
+   state may carry over from one sweep into the next, also after a sweep
+   cut short by its budget. *)
+let test_no_state_leak () =
+  let c = deep_circuit () in
+  let n = Circuit.input_count c in
+  let rng = Rng.create 782 in
+  let pats k = Array.init k (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
+  let stream =
+    List.map
+      (fun (sweep, k) -> (sweep, pats k))
+      [ (Map, 150); (Firsts, 1); (Detected, 63); (Map, 62); (Firsts, 150);
+        (Detected, 1); (Map, 63); (Firsts, 62); (Detected, 150); (Map, 1) ]
+  in
+  let long = pats (Reseed_sim.Logic_sim.block_width * 16) in
+  List.iter
+    (fun model ->
+      let faults = Fault_model.faults model c in
+      let nf = Array.length faults in
+      let active = Bitvec.create nf in
+      for fi = 0 to nf - 1 do
+        if fi mod 3 <> 1 then Bitvec.set active fi
+      done;
+      List.iter
+        (fun engine ->
+          let fresh () = Fault_sim.create ~engine ~model c faults in
+          let label =
+            Printf.sprintf "%s/%s" (Fault_model.name model)
+              (Fault_sim.engine_name engine)
+          in
+          let sim = fresh () in
+          let check_stream () =
+            List.iter
+              (fun (sweep, patterns) ->
+                if
+                  run_sweep sim active patterns sweep
+                  <> run_sweep (fresh ()) active patterns sweep
+                then
+                  Alcotest.failf "%s: sweep over %d patterns differs from a fresh simulator"
+                    label (Array.length patterns))
+              stream
+          in
+          check_stream ();
+          (* A sweep whose budget expires after half a full sweep's time.
+             Where it stops depends on timing; that it stops on a block
+             boundary with the fresh answer so far does not. *)
+          let t0 = Unix.gettimeofday () in
+          let full = Fault_sim.detection_map (fresh ()) long in
+          let deadline_s = (Unix.gettimeofday () -. t0) /. 2. in
+          let cut =
+            Fault_sim.detection_map ~budget:(Budget.create ~deadline_s ()) sim long
+          in
+          if not (is_block_prefix ~full ~cut) then
+            Alcotest.failf "%s: budget-stopped map is not a block prefix" label;
+          check_stream ())
+        engines)
+    [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
+
+(* Two copies sharing one simulator's queue offsets run concurrently on two
+   domains; each must match the sequential answer. *)
+let test_concurrent_copies () =
+  let c = deep_circuit () in
+  let n = Circuit.input_count c in
+  let rng = Rng.create 783 in
+  let a = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
+  let b = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
+  List.iter
+    (fun engine ->
+      let sim = Fault_sim.create ~engine c (Fault.all c) in
+      let want_a = Fault_sim.detection_map (Fault_sim.copy sim) a in
+      let want_b = Fault_sim.first_detections (Fault_sim.copy sim) b in
+      let s0 = Fault_sim.copy sim and s1 = Fault_sim.copy sim in
+      let d = Domain.spawn (fun () -> Fault_sim.first_detections s1 b) in
+      let got_a = Fault_sim.detection_map s0 a in
+      let got_b = Domain.join d in
+      let name = Fault_sim.engine_name engine in
+      check (name ^ ": concurrent map = sequential") true
+        (Array.for_all2 Bitvec.equal want_a got_a);
+      Alcotest.(check (array (option int))) (name ^ ": concurrent firsts = sequential")
+        want_b got_b)
+    engines
 
 let suite =
   [
@@ -136,5 +276,7 @@ let suite =
         Alcotest.test_case "partial active masks" `Quick test_detected_set_partial_active;
         Alcotest.test_case "first detections" `Quick test_first_detections_identical;
         Alcotest.test_case "propagation reduction" `Quick test_props_reduction;
+        Alcotest.test_case "no state leaks between sweeps" `Quick test_no_state_leak;
+        Alcotest.test_case "concurrent copies" `Quick test_concurrent_copies;
       ] );
   ]
