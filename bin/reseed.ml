@@ -257,6 +257,10 @@ let atpg_cmd =
     Printf.printf "untestable: %d, aborted: %d\n"
       (List.length r.Reseed_atpg.Atpg.untestable)
       (List.length r.Reseed_atpg.Atpg.aborted);
+    if engine = Reseed_atpg.Atpg.Podem_engine then
+      Printf.printf "podem: %d decisions, %d backtracks\n"
+        r.Reseed_atpg.Atpg.podem_stats.Reseed_atpg.Podem.decisions
+        r.Reseed_atpg.Atpg.podem_stats.Reseed_atpg.Podem.backtracks;
     if r.Reseed_atpg.Atpg.stopped_early then
       Printf.printf "degraded: true (%s; partial test set)\n"
         (match Budget.stop_reason budget with

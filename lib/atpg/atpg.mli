@@ -17,7 +17,12 @@ type engine =
 type config = {
   seed : int;  (** RNG seed for random phase and don't-care fill *)
   max_random_patterns : int;  (** budget for the random phase *)
-  max_backtracks : int;  (** PODEM budget per fault *)
+  max_backtracks : int;
+      (** PODEM backtrack limit for the whole run, not per fault: every
+          fault's search draws on one shared [podem_stats] record, so once
+          the run's total exceeds it, every later PODEM target aborts (see
+          {!Podem.generate}; ROADMAP's "Complete ATPG" item tracks the
+          fix) *)
   compaction : bool;  (** run reverse-order compaction *)
   use_random_phase : bool;
   engine : engine;

@@ -21,11 +21,20 @@ type stats = { mutable backtracks : int; mutable decisions : int }
 val new_stats : unit -> stats
 
 (** [generate c fault ~rng ?max_backtracks ?budget ?testability ?stats ()]
-    attempts to derive a test for [fault].  [max_backtracks] defaults to
-    2000; an expired [budget] aborts the fault at the next decision, like
-    a blown backtrack limit.  Pass a precomputed [testability] when
-    generating for many faults of the same circuit (it guides branch
-    ordering; recomputed per call otherwise). *)
+    attempts to derive a test for [fault].  The search aborts once
+    [stats.backtracks] exceeds [max_backtracks] (default 2000).  That is
+    [stats]' running total, not this call's count: with a fresh [stats]
+    (the default) the limit is per call, but a record shared across calls
+    (as {!Atpg.run} shares one) makes it a limit for all of them together,
+    so once it is spent every later call aborts at once.  ROADMAP's
+    "Complete ATPG" item tracks the fix.  An expired [budget] aborts the
+    fault at the next decision, like a blown backtrack limit.  Pass a
+    precomputed [testability] when generating for many faults of the same
+    circuit (it guides branch ordering; recomputed per call otherwise).
+
+    Each call records a [podem.generate] trace span whose args give the
+    call's [decisions], [backtracks] and [outcome], and adds the node
+    values its implications changed to the [podem_implications] metric. *)
 val generate :
   Circuit.t ->
   Fault.t ->

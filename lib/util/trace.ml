@@ -63,13 +63,15 @@ let record_span ~name ~args ~start ~stop =
       args;
     }
 
-let with_span ?(args = []) name f =
+let with_span ?(args = []) ?result_args name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let start = now_ns () in
     match f () with
     | v ->
-        record_span ~name ~args ~start ~stop:(now_ns ());
+        let stop = now_ns () in
+        let args = match result_args with Some r -> args @ r v | None -> args in
+        record_span ~name ~args ~start ~stop;
         v
     | exception e ->
         record_span ~name ~args ~start ~stop:(now_ns ());

@@ -40,13 +40,19 @@ val disable : unit -> unit
     Call only while no other domain is recording. *)
 val reset : unit -> unit
 
-(** [with_span ?args name f] runs [f ()] inside a span named [name].
-    The span is recorded when [f] returns {i or raises} (the exception
-    is re-raised), in the buffer of the domain that ran it.  [args]
-    become the span's Chrome-trace [args] object; avoid building them
-    in hot paths — they are evaluated whether or not the tracer is
-    enabled. *)
-val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [with_span ?args ?result_args name f] runs [f ()] inside a span
+    named [name].  The span is recorded when [f] returns {i or raises}
+    (the exception is re-raised), in the buffer of the domain that ran
+    it.  [args] become the span's Chrome-trace [args] object; avoid
+    building them in hot paths — they are evaluated whether or not the
+    tracer is enabled.  [result_args v] is appended to them when [f]
+    returns [v], and is called only while the tracer is enabled. *)
+val with_span :
+  ?args:(string * string) list ->
+  ?result_args:('a -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 
 (** [instant ?args name] records a zero-duration marker (warnings,
     incumbent updates, artifact hits). *)

@@ -82,6 +82,33 @@ let test_sat_engine_equivalent () =
   check "same redundancies" true
     (List.sort compare r1.Atpg.untestable = List.sort compare r2.Atpg.untestable)
 
+(* The PODEM search pinned at three catalog circuits: pattern, untestable
+   and aborted counts, the search counters, and a digest of the test set,
+   all recorded before the decision loop became event-driven.  Any change
+   to PODEM's choices moves at least one of them. *)
+let test_search_pinned () =
+  let digest tests =
+    Array.map
+      (fun t -> String.init (Array.length t) (fun i -> if t.(i) then '1' else '0'))
+      tests
+    |> Array.to_list |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  List.iter
+    (fun (name, patterns, untestable, aborted, decisions, backtracks, hex) ->
+      let _, r = Atpg.run_circuit (Library.load name) in
+      let what s = name ^ " " ^ s in
+      check_int (what "patterns") patterns (Array.length r.Atpg.tests);
+      check_int (what "untestable") untestable (List.length r.Atpg.untestable);
+      check_int (what "aborted") aborted (List.length r.Atpg.aborted);
+      check_int (what "podem decisions") decisions r.Atpg.podem_stats.Podem.decisions;
+      check_int (what "podem backtracks") backtracks r.Atpg.podem_stats.Podem.backtracks;
+      Alcotest.(check string) (what "test-set digest") hex (digest r.Atpg.tests))
+    [
+      ("c432", 43, 7, 11, 2002, 2001, "a174d50da17de67a9e6405a2bdeeba39");
+      ("c880", 64, 2, 46, 2055, 2001, "ea9cf1a99472e49abe3e53d5f692edf3");
+      ("s1238", 83, 4, 32, 2168, 2001, "f9c57b01c17ba239c646d1dc14f165ee");
+    ]
+
 let suite =
   [
     ( "atpg",
@@ -95,5 +122,6 @@ let suite =
         Alcotest.test_case "redundancy on ALU" `Quick test_untestable_alu;
         Alcotest.test_case "synthetic circuit" `Slow test_synthetic_circuit;
         Alcotest.test_case "SAT engine equivalent" `Slow test_sat_engine_equivalent;
+        Alcotest.test_case "search pinned on c432, c880, s1238" `Quick test_search_pinned;
       ] );
   ]

@@ -47,6 +47,46 @@ let test_span_nesting () =
       check "args kept" true (b.Trace.args = [ ("k", "v") ])
   | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
 
+(* [result_args] sees the body's result and is appended to [args]; it is
+   never called while the tracer is off. *)
+let test_span_result_args () =
+  (with_tracer @@ fun () ->
+   ignore
+     (Trace.with_span "r" ~args:[ ("a", "1") ]
+        ~result_args:(fun v -> [ ("v", string_of_int v) ])
+        (fun () -> 7));
+   match Trace.events () with
+   | [ e ] -> check "result args appended" true (e.Trace.args = [ ("a", "1"); ("v", "7") ])
+   | _ -> Alcotest.fail "expected exactly one event");
+  Trace.disable ();
+  let called = ref false in
+  Trace.with_span "off" ~result_args:(fun () -> called := true; []) Fun.id;
+  check "result args not called while off" false !called
+
+(* Each PODEM call's span says how much search it used and how it ended,
+   and implications are counted. *)
+let test_podem_span_args () =
+  let open Reseed_atpg in
+  let c = Library.c17 () in
+  let faults = Reseed_fault.Fault.all c in
+  let implications = Metrics.counter "podem_implications" in
+  let before = Metrics.value implications in
+  let stats = Podem.new_stats () in
+  (with_tracer @@ fun () ->
+   Array.iter
+     (fun fault -> ignore (Podem.generate c fault ~rng:(Rng.create 1) ~stats ()))
+     faults);
+  check "implications counted" true (Metrics.value implications > before);
+  let spans = List.filter (fun e -> e.Trace.name = "podem.generate") (Trace.events ()) in
+  check_int "one span per call" (Array.length faults) (List.length spans);
+  let sum key =
+    List.fold_left (fun acc e -> acc + int_of_string (List.assoc key e.Trace.args)) 0 spans
+  in
+  check_int "span decisions sum to stats" stats.Podem.decisions (sum "decisions");
+  check_int "span backtracks sum to stats" stats.Podem.backtracks (sum "backtracks");
+  check "every span has a test outcome" true
+    (List.for_all (fun e -> List.assoc "outcome" e.Trace.args = "test") spans)
+
 let test_span_exception_recorded () =
   with_tracer @@ fun () ->
   (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
@@ -250,6 +290,8 @@ let suite =
       [
         Alcotest.test_case "span nesting" `Quick test_span_nesting;
         Alcotest.test_case "span on exception" `Quick test_span_exception_recorded;
+        Alcotest.test_case "span result args" `Quick test_span_result_args;
+        Alcotest.test_case "podem span args" `Quick test_podem_span_args;
         Alcotest.test_case "instant" `Quick test_instant;
         Alcotest.test_case "merge determinism across jobs" `Quick test_merge_determinism;
         Alcotest.test_case "disabled zero alloc" `Quick test_disabled_zero_alloc;
