@@ -67,11 +67,11 @@ let rowset m i = m.rows.(i)
 
 let row m i = Rowset.to_bitvec m.rows.(i)
 
-(* The transposed view is a one-shot shard: nothing scale-critical uses
-   it (the reduction and both solvers' hot paths are row-only), but the
-   exact end-game and the historical [col] API still read columns, so
-   the first call pays one pass over the rows and later calls are
-   free. *)
+(* The transposed view is a one-shot shard, cached on the matrix: the
+   exact end-game and the historical [col] API read columns, so the
+   first call pays one pass over the rows and later calls are free.
+   [Reduce.run] builds its own column view per call instead, so the
+   large input matrices never carry a cached one. *)
 let transpose m =
   match m.transpose with
   | Some t -> t

@@ -8,10 +8,12 @@
     (dense packed bits or sorted-sparse, picked per row by density) — at 10k x 100k the redundant column-wise copy the matrix
     used to keep would double a multi-hundred-megabyte footprint.  The
     column view still exists, but as a one-shot transposed shard
-    materialised on the first {!col} and cached; scale-critical code
-    paths never call it.  The union of all rows (the coverable universe)
-    and the total ones count are maintained incrementally instead of
-    being recomputed per query. *)
+    materialised on the first {!col} and cached; the exact end-game
+    reads it on the small reduced matrix.  The reduction ([Reduce.run])
+    never calls it: it builds its own column view for the duration of
+    one call and drops it on return.  The union of all rows (the
+    coverable universe) and the total ones count are maintained
+    incrementally instead of being recomputed per query. *)
 
 open Reseed_util
 

@@ -48,6 +48,13 @@ let run ?(config = default_config) ?row_weights m =
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
   Trace.with_span "reduce.run"
     ~args:[ ("rows", string_of_int n_rows); ("cols", string_of_int n_cols) ]
+    ~result_args:(fun r ->
+      [
+        ("iterations", string_of_int r.iterations);
+        ("necessary", string_of_int (List.length r.necessary));
+        ("rows_dominated", string_of_int r.rows_dominated);
+        ("cols_dominated", string_of_int r.cols_dominated);
+      ])
   @@ fun () ->
   (match row_weights with
   | Some w when Array.length w <> n_rows ->
@@ -67,107 +74,77 @@ let run ?(config = default_config) ?row_weights m =
     | None -> dropped > kept
     | Some w -> w.(kept) < w.(dropped) || (w.(kept) = w.(dropped) && dropped > kept)
   in
-  let row_active = Array.make n_rows true in
-  let col_active = Array.make n_cols true in
-  let col_mask = Bitvec.create n_cols in
-  Bitvec.fill_all col_mask;
-  (* Columns no row covers can never be satisfied: drop them up front. *)
-  List.iter
-    (fun j ->
-      col_active.(j) <- false;
-      Bitvec.clear col_mask j)
-    (Matrix.uncoverable m);
+  (* The active rows and columns are packed masks; every pass works on
+     whole words of them.  Columns no row covers can never be satisfied:
+     drop them up front. *)
+  let row_mask = Bitvec.create n_rows and col_mask = Bitvec.copy (Matrix.universe m) in
+  Bitvec.fill_all row_mask;
+  let col_active j = Bitvec.unsafe_get col_mask j in
+  (* The column view: per column, the rows that cover it, filled in one
+     pass over the rows.  It holds the rows x columns cells the dense
+     rows hold, and is dropped on return: never cached on [m], so the
+     large input matrices do not carry it between calls. *)
+  let view = Array.init n_cols (fun _ -> Bitvec.create n_rows) in
+  for i = 0 to n_rows - 1 do
+    Rowset.iter_ones (fun j -> Bitvec.unsafe_set view.(j) i) (Matrix.rowset m i)
+  done;
   let necessary = ref [] in
   let rows_dominated = ref 0 and cols_dominated = ref 0 in
   let cols_deduped = ref 0 in
-  let drop_row i = row_active.(i) <- false in
-  let drop_col j =
-    col_active.(j) <- false;
-    Bitvec.clear col_mask j
-  in
+  let drop_row i = Bitvec.clear row_mask i in
+  let drop_col j = Bitvec.clear col_mask j in
   let select_row i =
     necessary := i :: !necessary;
     drop_row i;
-    Rowset.iter_ones (fun j -> if col_active.(j) then drop_col j) (Matrix.rowset m i)
+    Rowset.diff_into ~into:col_mask (Matrix.rowset m i)
   in
-  (* Every pass below streams row-major over the row sets: the column
-     view is never materialised (beyond the bounded shard the dominance
-     pass builds for at most [col_dominance_limit] columns), so peak
-     memory stays O(rows + cols + shard) whatever the matrix size. *)
+  (* A column covered by exactly one active row makes that row
+     essential.  Selecting it drops only columns it covers, so the cover
+     counts of the columns still active are those at the pass start. *)
   let pass_essentials () =
     Trace.with_span "reduce.essentials" @@ fun () ->
     let changed = ref false in
-    (* One pass over the active rows: per active column, how many active
-       rows cover it and the lowest-indexed one.  Selecting a row during
-       the scan below removes only columns that row covers, so the
-       counts of the columns still active — which that row by definition
-       does not cover — are unchanged; the snapshot stays exact for the
-       whole pass. *)
-    let cover_count = Array.make n_cols 0 in
-    let cover_row = Array.make n_cols (-1) in
-    for i = n_rows - 1 downto 0 do
-      if row_active.(i) then
-        Rowset.iter_ones
-          (fun j ->
-            if col_active.(j) then begin
-              cover_count.(j) <- cover_count.(j) + 1;
-              (* Descending row scan: the last writer is the lowest row. *)
-              cover_row.(j) <- i
-            end)
-          (Matrix.rowset m i)
-    done;
     for j = 0 to n_cols - 1 do
-      if col_active.(j) && cover_count.(j) = 1 && cover_row.(j) >= 0 then begin
-        select_row cover_row.(j);
+      if col_active j && Bitvec.count_inter view.(j) row_mask = 1 then begin
+        Option.iter select_row (Bitvec.first_one (Bitvec.inter view.(j) row_mask));
         changed := true
       end
     done;
     !changed
-  in
-  let active_rows () =
-    let acc = ref [] in
-    for i = n_rows - 1 downto 0 do
-      if row_active.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  let active_cols () =
-    let acc = ref [] in
-    for j = n_cols - 1 downto 0 do
-      if col_active.(j) then acc := j :: !acc
-    done;
-    !acc
   in
   (* Row dominance drops exactly the rows that are non-maximal under the
      strict partial order "covers a subset (within the active columns)
      and is no cheaper, ties broken towards the lower index".  The order
      is transitive even with weights (a dominator is never more
      expensive than what it dominates), so the surviving set is unique —
-     the streaming pass may discover drops in any order and still land
-     on the sweep-to-fixpoint result of comparing all pairs. *)
+     the pass may discover drops in any order and still land on the
+     sweep-to-fixpoint result of comparing all pairs. *)
   let pass_row_dominance () =
     Trace.with_span "reduce.row_dominance" @@ fun () ->
     let changed = ref false in
-    let rows = Array.of_list (active_rows ()) in
+    let rows = Array.of_list (Bitvec.to_list row_mask) in
     let counts =
       Array.map (fun i -> Rowset.count_inter (Matrix.rowset m i) col_mask) rows
     in
     let n = Array.length rows in
-    (* Identical (masked) covers first, via one hash pass: the survivor
-       of each class is its cheapest, lowest-index member — the only one
-       the pairwise tie-break would keep. *)
+    (* Identical (masked) covers first, via one hash pass over the masked
+       row words: the survivor of each class is its cheapest,
+       lowest-index member — the only one the pairwise tie-break would
+       keep.  Each bucket holds one mutable slot per class survivor. *)
     let seen = Hashtbl.create (max 16 n) in
     for a = 0 to n - 1 do
       let i = rows.(a) in
-      let key =
-        Rowset.fold_ones
-          (fun acc j -> if col_active.(j) then j :: acc else acc)
-          [] (Matrix.rowset m i)
+      let r = Matrix.rowset m i in
+      (* A sparse row hashes through a temporary dense copy. *)
+      let h = Bitvec.hash_masked (Rowset.to_bitvec r) ~mask:col_mask in
+      let same slot =
+        counts.(!slot) = counts.(a)
+        && Rowset.subset_masked r (Matrix.rowset m rows.(!slot)) ~mask:col_mask
       in
-      match Hashtbl.find_opt seen key with
-      | None -> Hashtbl.add seen key a
-      | Some b ->
-          let k = rows.(b) in
+      match List.find_opt same (Hashtbl.find_all seen h) with
+      | None -> Hashtbl.add seen h (ref a)
+      | Some slot ->
+          let k = rows.(!slot) in
           if tie_break ~dropped:i ~kept:k && weight_ok ~dropped:i ~kept:k then begin
             drop_row i;
             incr rows_dominated;
@@ -176,7 +153,7 @@ let run ?(config = default_config) ?row_weights m =
           else if tie_break ~dropped:k ~kept:i && weight_ok ~dropped:k ~kept:i
           then begin
             drop_row k;
-            Hashtbl.replace seen key a;
+            slot := a;
             incr rows_dominated;
             changed := true
           end
@@ -186,7 +163,7 @@ let run ?(config = default_config) ?row_weights m =
        so only strictly larger rows can dominate. *)
     let order = Array.init n (fun a -> a) in
     Array.sort (fun a b -> compare counts.(a) counts.(b)) order;
-    let live = Array.init n (fun a -> row_active.(rows.(a))) in
+    let live = Array.init n (fun a -> Bitvec.unsafe_get row_mask rows.(a)) in
     for oa = 0 to n - 1 do
       let a = order.(oa) in
       if live.(a) then begin
@@ -218,50 +195,32 @@ let run ?(config = default_config) ?row_weights m =
   in
   (* Identical columns (faults detected by exactly the same triplets) are
      rampant in detection matrices — every easy fault is covered by every
-     row.  Find the exact equivalence classes by partition refinement,
-     one row-major pass over the ones: columns start in one class and
-     each active row splits every class it straddles.  O(ones) time,
-     O(cols) memory, no transpose and no hashing of full row lists. *)
+     row.  One hash pass over the masked column words finds the classes;
+     the lowest index of each survives. *)
   let pass_col_dedup () =
     Trace.with_span "reduce.col_dedup" @@ fun () ->
     let changed = ref false in
-    let part = Array.make n_cols 0 in
-    let next_id = ref 1 in
-    let renamed = Hashtbl.create 64 in
-    for i = 0 to n_rows - 1 do
-      if row_active.(i) then begin
-        Hashtbl.reset renamed;
-        Rowset.iter_ones
-          (fun j ->
-            if col_active.(j) then
-              match Hashtbl.find_opt renamed part.(j) with
-              | Some id -> part.(j) <- id
-              | None ->
-                  let id = !next_id in
-                  incr next_id;
-                  Hashtbl.add renamed part.(j) id;
-                  part.(j) <- id)
-          (Matrix.rowset m i)
-      end
-    done;
-    (* Classmates not covered by a row keep the old id while the covered
-       ones move to a fresh one, so equal final ids <=> equal active-row
-       sets.  First-seen (lowest index) of each class survives. *)
     let seen = Hashtbl.create 1024 in
     for j = 0 to n_cols - 1 do
-      if col_active.(j) then
-        if Hashtbl.mem seen part.(j) then begin
+      if col_active j then begin
+        let h = Bitvec.hash_masked view.(j) ~mask:row_mask in
+        let same k =
+          Bitvec.subset_masked view.(k) view.(j) ~mask:row_mask
+          && Bitvec.subset_masked view.(j) view.(k) ~mask:row_mask
+        in
+        if List.exists same (Hashtbl.find_all seen h) then begin
           drop_col j;
           incr cols_deduped;
           changed := true
         end
-        else Hashtbl.add seen part.(j) ()
+        else Hashtbl.add seen h j
+      end
     done;
     !changed
   in
   let pass_col_dominance () =
     Trace.with_span "reduce.col_dominance" @@ fun () ->
-    let cols = Array.of_list (active_cols ()) in
+    let cols = Array.of_list (Bitvec.to_list col_mask) in
     let n = Array.length cols in
     (* The comparisons below are quadratic in active columns; beyond the
        configured limit the pass is skipped for the iteration
@@ -279,34 +238,19 @@ let run ?(config = default_config) ?row_weights m =
     end
     else begin
       let changed = ref false in
-      (* One-shot transposed shard restricted to the surviving columns —
-         at most [col_dominance_limit] x rows bits — filled in a single
-         row-major pass over the active rows. *)
-      let pos = Hashtbl.create (max 16 n) in
-      Array.iteri (fun a j -> Hashtbl.replace pos j a) cols;
-      let colbits = Array.init n (fun _ -> Bitvec.create n_rows) in
-      for i = 0 to n_rows - 1 do
-        if row_active.(i) then
-          Rowset.iter_ones
-            (fun j ->
-              match Hashtbl.find_opt pos j with
-              | Some a -> Bitvec.unsafe_set colbits.(a) i
-              | None -> ())
-            (Matrix.rowset m i)
-      done;
-      let counts = Array.map Bitvec.count colbits in
+      let counts = Array.map (fun j -> Bitvec.count_inter view.(j) row_mask) cols in
       for a = 0 to n - 1 do
         let c2 = cols.(a) in
-        if col_active.(c2) then
+        if col_active c2 then
           for bidx = 0 to n - 1 do
             let c1 = cols.(bidx) in
             if
-              c1 <> c2 && col_active.(c2) && col_active.(c1)
+              c1 <> c2 && col_active c2 && col_active c1
               && counts.(bidx) <= counts.(a)
             then
               (* rows(c1) ⊆ rows(c2): covering c1 implies covering c2. *)
               if
-                Bitvec.subset colbits.(bidx) colbits.(a)
+                Bitvec.subset_masked view.(c1) view.(c2) ~mask:row_mask
                 && (counts.(bidx) < counts.(a) || c2 > c1)
               then begin
                 drop_col c2;
@@ -334,10 +278,9 @@ let run ?(config = default_config) ?row_weights m =
     continue := c1 || c2 || c3
   done;
   (* Rows left with no active column contribute nothing. *)
-  List.iter
-    (fun i ->
-      if Rowset.count_inter (Matrix.rowset m i) col_mask = 0 then drop_row i)
-    (active_rows ());
+  Bitvec.iter_ones
+    (fun i -> if not (Rowset.intersects (Matrix.rowset m i) col_mask) then drop_row i)
+    row_mask;
   Metrics.add m_iterations !iterations;
   Metrics.add m_essential (List.length !necessary);
   Metrics.add m_rows_dom !rows_dominated;
@@ -345,8 +288,8 @@ let run ?(config = default_config) ?row_weights m =
   Metrics.add m_cols_dom !cols_dominated;
   {
     necessary = List.rev !necessary;
-    remaining_rows = active_rows ();
-    remaining_cols = active_cols ();
+    remaining_rows = Bitvec.to_list row_mask;
+    remaining_cols = Bitvec.to_list col_mask;
     iterations = !iterations;
     rows_dominated = !rows_dominated;
     (* Duplicate and dominated columns have always been reported together
@@ -355,21 +298,19 @@ let run ?(config = default_config) ?row_weights m =
   }
 
 let residual m result =
+  Trace.with_span "reduce.residual" @@ fun () ->
   let rows = Array.of_list result.remaining_rows in
   let cols = Array.of_list result.remaining_cols in
-  let col_index = Hashtbl.create (Array.length cols) in
-  Array.iteri (fun idx j -> Hashtbl.replace col_index j idx) cols;
-  let sub = Matrix.create ~rows:(Array.length rows) ~cols:(Array.length cols) in
-  Array.iteri
-    (fun ri i ->
-      Bitvec.iter_ones
-        (fun j ->
-          match Hashtbl.find_opt col_index j with
-          | Some cj -> Matrix.set sub ~row:ri ~col:cj
-          | None -> ())
-        (Matrix.row m i))
-    rows;
-  (sub, rows, cols)
+  let sub =
+    Array.map
+      (fun i ->
+        let r = Matrix.rowset m i in
+        let v = Bitvec.create (Array.length cols) in
+        Array.iteri (fun cj j -> if Rowset.mem r j then Bitvec.unsafe_set v cj) cols;
+        Rowset.dense_of_bitvec v)
+      rows
+  in
+  (Matrix.of_rowsets ~cols:(Array.length cols) sub, rows, cols)
 
 let cover_of m rows =
   let u = Bitvec.create (Matrix.cols m) in

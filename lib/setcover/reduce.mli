@@ -45,7 +45,11 @@ type result = {
     With [row_weights] (for weighted objectives such as minimum test
     length), row dominance additionally requires the dominating row to be
     no more expensive — the condition under which dropping the dominated
-    row preserves the weighted optimum. *)
+    row preserves the weighted optimum.
+
+    Each call builds a column view (per column, the covering rows as
+    packed words: rows × columns bits) and drops it on return; nothing
+    is cached on [m]. *)
 val run : ?config:config -> ?row_weights:float array -> Matrix.t -> result
 
 (** [residual m result] builds the reduced sub-matrix (remaining rows ×

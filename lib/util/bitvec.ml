@@ -143,16 +143,26 @@ let count_diff a b =
   done;
   !acc
 
+(* [2] has order 66 modulo the prime 67, so [(1 lsl k) mod 67] is distinct
+   for every payload bit [k]: isolating the lowest set bit and reducing it
+   modulo 67 indexes this table in O(1), whatever the bit's position. *)
+let bit_index =
+  let t = Array.make 67 0 in
+  for k = 0 to bits_per_word - 1 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+let lowest_bit w = Array.unsafe_get bit_index ((w land -w) mod 67)
+
 let iter_ones f v =
-  for wi = 0 to Array.length v.words - 1 do
-    let w = ref v.words.(wi) in
+  let words = v.words in
+  for wi = 0 to Array.length words - 1 do
+    let w = ref (Array.unsafe_get words wi) in
     let base = wi * bits_per_word in
     while !w <> 0 do
-      (* Isolate lowest set bit; log2 via sequential scan of the residue. *)
-      let low = !w land (- !w) in
-      let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1) in
-      f (base + bit_index low 0);
-      w := !w land lnot low
+      f (base + lowest_bit !w);
+      w := !w land (!w - 1)
     done
   done
 
@@ -165,15 +175,21 @@ let first_one v =
   let n = Array.length v.words in
   let rec scan wi =
     if wi >= n then None
-    else if v.words.(wi) = 0 then scan (wi + 1)
-    else begin
-      let w = v.words.(wi) in
-      let low = w land (-w) in
-      let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1) in
-      Some ((wi * bits_per_word) + bit_index low 0)
-    end
+    else
+      let w = Array.unsafe_get v.words wi in
+      if w = 0 then scan (wi + 1) else Some ((wi * bits_per_word) + lowest_bit w)
   in
   scan 0
+
+(* FNV-1a style over the masked words (offset basis cut to 63 bits):
+   vectors equal inside [mask] hash equal. *)
+let hash_masked v ~mask =
+  same_len v mask;
+  let h = ref 0x4bf29ce484222325 in
+  for i = 0 to Array.length v.words - 1 do
+    h := (!h lxor (v.words.(i) land mask.words.(i))) * 0x100000001b3
+  done;
+  !h
 
 let of_list n l =
   let v = create n in

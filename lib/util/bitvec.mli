@@ -83,7 +83,10 @@ val count_inter : t -> t -> int
 (** [count_diff a b] is [count (diff a b)] without allocating. *)
 val count_diff : t -> t -> int
 
-(** [iter_ones f v] applies [f] to the index of every set bit, ascending. *)
+(** [iter_ones f v] applies [f] to the index of every set bit, ascending,
+    in O(1) per set bit.  Each backing word is read once, before its
+    bits are visited: bits [f] clears in a word not yet reached are
+    skipped, bits it clears later in the current word are not. *)
 val iter_ones : (int -> unit) -> t -> unit
 
 (** [fold_ones f acc v] folds [f] over set-bit indices, ascending. *)
@@ -91,6 +94,10 @@ val fold_ones : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 (** [first_one v] is the lowest set-bit index, or [None]. *)
 val first_one : t -> int option
+
+(** [hash_masked v ~mask] hashes [inter v mask] word by word, without
+    allocating: vectors with the same bits inside [mask] hash equal. *)
+val hash_masked : t -> mask:t -> int
 
 (** [of_list n l] is a vector of length [n] with exactly the bits in [l]. *)
 val of_list : int -> int list -> t

@@ -152,6 +152,50 @@ let prop_subset_consistent =
       let a = Bitvec.of_list n (f la) and b = Bitvec.of_list n (f lb) in
       Bitvec.subset a (Bitvec.union a b))
 
+(* A random vector of length 0..300 at density 0..100%, with bit 61 of
+   every word (the top payload bit) and the last bit (in the tail word)
+   forced on, so the table lookup is exercised at both word edges. *)
+let gen_vec =
+  QCheck.(triple (int_bound 300) (int_bound 100) (int_bound 9999))
+
+let random_vec (len, density, seed) =
+  let rng = Rng.create seed in
+  let v = Bitvec.create len in
+  for i = 0 to len - 1 do
+    if
+      Rng.int rng 100 < density
+      || i mod Bitvec.bits_per_word = Bitvec.bits_per_word - 1
+      || i = len - 1
+    then Bitvec.set v i
+  done;
+  v
+
+let scan_ones v = List.filter (Bitvec.get v) (List.init (Bitvec.length v) Fun.id)
+
+let prop_iteration_matches_scan =
+  QCheck.Test.make ~name:"iteration = per-bit get scan" ~count:300 gen_vec
+    (fun p ->
+      let v = random_vec p in
+      let expected = scan_ones v in
+      let iterated = ref [] in
+      Bitvec.iter_ones (fun i -> iterated := i :: !iterated) v;
+      List.rev !iterated = expected
+      && List.rev (Bitvec.fold_ones (fun acc i -> i :: acc) [] v) = expected
+      && Bitvec.to_list v = expected
+      && Bitvec.first_one v
+         = (match expected with [] -> None | i :: _ -> Some i))
+
+(* Bits outside the mask never reach the hash: [a] and [b] agree inside
+   [mask] and differ arbitrarily outside it. *)
+let prop_hash_masked =
+  QCheck.Test.make ~name:"hash_masked ignores unmasked bits" ~count:200
+    QCheck.(pair gen_vec (pair (int_bound 9999) (int_bound 9999)))
+    (fun (((len, density, _) as p), (s1, s2)) ->
+      let a = random_vec p and mask = random_vec (len, 50, s2) in
+      let b = Bitvec.diff (random_vec (len, density, s1)) mask in
+      Bitvec.union_into ~into:b (Bitvec.inter a mask);
+      Bitvec.hash_masked a ~mask = Bitvec.hash_masked b ~mask)
+
 let suite =
   [
     ( "bitvec",
@@ -173,5 +217,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_union_commutes;
         QCheck_alcotest.to_alcotest prop_demorgan;
         QCheck_alcotest.to_alcotest prop_subset_consistent;
+        QCheck_alcotest.to_alcotest prop_iteration_matches_scan;
+        QCheck_alcotest.to_alcotest prop_hash_masked;
       ] );
   ]

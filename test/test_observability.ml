@@ -87,6 +87,27 @@ let test_podem_span_args () =
   check "every span has a test outcome" true
     (List.for_all (fun e -> List.assoc "outcome" e.Trace.args = "test") spans)
 
+(* The reduction funnel rides on the [reduce.run] span, and the residual
+   build has a span of its own. *)
+let test_reduce_span_args () =
+  let m =
+    Matrix.of_rows ~cols:4
+      (Array.map (Bitvec.of_list 4) [| [ 0; 1 ]; [ 0 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3 ] |])
+  in
+  let r =
+    with_tracer @@ fun () ->
+    let r = Reduce.run m in
+    ignore (Reduce.residual m r);
+    r
+  in
+  let span name = List.find (fun e -> e.Trace.name = name) (Trace.events ()) in
+  let arg key = List.assoc key (span "reduce.run").Trace.args in
+  check_int "iterations" r.Reduce.iterations (int_of_string (arg "iterations"));
+  check_int "necessary" (List.length r.Reduce.necessary) (int_of_string (arg "necessary"));
+  check_int "rows dominated" r.Reduce.rows_dominated (int_of_string (arg "rows_dominated"));
+  check_int "cols dominated" r.Reduce.cols_dominated (int_of_string (arg "cols_dominated"));
+  check "residual span" true ((span "reduce.residual").Trace.ph = 'X')
+
 let test_span_exception_recorded () =
   with_tracer @@ fun () ->
   (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
@@ -292,6 +313,7 @@ let suite =
         Alcotest.test_case "span on exception" `Quick test_span_exception_recorded;
         Alcotest.test_case "span result args" `Quick test_span_result_args;
         Alcotest.test_case "podem span args" `Quick test_podem_span_args;
+        Alcotest.test_case "reduce span args" `Quick test_reduce_span_args;
         Alcotest.test_case "instant" `Quick test_instant;
         Alcotest.test_case "merge determinism across jobs" `Quick test_merge_determinism;
         Alcotest.test_case "disabled zero alloc" `Quick test_disabled_zero_alloc;

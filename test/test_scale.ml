@@ -1,8 +1,8 @@
 (* Scale-tier equivalence properties: the dense and sparse Rowset
    representations are interchangeable down to the end-to-end flow
    result, the sharded matrix build reproduces the monolithic one, and
-   the streaming reduction matches a direct column-wise reference on
-   random instances and real built matrices. *)
+   the word-parallel reduction and its residual match a direct
+   column-wise reference on random instances and real built matrices. *)
 
 open Reseed_core
 open Reseed_fault
@@ -173,13 +173,13 @@ let test_flow_identical_across_reprs () =
         f.Flow.test_length)
     reprs
 
-(* --- Streaming reduction vs column-wise reference --------------------- *)
+(* --- Word-parallel reduction vs column-wise reference ----------------- *)
 
-(* The pre-streaming implementation, verbatim over the public Matrix
-   API: column-wise essentials, quadratic masked-subset row dominance,
-   hash column dedup and quadratic column dominance, iterated to a
-   fixpoint.  Every survivor, iteration count and tally must coincide
-   with what [Reduce.run] streams shard-by-shard. *)
+(* A direct implementation over the public Matrix API: column-wise
+   essentials, quadratic masked-subset row dominance, list-keyed column
+   dedup and quadratic column dominance, iterated to a fixpoint.  Every
+   survivor, iteration count and tally must coincide with what
+   [Reduce.run] computes on packed words. *)
 let reference_reduce ?(config = Reduce.default_config) ?row_weights m =
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
   let weight_ok ~dropped ~kept =
@@ -347,10 +347,12 @@ let same_reduction (a : Reduce.result) (b : Reduce.result) =
   && a.Reduce.rows_dominated = b.Reduce.rows_dominated
   && a.Reduce.cols_dominated = b.Reduce.cols_dominated
 
+(* Sizes span several 62-bit words both ways, so row words (over
+   columns) and column words (over rows) both cross word boundaries. *)
 let prop_reduce_matches_reference =
-  QCheck.Test.make ~name:"reduce: streaming = column-wise reference" ~count:40
+  QCheck.Test.make ~name:"reduce: word-parallel = column-wise reference" ~count:40
     QCheck.(
-      quad (int_range 2 18) (int_range 2 40) (int_range 5 60) (int_bound 9999))
+      quad (int_range 2 130) (int_range 2 200) (int_range 5 97) (int_bound 9999))
     (fun (rows, cols, density, seed) ->
       let rng = Rng.create seed in
       let m = random_matrix rng ~rows ~cols ~density in
@@ -362,6 +364,36 @@ let prop_reduce_matches_reference =
       same_reduction
         (Reduce.run ?row_weights:weights m)
         (reference_reduce ?row_weights:weights m))
+
+(* The residual holds exactly the surviving rows x columns of the input,
+   whichever representation backs the input's rows. *)
+let prop_residual_matches_matrix =
+  QCheck.Test.make ~name:"residual = input cells at the kept indices" ~count:20
+    QCheck.(
+      quad (int_range 2 130) (int_range 2 200) (int_range 5 97) (int_bound 9999))
+    (fun (rows, cols, density, seed) ->
+      let base = random_matrix (Rng.create seed) ~rows ~cols ~density in
+      List.for_all
+        (fun r ->
+          with_force (Some r) (fun () ->
+              let m =
+                Matrix.of_rowsets ~cols
+                  (Array.init rows (fun i -> Rowset.of_bitvec (Matrix.row base i)))
+              in
+              let sub, rmap, cmap = Reduce.residual m (Reduce.run m) in
+              let same = ref true in
+              Array.iteri
+                (fun ri i ->
+                  Array.iteri
+                    (fun cj j ->
+                      if Matrix.get sub ~row:ri ~col:cj <> Matrix.get m ~row:i ~col:j
+                      then same := false)
+                    cmap)
+                rmap;
+              Matrix.rows sub = Array.length rmap
+              && Matrix.cols sub = Array.length cmap
+              && !same))
+        reprs)
 
 (* The column-dominance limit still short-circuits the pass without a
    transpose: over the limit both sides must leave columns alone. *)
@@ -425,7 +457,8 @@ let suite =
           test_flow_identical_across_reprs;
         QCheck_alcotest.to_alcotest prop_reduce_matches_reference;
         QCheck_alcotest.to_alcotest prop_reduce_coldom_limit;
-        Alcotest.test_case "streaming reduce = reference on built matrix" `Quick
+        QCheck_alcotest.to_alcotest prop_residual_matches_matrix;
+        Alcotest.test_case "word-parallel reduce = reference on built matrix" `Quick
           test_reduce_matches_on_built_matrix;
         QCheck_alcotest.to_alcotest prop_solution_identity_across_reprs;
       ] );
