@@ -40,7 +40,13 @@ let load_circuit name ~scale =
    else is a bug and exits 70 — no exception ever reaches OCaml's
    default handler, whose exit code (2) would collide with Usage. *)
 let guard f =
-  try f () with
+  try
+    (* Malformed RESEED_JOBS / RESEED_RETRIES are usage errors before any
+       work starts, like a malformed RESEED_CHAOS. *)
+    ignore (Pool.default_jobs ());
+    ignore (Retry.env_retries ());
+    f ()
+  with
   | Error.Reseed_error e ->
       Printf.eprintf "reseed: %s\n%!" (Error.to_string e);
       exit (Error.exit_code e.Error.code)

@@ -378,8 +378,6 @@ let table1_table rows =
 
 let render_table1 rows = Table.render (table1_table rows)
 
-let csv_table1 rows = Table.to_csv (table1_table rows)
-
 let table2_table rows =
   let t =
     Table.create ~title:"Table 2: Set Covering algorithm (matrix reduction impact)"
@@ -413,24 +411,6 @@ let table2_table rows =
   t
 
 let render_table2 rows = Table.render (table2_table rows)
-
-let csv_table2 rows = Table.to_csv (table2_table rows)
-
-let csv_figure2 points =
-  let t =
-    Table.create ~title:"figure2"
-      [ ("cycles", Table.Right); ("triplets", Table.Right); ("test_length", Table.Right) ]
-  in
-  List.iter
-    (fun (pt : Tradeoff.point) ->
-      Table.add_row t
-        [
-          Table.cell_int pt.Tradeoff.cycles;
-          Table.cell_int pt.Tradeoff.triplets;
-          Table.cell_int pt.Tradeoff.test_length;
-        ])
-    points;
-  Table.to_csv t
 
 let quick_suite = [ "c17"; "c432"; "c499"; "c880"; "s420"; "s641"; "s820"; "s1238" ]
 

@@ -133,12 +133,6 @@ val figure2 : ?grid:int list -> prepared -> Tpg.t -> Tradeoff.point list
 val render_table1 : table1_row list -> string
 val render_table2 : table2_row list -> string
 
-(** CSV renditions of the same tables, for plotting. *)
-
-val csv_table1 : table1_row list -> string
-val csv_table2 : table2_row list -> string
-val csv_figure2 : Tradeoff.point list -> string
-
 (** Suites: catalog names in Table 1 order. *)
 
 val quick_suite : string list

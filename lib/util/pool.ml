@@ -55,11 +55,12 @@ type t = {
 let jobs t = t.n_jobs
 
 let default_jobs () =
-  match Sys.getenv_opt "RESEED_JOBS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+  match Option.map String.trim (Sys.getenv_opt "RESEED_JOBS") with
+  | None | Some "" -> Domain.recommended_domain_count ()
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> n
+      | _ -> Error.fail Error.Usage "RESEED_JOBS=%S: expected a positive integer" s)
 
 (* A chunk that raises is retried on the same worker through the shared
    {!Retry} policy (RESEED_RETRIES, default one retry with backoff)
@@ -179,18 +180,14 @@ let default_pool = ref None
 let default_m = Mutex.create ()
 
 let default () =
-  Mutex.lock default_m;
-  let t =
-    match !default_pool with
-    | Some t -> t
-    | None ->
-        let t = create ~jobs:(default_jobs ()) () in
-        default_pool := Some t;
-        at_exit (fun () -> shutdown t);
-        t
-  in
-  Mutex.unlock default_m;
-  t
+  Mutex.protect default_m @@ fun () ->
+  match !default_pool with
+  | Some t -> t
+  | None ->
+      let t = create ~jobs:(default_jobs ()) () in
+      default_pool := Some t;
+      at_exit (fun () -> shutdown t);
+      t
 
 let resolve = function Some t -> t | None -> default ()
 

@@ -42,8 +42,10 @@ exception
   }
 
 (** [default_jobs ()] is the parallelism used by {!default}: the
-    [RESEED_JOBS] environment variable when set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. *)
+    [RESEED_JOBS] environment variable when set, otherwise (unset or
+    blank) [Domain.recommended_domain_count ()].  Raises
+    {!Error.Reseed_error} [Usage] when the variable is not a positive
+    integer. *)
 val default_jobs : unit -> int
 
 (** [create ~jobs ()] spawns a pool with [jobs] participants ([jobs - 1]

@@ -13,14 +13,15 @@ type config = { max_attempts : int; base_delay_s : float; max_delay_s : float }
 
 (* RESEED_RETRIES = number of retries after the first attempt; the
    default (1) preserves the pool's historical retry-once behaviour.
-   Unparsable values fall back, like RESEED_JOBS. *)
+   A malformed value is a usage error, like RESEED_JOBS. *)
 let env_retries () =
-  match Sys.getenv_opt "RESEED_RETRIES" with
+  match Option.map String.trim (Sys.getenv_opt "RESEED_RETRIES") with
+  | None | Some "" -> 1
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
+      match int_of_string_opt s with
       | Some n when n >= 0 -> n
-      | _ -> 1)
-  | None -> 1
+      | _ ->
+          Error.fail Error.Usage "RESEED_RETRIES=%S: expected a non-negative integer" s)
 
 let default_config () =
   { max_attempts = env_retries () + 1; base_delay_s = 0.005; max_delay_s = 0.25 }

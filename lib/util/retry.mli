@@ -24,10 +24,11 @@ type config = {
   max_delay_s : float;  (** cap on the un-jittered delay *)
 }
 
-(** [env_retries ()] is the [RESEED_RETRIES] environment variable when
-    set to a non-negative integer — the number of {e retries} after the
-    first attempt — and [1] otherwise (the historical retry-once
-    policy). *)
+(** [env_retries ()] is the [RESEED_RETRIES] environment variable — the
+    number of {e retries} after the first attempt — and [1] when it is
+    unset or blank (the historical retry-once policy).  Raises
+    {!Error.Reseed_error} [Usage] when it is not a non-negative
+    integer. *)
 val env_retries : unit -> int
 
 (** [default_config ()] is [{ max_attempts = env_retries () + 1;

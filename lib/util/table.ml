@@ -79,22 +79,6 @@ let render t =
 
 let print t = print_string (render t)
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let buf = Buffer.create 512 in
-  let emit cells =
-    Buffer.add_string buf
-      (String.concat "," (List.map csv_escape (Array.to_list cells)));
-    Buffer.add_char buf '\n'
-  in
-  emit t.headers;
-  List.iter (function Separator -> () | Cells c -> emit c) (List.rev t.rows);
-  Buffer.contents buf
-
 let cell_int = string_of_int
 
 let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x

@@ -25,9 +25,6 @@ val render : t -> string
 (** [print t] renders to stdout. *)
 val print : t -> unit
 
-(** [to_csv t] is a CSV rendition (headers + rows, separators skipped). *)
-val to_csv : t -> string
-
 (** Cell formatting helpers. *)
 
 val cell_int : int -> string

@@ -214,8 +214,24 @@ let test_retry_env_attempts () =
   | _ -> Alcotest.fail "expected single-attempt failure");
   check_int "no retry at RESEED_RETRIES=0" 1 !calls;
   Unix.putenv "RESEED_RETRIES" "";
-  check_int "unparsable falls back to one retry" 2
+  check_int "blank means unset: one retry" 2
     (Retry.default_config ()).Retry.max_attempts
+
+(* A malformed RESEED_RETRIES is a usage error naming the variable and
+   its value, never a silent fallback to the default. *)
+let test_retry_env_malformed () =
+  Fun.protect ~finally:(fun () -> Unix.putenv "RESEED_RETRIES" "") @@ fun () ->
+  List.iter
+    (fun v ->
+      Unix.putenv "RESEED_RETRIES" v;
+      match Retry.env_retries () with
+      | n -> Alcotest.failf "RESEED_RETRIES=%S accepted as %d" v n
+      | exception Error.Reseed_error e ->
+          check_string "usage code" "usage" (Error.code_name e.Error.code);
+          check_string "message names variable and value"
+            (Printf.sprintf "RESEED_RETRIES=%S: expected a non-negative integer" v)
+            e.Error.message)
+    [ "x"; "-1"; "1.5" ]
 
 let test_retry_backoff_deterministic () =
   let cfg = { Retry.max_attempts = 3; base_delay_s = 0.001; max_delay_s = 0.01 } in
@@ -421,6 +437,8 @@ let suite =
           test_retry_classification_defaults;
         Alcotest.test_case "retry: RESEED_RETRIES bounds attempts" `Quick
           test_retry_env_attempts;
+        Alcotest.test_case "retry: malformed RESEED_RETRIES is a usage error" `Quick
+          test_retry_env_malformed;
         Alcotest.test_case "retry: deterministic backoff" `Quick
           test_retry_backoff_deterministic;
         Alcotest.test_case "artifact: torn write detected and rewritten" `Quick

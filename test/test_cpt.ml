@@ -107,6 +107,20 @@ let test_first_detections_identical () =
       | _ -> assert false)
     [ "c17"; "s420" ]
 
+(* The engine cross-check on catalog circuits: every engine grades every
+   fault of every pattern identically.  s820_x4 (depth 33) is the deep
+   member: a queue that popped out of level order would corrupt its long
+   reconvergent cones. *)
+let test_catalog_engines_agree () =
+  List.iter
+    (fun name ->
+      let c = Library.load name in
+      let rng = Rng.create 97 in
+      let n = Circuit.input_count c in
+      let patterns = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
+      check_identical_maps c patterns)
+    [ "c17"; "c432"; "s420"; "s820_x4" ]
+
 (* The optimisation claim itself: on a reconvergent benchmark the CPT
    engines must launch fewer event propagations than the event engine.
    The exact work counters are pinned too: they are the paper's cost
@@ -273,6 +287,7 @@ let suite =
       [
         Alcotest.test_case "random circuits x blocks" `Quick test_random_circuits;
         Alcotest.test_case "structured circuits" `Quick test_structured_circuits;
+        Alcotest.test_case "catalog circuits" `Quick test_catalog_engines_agree;
         Alcotest.test_case "partial active masks" `Quick test_detected_set_partial_active;
         Alcotest.test_case "first detections" `Quick test_first_detections_identical;
         Alcotest.test_case "propagation reduction" `Quick test_props_reduction;

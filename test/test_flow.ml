@@ -202,16 +202,25 @@ let test_table_rows () =
   let s2 = Suite.render_table2 [ row2 ] in
   check "renders" true (String.length s1 > 0 && String.length s2 > 0)
 
-
-let test_csv_outputs () =
-  let p = Lazy.force prepared_c17 in
-  let row = Suite.table1_row ~with_gatsby:false p in
-  let csv1 = Suite.csv_table1 [ row ] in
-  let csv2 = Suite.csv_table2 [ Suite.table2_row p ] in
-  let fig = Suite.csv_figure2 [ { Tradeoff.cycles = 8; triplets = 3; test_length = 24 } ] in
-  check "csv1 has header" true (String.length csv1 > 0 && String.sub csv1 0 7 = "Circuit");
-  check "csv2 has header" true (String.length csv2 > 0 && String.sub csv2 0 7 = "Circuit");
-  check "figure csv row" true (fig = "cycles,triplets,test_length\n8,3,24\n")
+(* Flow-level engine differential: the whole covering flow prepared on
+   the event engine and on the hybrid one must reach the same Table 2
+   row, the same final triplets and the same test length. *)
+let test_flow_engines_agree () =
+  List.iter
+    (fun name ->
+      let run sim_engine =
+        let p = Suite.prepare ~sim_engine ~collapse:true name in
+        let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
+        let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
+        (Suite.table2_row p, r)
+      in
+      let ev_row, ev = run Reseed_fault.Fault_sim.Event in
+      let hy_row, hy = run Reseed_fault.Fault_sim.Hybrid in
+      check (name ^ ": table2 row") true (ev_row = hy_row);
+      check (name ^ ": final triplets") true
+        (List.equal Triplet.equal ev.Flow.final_triplets hy.Flow.final_triplets);
+      check_int (name ^ ": test length") ev.Flow.test_length hy.Flow.test_length)
+    [ "c432"; "s420"; "s1238" ]
 
 let suite =
   [
@@ -233,6 +242,6 @@ let suite =
         Alcotest.test_case "tradeoff sorting/render" `Quick test_tradeoff_grid_sorted_and_rendered;
         Alcotest.test_case "default grid" `Quick test_default_grid;
         Alcotest.test_case "suite table rows" `Slow test_table_rows;
-        Alcotest.test_case "csv outputs" `Quick test_csv_outputs;
+        Alcotest.test_case "event = hybrid end to end" `Slow test_flow_engines_agree;
       ] );
   ]

@@ -227,6 +227,27 @@ let test_collapse_dominance_conservative () =
   check "expansion implies detection" true !sound;
   check "expansion not empty" true (Bitvec.count expanded > 0)
 
+(* A malformed RESEED_JOBS is a usage error naming the variable and its
+   value, never a silent fallback to every core; blank means unset. *)
+let test_pool_env_malformed () =
+  Fun.protect ~finally:(fun () -> Unix.putenv "RESEED_JOBS" "") @@ fun () ->
+  List.iter
+    (fun v ->
+      Unix.putenv "RESEED_JOBS" v;
+      match Pool.default_jobs () with
+      | n -> Alcotest.failf "RESEED_JOBS=%S accepted as %d" v n
+      | exception Error.Reseed_error e ->
+          Alcotest.(check string) "usage code" "usage" (Error.code_name e.Error.code);
+          Alcotest.(check string) "message names variable and value"
+            (Printf.sprintf "RESEED_JOBS=%S: expected a positive integer" v)
+            e.Error.message)
+    [ "2x"; "0"; "-3" ];
+  Unix.putenv "RESEED_JOBS" " 3 ";
+  check_int "surrounding blanks are trimmed" 3 (Pool.default_jobs ());
+  Unix.putenv "RESEED_JOBS" "";
+  check_int "blank means unset" (Domain.recommended_domain_count ())
+    (Pool.default_jobs ())
+
 let suite =
   [
     ( "parallel",
@@ -236,6 +257,8 @@ let suite =
         Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
         Alcotest.test_case "pool: nested call degrades" `Quick test_pool_nested;
         Alcotest.test_case "pool: jobs=1 inline" `Quick test_pool_jobs_one_inline;
+        Alcotest.test_case "pool: malformed RESEED_JOBS is a usage error" `Quick
+          test_pool_env_malformed;
         Alcotest.test_case "fault_sim: shard isolation" `Quick test_copy_isolation;
         Alcotest.test_case "builder: jobs=1 = jobs=4" `Quick test_builder_jobs_invariant;
         Alcotest.test_case "gatsby: jobs=1 = jobs=4" `Quick test_gatsby_jobs_invariant;

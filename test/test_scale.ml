@@ -443,6 +443,15 @@ let prop_solution_identity_across_reprs =
                  = base.Solution.stats.Solution.necessary))
         reprs)
 
+(* The xl tier is defined by its size: every member carries at least
+   10,000 uncollapsed faults at its full catalog gate count. *)
+let test_xl_tier_size () =
+  List.iter
+    (fun name ->
+      let n = Array.length (Fault.universe (Library.load name)) in
+      if n < 10_000 then Alcotest.failf "%s: only %d universe faults" name n)
+    Library.xl_names
+
 let suite =
   [
     ( "scale",
@@ -461,5 +470,6 @@ let suite =
         Alcotest.test_case "word-parallel reduce = reference on built matrix" `Quick
           test_reduce_matches_on_built_matrix;
         QCheck_alcotest.to_alcotest prop_solution_identity_across_reprs;
+        Alcotest.test_case "xl tier: >= 10k universe faults" `Quick test_xl_tier_size;
       ] );
   ]

@@ -46,12 +46,6 @@ let test_table_mismatch () =
   Alcotest.check_raises "cell count" (Invalid_argument "Table.add_row: cell count mismatch")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
-let test_table_csv () =
-  let t = Table.create ~title:"t" [ ("a", Table.Left); ("b", Table.Right) ] in
-  Table.add_row t [ "x,1"; "plain" ];
-  let csv = Table.to_csv t in
-  check_str "csv" "a,b\n\"x,1\",plain\n" csv
-
 let test_cells () =
   check_str "int" "42" (Table.cell_int 42);
   check_str "float" "1.50" (Table.cell_float 1.5);
@@ -70,7 +64,6 @@ let suite =
         Alcotest.test_case "ratio/pct" `Quick test_ratio_pct;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table mismatch" `Quick test_table_mismatch;
-        Alcotest.test_case "table csv" `Quick test_table_csv;
         Alcotest.test_case "cell helpers" `Quick test_cells;
       ] );
   ]
