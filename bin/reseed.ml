@@ -41,10 +41,9 @@ let load_circuit name ~scale =
    default handler, whose exit code (2) would collide with Usage. *)
 let guard f =
   try
-    (* Malformed RESEED_JOBS / RESEED_RETRIES are usage errors before any
-       work starts, like a malformed RESEED_CHAOS. *)
+    (* A malformed RESEED_JOBS is a usage error before any work starts,
+       like a malformed RESEED_CHAOS. *)
     ignore (Pool.default_jobs ());
-    ignore (Retry.env_retries ());
     f ()
   with
   | Error.Reseed_error e ->
@@ -65,109 +64,35 @@ let guard f =
       Printf.eprintf "reseed: internal error: %s\n%!" (Printexc.to_string e);
       exit (Error.exit_code Error.Internal)
 
-(* A budget is created for every long-running command: the deadline (if
-   any) and SIGINT share the same token, so both wind the flow down
-   through the same graceful paths.  A second SIGINT exits immediately. *)
-let budget_with_sigint deadline =
-  let budget = Budget.create ?deadline_s:deadline () in
-  let again = ref false in
-  Sys.set_signal Sys.sigint
-    (Sys.Signal_handle
-       (fun _ ->
-         if !again then exit (Error.exit_code Error.Interrupted);
-         again := true;
-         Budget.cancel budget));
-  budget
+(* What a long-running command runs with. *)
+type session = {
+  budget : Budget.t;
+  pool : Pool.t option;  (** [None]: the default pool *)
+  store : Artifact.store option;
+}
 
-(* Exit 130 when the run ended because of ^C; callers print their
-   partial result (finished stages and matrix shards are already in the
-   store) before reaching this. *)
-let exit_if_interrupted budget =
-  match Budget.stop_reason budget with
-  | Some Budget.Cancelled -> exit (Error.exit_code Error.Interrupted)
-  | Some Budget.Deadline | None -> ()
+(* [session ?chaos ~obs ?deadline ?jobs ?cache f] sets up, in order:
+   error containment, the chaos schedule, the trace/metrics writers, the
+   budget, the worker pool and the artifact store; then runs [f].
 
-let with_jobs jobs f =
-  match jobs with
-  | None -> f None
-  | Some j -> Pool.with_pool ~jobs:j (fun p -> f (Some p))
-
-(* Common arguments *)
-
-let circuit_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc:"Catalog name or .bench file.")
-
-let scale_arg =
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Divide synthetic circuit size by $(docv).")
-
-let tpg_kind_conv =
-  Arg.enum
-    [
-      ("adder", `Adder);
-      ("subtracter", `Subtracter);
-      ("multiplier", `Multiplier);
-      ("mp-lfsr", `Mp_lfsr);
-    ]
-
-let tpg_arg =
-  Arg.(value & opt tpg_kind_conv `Adder & info [ "tpg" ] ~docv:"TPG" ~doc:"TPG model: $(b,adder), $(b,subtracter), $(b,multiplier) or $(b,mp-lfsr).")
-
-let tpg_of_kind kind width =
-  match kind with
-  | `Adder -> Accumulator.adder width
-  | `Subtracter -> Accumulator.subtracter width
-  | `Multiplier -> Accumulator.multiplier width
-  | `Mp_lfsr -> Lfsr.multi_polynomial width
-
-let cycles_arg =
-  Arg.(value & opt int 150 & info [ "cycles"; "T" ] ~docv:"T" ~doc:"Evolution length per triplet.")
-
-let fault_model_conv =
-  Arg.enum
-    [
-      ("stuck", Reseed_fault.Fault_model.Stuck_at);
-      ("transition", Reseed_fault.Fault_model.Transition_delay);
-    ]
-
-let fault_model_arg =
-  Arg.(value & opt fault_model_conv Reseed_fault.Fault_model.Stuck_at & info [ "fault-model" ] ~docv:"M" ~doc:"Fault model: $(b,stuck) (single stuck-at, the paper's model, default) or $(b,transition) (transition-delay faults detected by launch/capture pairs of consecutive patterns).")
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-
-let deadline_arg =
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc:"Wall-clock budget in seconds.  On expiry the flow degrades gracefully: every phase returns its best partial result and the run still exits 0.")
-
-let jobs_arg =
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the parallel phases (default: available cores).")
-
-let trace_arg =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Record phase spans and write a Chrome trace_event JSON to $(docv) (open in Perfetto or chrome://tracing).")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Write the work-counter registry to $(docv) as JSON, or NDJSON if $(docv) ends in .ndjson.")
-
-let cache_info ?(extra = "") names =
-  Arg.info names ~docv:"DIR" ~doc:("Content-addressed artifact store: completed pipeline stages (ATPG, matrix, reduce, solve, truncate) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set." ^ extra)
-
-let cache_arg = Arg.(value & opt (some string) None & cache_info [ "cache" ])
-
-let chaos_arg =
-  Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc:"Deterministic fault injection schedule $(i,SEED:POINT=KIND[:ARG][@SEL][,...]) — a development/testing tool (see the manual).  Overrides $(b,RESEED_CHAOS).")
-
-let apply_chaos = function
-  | Some spec -> Faultpoint.configure_string spec
-  | None -> ()
-
-let cache_stats_line () =
-  let v name = Metrics.value (Metrics.counter name) in
-  Printf.sprintf "cache: %d hits, %d misses, %d corrupt" (v "artifact_hits")
-    (v "artifact_misses") (v "artifact_corrupt")
-
-(* The writers run from [at_exit] so interrupted (exit 130) and failed
-   runs still dump whatever was recorded; a write failure never masks
-   the run's own exit code. *)
-let setup_observability ~trace ~metrics =
+   - The writers run from [at_exit], so interrupted (exit 130) and
+     failed runs still dump whatever was recorded; a write failure never
+     masks the run's own exit code.
+   - [deadline] is passed by the commands that have --deadline, even
+     when its value is [None].  Their budget is shared with SIGINT, so
+     the deadline and ^C wind the run down through the same graceful
+     paths; a second ^C exits at once.  Other commands keep the
+     default ^C.
+   - [cache] is passed by the commands that have --cache: the store
+     resolves from it or from RESEED_CACHE, and a [cache:] line follows
+     [f]'s output.
+   - A run that ended because of ^C exits 130 once [f] has printed its
+     partial result (finished stages and matrix shards are already in
+     the store). *)
+let session ?chaos ~obs ?deadline ?jobs ?cache f =
+  guard @@ fun () ->
+  Option.iter Faultpoint.configure_string chaos;
+  let trace, metrics = obs in
   Option.iter
     (fun path ->
       Trace.enable ();
@@ -176,7 +101,109 @@ let setup_observability ~trace ~metrics =
   Option.iter
     (fun path ->
       at_exit (fun () -> try Metrics.write_file path with Sys_error _ -> ()))
-    metrics
+    metrics;
+  let budget = Budget.create ?deadline_s:(Option.join deadline) () in
+  if deadline <> None then begin
+    let again = ref false in
+    Sys.set_signal Sys.sigint
+      (Sys.Signal_handle
+         (fun _ ->
+           if !again then exit (Error.exit_code Error.Interrupted);
+           again := true;
+           Budget.cancel budget))
+  end;
+  let with_pool k =
+    match jobs with
+    | None -> k None
+    | Some j -> Pool.with_pool ~jobs:j (fun p -> k (Some p))
+  in
+  with_pool @@ fun pool ->
+  let store = Option.bind cache (fun dir -> Artifact.resolve ?dir ()) in
+  f { budget; pool; store };
+  if store <> None then begin
+    let v name = Metrics.value (Metrics.counter name) in
+    Printf.printf "cache: %d hits, %d misses, %d corrupt\n" (v "artifact_hits")
+      (v "artifact_misses") (v "artifact_corrupt")
+  end;
+  if Budget.stop_reason budget = Some Budget.Cancelled then
+    exit (Error.exit_code Error.Interrupted)
+
+(* The "degraded:" line: why the budget stopped the run, or [fallback]
+   when something other than the budget (a solver limit) cut it short. *)
+let print_degraded ?(detail = "") ~fallback s =
+  Printf.printf "degraded: true (%s%s)\n"
+    (match Budget.stop_reason s.budget with
+    | Some r -> Budget.stop_reason_name r
+    | None -> fallback)
+    detail
+
+(* Common arguments *)
+
+(* Each option value is spelled once, by the library module that owns
+   its type; the CLI enumerates [all] through [name]. *)
+let named all name = Arg.enum (List.map (fun v -> (name v, v)) all)
+
+(* [bold_alts ["a"; "b"; "c"]] is "$(b,a), $(b,b) or $(b,c)". *)
+let bold_alts names =
+  match List.rev_map (Printf.sprintf "$(b,%s)") names with
+  | last :: (_ :: _ as rest) -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | l -> String.concat "" l
+
+(* An integer flag with a lower bound: a smaller value is a usage error
+   naming the flag, raised before any work starts. *)
+let int_from lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let circuit_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc:"Catalog name or .bench file.")
+
+let scale_arg =
+  Arg.(value & opt (int_from 1) 1 & info [ "scale" ] ~docv:"N" ~doc:"Divide synthetic circuit size by $(docv).")
+
+let tpg_arg =
+  Arg.(value & opt (named Batch.tpg_names Fun.id) "adder" & info [ "tpg" ] ~docv:"TPG" ~doc:("TPG model: " ^ bold_alts Batch.tpg_names ^ "."))
+
+let cycles_arg =
+  Arg.(value & opt (int_from 1) 150 & info [ "cycles"; "T" ] ~docv:"T" ~doc:"Evolution length per triplet.")
+
+let fault_model_arg =
+  Arg.(value & opt (named Reseed_fault.Fault_model.all Reseed_fault.Fault_model.name) Reseed_fault.Fault_model.Stuck_at & info [ "fault-model" ] ~docv:"M" ~doc:"Fault model: $(b,stuck) (single stuck-at, the paper's model, default) or $(b,transition) (transition-delay faults detected by launch/capture pairs of consecutive patterns).")
+
+let method_arg ~tail =
+  let open Reseed_setcover.Solution in
+  Arg.(value & opt (named methods method_name) Exact & info [ "method" ] ~docv:"M" ~doc:("Covering method: " ^ bold_alts (List.map method_name methods) ^ tail))
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+
+let deadline_arg =
+  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc:"Wall-clock budget in seconds.  On expiry the flow degrades gracefully: every phase returns its best partial result and the run still exits 0.")
+
+let jobs_arg =
+  Arg.(value & opt (some (int_from 1)) None & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the parallel phases (default: available cores).")
+
+let obs_arg =
+  let trace =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Record phase spans and write a Chrome trace_event JSON to $(docv) (open in Perfetto or chrome://tracing).")
+  in
+  let metrics =
+    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Write the work-counter registry to $(docv) as JSON, or NDJSON if $(docv) ends in .ndjson.")
+  in
+  Term.(const (fun t m -> (t, m)) $ trace $ metrics)
+
+let cache_info ?(extra = "") names =
+  Arg.info names ~docv:"DIR" ~doc:("Content-addressed artifact store: completed pipeline stages (ATPG, matrix, reduce, solve, truncate) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set." ^ extra)
+
+let cache_arg = Arg.(value & opt (some string) None & cache_info [ "cache" ])
+
+let chaos_arg =
+  Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc:"Deterministic fault injection schedule $(i,SEED:POINT=KIND[:ARG][@SEL][,...]) — a development/testing tool (see the manual).  Overrides $(b,RESEED_CHAOS).")
 
 (* info *)
 
@@ -234,21 +261,16 @@ let info_cmd =
 (* atpg *)
 
 let atpg_cmd =
-  let engine_conv =
-    Arg.enum [ ("podem", Reseed_atpg.Atpg.Podem_engine); ("sat", Reseed_atpg.Atpg.Sat_engine) ]
-  in
+  let open Reseed_atpg in
   let engine_arg =
-    Arg.(value & opt engine_conv Reseed_atpg.Atpg.Podem_engine & info [ "engine" ] ~docv:"E" ~doc:"Deterministic engine: $(b,podem) or $(b,sat).")
+    Arg.(value & opt (named Atpg.engines Atpg.engine_name) Atpg.Podem_engine & info [ "engine" ] ~docv:"E" ~doc:("Deterministic engine: " ^ bold_alts (List.map Atpg.engine_name Atpg.engines) ^ "."))
   in
-  let run name scale engine fault_model deadline chaos trace metrics =
-    guard @@ fun () ->
-    apply_chaos chaos;
-    setup_observability ~trace ~metrics;
-    let budget = budget_with_sigint deadline in
+  let run name scale engine fault_model deadline chaos obs =
+    session ?chaos ~obs ~deadline @@ fun s ->
     let c = load_circuit name ~scale in
     Printf.printf "%s\n" (Circuit.stats_line c);
-    let config = { Reseed_atpg.Atpg.default_config with Reseed_atpg.Atpg.engine } in
-    let sim, r = Reseed_atpg.Atpg.run_circuit ~config ~fault_model ~budget c in
+    let config = { Atpg.default_config with Atpg.engine } in
+    let sim, r = Atpg.run_circuit ~config ~fault_model ~budget:s.budget c in
     (match fault_model with
     | Reseed_fault.Fault_model.Stuck_at ->
         Printf.printf "faults (collapsed): %d\n"
@@ -257,51 +279,30 @@ let atpg_cmd =
         Printf.printf "fault model: transition\n";
         Printf.printf "faults (uncollapsed): %d\n"
           (Reseed_fault.Fault_sim.fault_count sim));
-    Printf.printf "test set: %d patterns\n" (Array.length r.Reseed_atpg.Atpg.tests);
-    Printf.printf "coverage of detectable faults: %.2f%%\n"
-      (Reseed_atpg.Atpg.fault_coverage sim r);
-    Printf.printf "untestable: %d, aborted: %d\n"
-      (List.length r.Reseed_atpg.Atpg.untestable)
-      (List.length r.Reseed_atpg.Atpg.aborted);
-    if engine = Reseed_atpg.Atpg.Podem_engine then
+    Printf.printf "test set: %d patterns\n" (Array.length r.Atpg.tests);
+    Printf.printf "coverage of detectable faults: %.2f%%\n" (Atpg.fault_coverage sim r);
+    Printf.printf "untestable: %d, aborted: %d\n" (List.length r.Atpg.untestable)
+      (List.length r.Atpg.aborted);
+    if engine = Atpg.Podem_engine then
       Printf.printf "podem: %d decisions, %d backtracks\n"
-        r.Reseed_atpg.Atpg.podem_stats.Reseed_atpg.Podem.decisions
-        r.Reseed_atpg.Atpg.podem_stats.Reseed_atpg.Podem.backtracks;
-    if r.Reseed_atpg.Atpg.stopped_early then
-      Printf.printf "degraded: true (%s; partial test set)\n"
-        (match Budget.stop_reason budget with
-        | Some s -> Budget.stop_reason_name s
-        | None -> "budget");
-    exit_if_interrupted budget
+        r.Atpg.podem_stats.Podem.decisions r.Atpg.podem_stats.Podem.backtracks;
+    if r.Atpg.stopped_early then
+      print_degraded s ~fallback:"budget" ~detail:"; partial test set"
   in
   Cmd.v (Cmd.info "atpg" ~doc:"Run the deterministic ATPG on a circuit.")
     Term.(
       const run $ circuit_arg $ scale_arg $ engine_arg $ fault_model_arg
-      $ deadline_arg $ chaos_arg $ trace_arg $ metrics_arg)
+      $ deadline_arg $ chaos_arg $ obs_arg)
 
 (* solve *)
 
 let solve_cmd =
-  let method_conv =
-    Arg.enum
-      [
-        ("exact", Reseed_setcover.Solution.Exact);
-        ("greedy", Reseed_setcover.Solution.Greedy_only);
-        ("noreduce", Reseed_setcover.Solution.No_reduction_exact);
-        ("portfolio", Reseed_setcover.Solution.Portfolio_race);
-      ]
-  in
-  let method_arg =
-    Arg.(value & opt method_conv Reseed_setcover.Solution.Exact & info [ "method" ] ~docv:"M" ~doc:"Covering method: $(b,exact), $(b,greedy), $(b,noreduce) or $(b,portfolio) (racing exact/SAT/GRASP legs).")
-  in
+  let open Reseed_setcover in
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"Re-simulate the final solution from scratch.")
   in
-  let objective_conv =
-    Arg.enum [ ("triplets", Flow.Min_triplets); ("length", Flow.Min_test_length) ]
-  in
   let objective_arg =
-    Arg.(value & opt objective_conv Flow.Min_triplets & info [ "objective" ] ~docv:"O" ~doc:"$(b,triplets) (paper) or $(b,length) (weighted extension).")
+    Arg.(value & opt (named Flow.objectives Flow.objective_name) Flow.Min_triplets & info [ "objective" ] ~docv:"O" ~doc:"$(b,triplets) (paper) or $(b,length) (weighted extension).")
   in
   let store_arg =
     Arg.(
@@ -310,17 +311,12 @@ let solve_cmd =
       & cache_info [ "cache"; "checkpoint" ]
           ~extra:"  $(b,--checkpoint) is another name for it: detection-matrix rows are published in 16-row shards as they finish, so an interrupted solve resumes from them.")
   in
-  let run name scale tpg_kind cycles fault_model method_ verify objective deadline
-      jobs cache chaos trace metrics =
-    guard @@ fun () ->
-    apply_chaos chaos;
-    setup_observability ~trace ~metrics;
-    let budget = budget_with_sigint deadline in
-    with_jobs jobs @@ fun pool ->
-    let store = Artifact.resolve ?dir:cache () in
+  let run name scale tpg_name cycles fault_model method_ verify objective deadline
+      jobs cache chaos obs =
+    session ?chaos ~obs ~deadline ?jobs ~cache @@ fun s ->
     let c = load_circuit name ~scale in
-    let p = Suite.prepare_circuit ~fault_model ~budget ?store c in
-    let tpg = tpg_of_kind tpg_kind (Circuit.input_count c) in
+    let p = Suite.prepare_circuit ~fault_model ~budget:s.budget ?store:s.store c in
+    let tpg = Batch.tpg_of_name tpg_name (Circuit.input_count c) in
     let config =
       {
         Flow.default_config with
@@ -330,44 +326,40 @@ let solve_cmd =
       }
     in
     let r =
-      Flow.run ~config ?pool ~budget ?store:p.Suite.store
+      Flow.run ~config ?pool:s.pool ~budget:s.budget ?store:p.Suite.store
         ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg ~tests:p.Suite.tests
         ~targets:p.Suite.targets
     in
-    let stats = r.Flow.solution.Reseed_setcover.Solution.stats in
+    let stats = r.Flow.solution.Solution.stats in
     Printf.printf "%s + %s TPG (T=%d)\n" (Circuit.name c) tpg.Tpg.name cycles;
     if fault_model <> Reseed_fault.Fault_model.Stuck_at then
       Printf.printf "fault model: %s\n" (Reseed_fault.Fault_model.name fault_model);
-    Printf.printf "initial matrix: %dx%d\n" stats.Reseed_setcover.Solution.initial_rows
-      stats.Reseed_setcover.Solution.initial_cols;
-    Printf.printf "necessary triplets: %d\n"
-      (List.length stats.Reseed_setcover.Solution.necessary);
-    Printf.printf "reduced matrix: %dx%d\n" stats.Reseed_setcover.Solution.reduced_rows
-      stats.Reseed_setcover.Solution.reduced_cols;
-    Printf.printf "from exact solver: %d\n"
-      (List.length stats.Reseed_setcover.Solution.from_solver);
-    (match stats.Reseed_setcover.Solution.uncovered with
+    Printf.printf "initial matrix: %dx%d\n" stats.Solution.initial_rows
+      stats.Solution.initial_cols;
+    Printf.printf "necessary triplets: %d\n" (List.length stats.Solution.necessary);
+    Printf.printf "reduced matrix: %dx%d\n" stats.Solution.reduced_rows
+      stats.Solution.reduced_cols;
+    Printf.printf "from exact solver: %d\n" (List.length stats.Solution.from_solver);
+    (match stats.Solution.uncovered with
     | [] -> ()
     | u ->
         Printf.printf "warning: %d columns coverable by no triplet (skipped)\n"
           (List.length u));
-    (match stats.Reseed_setcover.Solution.portfolio_winner with
+    (match stats.Solution.portfolio_winner with
     | None -> ()
     | Some winner ->
         Printf.printf "portfolio: winner %s, %s\n" winner
-          (Reseed_setcover.Ilp.stop_reason_name
-             stats.Reseed_setcover.Solution.solver_stop);
+          (Ilp.stop_reason_name stats.Solution.solver_stop);
         List.iter
           (fun l ->
             Printf.printf
               "  leg %-5s rounds %d  work %d  best %s  improvements %d%s\n"
-              l.Reseed_setcover.Portfolio.leg l.Reseed_setcover.Portfolio.rounds
-              l.Reseed_setcover.Portfolio.work
-              (if l.Reseed_setcover.Portfolio.best_cost = infinity then "-"
-               else Printf.sprintf "%g" l.Reseed_setcover.Portfolio.best_cost)
-              l.Reseed_setcover.Portfolio.improvements
-              (if l.Reseed_setcover.Portfolio.proved then "  PROVED" else ""))
-          stats.Reseed_setcover.Solution.portfolio_legs);
+              l.Portfolio.leg l.Portfolio.rounds l.Portfolio.work
+              (if l.Portfolio.best_cost = infinity then "-"
+               else Printf.sprintf "%g" l.Portfolio.best_cost)
+              l.Portfolio.improvements
+              (if l.Portfolio.proved then "  PROVED" else ""))
+          stats.Solution.portfolio_legs);
     if r.Flow.initial.Builder.rows_restored > 0 then
       Printf.printf "checkpoint: %d rows restored, %d rows skipped\n"
         r.Flow.initial.Builder.rows_restored r.Flow.initial.Builder.rows_skipped;
@@ -377,39 +369,30 @@ let solve_cmd =
       Printf.printf "warning: %d selected triplets added no coverage and were dropped\n"
         r.Flow.dropped_triplets;
     let degraded = r.Flow.degraded || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early in
-    if degraded then
-      Printf.printf "degraded: true (%s)\n"
-        (match r.Flow.stop_reason with
-        | Some s -> Budget.stop_reason_name s
-        | None -> "solver budget");
+    if degraded then print_degraded s ~fallback:"solver budget";
     List.iteri (fun i t -> Format.printf "  %2d: %a@." i Triplet.pp t) r.Flow.final_triplets;
     if verify && not degraded then begin
       let ok = Flow.verify p.Suite.sim tpg r in
       Printf.printf "verification: %s\n" (if ok then "PASSED" else "FAILED");
       if not ok then exit 1
-    end;
-    if store <> None then Printf.printf "%s\n" (cache_stats_line ());
-    exit_if_interrupted budget
+    end
   in
   Cmd.v (Cmd.info "solve" ~doc:"Compute a minimal reseeding solution (set covering flow).")
     Term.(
       const run $ circuit_arg $ scale_arg $ tpg_arg $ cycles_arg $ fault_model_arg
-      $ method_arg $ verify_arg $ objective_arg $ deadline_arg $ jobs_arg
-      $ store_arg $ chaos_arg $ trace_arg $ metrics_arg)
+      $ method_arg ~tail:" (racing exact/SAT/GRASP legs)." $ verify_arg
+      $ objective_arg $ deadline_arg $ jobs_arg $ store_arg $ chaos_arg $ obs_arg)
 
 (* gatsby *)
 
 let gatsby_cmd =
-  let pop_arg = Arg.(value & opt int 12 & info [ "population" ] ~docv:"P") in
+  let pop_arg = Arg.(value & opt (int_from 2) 12 & info [ "population" ] ~docv:"P") in
   let gens_arg = Arg.(value & opt int 6 & info [ "generations" ] ~docv:"G") in
-  let run name scale tpg_kind cycles seed pop gens deadline jobs trace metrics =
-    guard @@ fun () ->
-    setup_observability ~trace ~metrics;
-    let budget = budget_with_sigint deadline in
-    with_jobs jobs @@ fun pool ->
+  let run name scale tpg_name cycles seed pop gens deadline jobs obs =
+    session ~obs ~deadline ?jobs @@ fun s ->
     let c = load_circuit name ~scale in
-    let p = Suite.prepare_circuit ~budget c in
-    let tpg = tpg_of_kind tpg_kind (Circuit.input_count c) in
+    let p = Suite.prepare_circuit ~budget:s.budget c in
+    let tpg = Batch.tpg_of_name tpg_name (Circuit.input_count c) in
     let config =
       {
         Gatsby.default_config with
@@ -418,7 +401,10 @@ let gatsby_cmd =
       }
     in
     let rng = Rng.create seed in
-    let g = Gatsby.run ~config ?pool ~budget p.Suite.sim tpg ~rng ~targets:p.Suite.targets in
+    let g =
+      Gatsby.run ~config ?pool:s.pool ~budget:s.budget p.Suite.sim tpg ~rng
+        ~targets:p.Suite.targets
+    in
     Printf.printf "%s + %s TPG (T=%d, GA %dx%d)\n" (Circuit.name c) tpg.Tpg.name cycles pop gens;
     Printf.printf "triplets: %d, test length: %d\n"
       (List.length g.Gatsby.triplets) g.Gatsby.test_length;
@@ -427,16 +413,12 @@ let gatsby_cmd =
     Printf.printf "fault simulations: %d, GA evaluations: %d\n" g.Gatsby.fault_sims
       g.Gatsby.ga_evaluations;
     if g.Gatsby.stopped_early || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early then
-      Printf.printf "degraded: true (%s)\n"
-        (match Budget.stop_reason budget with
-        | Some s -> Budget.stop_reason_name s
-        | None -> "budget");
-    exit_if_interrupted budget
+      print_degraded s ~fallback:"budget"
   in
   Cmd.v (Cmd.info "gatsby" ~doc:"Run the GATSBY-style genetic baseline.")
     Term.(
       const run $ circuit_arg $ scale_arg $ tpg_arg $ cycles_arg $ seed_arg $ pop_arg
-      $ gens_arg $ deadline_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      $ gens_arg $ deadline_arg $ jobs_arg $ obs_arg)
 
 (* tradeoff *)
 
@@ -444,24 +426,19 @@ let tradeoff_cmd =
   let grid_arg =
     Arg.(value & opt (list int) [ 16; 64; 256; 1024 ] & info [ "grid" ] ~docv:"T1,T2,.." ~doc:"Evolution lengths to sweep (comma-separated integers).")
   in
-  let run name scale tpg_kind grid jobs trace metrics =
-    guard @@ fun () ->
-    setup_observability ~trace ~metrics;
+  let run name scale tpg_name grid jobs obs =
+    session ~obs ?jobs @@ fun s ->
     if grid = [] then Error.fail Error.Usage "--grid needs at least one evolution length";
     List.iter
       (fun t -> if t < 1 then Error.fail Error.Usage "--grid: evolution length %d < 1" t)
       grid;
-    with_jobs jobs @@ fun _pool ->
     let c = load_circuit name ~scale in
     let p = Suite.prepare_circuit c in
-    let tpg = tpg_of_kind tpg_kind (Circuit.input_count c) in
-    let points = Suite.figure2 ~grid p tpg in
-    print_string (Tradeoff.render points)
+    let tpg = Batch.tpg_of_name tpg_name (Circuit.input_count c) in
+    print_string (Tradeoff.render (Suite.figure2 ~grid ?pool:s.pool p tpg))
   in
   Cmd.v (Cmd.info "tradeoff" ~doc:"Sweep evolution length T: reseedings vs test length.")
-    Term.(
-      const run $ circuit_arg $ scale_arg $ tpg_arg $ grid_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
+    Term.(const run $ circuit_arg $ scale_arg $ tpg_arg $ grid_arg $ jobs_arg $ obs_arg)
 
 (* batch *)
 
@@ -472,17 +449,13 @@ let batch_cmd =
   let report_arg =
     Arg.(value & opt string "batch_report.json" & info [ "report" ] ~docv:"FILE" ~doc:"Write the aggregated campaign report to $(docv).")
   in
-  let run manifest_path report deadline jobs cache chaos trace metrics =
-    guard @@ fun () ->
-    apply_chaos chaos;
-    setup_observability ~trace ~metrics;
-    let budget = budget_with_sigint deadline in
-    let store = Artifact.resolve ?dir:cache () in
+  let run manifest_path report deadline jobs cache chaos obs =
+    session ?chaos ~obs ~deadline ?jobs ~cache @@ fun s ->
     let m = Batch.parse_file manifest_path in
     let total = List.length m.Batch.jobs in
     Printf.printf "campaign: %d jobs%s\n%!" total
-      (match store with
-      | Some s -> Printf.sprintf " (cache: %s)" (Artifact.root s)
+      (match s.store with
+      | Some st -> Printf.sprintf " (cache: %s)" (Artifact.root st)
       | None -> "");
     (* on_done fires from worker domains; serialise progress output. *)
     let mu = Mutex.create () in
@@ -506,52 +479,32 @@ let batch_cmd =
           Printf.printf "  %-10s %-20s skipped (budget expired)\n%!" circuit task);
       Mutex.unlock mu
     in
-    let results =
-      with_jobs jobs @@ fun pool -> Batch.run ?pool ?store ~budget ~on_done m
-    in
+    let results = Batch.run ?pool:s.pool ?store:s.store ~budget:s.budget ~on_done m in
     Artifact.write_atomic report (Batch.report_json m results);
     let ok = List.length (List.filter (fun r -> r.Batch.status = Batch.Ok) results) in
-    Printf.printf "done: %d/%d jobs, report %s\n" ok total report;
-    if store <> None then Printf.printf "%s\n" (cache_stats_line ());
-    exit_if_interrupted budget
+    Printf.printf "done: %d/%d jobs, report %s\n" ok total report
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Run a manifest-driven campaign: circuits × TPGs × evolution lengths in parallel, with per-job deadlines and an aggregated JSON report.  With $(b,--cache), an interrupted campaign resumes from its completed stages and reproduces the report byte-for-byte.")
     Term.(
       const run $ manifest_arg $ report_arg $ deadline_arg $ jobs_arg $ cache_arg
-      $ chaos_arg $ trace_arg $ metrics_arg)
+      $ chaos_arg $ obs_arg)
 
 (* compress *)
 
 let compress_cmd =
+  let open Reseed_setcover in
   let source_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE" ~doc:"Corpus source: a catalog circuit or .bench file (the corpus is its deterministic ATPG test set), or any other existing file read as raw corpus text — one $(b,[01X]) test vector per line, $(b,#) comments allowed.")
   in
   let width_arg =
     Arg.(value & opt int 8 & info [ "block-width"; "w" ] ~docv:"W" ~doc:"Test-data block width in bits (1-62).  Vectors are chopped into $(docv)-bit blocks, the tail block padded with don't-cares.")
   in
-  let method_conv =
-    Arg.enum
-      [
-        ("exact", Reseed_setcover.Solution.Exact);
-        ("greedy", Reseed_setcover.Solution.Greedy_only);
-        ("noreduce", Reseed_setcover.Solution.No_reduction_exact);
-        ("portfolio", Reseed_setcover.Solution.Portfolio_race);
-      ]
-  in
-  let method_arg =
-    Arg.(value & opt method_conv Reseed_setcover.Solution.Exact & info [ "method" ] ~docv:"M" ~doc:"Covering method: $(b,exact), $(b,greedy), $(b,noreduce) or $(b,portfolio).")
-  in
-  let run source scale width method_ deadline jobs cache chaos trace metrics =
-    guard @@ fun () ->
-    apply_chaos chaos;
-    setup_observability ~trace ~metrics;
+  let run source scale width method_ deadline jobs cache chaos obs =
+    session ?chaos ~obs ~deadline ?jobs ~cache @@ fun s ->
     if width < 1 || width > 62 then
       Error.fail Error.Usage "--block-width %d out of range (1-62)" width;
-    let budget = budget_with_sigint deadline in
-    with_jobs jobs @@ fun pool ->
-    let store = Artifact.resolve ?dir:cache () in
     let corpus, origin =
       if Sys.file_exists source && not (Filename.check_suffix source ".bench") then
         match Artifact.read_opt source with
@@ -560,23 +513,21 @@ let compress_cmd =
         | None -> Error.fail Error.Input_error "cannot read corpus %s" source
       else begin
         let c = load_circuit source ~scale in
-        let p = Suite.prepare_circuit ~budget ?store c in
+        let p = Suite.prepare_circuit ~budget:s.budget ?store:s.store c in
         ( Workload.corpus_of_patterns ~width p.Suite.tests,
           Printf.sprintf "ATPG test set of %s (%d patterns)" (Circuit.name c)
             (Array.length p.Suite.tests) )
       end
     in
-    let r = Workload.solve ~method_ ?pool ~budget ?store corpus in
-    let stats = r.Workload.solution.Reseed_setcover.Solution.stats in
+    let r = Workload.solve ~method_ ?pool:s.pool ~budget:s.budget ?store:s.store corpus in
+    let stats = r.Workload.solution.Solution.stats in
     Printf.printf "corpus: %s\n" origin;
     Printf.printf "blocks: %d (%d distinct), width %d\n" r.Workload.corpus_blocks
       r.Workload.distinct_blocks corpus.Workload.width;
     Printf.printf "covering matrix: %dx%d, reduced %dx%d, necessary %d\n"
-      stats.Reseed_setcover.Solution.initial_rows
-      stats.Reseed_setcover.Solution.initial_cols
-      stats.Reseed_setcover.Solution.reduced_rows
-      stats.Reseed_setcover.Solution.reduced_cols
-      (List.length stats.Reseed_setcover.Solution.necessary);
+      stats.Solution.initial_rows stats.Solution.initial_cols
+      stats.Solution.reduced_rows stats.Solution.reduced_cols
+      (List.length stats.Solution.necessary);
     Printf.printf "dictionary: %d entries, %d bits\n"
       (List.length r.Workload.entries)
       r.Workload.dictionary_bits;
@@ -589,20 +540,14 @@ let compress_cmd =
         Printf.printf "  %3d: %s\n" i
           (Workload.entry_to_string ~width:corpus.Workload.width e))
       r.Workload.entries;
-    if stats.Reseed_setcover.Solution.degraded then
-      Printf.printf "degraded: true (%s)\n"
-        (match Budget.stop_reason budget with
-        | Some s -> Budget.stop_reason_name s
-        | None -> "solver budget");
-    if store <> None then Printf.printf "%s\n" (cache_stats_line ());
-    exit_if_interrupted budget
+    if stats.Solution.degraded then print_degraded s ~fallback:"solver budget"
   in
   Cmd.v
     (Cmd.info "compress"
        ~doc:"Code-based test-data compression: select a minimum dictionary of fully-specified words covering every ternary test-data block of the corpus, via the same covering pipeline (matrix, reduce, exact end-game) the reseeding flow uses.")
     Term.(
-      const run $ source_arg $ scale_arg $ width_arg $ method_arg $ deadline_arg
-      $ jobs_arg $ cache_arg $ chaos_arg $ trace_arg $ metrics_arg)
+      const run $ source_arg $ scale_arg $ width_arg $ method_arg ~tail:"." $ deadline_arg
+      $ jobs_arg $ cache_arg $ chaos_arg $ obs_arg)
 
 (* fullscan *)
 
@@ -657,11 +602,8 @@ let chaos_cmd =
   let circuit_arg =
     Arg.(value & pos 0 string "c432" & info [] ~docv:"CIRCUIT" ~doc:"Circuit the harness sweeps (catalog name or .bench file).")
   in
-  let kind_conv =
-    Arg.enum (List.map (fun k -> (Faultpoint.kind_name k, k)) Faultpoint.all_kinds)
-  in
   let kinds_arg =
-    Arg.(value & opt (list kind_conv) Faultpoint.[ Eio; Enospc; Torn; Flip; Fail; Abort ] & info [ "kinds" ] ~docv:"K1,K2,.." ~doc:"Fault kinds to sweep (default: all but latency).")
+    Arg.(value & opt (list (named Faultpoint.all_kinds Faultpoint.kind_name)) Faultpoint.[ Eio; Enospc; Torn; Flip; Fail; Abort ] & info [ "kinds" ] ~docv:"K1,K2,.." ~doc:"Fault kinds to sweep (default: all but latency).")
   in
   let rec rm_rf path =
     match Unix.lstat path with

@@ -3,6 +3,9 @@ open Reseed_util
 
 type engine = Podem_engine | Sat_engine
 
+let engines = [ Podem_engine; Sat_engine ]
+let engine_name = function Podem_engine -> "podem" | Sat_engine -> "sat"
+
 type config = {
   seed : int;
   max_random_patterns : int;

@@ -14,6 +14,13 @@ type engine =
   | Podem_engine  (** structural PODEM (default) *)
   | Sat_engine  (** SAT-based generation (Larrabee); same completeness *)
 
+(** Every engine, in CLI order. *)
+val engines : engine list
+
+(** [engine_name e] is ["podem"] or ["sat"] — the CLI spelling and an
+    ATPG-stage key component. *)
+val engine_name : engine -> string
+
 type config = {
   seed : int;  (** RNG seed for random phase and don't-care fill *)
   max_random_patterns : int;  (** budget for the random phase *)

@@ -6,13 +6,6 @@ type engine = Event | Cpt | Hybrid
 
 let engine_name = function Event -> "event" | Cpt -> "cpt" | Hybrid -> "hybrid"
 
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "event" -> Some Event
-  | "cpt" -> Some Cpt
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
 type t = {
   circuit : Circuit.t;
   faults : Fault.t array;

@@ -57,9 +57,6 @@ type engine =
 (** [engine_name e] is ["event"], ["cpt"] or ["hybrid"]. *)
 val engine_name : engine -> string
 
-(** [engine_of_string s] parses {!engine_name} output (case-insensitive). *)
-val engine_of_string : string -> engine option
-
 (** [create ?engine ?model c faults] builds a reusable simulator
     ([engine] defaults to [Hybrid], [model] to
     {!Fault_model.Stuck_at}).  The fault order fixes the fault indexing

@@ -23,7 +23,7 @@
     - {e only complete results are stored}: callers pass [None] from
       their encoder when a budget degraded the result;
     - {e retried}: reads and writes go through the shared {!Retry}
-      policy ([RESEED_RETRIES]), so transient IO errors heal before they
+      policy (one retry), so transient IO errors heal before they
       surface.
 
     Fault injection: reads pass the [artifact.read] {!Faultpoint} (data

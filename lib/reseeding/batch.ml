@@ -35,15 +35,20 @@ let task_to_string = function
       Printf.sprintf "%s T=%d%s" tpg cycles tag
   | Compress { width } -> Printf.sprintf "compress w=%d" width
 
-let tpg_names = [ "adder"; "subtracter"; "multiplier"; "mp-lfsr" ]
+let tpg_makers =
+  [
+    ("adder", Accumulator.adder);
+    ("subtracter", Accumulator.subtracter);
+    ("multiplier", Accumulator.multiplier);
+    ("mp-lfsr", Lfsr.multi_polynomial);
+  ]
+
+let tpg_names = List.map fst tpg_makers
 
 let tpg_of_name name width =
-  match name with
-  | "adder" -> Accumulator.adder width
-  | "subtracter" -> Accumulator.subtracter width
-  | "multiplier" -> Accumulator.multiplier width
-  | "mp-lfsr" -> Lfsr.multi_polynomial width
-  | _ -> Error.fail Error.Input_error "unknown TPG %S" name
+  match List.assoc_opt name tpg_makers with
+  | Some make -> make width
+  | None -> Error.fail Error.Input_error "unknown TPG %S" name
 
 (* --- manifest parsing ------------------------------------------------ *)
 
@@ -68,10 +73,18 @@ let parse_string ?(path = "<manifest>") text =
     | Some c when c >= 1 -> c
     | _ -> fail_line line "bad evolution length %S (positive integer expected)" s
   in
+  let alts all name = String.concat "|" (List.map name all) in
   let parse_model line s =
     match Fault_model.of_string s with
     | Some m -> m
-    | None -> fail_line line "unknown fault model %S (stuck|transition)" s
+    | None ->
+        fail_line line "unknown fault model %S (%s)" s
+          (alts Fault_model.all Fault_model.name)
+  in
+  let parse_enum what all name line s =
+    match List.find_opt (fun v -> name v = s) all with
+    | Some v -> v
+    | None -> fail_line line "unknown %s %S (%s)" what s (alts all name)
   in
   List.iteri
     (fun i raw ->
@@ -94,20 +107,10 @@ let parse_string ?(path = "<manifest>") text =
                 List.iter (check_tpg line) l;
                 tpgs := l
             | "cycles" -> cycles := List.map (parse_cycles line) (split_list v)
-            | "method" -> (
-                match v with
-                | "exact" -> method_ := Solution.Exact
-                | "greedy" -> method_ := Solution.Greedy_only
-                | "noreduce" -> method_ := Solution.No_reduction_exact
-                | "portfolio" -> method_ := Solution.Portfolio_race
-                | _ ->
-                    fail_line line
-                      "unknown method %S (exact|greedy|noreduce|portfolio)" v)
-            | "objective" -> (
-                match v with
-                | "triplets" -> objective := Flow.Min_triplets
-                | "length" -> objective := Flow.Min_test_length
-                | _ -> fail_line line "unknown objective %S (triplets|length)" v)
+            | "method" ->
+                method_ := parse_enum "method" Solution.methods Solution.method_name line v
+            | "objective" ->
+                objective := parse_enum "objective" Flow.objectives Flow.objective_name line v
             | "scale" -> (
                 match int_of_string_opt v with
                 | Some n when n >= 1 -> scale := n
@@ -349,10 +352,7 @@ let report_json manifest results =
   Buffer.add_string b "{\n  \"method\": ";
   Buffer.add_string b (Printf.sprintf "%S" (Solution.method_name manifest.method_));
   Buffer.add_string b
-    (Printf.sprintf ",\n  \"objective\": %S"
-       (match manifest.objective with
-       | Flow.Min_triplets -> "triplets"
-       | Flow.Min_test_length -> "length"));
+    (Printf.sprintf ",\n  \"objective\": %S" (Flow.objective_name manifest.objective));
   Buffer.add_string b (Printf.sprintf ",\n  \"scale\": %d" manifest.scale);
   Buffer.add_string b ",\n  \"jobs\": [";
   List.iteri

@@ -67,6 +67,14 @@ val job_model : job -> Fault_model.t
     ["adder T=150"], ["adder T=150 [transition]"], ["compress w=8"]. *)
 val task_to_string : task -> string
 
+(** Every TPG name a manifest or the CLI accepts, in CLI order. *)
+val tpg_names : string list
+
+(** [tpg_of_name name width] builds the named TPG at [width] bits.
+    Raises {!Error.Reseed_error} ([Input_error]) on a name outside
+    {!tpg_names}. *)
+val tpg_of_name : string -> int -> Reseed_tpg.Tpg.t
+
 (** [parse_string ?path s] parses manifest text.  Raises
     {!Error.Reseed_error} ([Input_error]) with [path:line] coordinates on
     unknown keys, malformed values, unknown TPG names, unknown fault

@@ -5,6 +5,9 @@ open Reseed_util
 
 type objective = Min_triplets | Min_test_length
 
+let objectives = [ Min_triplets; Min_test_length ]
+let objective_name = function Min_triplets -> "triplets" | Min_test_length -> "length"
+
 type config = {
   builder : Builder.config;
   method_ : Solution.method_;

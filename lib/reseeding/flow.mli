@@ -19,6 +19,13 @@ type objective =
       (** extension: minimise the estimated global test length instead,
           using each triplet's useful burst length as its cost *)
 
+(** Every objective, in CLI order. *)
+val objectives : objective list
+
+(** [objective_name o] is ["triplets"] or ["length"] — the CLI /
+    manifest / report spelling. *)
+val objective_name : objective -> string
+
 type config = {
   builder : Builder.config;
   method_ : Solution.method_;

@@ -34,10 +34,6 @@ let circuit_fingerprint c =
   let h = array int h c.Circuit.inputs in
   array int h c.Circuit.outputs
 
-let atpg_engine_tag = function
-  | Atpg.Podem_engine -> "podem"
-  | Atpg.Sat_engine -> "sat"
-
 (* The ATPG-stage key digests everything the prepared workload depends
    on: the netlist, the full ATPG config, the fault-simulation engine,
    the fault model and the collapse mode.  It doubles as the lineage salt
@@ -55,7 +51,7 @@ let atpg_fingerprint ?sim_engine ?(fault_model = Fault_model.Stuck_at) ~config
   let h = int h config.Atpg.max_backtracks in
   let h = bool h config.Atpg.compaction in
   let h = bool h config.Atpg.use_random_phase in
-  let h = string h (atpg_engine_tag config.Atpg.engine) in
+  let h = string h (Atpg.engine_name config.Atpg.engine) in
   let h =
     string h
       (Fault_sim.engine_name (Option.value sim_engine ~default:Fault_sim.Hybrid))
@@ -197,18 +193,14 @@ let flow_config_with_cycles cycles =
       }
 
 (* Flow runs are deterministic; Table 1 and Table 2 share them.  The key
-   carries the fault-model tag so a stuck-at and a transition row for the
-   same circuit/TPG/T never collide within one process. *)
-let flow_cache : (string * string * string * int, Flow.result) Hashtbl.t =
+   is the workload's fingerprint (netlist, ATPG config, simulation engine,
+   fault model, collapse mode), so two preparations of one circuit that
+   differ in any of these never share a row within one process. *)
+let flow_cache : (Fingerprint.t * string * int, Flow.result) Hashtbl.t =
   Hashtbl.create 64
 
 let cached_flow p tpg config =
-  let key =
-    ( Circuit.name p.circuit,
-      Fault_model.name p.fault_model,
-      tpg.Tpg.name,
-      config.Flow.builder.Builder.cycles )
-  in
+  let key = (p.fingerprint, tpg.Tpg.name, config.Flow.builder.Builder.cycles) in
   match Hashtbl.find_opt flow_cache key with
   | Some r -> r
   | None ->
@@ -333,11 +325,11 @@ let table2_row ?cycles p =
     t2_entries;
   }
 
-let figure2 ?grid p tpg =
+let figure2 ?grid ?pool p tpg =
   let grid =
     match grid with Some g -> g | None -> Tradeoff.default_grid ~max_cycles:256
   in
-  Tradeoff.sweep ?store:p.store ~fingerprint:p.fingerprint p.sim tpg ~tests:p.tests
+  Tradeoff.sweep ?pool ?store:p.store ~fingerprint:p.fingerprint p.sim tpg ~tests:p.tests
     ~targets:p.targets ~grid
 
 let table1_table rows =

@@ -125,8 +125,10 @@ type table2_row = {
 
 val table2_row : ?cycles:int -> prepared -> table2_row
 
-(** [figure2 ?grid p tpg] is the Figure 2 sweep for one TPG. *)
-val figure2 : ?grid:int list -> prepared -> Tpg.t -> Tradeoff.point list
+(** [figure2 ?grid ?pool p tpg] is the Figure 2 sweep for one TPG, on
+    [pool] (default: {!Reseed_util.Pool.default}). *)
+val figure2 :
+  ?grid:int list -> ?pool:Pool.t -> prepared -> Tpg.t -> Tradeoff.point list
 
 (** Rendering. *)
 

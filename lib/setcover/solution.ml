@@ -29,6 +29,8 @@ let is_degraded method_ stop =
   | (Exact | No_reduction_exact | Portfolio_race), Ilp.Complete -> false
   | (Exact | No_reduction_exact | Portfolio_race), _ -> true
 
+let methods = [ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
+
 let method_name = function
   | Exact -> "exact"
   | Greedy_only -> "greedy"

@@ -16,8 +16,11 @@ type method_ =
       (** reduce, then race {!Portfolio}'s three legs (exact B&B,
           SAT/cardinality descent, GRASP restarts) on the residual *)
 
+(** Every covering method, in CLI order. *)
+val methods : method_ list
+
 (** [method_name m] is ["exact"], ["greedy"], ["noreduce"] or
-    ["portfolio"] — a stable tag used on the CLI and as a cache-key
+    ["portfolio"] — the CLI / manifest spelling and a cache-key
     component. *)
 val method_name : method_ -> string
 

@@ -63,7 +63,7 @@ let default_jobs () =
       | _ -> Error.fail Error.Usage "RESEED_JOBS=%S: expected a positive integer" s)
 
 (* A chunk that raises is retried on the same worker through the shared
-   {!Retry} policy (RESEED_RETRIES, default one retry with backoff)
+   {!Retry} policy (one retry with backoff)
    before the job is declared failed — transient faults (resource blips,
    interrupted syscalls, injected chaos) heal; deterministic ones cost
    duplicate runs.  Chunk bodies therefore must be idempotent per index

@@ -20,7 +20,7 @@ type t
 
 (** Raised by the [parallel_*] combinators when a chunk body keeps
     failing: the chunk is retried on the same worker through the shared
-    {!Retry} policy — [RESEED_RETRIES] retries (default 1) with
+    {!Retry} policy — one retry with
     exponential, deterministically jittered backoff — so transient
     faults heal (bodies must be idempotent per index, which every slot-
     writing combinator here is).  {!Error.Reseed_error} diagnostics are

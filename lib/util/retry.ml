@@ -11,20 +11,8 @@ type class_ = Transient | Permanent
 
 type config = { max_attempts : int; base_delay_s : float; max_delay_s : float }
 
-(* RESEED_RETRIES = number of retries after the first attempt; the
-   default (1) preserves the pool's historical retry-once behaviour.
-   A malformed value is a usage error, like RESEED_JOBS. *)
-let env_retries () =
-  match Option.map String.trim (Sys.getenv_opt "RESEED_RETRIES") with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | _ ->
-          Error.fail Error.Usage "RESEED_RETRIES=%S: expected a non-negative integer" s)
-
-let default_config () =
-  { max_attempts = env_retries () + 1; base_delay_s = 0.005; max_delay_s = 0.25 }
+(* Two attempts: the pool's historical retry-once behaviour. *)
+let default_config = { max_attempts = 2; base_delay_s = 0.005; max_delay_s = 0.25 }
 
 (* Default classification: errors a retry can plausibly heal (resource
    blips, interrupted syscalls, injected chaos) are transient; errors
@@ -67,9 +55,7 @@ let run ?config ?(classify = classify) ?(label = "io") f =
     match f ~attempt with
     | v -> Ok v
     | exception e -> (
-        (* The config (and so the env) is only consulted on the failure
-           path, keeping the success path allocation- and syscall-free. *)
-        let cfg = match config with Some c -> c | None -> default_config () in
+        let cfg = Option.value config ~default:default_config in
         match classify e with
         | Permanent -> Error { attempts = attempt; backoff_s; exn = e }
         | Transient when attempt >= cfg.max_attempts ->

@@ -24,17 +24,9 @@ type config = {
   max_delay_s : float;  (** cap on the un-jittered delay *)
 }
 
-(** [env_retries ()] is the [RESEED_RETRIES] environment variable — the
-    number of {e retries} after the first attempt — and [1] when it is
-    unset or blank (the historical retry-once policy).  Raises
-    {!Error.Reseed_error} [Usage] when it is not a non-negative
-    integer. *)
-val env_retries : unit -> int
-
-(** [default_config ()] is [{ max_attempts = env_retries () + 1;
-    base_delay_s = 0.005; max_delay_s = 0.25 }], re-reading the
-    environment on each call. *)
-val default_config : unit -> config
+(** [default_config] is [{ max_attempts = 2; base_delay_s = 0.005;
+    max_delay_s = 0.25 }]: one retry after the first attempt. *)
+val default_config : config
 
 (** [classify e] — the default classification: [EIO]/[EINTR]/[EAGAIN]/
     [EWOULDBLOCK]/[ENFILE]/[EMFILE]/[EBUSY], {!Faultpoint.Injected} and
@@ -52,8 +44,7 @@ type failure = {
 }
 
 (** [run ?config ?classify ?label f] calls [f ~attempt:1] and retries
-    per the policy.  [config] defaults to {!default_config} (consulted
-    only on the failure path, so the success path costs nothing);
+    per the policy.  [config] defaults to {!default_config};
     [label] names the site in metrics, traces and the jitter seed.
     Returns [Ok v] on success, [Error failure] when the policy gives
     up — the caller decides whether to raise, wrap or degrade. *)

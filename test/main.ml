@@ -13,4 +13,4 @@ let () =
    @ Test_observability.suite @ Test_pipeline.suite
    @ Test_workload.suite
    @ Test_robustness.suite @ Test_resilience.suite @ Test_scale.suite
-   @ Test_chaos.suite @ Test_integration.suite)
+   @ Test_chaos.suite @ Test_integration.suite @ Test_cli.suite)

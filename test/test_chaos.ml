@@ -199,40 +199,6 @@ let test_retry_classification_defaults () =
             line = None; column = None }));
   check_string "anything else permanent" "permanent" (cls Exit)
 
-let test_retry_env_attempts () =
-  Unix.putenv "RESEED_RETRIES" "0";
-  Fun.protect ~finally:(fun () -> Unix.putenv "RESEED_RETRIES" "") @@ fun () ->
-  check_int "RESEED_RETRIES=0 means one attempt" 1
-    (Retry.default_config ()).Retry.max_attempts;
-  let calls = ref 0 in
-  (match
-     Retry.run (fun ~attempt:_ ->
-         incr calls;
-         raise (Unix.Unix_error (Unix.EIO, "t", "")))
-   with
-  | Error { Retry.attempts = 1; _ } -> ()
-  | _ -> Alcotest.fail "expected single-attempt failure");
-  check_int "no retry at RESEED_RETRIES=0" 1 !calls;
-  Unix.putenv "RESEED_RETRIES" "";
-  check_int "blank means unset: one retry" 2
-    (Retry.default_config ()).Retry.max_attempts
-
-(* A malformed RESEED_RETRIES is a usage error naming the variable and
-   its value, never a silent fallback to the default. *)
-let test_retry_env_malformed () =
-  Fun.protect ~finally:(fun () -> Unix.putenv "RESEED_RETRIES" "") @@ fun () ->
-  List.iter
-    (fun v ->
-      Unix.putenv "RESEED_RETRIES" v;
-      match Retry.env_retries () with
-      | n -> Alcotest.failf "RESEED_RETRIES=%S accepted as %d" v n
-      | exception Error.Reseed_error e ->
-          check_string "usage code" "usage" (Error.code_name e.Error.code);
-          check_string "message names variable and value"
-            (Printf.sprintf "RESEED_RETRIES=%S: expected a non-negative integer" v)
-            e.Error.message)
-    [ "x"; "-1"; "1.5" ]
-
 let test_retry_backoff_deterministic () =
   let cfg = { Retry.max_attempts = 3; base_delay_s = 0.001; max_delay_s = 0.01 } in
   let fail_all () =
@@ -334,8 +300,6 @@ let test_pool_task_fault_heals () =
     (Array.for_all Fun.id (Array.mapi (fun i v -> v = i * i) out))
 
 let test_pool_task_exhaustion_is_task_error () =
-  Unix.putenv "RESEED_RETRIES" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "RESEED_RETRIES" "") @@ fun () ->
   with_chaos "1:pool.task=fail" @@ fun () ->
   (* [fail] with no selector fires on every hit: retries cannot heal it
      and the pool must surface a structured Task_error. *)
@@ -435,10 +399,6 @@ let suite =
           test_retry_exhaustion;
         Alcotest.test_case "retry: default classification" `Quick
           test_retry_classification_defaults;
-        Alcotest.test_case "retry: RESEED_RETRIES bounds attempts" `Quick
-          test_retry_env_attempts;
-        Alcotest.test_case "retry: malformed RESEED_RETRIES is a usage error" `Quick
-          test_retry_env_malformed;
         Alcotest.test_case "retry: deterministic backoff" `Quick
           test_retry_backoff_deterministic;
         Alcotest.test_case "artifact: torn write detected and rewritten" `Quick

@@ -1,0 +1,92 @@
+(* The reseed executable, spawned as a child process: option values
+   outside their range are usage errors (exit 2) naming the flag, and
+   tradeoff runs on the pool its --jobs asks for. *)
+
+let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+
+let exe = "../bin/reseed.exe"
+
+(* Runs [exe args] with [env] added to the environment minus every
+   RESEED_* variable; returns the exit code and the captured stderr. *)
+let run ?(env = []) args =
+  let inherited =
+    List.filter
+      (fun s -> not (String.starts_with ~prefix:"RESEED_" s))
+      (Array.to_list (Unix.environment ()))
+  in
+  let err_file = Filename.temp_file "reseed-cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err_file) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process_env exe
+      (Array.of_list (exe :: args))
+      (Array.of_list (env @ inherited))
+      Unix.stdin null err
+  in
+  Unix.close null;
+  Unix.close err;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
+  in
+  (code, In_channel.with_open_bin err_file In_channel.input_all)
+
+(* The offset just past each occurrence of [sub] in [s]. *)
+let occurrences ~sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then List.rev acc
+    else go (i + 1) (if String.sub s i n = sub then (i + n) :: acc else acc)
+  in
+  go 0 []
+
+let contains ~sub s = occurrences ~sub s <> []
+
+let test_out_of_range_is_usage () =
+  List.iter
+    (fun (flag, args) ->
+      let code, err = run args in
+      check_int (flag ^ " exits 2") 2 code;
+      check (flag ^ " named in the message") true
+        (contains ~sub:(Printf.sprintf "option '%s'" flag) err))
+    [
+      ("--jobs", [ "solve"; "c17"; "--jobs"; "0" ]);
+      ("--cycles", [ "solve"; "c17"; "--cycles"; "0" ]);
+      ("--scale", [ "solve"; "c432"; "--scale"; "0" ]);
+      ("--population", [ "gatsby"; "c17"; "--population"; "1" ]);
+    ]
+
+(* A 1-job pool runs every span on the calling domain: the trace must
+   show no worker tid, even though RESEED_JOBS asks for four. *)
+let test_tradeoff_honours_jobs () =
+  let trace = Filename.temp_file "reseed-cli" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let code, _ =
+    run ~env:[ "RESEED_JOBS=4" ]
+      [ "tradeoff"; "c432"; "--jobs"; "1"; "--grid=8,32"; "--trace"; trace ]
+  in
+  check_int "exit 0" 0 code;
+  let text = In_channel.with_open_bin trace In_channel.input_all in
+  let digits_at i =
+    let j = ref i in
+    while !j < String.length text && text.[!j] >= '0' && text.[!j] <= '9' do
+      incr j
+    done;
+    int_of_string (String.sub text i (!j - i))
+  in
+  let tids = List.map digits_at (occurrences ~sub:"\"tid\":" text) in
+  check "trace has events" true (tids <> []);
+  check "every tid is 0" true (List.for_all (( = ) 0) tids)
+
+let suite =
+  [
+    ( "cli",
+      [
+        Alcotest.test_case "out-of-range integers are usage errors" `Quick
+          test_out_of_range_is_usage;
+        Alcotest.test_case "tradeoff honours --jobs" `Quick test_tradeoff_honours_jobs;
+      ] );
+  ]

@@ -202,6 +202,35 @@ let test_table_rows () =
   let s2 = Suite.render_table2 [ row2 ] in
   check "renders" true (String.length s1 > 0 && String.length s2 > 0)
 
+(* Two preparations of one circuit that differ only in the ATPG seed are
+   different workloads: each Table 2 row must match a direct flow run on
+   its own preparation, never the row memoised for the other. *)
+let test_table_rows_keyed_by_workload () =
+  let row_of p =
+    List.map
+      (fun tpg ->
+        let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
+        let s = r.Flow.solution.Solution.stats in
+        ( tpg.Tpg.name,
+          List.length s.Solution.necessary,
+          s.Solution.reduced_rows,
+          s.Solution.reduced_cols ))
+      (Suite.paper_tpgs p)
+  in
+  let memo_row p =
+    List.map
+      (fun e -> Suite.(e.t2_tpg, e.necessary, e.reduced_rows, e.reduced_cols))
+      (Suite.table2_row p).Suite.t2_entries
+  in
+  let p42 = Suite.prepare "c432" in
+  let p7 =
+    Suite.prepare ~atpg_config:{ Reseed_atpg.Atpg.default_config with seed = 7 } "c432"
+  in
+  check "the seeds prepare different workloads" true
+    (p42.Suite.fingerprint <> p7.Suite.fingerprint);
+  check "seed 42 row" true (memo_row p42 = row_of p42);
+  check "seed 7 row is its own" true (memo_row p7 = row_of p7)
+
 (* Flow-level engine differential: the whole covering flow prepared on
    the event engine and on the hybrid one must reach the same Table 2
    row, the same final triplets and the same test length. *)
@@ -242,6 +271,8 @@ let suite =
         Alcotest.test_case "tradeoff sorting/render" `Quick test_tradeoff_grid_sorted_and_rendered;
         Alcotest.test_case "default grid" `Quick test_default_grid;
         Alcotest.test_case "suite table rows" `Slow test_table_rows;
+        Alcotest.test_case "table rows keyed by workload" `Quick
+          test_table_rows_keyed_by_workload;
         Alcotest.test_case "event = hybrid end to end" `Slow test_flow_engines_agree;
       ] );
   ]

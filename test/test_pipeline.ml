@@ -363,7 +363,20 @@ let test_batch_parse () =
         { Batch.circuit = "c17"; task = reseed "adder" 40 };
         { Batch.circuit = "c17"; task = reseed "subtracter" 40 };
         { Batch.circuit = "c17"; task = reseed "multiplier" 60 };
-      ])
+      ]);
+  (* Every method and objective name parses back to its value. *)
+  List.iter
+    (fun m ->
+      let text = Printf.sprintf "method = %s\njob c17 adder 10" (Solution.method_name m) in
+      check ("method " ^ Solution.method_name m) true
+        ((Batch.parse_string text).Batch.method_ = m))
+    Solution.methods;
+  List.iter
+    (fun o ->
+      let text = Printf.sprintf "objective = %s\njob c17 adder 10" (Flow.objective_name o) in
+      check ("objective " ^ Flow.objective_name o) true
+        ((Batch.parse_string text).Batch.objective = o))
+    Flow.objectives
 
 let test_batch_parse_errors () =
   let rejects name text =
@@ -377,7 +390,17 @@ let test_batch_parse_errors () =
   rejects "bad cycles" "job c17 adder zero";
   rejects "bad job arity" "job c17 adder";
   rejects "empty manifest" "# nothing here\n";
-  rejects "missing tpgs" "circuits = c17\ncycles = 10"
+  rejects "missing tpgs" "circuits = c17\ncycles = 10";
+  let message text =
+    match Batch.parse_string text with
+    | exception Error.Reseed_error e -> e.Error.message
+    | _ -> Alcotest.failf "%S: expected Reseed_error" text
+  in
+  check_string "unknown method"
+    "unknown method \"fast\" (exact|greedy|noreduce|portfolio)"
+    (message "method = fast\njob c17 adder 10");
+  check_string "unknown objective" "unknown objective \"speed\" (triplets|length)"
+    (message "objective = speed\njob c17 adder 10")
 
 let test_batch_cold_warm_reports_identical () =
   with_store @@ fun store ->
