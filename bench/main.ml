@@ -9,7 +9,7 @@
      all      — the four above, in order (the default)
 
    [--full] runs the full circuit suite (slow) instead of the quick one.
-   Fault collapsing is on and the engine is hybrid; circuits above 2000
+   Fault collapsing is on and the engine is cpt; circuits above 2000
    gates are generated at a quarter of their catalog size.  Timing and
    the resource envelope are measured by perfbench, not here.
 

@@ -71,7 +71,7 @@ val run : ?config:config -> ?budget:Budget.t -> Fault_sim.t -> result
     enumeration, {!Fault_model.faults} — equivalence-collapsed for
     stuck-at, uncollapsed for transition; pass [Collapse.reps] for
     class-collapsed stuck-at simulation) and the simulator ([sim_engine]
-    selects the {!Fault_sim.engine}, default [Hybrid]; [fault_model]
+    selects the {!Fault_sim.engine}, default [Cpt]; [fault_model]
     defaults to {!Fault_model.Stuck_at}), then runs the flow; returns the
     simulator too. *)
 val run_circuit :

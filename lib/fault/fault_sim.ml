@@ -2,9 +2,9 @@ open Reseed_netlist
 open Reseed_sim
 open Reseed_util
 
-type engine = Event | Cpt | Hybrid
+type engine = Event | Cpt
 
-let engine_name = function Event -> "event" | Cpt -> "cpt" | Hybrid -> "hybrid"
+let engine_name = function Event -> "event" | Cpt -> "cpt"
 
 type t = {
   circuit : Circuit.t;
@@ -23,10 +23,6 @@ type t = {
       (* false on a sweep's first block: lane 0 has no launch pattern *)
   ffr : Ffr.t;
   po_position : int array; (* node -> PO index, or -1 *)
-  prop_stems : int array;
-      (* stems whose observability needs a flip propagation — they reach a
-         PO without being one; descending (reverse-topological) order so
-         an eager sweep finishes downstream stems first *)
   (* Event-propagation scratch reused across injections; [stamp]/[queued]
      hold the id of the propagation that last wrote them, so no clearing
      is ever needed. *)
@@ -46,9 +42,10 @@ type t = {
   mutable cur : int;
   (* Per-block CPT scratch, invalidated by bumping [block]. *)
   mutable block : int;
-  obs : int array; (* stem -> flip-observability word *)
-  obs_stamp : int array;
-  sens : int array; (* node -> word of patterns where flipping it is detected *)
+  sens : int array;
+      (* node -> word of patterns where flipping it is detected; at a stem
+         this is the stem's observability, so it is computed at most once
+         per stem per block *)
   sens_stamp : int array;
   mutable sims : int;
   mutable props : int;
@@ -61,8 +58,6 @@ let scratch c =
     Array.make n 0,
     Array.make n 0,
     Array.make (Circuit.max_level c + 1) 0,
-    Array.make n (-1),
-    Array.make n 0,
     Array.make n (-1),
     Array.make n 0,
     Array.make n (-1) )
@@ -80,19 +75,11 @@ let queue_offsets c =
     off;
   off
 
-let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
+let create ?(engine = Cpt) ?(model = Fault_model.Stuck_at) circuit faults =
   let n = Circuit.node_count circuit in
   let po_position = Array.make n (-1) in
   Array.iteri (fun pos node -> po_position.(node) <- pos) circuit.Circuit.outputs;
-  let ffr = Ffr.compute circuit in
-  let prop_stems =
-    Array.fold_left
-      (fun acc s ->
-        if po_position.(s) < 0 && Ffr.reaches_po ffr s then s :: acc else acc)
-      [] (Ffr.stems ffr)
-    |> Array.of_list
-  in
-  let good, stamp, fval, queue, queue_count, queued, obs, obs_stamp, sens, sens_stamp =
+  let good, stamp, fval, queue, queue_count, queued, sens, sens_stamp =
     scratch circuit
   in
   let site_sig =
@@ -110,9 +97,8 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
     good;
     launch_prev = Bytes.make n '\000';
     launch_valid = false;
-    ffr;
+    ffr = Ffr.compute circuit;
     po_position;
-    prop_stems;
     stamp;
     fval;
     queue_off = queue_offsets circuit;
@@ -123,8 +109,6 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
     queued;
     cur = -1;
     block = 0;
-    obs;
-    obs_stamp;
     sens;
     sens_stamp;
     sims = 0;
@@ -137,7 +121,7 @@ let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
    per-worker tallies can be summed back with [merge_sims]. *)
 let copy t =
   let n = Circuit.node_count t.circuit in
-  let good, stamp, fval, queue, queue_count, queued, obs, obs_stamp, sens, sens_stamp =
+  let good, stamp, fval, queue, queue_count, queued, sens, sens_stamp =
     scratch t.circuit
   in
   {
@@ -154,8 +138,6 @@ let copy t =
     queued;
     cur = -1;
     block = 0;
-    obs;
-    obs_stamp;
     sens;
     sens_stamp;
     sims = 0;
@@ -349,14 +331,8 @@ let pin_of t g p =
    changes some primary output.  Exact for single faults funnelled through
    [s] because the faulty machine downstream of [s] coincides, lane by
    lane, with the flip simulation.  Computed by one event-driven
-   propagation of the flip; under [Hybrid] the propagation hands off early
-   when the difference frontier collapses onto a single downstream stem
-   whose observability is already known for this block.  The queue pops
-   in level order, so nothing evaluated so far lies in that stem's fanout
-   cone, and every evaluated difference has pushed its fanouts: all
-   remaining fault effects funnel through the stem.  In practice this
-   fires along [s]'s immediate dominator chain. *)
-let compute_obs t (good : int array) mask s =
+   propagation of the flip. *)
+let obs t (good : int array) mask s =
   if not (Ffr.reaches_po t.ffr s) then 0
   else if t.po_position.(s) >= 0 then mask (* flips are their own witness *)
   else begin
@@ -367,22 +343,11 @@ let compute_obs t (good : int array) mask s =
     let detect = ref 0 in
     queue_reset t;
     push_fanouts t s;
-    let chain = t.engine = Hybrid in
-    let running = ref true in
-    while !running && t.queue_len > 0 do
+    while t.queue_len > 0 do
       let i = pop t in
       let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
       let diff = (v lxor good.(i)) land mask in
-      if
-        chain && t.queue_len = 0
-        && Ffr.is_stem t.ffr i
-        && t.obs_stamp.(i) = t.block
-      then begin
-        (* [i] was the whole frontier: finish through its observability. *)
-        detect := !detect lor (diff land t.obs.(i));
-        running := false
-      end
-      else if diff <> 0 then begin
+      if diff <> 0 then begin
         t.stamp.(i) <- t.cur;
         t.fval.(i) <- v;
         if t.po_position.(i) >= 0 then detect := !detect lor diff;
@@ -390,15 +355,6 @@ let compute_obs t (good : int array) mask s =
       end
     done;
     !detect
-  end
-
-let obs t good mask s =
-  if t.obs_stamp.(s) = t.block then t.obs.(s)
-  else begin
-    let v = compute_obs t good mask s in
-    t.obs.(s) <- v;
-    t.obs_stamp.(s) <- t.block;
-    v
   end
 
 (* Detectability of a flip appearing at node [n]: the chain of single-path
@@ -448,49 +404,28 @@ let process_cpt t (good : int array) mask (fault : Fault.t) =
       let diff = (v lxor good.(gate)) land mask in
       if diff = 0 then 0 else diff land sens t good mask gate
 
-(* --- Per-block engine dispatch ---------------------------------------- *)
+(* --- Per-fault dispatch ----------------------------------------------- *)
 
-type mode = Mode_event | Mode_cpt
-
-(* [Hybrid] falls back to per-fault event propagation when the live fault
-   set is sparse (fault-dropping tails): tracing then costs fewer
-   propagations than refreshing every stem's observability would. *)
-let begin_block t good mask ~live =
-  t.block <- t.block + 1;
-  match t.engine with
-  | Event -> Mode_event
-  | Cpt -> Mode_cpt
-  | Hybrid ->
-      if 2 * live >= Array.length t.prop_stems then begin
-        (* Eager reverse-topological observability sweep: every stem's
-           downstream stems are finished first, so each flip propagation
-           stops at the first dominating stem instead of walking its whole
-           fanout cone to the primary outputs. *)
-        Array.iter (fun s -> ignore (obs t good mask s)) t.prop_stems;
-        Mode_cpt
-      end
-      else Mode_event
-
-let process_mode t good mask mode fault =
-  match mode with
-  | Mode_event -> process t good mask fault
-  | Mode_cpt -> process_cpt t good mask fault
-
-(* Per-fault dispatch with the fault model applied.  Under [Stuck_at]
-   this is [process_mode] verbatim.  Under [Transition_delay] the
-   capture-cycle detection word the stuck-at engines computed is masked
-   down to the lanes whose {e preceding} pattern put the launch signal at
-   the fault's slow initial value (= the capture stuck value): lane [k]'s
-   launch value is lane [k-1] of [good] at the site signal, lane 0 takes
-   the last lane of the previous block from [launch_prev], and lane 0 of
-   a sweep's first block has no launch pattern at all and is masked
-   out.  The [sims]/[props] accounting is the capture grade's, so the
-   cost metrics stay comparable across models. *)
-let process_fault t good mask mode fi fault =
+(* The selected engine's detection word with the fault model applied.
+   Under [Stuck_at] this is the engine's word verbatim.  Under
+   [Transition_delay] the capture-cycle detection word the stuck-at
+   engines computed is masked down to the lanes whose {e preceding}
+   pattern put the launch signal at the fault's slow initial value (= the
+   capture stuck value): lane [k]'s launch value is lane [k-1] of [good]
+   at the site signal, lane 0 takes the last lane of the previous block
+   from [launch_prev], and lane 0 of a sweep's first block has no launch
+   pattern at all and is masked out.  The [sims]/[props] accounting is
+   the capture grade's, so the cost metrics stay comparable across
+   models. *)
+let process_fault t good mask fi fault =
+  let d =
+    match t.engine with
+    | Event -> process t good mask fault
+    | Cpt -> process_cpt t good mask fault
+  in
   match t.model with
-  | Fault_model.Stuck_at -> process_mode t good mask mode fault
+  | Fault_model.Stuck_at -> d
   | Fault_model.Transition_delay ->
-      let d = process_mode t good mask mode fault in
       if d = 0 then 0
       else begin
         let s = Array.unsafe_get t.site_sig fi in
@@ -522,6 +457,7 @@ let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
     let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
     let good = t.good in
     Logic_sim.simulate_into t.circuit block good;
+    t.block <- t.block + 1; (* new good values: memoised [sens] go stale *)
     let mask = Logic_sim.valid_mask block.Logic_sim.width in
     f ~base:!base ~good ~mask;
     if t.model = Fault_model.Transition_delay then begin
@@ -561,10 +497,9 @@ let detection_map ?budget t patterns =
   let total = Array.length patterns in
   let result = Array.init (fault_count t) (fun _ -> Bitvec.create total) in
   iter_blocks ?budget t patterns (fun ~base ~good ~mask ->
-      let mode = begin_block t good mask ~live:(fault_count t) in
       Array.iteri
         (fun fi fault ->
-          let d = process_fault t good mask mode fi fault in
+          let d = process_fault t good mask fi fault in
           if d <> 0 then
             (* [d land mask] keeps every set lane below the block length,
                so [base + k] is always in range. *)
@@ -582,7 +517,6 @@ let detected_set ?budget t patterns ~active =
   let remaining = ref (Bitvec.count active) in
   iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
     (fun ~base:_ ~good ~mask ->
-      let mode = begin_block t good mask ~live:!remaining in
       (* [fi] ranges over the fault array, whose length both vectors were
          checked (or built) to match — the per-fault test is the hottest
          line of the sweep, so skip the bounds checks. *)
@@ -590,7 +524,7 @@ let detected_set ?budget t patterns ~active =
         (fun fi fault ->
           if Bitvec.unsafe_get active fi && not (Bitvec.unsafe_get detected fi)
           then
-            if process_fault t good mask mode fi fault <> 0 then begin
+            if process_fault t good mask fi fault <> 0 then begin
               Bitvec.unsafe_set detected fi;
               decr remaining
             end)
@@ -619,11 +553,10 @@ let first_detections ?budget t ?active patterns =
   in
   iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
     (fun ~base ~good ~mask ->
-      let mode = begin_block t good mask ~live:!remaining in
       Array.iteri
         (fun fi fault ->
           if live fi && result.(fi) = None then begin
-            let d = process_fault t good mask mode fi fault in
+            let d = process_fault t good mask fi fault in
             if d <> 0 then begin
               let k = ref 0 in
               while d lsr !k land 1 = 0 do incr k done;
@@ -633,8 +566,5 @@ let first_detections ?budget t ?active patterns =
           end)
         t.faults);
   result
-
-let count_new_detections ?budget t patterns ~active =
-  Bitvec.count (detected_set ?budget t patterns ~active)
 
 let coverage_pct t detected = Stats.pct (Bitvec.count detected) (fault_count t)

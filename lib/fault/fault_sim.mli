@@ -6,18 +6,14 @@
 
     - {!Event}: every fault is injected and its fanout cone re-evaluated
       event-driven, in topological order — the exactness oracle;
-    - {!Cpt}: critical-path tracing — the circuit is decomposed once into
-      fanout-free regions ({!Reseed_netlist.Ffr}); faults inside a region
-      are graded by a backward derivative chain over the good values, and
-      only each region's stem costs an event-driven flip propagation for
-      its observability word;
-    - {!Hybrid} (default): {!Cpt} accelerated by dominator chaining (a
-      stem's flip propagation stops at the first downstream stem whose
-      observability is already known) and falling back to {!Event} on
-      blocks whose live-fault set is sparse, where per-fault cones are
-      cheaper than refreshing every stem.
+    - {!Cpt} (default): critical-path tracing — the circuit is decomposed
+      once into fanout-free regions ({!Reseed_netlist.Ffr}); faults inside
+      a region are graded by a backward derivative chain over the good
+      values, and only each region's stem costs an event-driven flip
+      propagation for its observability word, computed on first use in a
+      block, so only stems that live faults reach are propagated.
 
-    All three engines produce bit-identical results.
+    Both engines produce bit-identical results.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -27,22 +23,22 @@
     pattern [p-1] (launch) sets the fault's site signal to its slow
     initial value {e and} pattern [p] (capture) detects the
     corresponding stuck-at fault — the capture grade reuses the selected
-    engine unchanged, including the hybrid CPT/dominator machinery, and
-    the launch condition is applied as a per-lane mask with the carry
-    across 62-pattern blocks handled internally.  The first pattern of a
-    sweep has no launch predecessor and detects nothing.  Work counters
-    ({!sims_performed}, {!event_propagations}) count the capture grades,
-    so cost metrics stay comparable across models.
+    engine unchanged, and the launch condition is applied as a per-lane
+    mask with the carry across 62-pattern blocks handled internally.  The
+    first pattern of a sweep has no launch predecessor and detects
+    nothing.  Work counters ({!sims_performed}, {!event_propagations})
+    count the capture grades, so cost metrics stay comparable across
+    models.
 
     Three entry points cover the library's needs:
 
     - {!detection_map}: full per-pattern detection bit-matrix — feeds the
       Detection Matrix construction of Section 3.1 of the paper;
     - {!first_detections}: fault-dropping sweep returning the first
-      detecting pattern index per fault — feeds ATPG, compaction and the
-      GATSBY fitness function;
-    - {!count_new_detections}: cheap count of newly-detected faults for a
-      candidate pattern set against an active mask. *)
+      detecting pattern index per fault — feeds ATPG, the Detection
+      Matrix rows and GATSBY;
+    - {!detected_set}: the faults of an active mask that a candidate
+      pattern set detects — feeds ATPG and the GATSBY fitness function. *)
 
 open Reseed_netlist
 open Reseed_util
@@ -51,14 +47,13 @@ type t
 
 type engine =
   | Event  (** per-fault event-driven propagation *)
-  | Cpt  (** critical-path tracing, full stem flip propagations *)
-  | Hybrid  (** CPT + dominator chaining + sparse-block event fallback *)
+  | Cpt  (** critical-path tracing, lazy per-block stem observability *)
 
-(** [engine_name e] is ["event"], ["cpt"] or ["hybrid"]. *)
+(** [engine_name e] is ["event"] or ["cpt"]. *)
 val engine_name : engine -> string
 
 (** [create ?engine ?model c faults] builds a reusable simulator
-    ([engine] defaults to [Hybrid], [model] to
+    ([engine] defaults to [Cpt], [model] to
     {!Fault_model.Stuck_at}).  The fault order fixes the fault indexing
     used by every result; pair [faults] with the model's own enumeration
     ({!Fault_model.faults}) unless a test needs a custom list. *)
@@ -100,8 +95,8 @@ val sims_performed : t -> int
 
 (** [event_propagations t] counts event-driven cone propagations actually
     launched: fault injections whose site difference was non-zero under
-    [Event], plus stem observability flips under [Cpt]/[Hybrid].  This is
-    the work metric the CPT engines shrink. *)
+    [Event], plus stem observability flips under [Cpt].  This is the work
+    metric the CPT engine shrinks. *)
 val event_propagations : t -> int
 
 (** Every sweep below takes an optional [budget]: a tripped deadline or
@@ -128,11 +123,6 @@ val detected_set : ?budget:Budget.t -> t -> bool array array -> active:Bitvec.t 
     first detection. *)
 val first_detections :
   ?budget:Budget.t -> t -> ?active:Bitvec.t -> bool array array -> int option array
-
-(** [count_new_detections ?budget t patterns ~active] is
-    [Bitvec.count (detected_set t patterns ~active)] without allocating
-    the result set. *)
-val count_new_detections : ?budget:Budget.t -> t -> bool array array -> active:Bitvec.t -> int
 
 (** [coverage_pct t detected] renders fault coverage as a percentage of
     the simulator's fault list. *)

@@ -97,7 +97,8 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
         let s = shard.(worker) in
         for i = lo to hi - 1 do
           out.(i) <-
-            float_of_int (Fault_sim.count_new_detections s (burst genomes.(i)) ~active)
+            float_of_int
+              (Bitvec.count (Fault_sim.detected_set s (burst genomes.(i)) ~active))
         done);
     out
   in
@@ -108,7 +109,7 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
     incr rounds;
     Trace.with_span "gatsby.round" @@ fun () ->
     let fitness g =
-      float_of_int (Fault_sim.count_new_detections sim (burst g) ~active)
+      float_of_int (Bitvec.count (Fault_sim.detected_set sim (burst g) ~active))
     in
     let problem = genome_problem ~width ~fitness in
     let outcome = Ga.optimize ~config:config.ga ~eval_batch ?budget ~rng problem in

@@ -1,12 +1,9 @@
 type t = {
-  node_count : int;
   is_stem : bool array;
   stem : int array;
   stems : int array;
-  idom : int array; (* length node_count; -1 = cannot reach the sink *)
+  reaches_po : bool array;
 }
-
-let sink t = t.node_count
 
 let compute c =
   let n = Circuit.node_count c in
@@ -18,44 +15,23 @@ let compute c =
   let is_stem =
     Array.init n (fun i -> is_po.(i) || Array.length c.Circuit.fanouts.(i) <> 1)
   in
+  (* Fanout edges strictly increase node indices, so one reverse sweep sees
+     every fanout before its driver. *)
   let stem = Array.make n (-1) in
+  let reaches_po = Array.make n false in
   for i = n - 1 downto 0 do
-    stem.(i) <- (if is_stem.(i) then i else stem.(c.Circuit.fanouts.(i).(0)))
+    let fanouts = c.Circuit.fanouts.(i) in
+    stem.(i) <- (if is_stem.(i) then i else stem.(fanouts.(0)));
+    reaches_po.(i) <- is_po.(i) || Array.exists (fun o -> reaches_po.(o)) fanouts
   done;
   let stems = ref [] in
   for i = n - 1 downto 0 do
     if is_stem.(i) then stems := i :: !stems
   done;
-  (* Immediate dominators over the fanout DAG augmented with a virtual sink
-     [n] fed by every primary output: [idom.(i)] is the unique node every
-     path from [i] to an observation point passes through first.  Nodes are
-     already in topological order (fanout edges strictly increase), so one
-     reverse sweep with the Cooper–Harvey–Kennedy two-finger intersection
-     suffices; dominators of a node always have larger indices. *)
-  let idom = Array.make (n + 1) (-1) in
-  idom.(n) <- n;
-  let intersect a b =
-    let a = ref a and b = ref b in
-    while !a <> !b do
-      if !a < !b then a := idom.(!a) else b := idom.(!b)
-    done;
-    !a
-  in
-  (* Successors that cannot reach the sink lie on no [i] -> sink path and
-     therefore never constrain the dominator. *)
-  let meet acc s =
-    if s <> n && idom.(s) < 0 then acc
-    else match acc with -1 -> s | a -> intersect a s
-  in
-  for i = n - 1 downto 0 do
-    let acc = Array.fold_left meet (-1) c.Circuit.fanouts.(i) in
-    idom.(i) <- (if is_po.(i) then meet acc n else acc)
-  done;
-  { node_count = n; is_stem; stem; stems = Array.of_list !stems; idom }
+  { is_stem; stem; stems = Array.of_list !stems; reaches_po }
 
 let is_stem t i = t.is_stem.(i)
 let stem_of t i = t.stem.(i)
 let stems t = t.stems
 let stem_count t = Array.length t.stems
-let idom t i = t.idom.(i)
-let reaches_po t i = t.idom.(i) >= 0
+let reaches_po t i = t.reaches_po.(i)

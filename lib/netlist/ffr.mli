@@ -1,4 +1,4 @@
-(** Fanout-free region (FFR) decomposition and fanout-graph dominators.
+(** Fanout-free region (FFR) decomposition.
 
     A *stem* is any node whose value is observed at more than one place —
     several fanout edges (including two pins of the same gate), or a
@@ -10,19 +10,12 @@
     This is the static backbone of critical-path-tracing fault
     simulation: inside an FFR, fault effects propagate along a unique
     path, so per-pattern detectability follows from good-machine values
-    alone; only stems need genuine propagation analysis.
-
-    The module also builds an immediate-dominator tree over the fanout
-    DAG augmented with a virtual sink fed by every primary output.
-    [idom i] is the first node that every path from [i] to an observation
-    point must cross — the point where a stem's fault effects are known
-    to reconverge, which lets a simulator hand off to already-computed
-    downstream observability. *)
+    alone; only stems need genuine propagation analysis. *)
 
 type t
 
-(** [compute c] runs the whole analysis in one pass over the circuit
-    (linear in edges, near-linear for the dominator sweep). *)
+(** [compute c] runs the whole analysis in one reverse pass over the
+    circuit, linear in edges. *)
 val compute : Circuit.t -> t
 
 (** [is_stem t i] — [i] bounds a fanout-free region (fanout edge count
@@ -39,15 +32,6 @@ val stems : t -> int array
 
 val stem_count : t -> int
 
-(** [idom t i] is the immediate dominator of [i] on paths to the virtual
-    sink: a node index, {!sink} when the paths share no interior node (or
-    [i] drives a primary output and fans out besides), or [-1] when [i]
-    cannot reach any primary output. *)
-val idom : t -> int -> int
-
-(** [sink t] is the virtual sink's id, [Circuit.node_count c]. *)
-val sink : t -> int
-
 (** [reaches_po t i] — some path from [i] reaches a primary output
-    (equivalently, [idom t i >= 0]). *)
+    ([i] itself counts when it is one). *)
 val reaches_po : t -> int -> bool

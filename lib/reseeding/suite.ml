@@ -54,7 +54,7 @@ let atpg_fingerprint ?sim_engine ?(fault_model = Fault_model.Stuck_at) ~config
   let h = string h (Atpg.engine_name config.Atpg.engine) in
   let h =
     string h
-      (Fault_sim.engine_name (Option.value sim_engine ~default:Fault_sim.Hybrid))
+      (Fault_sim.engine_name (Option.value sim_engine ~default:Fault_sim.Cpt))
   in
   bool h collapse
 

@@ -41,7 +41,7 @@ val circuit_fingerprint : Circuit.t -> Fingerprint.t
 (** [prepare ?scale_factor ?atpg_config ?sim_engine ?fault_model ?collapse
     name] loads a catalog circuit and runs the ATPG front-end once.
     [sim_engine] selects the fault-simulation engine every downstream
-    phase uses (default [Fault_sim.Hybrid]).  [fault_model] (default
+    phase uses (default [Fault_sim.Cpt]).  [fault_model] (default
     {!Fault_model.Stuck_at}) fixes the detection semantics of the whole
     workload — fault list, ATPG phases, every downstream sweep — and is
     folded into the [fingerprint], so artifacts never cross models.

@@ -4,7 +4,7 @@ open Reseed_util
 
 let check = Alcotest.(check bool)
 
-let engines = [ Fault_sim.Event; Fault_sim.Cpt; Fault_sim.Hybrid ]
+let engines = [ Fault_sim.Event; Fault_sim.Cpt ]
 
 (* Build one simulator per engine over the same fault list. *)
 let sims_for c =
@@ -63,8 +63,8 @@ let test_structured_circuits () =
       Library.alu 2;
     ]
 
-(* detected_set with a sparse active mask must agree across engines (this
-   exercises Hybrid's per-block fallback to event mode on thin tails). *)
+(* detected_set with a sparse active mask must agree across engines: CPT
+   then computes observability only for the stems live faults reach. *)
 let test_detected_set_partial_active () =
   let rng = Rng.create 779 in
   let c = Library.load "c432" in
@@ -85,9 +85,7 @@ let test_detected_set_partial_active () =
             Fault_sim.detected_set sim patterns ~active)
           engines
       with
-      | [ ev; cpt; hy ] ->
-          check "cpt = event (partial active)" true (Bitvec.equal cpt ev);
-          check "hybrid = event (partial active)" true (Bitvec.equal hy ev)
+      | [ ev; cpt ] -> check "cpt = event (partial active)" true (Bitvec.equal cpt ev)
       | _ -> assert false)
     [ 1; 3; 17 ]
 
@@ -101,9 +99,8 @@ let test_first_detections_identical () =
       let n = Circuit.input_count c in
       let patterns = Array.init 70 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
       match List.map (fun sim -> Fault_sim.first_detections sim patterns) (sims_for c) with
-      | [ ev; cpt; hy ] ->
-          Alcotest.(check (array (option int))) (name ^ " cpt firsts") ev cpt;
-          Alcotest.(check (array (option int))) (name ^ " hybrid firsts") ev hy
+      | [ ev; cpt ] ->
+          Alcotest.(check (array (option int))) (name ^ " cpt firsts") ev cpt
       | _ -> assert false)
     [ "c17"; "s420" ]
 
@@ -122,38 +119,62 @@ let test_catalog_engines_agree () =
     [ "c17"; "c432"; "s420"; "s820_x4" ]
 
 (* The optimisation claim itself: on a reconvergent benchmark the CPT
-   engines must launch fewer event propagations than the event engine.
+   engine must launch fewer event propagations than the event engine.
    The exact work counters are pinned too: they are the paper's cost
-   metric, and a change to the event queue's pop order or to dominator
-   chaining that altered them would show here. *)
+   metric, and a change to the event queue's pop order or to the
+   observability memo that altered them would show here. *)
 let test_props_reduction () =
   let rng = Rng.create 781 in
   let c = Library.load "c432" in
   let n = Circuit.input_count c in
   let patterns = Array.init 124 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   match sims_for c with
-  | [ ev_sim; cpt_sim; hy_sim ] ->
-      List.iter (fun sim -> ignore (Fault_sim.detection_map sim patterns))
-        [ ev_sim; cpt_sim; hy_sim ];
+  | [ ev_sim; cpt_sim ] as sims ->
+      List.iter (fun sim -> ignore (Fault_sim.detection_map sim patterns)) sims;
       let ev = Fault_sim.event_propagations ev_sim in
       let cpt = Fault_sim.event_propagations cpt_sim in
-      let hy = Fault_sim.event_propagations hy_sim in
       if not (2 * cpt <= ev) then
         Alcotest.failf "cpt props %d not >=2x below event props %d" cpt ev;
-      if not (2 * hy <= ev) then
-        Alcotest.failf "hybrid props %d not >=2x below event props %d" hy ev;
       let check_int = Alcotest.(check int) in
       check_int "event props" 1373 ev;
       check_int "cpt props" 206 cpt;
-      check_int "hybrid props" 206 hy;
       List.iter
         (fun sim ->
           check_int
             (Fault_sim.engine_name (Fault_sim.engine sim) ^ " sims")
             1418
             (Fault_sim.sims_performed sim))
-        [ ev_sim; cpt_sim; hy_sim ]
+        sims
   | _ -> assert false
+
+(* Fault-dropping tails: with a single live fault, CPT refreshes at most
+   the one stem that fault reaches, so a [first_detections] sweep costs at
+   most one propagation per 62-pattern block it simulates — no more than
+   injecting the fault with the event engine would. *)
+let test_single_fault_tail () =
+  let rng = Rng.create 784 in
+  let c = Library.load "c432" in
+  let faults = Fault.all c in
+  let nf = Array.length faults in
+  let n = Circuit.input_count c in
+  let patterns = Array.init 300 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
+  let w = Reseed_sim.Logic_sim.block_width in
+  let all_blocks = (Array.length patterns + w - 1) / w in
+  for fi = 0 to nf - 1 do
+    if fi mod 7 = 0 then begin
+      let sim = Fault_sim.create ~engine:Fault_sim.Cpt c faults in
+      let active = Bitvec.create nf in
+      Bitvec.set active fi;
+      let blocks =
+        match (Fault_sim.first_detections sim ~active patterns).(fi) with
+        | Some p -> (p / w) + 1
+        | None -> all_blocks
+      in
+      let props = Fault_sim.event_propagations sim in
+      if props > blocks then
+        Alcotest.failf "fault %d: %d propagations over %d blocks" fi props blocks
+    end
+  done
 
 (* Deep enough (>= 20 levels) that the event queue holds many levels at
    once. *)
@@ -291,6 +312,7 @@ let suite =
         Alcotest.test_case "partial active masks" `Quick test_detected_set_partial_active;
         Alcotest.test_case "first detections" `Quick test_first_detections_identical;
         Alcotest.test_case "propagation reduction" `Quick test_props_reduction;
+        Alcotest.test_case "single live fault tail" `Quick test_single_fault_tail;
         Alcotest.test_case "no state leaks between sweeps" `Quick test_no_state_leak;
         Alcotest.test_case "concurrent copies" `Quick test_concurrent_copies;
       ] );

@@ -98,18 +98,6 @@ let test_active_mask_respected () =
     (fun fi f -> if f <> None && not (Bitvec.get active fi) then Alcotest.fail "mask leak")
     firsts
 
-let test_count_matches_set () =
-  let c = Library.ripple_adder 4 in
-  let faults = Fault.all c in
-  let sim = Fault_sim.create c faults in
-  let rng = Rng.create 4 in
-  let patterns = Array.init 20 (fun _ -> Array.init 9 (fun _ -> Rng.bool rng)) in
-  let active = Bitvec.create (Array.length faults) in
-  Bitvec.fill_all active;
-  check_int "count = |set|"
-    (Bitvec.count (Fault_sim.detected_set sim patterns ~active))
-    (Fault_sim.count_new_detections sim patterns ~active)
-
 let test_sims_counter_monotone () =
   let c = Library.c17 () in
   let sim = Fault_sim.create c (Fault.all c) in
@@ -162,7 +150,6 @@ let suite =
         Alcotest.test_case "oracle: structured circuits" `Slow test_oracle_structured;
         Alcotest.test_case "first_detections = first set bit" `Quick test_first_detections_drop;
         Alcotest.test_case "active mask respected" `Quick test_active_mask_respected;
-        Alcotest.test_case "count matches set" `Quick test_count_matches_set;
         Alcotest.test_case "sims counter monotone" `Quick test_sims_counter_monotone;
         Alcotest.test_case "empty pattern set" `Quick test_empty_patterns;
         Alcotest.test_case "coverage pct" `Quick test_coverage_pct;

@@ -24,10 +24,8 @@ let test_buffer_chain () =
   check_int "stem_of b1" b2 (Ffr.stem_of f b1);
   check_int "stem_of b2" b2 (Ffr.stem_of f b2);
   check_int "one stem" 1 (Ffr.stem_count f);
-  (* idoms: everything funnels through b2, b2's idom is the sink. *)
-  check_int "idom a" b1 (Ffr.idom f a);
-  check_int "idom b1" b2 (Ffr.idom f b1);
-  check_int "idom b2" (Ffr.sink f) (Ffr.idom f b2)
+  check "a reaches a PO" true (Ffr.reaches_po f a);
+  check "b2 reaches a PO" true (Ffr.reaches_po f b2)
 
 (* Reconvergent fanout: a feeds g1 = AND(a,b) and g2 = OR(a,b); both feed
    g3 = XOR(g1,g2), the only PO.  a and b are stems; their effects
@@ -54,26 +52,30 @@ let test_reconvergent () =
   check "g3 is stem" true (Ffr.is_stem f g3);
   check_int "stem_of g1" g3 (Ffr.stem_of f g1);
   check_int "stem_of g2" g3 (Ffr.stem_of f g2);
-  check_int "idom a = reconvergence" g3 (Ffr.idom f ia);
-  check_int "idom b = reconvergence" g3 (Ffr.idom f ib);
-  check_int "idom g3" (Ffr.sink f) (Ffr.idom f g3)
+  check "a reaches a PO" true (Ffr.reaches_po f ia);
+  check "b reaches a PO" true (Ffr.reaches_po f ib)
 
-(* A node that is both a PO and fans out to further logic: its paths to
-   observation share no interior node, so its idom is the sink. *)
+(* A node that is both a PO and fans out to further logic is a stem; a
+   gate that drives nothing is a dead stem that reaches no PO. *)
 let test_multi_output_stem () =
   let b = Circuit.Builder.create "mo" in
   let ia = Circuit.Builder.add_input b "a" in
   let ib = Circuit.Builder.add_input b "b" in
   let g1 = Circuit.Builder.add_gate b Gate.And [ ia; ib ] "g1" in
   let g2 = Circuit.Builder.add_gate b Gate.Not [ g1 ] "g2" in
+  let _dead = Circuit.Builder.add_gate b Gate.Or [ ia; ib ] "dead" in
   Circuit.Builder.mark_output b g1;
   Circuit.Builder.mark_output b g2;
   let c = Circuit.Builder.finalize b in
   let f = Ffr.compute c in
-  let g1 = Circuit.find c "g1" and g2 = Circuit.find c "g2" in
+  let g1 = Circuit.find c "g1"
+  and g2 = Circuit.find c "g2"
+  and dead = Circuit.find c "dead" in
   check "g1 is stem" true (Ffr.is_stem f g1);
-  check_int "idom g1 = sink" (Ffr.sink f) (Ffr.idom f g1);
-  check_int "idom g2 = sink" (Ffr.sink f) (Ffr.idom f g2)
+  check "g1 reaches a PO" true (Ffr.reaches_po f g1);
+  check "g2 reaches a PO" true (Ffr.reaches_po f g2);
+  check "dead gate is stem" true (Ffr.is_stem f dead);
+  check "dead gate reaches no PO" false (Ffr.reaches_po f dead)
 
 (* A gate driving the same fanin twice: two fanout edges to one gate make
    the feeder a stem (multi-pin effects would otherwise need multi-path
@@ -113,51 +115,61 @@ let prop_stem_fixpoint () =
       done)
     [ 11; 12; 13 ]
 
-(* Brute-force dominator oracle: d > i dominates i iff removing d cuts
-   every path from i to the sink.  idom must be the minimum dominator. *)
-let prop_idom_brute_force () =
+(* [c] rebuilt with only its last primary output kept: logic that fed
+   only the dropped outputs becomes dead. *)
+let keep_last_output c =
+  let b = Circuit.Builder.create (Circuit.name c ^ "-pruned") in
+  Array.iter
+    (fun node ->
+      let label = node.Circuit.label in
+      ignore
+        (match node.Circuit.kind with
+        | Gate.Input -> Circuit.Builder.add_input b label
+        | k -> Circuit.Builder.add_gate b k (Array.to_list node.Circuit.fanins) label))
+    c.Circuit.nodes;
+  Circuit.Builder.mark_output b c.Circuit.outputs.(Circuit.output_count c - 1);
+  Circuit.Builder.finalize b
+
+(* Brute-force reachability oracle: [reaches_po] must agree with a
+   depth-first search from every node, dead nodes included. *)
+let prop_reaches_po_brute_force () =
+  let dead = ref 0 in
   List.iter
     (fun seed ->
       let spec =
         {
-          (Generator.default_spec "dom" ~inputs:6 ~outputs:3 ~gates:40) with
+          (Generator.default_spec "reach" ~inputs:6 ~outputs:3 ~gates:40) with
           Generator.seed;
         }
       in
-      let c = Generator.generate spec in
-      let f = Ffr.compute c in
-      let n = Circuit.node_count c in
-      let sink = n in
-      let is_po = Array.make n false in
-      Array.iter (fun o -> is_po.(o) <- true) c.Circuit.outputs;
-      (* reaches the sink from [i] while never visiting [avoid]? *)
-      let reaches_avoiding i avoid =
-        let seen = Array.make (n + 1) false in
-        let rec go j =
-          if j = avoid || seen.(j) then false
-          else if j = sink then true
-          else begin
-            seen.(j) <- true;
-            (is_po.(j) && avoid <> sink && go sink)
-            || Array.exists go c.Circuit.fanouts.(j)
-          end
-        in
-        go i
-      in
-      for i = 0 to n - 1 do
-        if not (reaches_avoiding i (-2)) then
-          check_int (Printf.sprintf "dead node %d" i) (-1) (Ffr.idom f i)
-        else begin
-          check "reaches_po agrees" true (Ffr.reaches_po f i);
-          let doms = ref [] in
-          for d = n downto i + 1 do
-            if not (reaches_avoiding i d) then doms := d :: !doms
-          done;
-          let expected = match !doms with [] -> sink | d :: _ -> d in
-          check_int (Printf.sprintf "idom %d" i) expected (Ffr.idom f i)
-        end
-      done)
-    [ 21; 22 ]
+      let full = Generator.generate spec in
+      List.iter
+        (fun c ->
+          let f = Ffr.compute c in
+          let n = Circuit.node_count c in
+          let is_po = Array.make n false in
+          Array.iter (fun o -> is_po.(o) <- true) c.Circuit.outputs;
+          let reaches i =
+            let seen = Array.make n false in
+            let rec go j =
+              (not seen.(j))
+              && begin
+                   seen.(j) <- true;
+                   is_po.(j) || Array.exists go c.Circuit.fanouts.(j)
+                 end
+            in
+            go i
+          in
+          for i = 0 to n - 1 do
+            let expected = reaches i in
+            if not expected then incr dead;
+            check
+              (Printf.sprintf "%s: reaches_po %d" (Circuit.name c) i)
+              expected (Ffr.reaches_po f i)
+          done)
+        [ full; keep_last_output full ])
+    [ 21; 22 ];
+  if !dead = 0 then Alcotest.fail "no dead node exercised"
 
 let suite =
   [
@@ -168,6 +180,7 @@ let suite =
         Alcotest.test_case "multi-output stem" `Quick test_multi_output_stem;
         Alcotest.test_case "duplicate-edge stem" `Quick test_duplicate_edge_stem;
         Alcotest.test_case "stem fixpoint (random)" `Quick prop_stem_fixpoint;
-        Alcotest.test_case "idom vs brute force (random)" `Quick prop_idom_brute_force;
+        Alcotest.test_case "reaches_po vs brute force (random)" `Quick
+          prop_reaches_po_brute_force;
       ] );
   ]

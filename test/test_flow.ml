@@ -232,7 +232,7 @@ let test_table_rows_keyed_by_workload () =
   check "seed 7 row is its own" true (memo_row p7 = row_of p7)
 
 (* Flow-level engine differential: the whole covering flow prepared on
-   the event engine and on the hybrid one must reach the same Table 2
+   the event engine and on the CPT one must reach the same Table 2
    row, the same final triplets and the same test length. *)
 let test_flow_engines_agree () =
   List.iter
@@ -244,11 +244,11 @@ let test_flow_engines_agree () =
         (Suite.table2_row p, r)
       in
       let ev_row, ev = run Reseed_fault.Fault_sim.Event in
-      let hy_row, hy = run Reseed_fault.Fault_sim.Hybrid in
-      check (name ^ ": table2 row") true (ev_row = hy_row);
+      let cpt_row, cpt = run Reseed_fault.Fault_sim.Cpt in
+      check (name ^ ": table2 row") true (ev_row = cpt_row);
       check (name ^ ": final triplets") true
-        (List.equal Triplet.equal ev.Flow.final_triplets hy.Flow.final_triplets);
-      check_int (name ^ ": test length") ev.Flow.test_length hy.Flow.test_length)
+        (List.equal Triplet.equal ev.Flow.final_triplets cpt.Flow.final_triplets);
+      check_int (name ^ ": test length") ev.Flow.test_length cpt.Flow.test_length)
     [ "c432"; "s420"; "s1238" ]
 
 let suite =
@@ -273,6 +273,6 @@ let suite =
         Alcotest.test_case "suite table rows" `Slow test_table_rows;
         Alcotest.test_case "table rows keyed by workload" `Quick
           test_table_rows_keyed_by_workload;
-        Alcotest.test_case "event = hybrid end to end" `Slow test_flow_engines_agree;
+        Alcotest.test_case "event = cpt end to end" `Slow test_flow_engines_agree;
       ] );
   ]

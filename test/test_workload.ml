@@ -41,7 +41,7 @@ let with_store f =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f (Artifact.open_store dir))
 
-let all_engines = [ Fault_sim.Event; Fault_sim.Cpt; Fault_sim.Hybrid ]
+let all_engines = [ Fault_sim.Event; Fault_sim.Cpt ]
 
 (* --- brute-force oracles ----------------------------------------------- *)
 
