@@ -13,7 +13,15 @@
       propagation for its observability word, computed on first use in a
       block, so only stems that live faults reach are propagated.
 
-    Both engines produce bit-identical results.
+    Both engines produce bit-identical results, and both run every
+    faulty-machine evaluation through one propagation kernel.  {!create}
+    lays the circuit out once as flat shared arrays (per-node op code and
+    inversion word, CSR fanins and fanouts).  A propagation writes the
+    site's faulty value into a per-simulator mirror of the block's good
+    values, then sweeps node indices upward from the site, evaluating
+    only the nodes marked by a changed fanin — valid because every fanin
+    has a smaller index than its gate ({!Reseed_netlist.Circuit}) — and
+    finally restores the nodes it wrote from the good values.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -66,14 +74,17 @@ val engine : t -> engine
 (** [model t] is the fault model [t] was created with. *)
 val model : t -> Fault_model.t
 
-(** [copy t] is a simulator over the same circuit and fault list with
-    fresh private scratch and zeroed work counters; it can run
+(** [copy t] is a simulator over the same circuit, fault list and flat
+    layout with fresh private scratch — the block's good values, the
+    faulty-value mirror, dirty map and undo list of the propagation
+    kernel, the CPT memo — and zeroed work counters; it can run
     concurrently with [t] from another domain (the shared arrays are
     never written after {!create}). *)
 val copy : t -> t
 
 (** [shard t n] is the per-worker simulator array for an [n]-participant
-    parallel region: slot 0 is [t] itself, slots [1 .. n-1] are copies.
+    parallel region: slot 0 is [t] itself, slots [1 .. n-1] are
+    {!copy}s, each with its own kernel scratch.
     Pair with {!merge_sims} after the region so [t]'s counters account
     for the whole region. *)
 val shard : t -> int -> t array

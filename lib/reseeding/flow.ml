@@ -296,11 +296,10 @@ let run ?(config = default_config) ?pool ?budget ?store ?fingerprint sim tpg ~te
      [initial.fault_sims] plus the truncation sweeps). *)
   { r with elapsed_s = Unix.gettimeofday () -. t0 }
 
-let verify sim tpg r =
+let regrade sim tpg r =
   let all_patterns =
     Array.concat (List.map (fun t -> Triplet.patterns tpg t) r.final_triplets)
   in
-  let detected =
-    Fault_sim.detected_set sim all_patterns ~active:r.initial.Builder.targets
-  in
-  Bitvec.subset r.initial.Builder.targets detected
+  Fault_sim.detected_set sim all_patterns ~active:r.initial.Builder.targets
+
+let verify sim tpg r = Bitvec.subset r.initial.Builder.targets (regrade sim tpg r)

@@ -144,7 +144,10 @@ val run_prebuilt :
   targets:Bitvec.t ->
   result
 
-(** [verify sim tpg r] re-simulates the final truncated reseeding from
-    scratch and checks it covers the whole target list.  Used by tests
-    and examples as the end-to-end oracle. *)
+(** [regrade sim tpg r] re-simulates the final truncated reseeding from
+    scratch: the targets it detects. *)
+val regrade : Fault_sim.t -> Tpg.t -> result -> Bitvec.t
+
+(** [verify sim tpg r] checks that {!regrade} covers the whole target
+    list.  Used by tests and examples as the end-to-end oracle. *)
 val verify : Fault_sim.t -> Tpg.t -> result -> bool

@@ -3,7 +3,8 @@ let () =
     (Test_bitvec.suite @ Test_word.suite @ Test_rng.suite @ Test_stats_table.suite
    @ Test_gate.suite @ Test_circuit.suite @ Test_bench_io.suite
    @ Test_generator.suite @ Test_library.suite @ Test_logic_sim.suite
-   @ Test_fault.suite @ Test_fault_sim.suite @ Test_ffr.suite @ Test_cpt.suite
+   @ Test_fault.suite @ Test_fault_sim.suite @ Test_fault_sim_oracle.suite
+   @ Test_ffr.suite @ Test_cpt.suite
    @ Test_ternary.suite
    @ Test_testability.suite @ Test_podem.suite @ Test_compact_random.suite
    @ Test_atpg.suite @ Test_tpg.suite @ Test_setcover.suite

@@ -1,6 +1,7 @@
 (* The reseed executable, spawned as a child process: option values
-   outside their range are usage errors (exit 2) naming the flag, and
-   tradeoff runs on the pool its --jobs asks for. *)
+   outside their range are usage errors (exit 2) naming the flag,
+   tradeoff runs on the pool its --jobs asks for, and solve --verify
+   checks degraded runs too. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -8,31 +9,35 @@ let check_int = Alcotest.(check int)
 let exe = "../bin/reseed.exe"
 
 (* Runs [exe args] with [env] added to the environment minus every
-   RESEED_* variable; returns the exit code and the captured stderr. *)
+   RESEED_* variable; returns the exit code and the captured stdout and
+   stderr. *)
 let run ?(env = []) args =
   let inherited =
     List.filter
       (fun s -> not (String.starts_with ~prefix:"RESEED_" s))
       (Array.to_list (Unix.environment ()))
   in
+  let out_file = Filename.temp_file "reseed-cli" ".out" in
   let err_file = Filename.temp_file "reseed-cli" ".err" in
-  Fun.protect ~finally:(fun () -> Sys.remove err_file) @@ fun () ->
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Fun.protect ~finally:(fun () -> Sys.remove out_file; Sys.remove err_file)
+  @@ fun () ->
+  let open_w f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let out = open_w out_file and err = open_w err_file in
   let pid =
     Unix.create_process_env exe
       (Array.of_list (exe :: args))
       (Array.of_list (env @ inherited))
-      Unix.stdin null err
+      Unix.stdin out err
   in
-  Unix.close null;
+  Unix.close out;
   Unix.close err;
   let code =
     match snd (Unix.waitpid [] pid) with
     | Unix.WEXITED c -> c
     | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
   in
-  (code, In_channel.with_open_bin err_file In_channel.input_all)
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  (code, read out_file, read err_file)
 
 (* The offset just past each occurrence of [sub] in [s]. *)
 let occurrences ~sub s =
@@ -48,7 +53,7 @@ let contains ~sub s = occurrences ~sub s <> []
 let test_out_of_range_is_usage () =
   List.iter
     (fun (flag, args) ->
-      let code, err = run args in
+      let code, _, err = run args in
       check_int (flag ^ " exits 2") 2 code;
       check (flag ^ " named in the message") true
         (contains ~sub:(Printf.sprintf "option '%s'" flag) err))
@@ -64,7 +69,7 @@ let test_out_of_range_is_usage () =
 let test_tradeoff_honours_jobs () =
   let trace = Filename.temp_file "reseed-cli" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
-  let code, _ =
+  let code, _, _ =
     run ~env:[ "RESEED_JOBS=4" ]
       [ "tradeoff"; "c432"; "--jobs"; "1"; "--grid=8,32"; "--trace"; trace ]
   in
@@ -81,6 +86,18 @@ let test_tradeoff_honours_jobs () =
   check "trace has events" true (tids <> []);
   check "every tid is 0" true (List.for_all (( = ) 0) tids)
 
+(* A deadline far below the flow's own run time (about 0.2 s for s1238
+   on a 2-core x86 machine) degrades the run; --verify must still
+   re-grade its final triplets, reproduce the printed coverage (which
+   may be below 100%) and say so. *)
+let test_verify_degraded () =
+  let code, out, _ =
+    run [ "solve"; "s1238"; "--deadline"; "0.05"; "--verify" ]
+  in
+  check_int "exit 0" 0 code;
+  check "run is degraded" true (contains ~sub:"degraded: true" out);
+  check "verification: PASSED" true (contains ~sub:"verification: PASSED" out)
+
 let suite =
   [
     ( "cli",
@@ -88,5 +105,7 @@ let suite =
         Alcotest.test_case "out-of-range integers are usage errors" `Quick
           test_out_of_range_is_usage;
         Alcotest.test_case "tradeoff honours --jobs" `Quick test_tradeoff_honours_jobs;
+        Alcotest.test_case "solve --verify checks degraded runs" `Quick
+          test_verify_degraded;
       ] );
   ]

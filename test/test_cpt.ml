@@ -106,8 +106,8 @@ let test_first_detections_identical () =
 
 (* The engine cross-check on catalog circuits: every engine grades every
    fault of every pattern identically.  s820_x4 (depth 33) is the deep
-   member: a queue that popped out of level order would corrupt its long
-   reconvergent cones. *)
+   member: a propagation that evaluated a node before one of its fanins
+   would corrupt its long reconvergent cones. *)
 let test_catalog_engines_agree () =
   List.iter
     (fun name ->
@@ -121,7 +121,7 @@ let test_catalog_engines_agree () =
 (* The optimisation claim itself: on a reconvergent benchmark the CPT
    engine must launch fewer event propagations than the event engine.
    The exact work counters are pinned too: they are the paper's cost
-   metric, and a change to the event queue's pop order or to the
+   metric, and a change to the propagation kernel or to the
    observability memo that altered them would show here. *)
 let test_props_reduction () =
   let rng = Rng.create 781 in
@@ -176,8 +176,8 @@ let test_single_fault_tail () =
     end
   done
 
-(* Deep enough (>= 20 levels) that the event queue holds many levels at
-   once. *)
+(* Deep enough (>= 20 levels) that a propagation's dirty frontier spans
+   many levels at once. *)
 let deep_circuit () =
   let c =
     Generator.generate
@@ -220,8 +220,8 @@ let is_block_prefix ~full ~cut =
 
 (* One long-lived simulator per engine and fault model serves an
    interleaved stream of sweeps.  Every sweep must return what the same
-   sweep returns on a fresh simulator: no event-queue, block or launch
-   state may carry over from one sweep into the next, also after a sweep
+   sweep returns on a fresh simulator: no mirror, dirty-map, block or
+   launch state may carry over from one sweep into the next, also after a sweep
    cut short by its budget. *)
 let test_no_state_leak () =
   let c = deep_circuit () in
@@ -278,7 +278,7 @@ let test_no_state_leak () =
         engines)
     [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
 
-(* Two copies sharing one simulator's queue offsets run concurrently on two
+(* Two copies sharing one simulator's flat layout run concurrently on two
    domains; each must match the sequential answer. *)
 let test_concurrent_copies () =
   let c = deep_circuit () in

@@ -1,0 +1,123 @@
+(* Differential tests of [Fault_sim]'s flat propagation kernel against
+   [Fault_sim_reference], the level-queue simulator it replaced.  Every
+   entry point, under both engines and both fault models, must return the
+   same result and leave the same [sims_performed] and
+   [event_propagations] behind it. *)
+
+open Reseed_netlist
+open Reseed_fault
+open Reseed_tpg
+open Reseed_util
+module R = Fault_sim_reference
+
+let engines = [ Fault_sim.Event; Fault_sim.Cpt ]
+let models = [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
+
+(* Runs every entry point on [patterns] through one long-lived simulator
+   per implementation, so state carried from one sweep into the next is
+   compared too.  Returns the first mismatch as a message. *)
+let differences c patterns =
+  let mismatches = ref [] in
+  List.iter
+    (fun model ->
+      let faults = Fault_model.faults model c in
+      let nf = Array.length faults in
+      let active = Bitvec.create nf in
+      for fi = 0 to nf - 1 do
+        if fi mod 3 <> 1 then Bitvec.set active fi
+      done;
+      List.iter
+        (fun engine ->
+          let sim = Fault_sim.create ~engine ~model c faults in
+          let oracle = R.create ~engine ~model c faults in
+          let check what got want =
+            let differs field =
+              mismatches :=
+                Printf.sprintf "%s/%s %s: %s" (Fault_model.name model)
+                  (Fault_sim.engine_name engine) what field
+                :: !mismatches
+            in
+            if got <> want then differs "result";
+            if Fault_sim.sims_performed sim <> R.sims_performed oracle then
+              differs "sims_performed";
+            if Fault_sim.event_propagations sim <> R.event_propagations oracle then
+              differs "event_propagations"
+          in
+          check "first_detections"
+            (Fault_sim.first_detections sim patterns)
+            (R.first_detections oracle patterns);
+          check "first_detections ?active"
+            (Fault_sim.first_detections sim ~active patterns)
+            (R.first_detections oracle ~active patterns);
+          check "detection_map"
+            (Fault_sim.detection_map sim patterns)
+            (R.detection_map oracle patterns);
+          check "detected_set"
+            (Fault_sim.detected_set sim patterns ~active)
+            (R.detected_set oracle patterns ~active))
+        engines)
+    models;
+  List.rev !mismatches
+
+let expect_same label c patterns =
+  match differences c patterns with
+  | [] -> ()
+  | first :: _ as all ->
+      Alcotest.failf "%s: %d mismatches, first: %s" label (List.length all) first
+
+(* Random generated circuits (every gate kind the generator emits, depth
+   up to ~20) crossed with random pattern counts, including partial last
+   blocks and a single pattern. *)
+let prop_generated =
+  QCheck.Test.make ~name:"kernel = reference on generated circuits" ~count:40
+    QCheck.(triple (int_bound 10_000) (int_bound 180) (int_bound 139))
+    (fun (seed, extra_gates, extra_patterns) ->
+      (* Offsets, not ranges: shrinking moves towards 0, so it stays within
+         the generator's limits. *)
+      let gates = 20 + extra_gates and n_patterns = 1 + extra_patterns in
+      let c =
+        Generator.generate
+          {
+            (Generator.default_spec "oracle" ~inputs:9 ~outputs:4 ~gates) with
+            Generator.seed = seed;
+          }
+      in
+      let rng = Rng.create seed in
+      let patterns =
+        Array.init n_patterns (fun _ -> Array.init 9 (fun _ -> Rng.bool rng))
+      in
+      match differences c patterns with
+      | [] -> true
+      | first :: _ -> QCheck.Test.fail_reportf "seed %d: %s" seed first)
+
+(* Detection-matrix rows as the builder simulates them: one triplet burst
+   of T = 150 patterns per paper TPG, on catalog circuits up to the deep
+   scale-tier s820_x4. *)
+let test_catalog_rows () =
+  List.iter
+    (fun name ->
+      let c = Library.load name in
+      let width = Circuit.input_count c in
+      let rng = Rng.create 2101 in
+      List.iter
+        (fun tpg ->
+          let triplet =
+            Triplet.make ~seed:(Word.random rng width)
+              ~operand:(tpg.Tpg.fix_operand (Word.random rng width))
+              ~cycles:150
+          in
+          expect_same
+            (Printf.sprintf "%s/%s" name tpg.Tpg.name)
+            c
+            (Triplet.patterns tpg triplet))
+        (Accumulator.paper_tpgs width))
+    [ "c432"; "c880"; "s1238"; "s820_x4" ]
+
+let suite =
+  [
+    ( "fault-sim-oracle",
+      [
+        QCheck_alcotest.to_alcotest prop_generated;
+        Alcotest.test_case "catalog rows x paper TPGs" `Quick test_catalog_rows;
+      ] );
+  ]
