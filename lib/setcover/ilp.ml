@@ -39,58 +39,51 @@ let check_weights n_rows w =
   if Array.length w <> n_rows then invalid_arg "Ilp.solve: weight count mismatch";
   Array.iter (fun x -> if x <= 0. then invalid_arg "Ilp.solve: weights must be > 0") w
 
-(* Weighted independent-column bound: columns whose covering-row sets
-   are pairwise disjoint need pairwise distinct rows, so the cheapest
-   row of each is a valid additive lower bound. *)
-let independent_bound m weights =
-  let n_rows = Matrix.rows m in
-  let min_weight_of_col j =
-    Bitvec.fold_ones
-      (fun acc i -> Float.min acc weights.(i))
-      Float.infinity (Matrix.col m j)
-  in
-  fun need ->
-    let used = Bitvec.create n_rows in
-    let lb = ref 0. in
-    Bitvec.iter_ones
-      (fun j ->
-        let cover = Matrix.col m j in
-        if not (Bitvec.intersects cover used) then begin
-          Bitvec.union_into ~into:used cover;
-          lb := !lb +. min_weight_of_col j
-        end)
-      need;
-    !lb
-
 (* ------------------------------------------------------------------ *)
 (* Resumable depth-first branch-and-bound.
 
    The search keeps an explicit stack of pending subproblems instead of
    recursing, so it can stop after a node quantum and resume later with
    the frontier intact — the suspension point the racing portfolio needs.
-   A stack frame records the parent's residual need plus the row the
-   child subtracts; the child's vector is materialised only when the
-   frame is popped, which keeps memory at the recursion's level (one
-   live vector per tree level plus the frontier's parent references).
+   A frame is two ints in flat arrays: the child's tree depth and the row
+   it picks (-1 for the root).  Each depth owns one residual-need buffer,
+   one cost slot and one pick slot: popping a frame at depth [d] blits
+   depth [d - 1]'s buffer into depth [d]'s and subtracts the row.  Depth
+   [d - 1] still holds the parent when any of its children is popped,
+   because depth-first order pops every frame pushed below a child before
+   the child's next sibling.
+
+   Everything fixed for the search is computed once in [make]: each
+   column's row count and cheapest covering weight, and the column
+   vectors of the matrix's cached transpose (shared, not copied).  With
+   scratch arrays for the candidates and the independent bound, a node
+   allocates nothing but the boxed float [Lagrangian.node_bound] returns
+   (and the one it gets from [Bitvec.sum_at]).
 
    The pop-order reproduces the historical recursive traversal exactly:
    candidates are pushed in reverse, so the cheapest-first candidate
    order is also the exploration order, and [nodes] counts one increment
    per popped frame — the recursive version's increment-on-entry. *)
 
-type frame = {
-  f_need : Bitvec.t; (* parent's residual columns (shared, read-only) *)
-  f_sub : int; (* row the child picks, -1 for the root frame *)
-  f_chosen : int list; (* parent's picks *)
-  f_cost : float; (* parent's cost *)
-}
-
 type search = {
   s_matrix : Matrix.t;
   s_weights : float array;
-  s_bound : Bitvec.t -> float;
+  s_lag : Lagrangian.t;
+  s_cols : Bitvec.t array; (* column j's covering rows (the transpose's) *)
+  s_col_count : int array; (* rows covering column j *)
+  s_col_min_w : float array; (* cheapest row covering column j *)
   s_node_limit : int;
-  mutable s_stack : frame list;
+  s_used : Bitvec.t; (* scratch: rows claimed by the independent bound *)
+  s_cand : int array; (* scratch: candidate rows of the branching column *)
+  s_gain : int array; (* scratch: each candidate's marginal coverage *)
+  (* Per depth; depth 0 is the root. *)
+  mutable s_need : Bitvec.t array; (* residual columns *)
+  mutable s_cost_at : float array;
+  mutable s_pick_at : int array; (* row picked at the depth (>= 1) *)
+  (* The frontier: frame k is (s_fr_depth.(k), s_fr_row.(k)), top last. *)
+  mutable s_fr_depth : int array;
+  mutable s_fr_row : int array;
+  mutable s_top : int;
   mutable s_best : int list;
   mutable s_cost : float;
   mutable s_nodes : int;
@@ -104,10 +97,8 @@ type search = {
    branching, not polishing multipliers. *)
 let lagrangian_iters m = if Matrix.ones m > 2_000_000 then 8 else 25
 
-let hybrid_bound m weights ~ub =
-  let lag = Lagrangian.optimize ~iters:(lagrangian_iters m) ~ub ~weights m in
-  let indep = independent_bound m weights in
-  (lag, fun need -> Float.max (indep need) (Lagrangian.node_bound lag need))
+let root_bound m weights ~ub =
+  Lagrangian.optimize ~iters:(lagrangian_iters m) ~ub ~weights m
 
 let seed_of ?weights m =
   (* The incumbent must optimise the same objective as the search: a
@@ -117,28 +108,29 @@ let seed_of ?weights m =
   let rows = Greedy.solve_weighted ?weights m in
   (rows, Greedy.cost ?weights rows)
 
-let start ?weights ?(node_limit = 2_000_000) ?bound ?seed m =
-  let n_rows = Matrix.rows m in
-  let w =
-    match weights with
-    | None -> Array.make n_rows 1.0
-    | Some w ->
-        check_weights n_rows w;
-        w
+let make ~weights ~node_limit ~lag ~seed:(seed_rows, seed_cost) m =
+  let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
+  let cols = Array.init n_cols (Matrix.col m) in
+  let min_weight c =
+    Bitvec.fold_ones (fun acc i -> Float.min acc weights.(i)) Float.infinity c
   in
-  let seed_rows, seed_cost =
-    match seed with Some s -> s | None -> seed_of ?weights m
-  in
-  let bound =
-    match bound with Some b -> b | None -> snd (hybrid_bound m w ~ub:seed_cost)
-  in
-  let root_need = Bitvec.copy (Matrix.universe m) in
   {
     s_matrix = m;
-    s_weights = w;
-    s_bound = bound;
+    s_weights = weights;
+    s_lag = lag;
+    s_cols = cols;
+    s_col_count = Array.map Bitvec.count cols;
+    s_col_min_w = Array.map min_weight cols;
     s_node_limit = node_limit;
-    s_stack = [ { f_need = root_need; f_sub = -1; f_chosen = []; f_cost = 0. } ];
+    s_used = Bitvec.create n_rows;
+    s_cand = Array.make n_rows 0;
+    s_gain = Array.make n_rows 0;
+    s_need = [| Bitvec.copy (Matrix.universe m) |];
+    s_cost_at = [| 0. |];
+    s_pick_at = [| -1 |];
+    s_fr_depth = [| 0 |];
+    s_fr_row = [| -1 |];
+    s_top = 1;
     s_best = seed_rows;
     s_cost = seed_cost;
     s_nodes = 0;
@@ -146,6 +138,19 @@ let start ?weights ?(node_limit = 2_000_000) ?bound ?seed m =
     s_prunes = 0;
     s_stop = None;
   }
+
+let weights_of ?weights m =
+  match weights with
+  | None -> Array.make (Matrix.rows m) 1.0
+  | Some w ->
+      check_weights (Matrix.rows m) w;
+      w
+
+let start ?weights ?(node_limit = 2_000_000) ?seed m =
+  let w = weights_of ?weights m in
+  let seed = match seed with Some s -> s | None -> seed_of ?weights m in
+  let lag = root_bound m w ~ub:(snd seed) in
+  make ~weights:w ~node_limit ~lag ~seed m
 
 let inject s ~rows ~cost =
   if cost < s.s_cost -. epsilon then begin
@@ -158,10 +163,95 @@ let nodes_explored s = s.s_nodes
 let incumbent_updates s = s.s_incumbents
 let prunes s = s.s_prunes
 let search_stop s = s.s_stop
-let exhausted s = s.s_stack = [] && s.s_stop = None
+let exhausted s = s.s_top = 0 && s.s_stop = None
+
+let push s ~depth ~row =
+  if s.s_top = Array.length s.s_fr_row then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    s.s_fr_depth <- grow s.s_fr_depth;
+    s.s_fr_row <- grow s.s_fr_row
+  end;
+  s.s_fr_depth.(s.s_top) <- depth;
+  s.s_fr_row.(s.s_top) <- row;
+  s.s_top <- s.s_top + 1
+
+(* Enter depth [d] (>= 1) through row [i]: the child's residual and cost
+   from its parent's, one depth up. *)
+let enter s d i =
+  if d = Array.length s.s_need then begin
+    (* First visit of this depth: one more buffer, kept for the search. *)
+    s.s_need <- Array.append s.s_need [| Bitvec.create (Matrix.cols s.s_matrix) |];
+    s.s_cost_at <- Array.append s.s_cost_at [| 0. |];
+    s.s_pick_at <- Array.append s.s_pick_at [| -1 |]
+  end;
+  let need = s.s_need.(d) in
+  Bitvec.blit ~src:s.s_need.(d - 1) ~dst:need;
+  Rowset.diff_into ~into:need (Matrix.rowset s.s_matrix i);
+  s.s_cost_at.(d) <- s.s_cost_at.(d - 1) +. s.s_weights.(i);
+  s.s_pick_at.(d) <- i
+
+(* Weighted independent-column bound: columns whose covering-row sets
+   are pairwise disjoint need pairwise distinct rows, so the cheapest
+   row of each is a valid additive lower bound.  Inlined into [advance],
+   so its float result is not boxed. *)
+let[@inline] independent_bound s need =
+  let used = s.s_used in
+  Bitvec.zero_all used;
+  let lb = ref 0. in
+  let j = ref (Bitvec.next_one need 0) in
+  while !j >= 0 do
+    let cover = s.s_cols.(!j) in
+    if not (Bitvec.intersects cover used) then begin
+      Bitvec.union_into ~into:used cover;
+      lb := !lb +. s.s_col_min_w.(!j)
+    end;
+    j := Bitvec.next_one need (!j + 1)
+  done;
+  !lb
+
+(* Branch on the hardest needed column: fewest covering rows, the lowest
+   index on ties.  Its rows are the candidates, cheapest first, larger
+   marginal coverage breaking weight ties, row index after that (a stable
+   insertion sort over keys computed once per candidate).  They are
+   pushed in reverse, so the cheapest candidate is the next pop. *)
+let branch s d need =
+  let pick = ref (-1) and pick_count = ref max_int in
+  let j = ref (Bitvec.next_one need 0) in
+  while !j >= 0 do
+    let cnt = s.s_col_count.(!j) in
+    if cnt < !pick_count then begin
+      pick := !j;
+      pick_count := cnt
+    end;
+    j := Bitvec.next_one need (!j + 1)
+  done;
+  let cand = s.s_cand and gain = s.s_gain and w = s.s_weights in
+  let m = s.s_matrix and col = s.s_cols.(!pick) in
+  let k = ref 0 in
+  let i = ref (Bitvec.next_one col 0) in
+  while !i >= 0 do
+    let row = !i and g = Rowset.count_inter (Matrix.rowset m !i) need in
+    let p = ref !k in
+    while
+      !p > 0
+      &&
+      let c = Float.compare w.(cand.(!p - 1)) w.(row) in
+      c > 0 || (c = 0 && gain.(!p - 1) < g)
+    do
+      cand.(!p) <- cand.(!p - 1);
+      gain.(!p) <- gain.(!p - 1);
+      decr p
+    done;
+    cand.(!p) <- row;
+    gain.(!p) <- g;
+    incr k;
+    i := Bitvec.next_one col (!i + 1)
+  done;
+  for q = !k - 1 downto 0 do
+    push s ~depth:(d + 1) ~row:cand.(q)
+  done
 
 let advance ?(quantum = max_int) ?budget s =
-  let m = s.s_matrix and weights = s.s_weights in
   let deadline_nodes =
     if quantum > max_int - s.s_nodes then max_int else s.s_nodes + quantum
   in
@@ -174,134 +264,120 @@ let advance ?(quantum = max_int) ?budget s =
           | None -> ())
       | _ -> ()
   in
-  while s.s_stop = None && s.s_stack <> [] && s.s_nodes < deadline_nodes do
-    match s.s_stack with
-    | [] -> ()
-    | fr :: rest ->
-        s.s_stack <- rest;
-        s.s_nodes <- s.s_nodes + 1;
-        note_budget ();
-        if s.s_nodes > s.s_node_limit then s.s_stop <- Some Node_limit
-        else if s.s_stop <> None then ()
-        else begin
-          let need, chosen, cost =
-            if fr.f_sub < 0 then (fr.f_need, fr.f_chosen, fr.f_cost)
-            else begin
-              let need = Bitvec.copy fr.f_need in
-              Rowset.diff_into ~into:need (Matrix.rowset m fr.f_sub);
-              (need, fr.f_sub :: fr.f_chosen, fr.f_cost +. weights.(fr.f_sub))
-            end
-          in
-          if Bitvec.is_empty need then begin
-            if cost < s.s_cost -. epsilon then begin
-              s.s_incumbents <- s.s_incumbents + 1;
-              s.s_cost <- cost;
-              s.s_best <- chosen
-            end
-          end
-          else if cost +. s.s_bound need >= s.s_cost -. epsilon then
-            s.s_prunes <- s.s_prunes + 1
-          else begin
-            (* Branch on the hardest column: fewest covering rows. *)
-            let pick = ref (-1) and pick_count = ref max_int in
-            Bitvec.iter_ones
-              (fun j ->
-                let cnt = Bitvec.count (Matrix.col m j) in
-                if cnt < !pick_count then begin
-                  pick := j;
-                  pick_count := cnt
-                end)
-              need;
-            let candidates =
-              List.sort
-                (fun a b ->
-                  (* Cheapest first; larger marginal coverage breaks ties. *)
-                  let c = Float.compare weights.(a) weights.(b) in
-                  if c <> 0 then c
-                  else
-                    Stdlib.compare
-                      (Rowset.count_inter (Matrix.rowset m b) need)
-                      (Rowset.count_inter (Matrix.rowset m a) need))
-                (Bitvec.to_list (Matrix.col m !pick))
-            in
-            (* Reverse push: the cheapest candidate is the next pop. *)
-            List.iter
-              (fun i ->
-                s.s_stack <-
-                  { f_need = need; f_sub = i; f_chosen = chosen; f_cost = cost }
-                  :: s.s_stack)
-              (List.rev candidates)
-          end
+  while s.s_stop = None && s.s_top > 0 && s.s_nodes < deadline_nodes do
+    s.s_top <- s.s_top - 1;
+    let d = s.s_fr_depth.(s.s_top) and i = s.s_fr_row.(s.s_top) in
+    s.s_nodes <- s.s_nodes + 1;
+    note_budget ();
+    if s.s_nodes > s.s_node_limit then s.s_stop <- Some Node_limit
+    else if s.s_stop <> None then ()
+    else begin
+      if i >= 0 then enter s d i;
+      let need = s.s_need.(d) and cost = s.s_cost_at.(d) in
+      let prune_at = s.s_cost -. epsilon in
+      if Bitvec.is_empty need then begin
+        if cost < prune_at then begin
+          s.s_incumbents <- s.s_incumbents + 1;
+          s.s_cost <- cost;
+          s.s_best <- List.init d (fun k -> s.s_pick_at.(d - k))
         end
+      end
+      (* The bound is max(Lagrangian, independent-column).  Rounding is
+         monotone, so [cost +. max a b >= x] holds exactly when [cost +. a
+         >= x || cost +. b >= x]: testing the cheap Lagrangian sum first
+         and computing the independent bound only when it does not prune
+         decides every node as the max would. *)
+      else if
+        cost +. Lagrangian.node_bound s.s_lag need >= prune_at
+        || cost +. independent_bound s need >= prune_at
+      then s.s_prunes <- s.s_prunes + 1
+      else branch s d need
+    end
   done
 
 (* ------------------------------------------------------------------ *)
 
 let solve ?weights ?(node_limit = 2_000_000) ?budget m =
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
-  Trace.with_span "ilp.solve"
-    ~args:[ ("rows", string_of_int n_rows); ("cols", string_of_int n_cols) ]
-  @@ fun () ->
-  Option.iter (check_weights n_rows) weights;
-  let w = match weights with None -> Array.make n_rows 1.0 | Some w -> w in
-  (* Columns no row covers are unreachable for any selection.  Solve the
-     coverable sub-instance and report the dead columns instead of
-     raising: on an unreduced matrix with undetectable faults the exact
-     method then degrades exactly like {!Greedy.solve}, which has always
-     skipped them. *)
-  let uncovered = Matrix.uncoverable m in
-  (* Incumbent: greedy upper bound — also the anytime fallback returned
-     when the node or wall-clock budget expires before the search ends. *)
-  let seed_rows, seed_cost = seed_of ?weights m in
-  (* A budget that expired before the search even starts (e.g. the matrix
-     build consumed the whole allowance) returns the greedy incumbent
-     immediately. *)
-  let already_expired =
-    match budget with
-    | Some b when Budget.expired b -> Budget.stop_reason b
-    | _ -> None
+  (* The span's result args say why the search stopped where it did:
+     its work, the root dual bound and the cost it ended with. *)
+  let span_args (r, prunes, incumbents, root_lb) =
+    [
+      ("nodes", string_of_int r.nodes_explored);
+      ("prunes", string_of_int prunes);
+      ("incumbent_updates", string_of_int incumbents);
+      ("stop_reason", stop_reason_name r.stop_reason);
+    ]
+    @ (match root_lb with
+      | Some lb -> [ ("root_lb", Printf.sprintf "%g" lb) ]
+      | None -> [])
+    @ [ ("cost", Printf.sprintf "%g" r.cost) ]
   in
-  match already_expired with
-  | Some r ->
+  let r, _, _, _ =
+    Trace.with_span "ilp.solve"
+      ~args:[ ("rows", string_of_int n_rows); ("cols", string_of_int n_cols) ]
+      ~result_args:span_args
+    @@ fun () ->
+    let w = weights_of ?weights m in
+    (* Columns no row covers are unreachable for any selection.  Solve the
+       coverable sub-instance and report the dead columns instead of
+       raising: on an unreduced matrix with undetectable faults the exact
+       method then degrades exactly like {!Greedy.solve}, which has always
+       skipped them. *)
+    let uncovered = Matrix.uncoverable m in
+    (* Incumbent: greedy upper bound — also the anytime fallback returned
+       when the node or wall-clock budget expires before the search ends. *)
+    let seed_rows, seed_cost = seed_of ?weights m in
+    let seed_result ~optimal stop_reason =
       {
         selected = List.sort compare seed_rows;
         cost = seed_cost;
-        optimal = false;
+        optimal;
         nodes_explored = 0;
-        stop_reason = Budget r;
+        stop_reason;
         uncovered;
       }
-  | None ->
-      let lag, bound = hybrid_bound m w ~ub:seed_cost in
-      if lag.Lagrangian.lb >= seed_cost -. epsilon then begin
-        (* The dual bound already meets the greedy seed: optimal without
-           opening a single node — the Lagrangian version of the paper's
-           "the reduction solved it" fast path. *)
-        Metrics.incr m_root_proofs;
-        {
-          selected = List.sort compare seed_rows;
-          cost = seed_cost;
-          optimal = true;
-          nodes_explored = 0;
-          stop_reason = Complete;
-          uncovered;
-        }
-      end
-      else begin
-        let s =
-          start ?weights ~node_limit ~bound ~seed:(seed_rows, seed_cost) m
-        in
-        advance ?budget s;
-        Metrics.add m_nodes s.s_nodes;
-        Metrics.add m_incumbents s.s_incumbents;
-        Metrics.add m_prunes s.s_prunes;
-        let selected, cost = best s in
-        {
-          selected;
-          cost;
-          optimal = s.s_stop = None;
-          nodes_explored = s.s_nodes;
-          stop_reason = (match s.s_stop with None -> Complete | Some r -> r);
-          uncovered;
-        }
-      end
+    in
+    (* A budget that expired before the search even starts (e.g. the matrix
+       build consumed the whole allowance) returns the greedy incumbent
+       immediately. *)
+    let already_expired =
+      match budget with
+      | Some b when Budget.expired b -> Budget.stop_reason b
+      | _ -> None
+    in
+    match already_expired with
+    | Some r -> (seed_result ~optimal:false (Budget r), 0, 0, None)
+    | None ->
+        let lag = root_bound m w ~ub:seed_cost in
+        let root_lb = Some lag.Lagrangian.lb in
+        if lag.Lagrangian.lb >= seed_cost -. epsilon then begin
+          (* The dual bound already meets the greedy seed: optimal without
+             opening a single node — the Lagrangian version of the paper's
+             "the reduction solved it" fast path. *)
+          Metrics.incr m_root_proofs;
+          (seed_result ~optimal:true Complete, 0, 0, root_lb)
+        end
+        else begin
+          let s =
+            make ~weights:w ~node_limit ~lag ~seed:(seed_rows, seed_cost) m
+          in
+          advance ?budget s;
+          Metrics.add m_nodes s.s_nodes;
+          Metrics.add m_incumbents s.s_incumbents;
+          Metrics.add m_prunes s.s_prunes;
+          let selected, cost = best s in
+          ( {
+              selected;
+              cost;
+              optimal = s.s_stop = None;
+              nodes_explored = s.s_nodes;
+              stop_reason = (match s.s_stop with None -> Complete | Some r -> r);
+              uncovered;
+            },
+            s.s_prunes,
+            s.s_incumbents,
+            root_lb )
+        end
+  in
+  r

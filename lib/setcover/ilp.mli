@@ -5,8 +5,8 @@
     subject to  A·x ≥ 1 (every column covered),  x ∈ {0,1}^rows
 
     Branch-and-bound: branch on the hardest column (fewest covering
-    rows), bound with the maximum of the weighted independent-column
-    bound and a {!Lagrangian} dual bound priced from root multipliers,
+    rows), bound with the maximum of a {!Lagrangian} dual bound priced
+    from root multipliers and the weighted independent-column bound,
     seed the incumbent with the (weighted) greedy solution.  A root dual
     bound that already meets the greedy seed proves optimality without
     opening a node.  When the search runs to completion ([stop_reason =
@@ -14,7 +14,15 @@
     what the paper gets out of LINGO on the reduced matrix.  When the
     node limit or the wall-clock budget trips first, the best incumbent
     found so far (at worst the greedy seed, always a valid cover) is
-    returned with [optimal = false] and the reason recorded. *)
+    returned with [optimal = false] and the reason recorded.
+
+    A search node allocates nothing beyond the boxed float of the
+    Lagrangian bound: per-column data (row count, cheapest covering
+    weight) is read once per search from the matrix's cached transpose,
+    each tree depth owns a residual buffer, and the frontier is held in
+    flat int arrays (see {e Resumable search}).  The
+    [ilp.solve] trace span reports nodes, prunes, incumbent updates, the
+    stop reason, the root Lagrangian bound and the final cost. *)
 
 open Reseed_util
 
@@ -60,19 +68,28 @@ val solve :
     can run a node quantum at a time and adopt foreign incumbents
     between quanta.  Pop order reproduces {!solve}'s recursion exactly,
     so a search left to run without injections explores the identical
-    node sequence. *)
+    node sequence.
+
+    A frame is two ints in flat arrays: the child's depth and the row it
+    picks.  Each depth owns one residual-need buffer and one cost slot;
+    popping a frame blits the parent's buffer (one depth up, intact by
+    depth-first order) and subtracts the row.  Candidates are ordered by
+    a stable insertion sort: cheapest first, larger marginal coverage on
+    weight ties, then row index.  The pruning test takes the Lagrangian
+    bound first and computes the independent-column bound only when the
+    Lagrangian one does not prune.  That decides every node exactly as
+    their maximum would: rounding is monotone, so [cost +. max a b >= x]
+    holds exactly when [cost +. a >= x || cost +. b >= x]. *)
 
 type search
 
-(** [start ?weights ?node_limit ?bound ?seed m] prepares a search.
-    [bound] overrides the pruning lower bound (default: the hybrid
-    independent-column / Lagrangian bound built at the root); [seed] is
-    the initial incumbent as [(rows, cost)] (default: the weighted
-    greedy cover). *)
+(** [start ?weights ?node_limit ?seed m] prepares a search, with the
+    root Lagrangian multipliers optimised against the seed's cost.
+    [seed] is the initial incumbent as [(rows, cost)] (default: the
+    weighted greedy cover). *)
 val start :
   ?weights:float array ->
   ?node_limit:int ->
-  ?bound:(Bitvec.t -> float) ->
   ?seed:int list * float ->
   Matrix.t ->
   search

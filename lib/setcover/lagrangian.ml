@@ -14,7 +14,9 @@ let epsilon = 1e-9
    evaluation is a valid lower bound.  Held–Karp step-size control: the
    agility λ halves after a few non-improving steps.  Everything is
    row-wise (one pass over the nonzeros per iteration); the column view
-   is never materialised, so the bound is usable on xl-tier matrices. *)
+   is never materialised, so the bound is usable on xl-tier matrices.
+   Every sum runs through [sum_at] or a [next_one] loop, in ascending
+   column order, so no float is boxed per nonzero. *)
 let optimize ?(iters = 25) ~ub ~weights m =
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
   let universe = Matrix.universe m in
@@ -43,16 +45,13 @@ let optimize ?(iters = 25) ~ub ~weights m =
     let slack = ref 0. in
     for i = 0 to n_rows - 1 do
       let r = Matrix.rowset m i in
-      let s = Rowset.fold_ones (fun acc j -> acc +. u.(j)) 0. r in
-      let reduced = weights.(i) -. s in
+      let reduced = weights.(i) -. Rowset.sum_at r u in
       if reduced < 0. then begin
         slack := !slack +. reduced;
         Rowset.iter_ones (fun j -> cov.(j) <- cov.(j) + 1) r
       end
     done;
-    let sum_u = ref 0. in
-    Bitvec.iter_ones (fun j -> sum_u := !sum_u +. u.(j)) universe;
-    let lb = !sum_u +. !slack in
+    let lb = Bitvec.sum_at universe u +. !slack in
     if lb > !best_lb +. epsilon then begin
       best_lb := lb;
       best_u := Array.copy u;
@@ -70,11 +69,12 @@ let optimize ?(iters = 25) ~ub ~weights m =
     else begin
       (* Subgradient of the uncovered-ness: g_j = 1 − |{i : x_i(u) = 1 ∋ j}|. *)
       let norm2 = ref 0. in
-      Bitvec.iter_ones
-        (fun j ->
-          let g = 1. -. float_of_int cov.(j) in
-          norm2 := !norm2 +. (g *. g))
-        universe;
+      let j = ref (Bitvec.next_one universe 0) in
+      while !j >= 0 do
+        let g = 1. -. float_of_int cov.(!j) in
+        norm2 := !norm2 +. (g *. g);
+        j := Bitvec.next_one universe (!j + 1)
+      done;
       if !norm2 < epsilon then stop := true (* x(u) is primal-feasible *)
       else begin
         let step = !lambda *. (ub -. lb) /. !norm2 in
@@ -95,6 +95,4 @@ let optimize ?(iters = 25) ~ub ~weights m =
    (u ≥ 0, fewer priced columns), so
      Σ_{j ∈ need} u_j + Σ_i min(0, w_i − u·row_i)   (slack at the root)
    lower-bounds the residual cover cost — an O(|need|) per-node bound. *)
-let node_bound t need =
-  let sum = Bitvec.fold_ones (fun acc j -> acc +. t.u.(j)) 0. need in
-  sum +. t.slack
+let node_bound t need = Bitvec.sum_at need t.u +. t.slack

@@ -12,7 +12,8 @@
     Used two ways by the solver stack: {!Ilp.solve} takes [lb ≥ ub − ε]
     as an optimality proof for its greedy seed without branching, and
     both the standalone ILP and the portfolio's racing legs prune with
-    [max(independent-column bound, node_bound)]. *)
+    [max(independent-column bound, node_bound)], testing [node_bound]
+    first. *)
 
 open Reseed_util
 
@@ -30,5 +31,6 @@ val optimize : ?iters:int -> ub:float -> weights:float array -> Matrix.t -> t
 
 (** [node_bound t need] is a lower bound on covering exactly the columns
     of [need] — monotone in [need], valid for every subproblem of the
-    matrix [t] was optimised on. *)
+    matrix [t] was optimised on.  It sums [u] over [need] in ascending
+    column order with a plain loop, boxing no float per column. *)
 val node_bound : t -> Bitvec.t -> float

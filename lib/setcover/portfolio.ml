@@ -306,10 +306,10 @@ let solve ?(config = default_config) ?weights ?budget ?pool m =
     }
   end
   else begin
-    (* No [?bound] override: [Ilp.start] defaults to the same hybrid
-       independent-column/Lagrangian bound [Ilp.solve] builds, so a leg
-       that closes without foreign incumbents explores the standalone
-       solver's exact node sequence and reports its exact answer. *)
+    (* [Ilp.start] builds the same Lagrangian/independent-column bound
+       [Ilp.solve] does, so a leg that closes without foreign incumbents
+       explores the standalone solver's exact node sequence and reports
+       its exact answer. *)
     let search =
       Ilp.start ?weights ~node_limit:config.node_limit
         ~seed:(seed_rows, seed_cost) m

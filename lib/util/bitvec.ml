@@ -20,6 +20,10 @@ let length v = v.len
 
 let copy v = { len = v.len; words = Array.copy v.words }
 
+let blit ~src ~dst =
+  if src.len <> dst.len then invalid_arg "Bitvec: length mismatch";
+  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+
 let check v i =
   if i < 0 || i >= v.len then invalid_arg "Bitvec: index out of range"
 
@@ -170,6 +174,36 @@ let fold_ones f acc v =
   let acc = ref acc in
   iter_ones (fun i -> acc := f !acc i) v;
   !acc
+
+(* A plain loop over the words, so the running sum stays an unboxed
+   local: no closure and no boxed float per set bit. *)
+let sum_at v a =
+  let acc = ref 0. in
+  let words = v.words in
+  for wi = 0 to Array.length words - 1 do
+    let w = ref (Array.unsafe_get words wi) in
+    let base = wi * bits_per_word in
+    while !w <> 0 do
+      acc := !acc +. a.(base + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
+  done;
+  !acc
+
+let next_one v i =
+  if i >= v.len then -1
+  else begin
+    let i = if i < 0 then 0 else i in
+    let words = v.words in
+    let n = Array.length words in
+    let wi = ref (i / bits_per_word) in
+    let w = ref (Array.unsafe_get words !wi land (-1 lsl (i mod bits_per_word))) in
+    while !w = 0 && !wi < n - 1 do
+      incr wi;
+      w := Array.unsafe_get words !wi
+    done;
+    if !w = 0 then -1 else (!wi * bits_per_word) + lowest_bit !w
+  end
 
 let first_one v =
   let n = Array.length v.words in

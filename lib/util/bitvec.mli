@@ -19,6 +19,10 @@ val length : t -> int
 (** [copy v] is a fresh vector equal to [v]. *)
 val copy : t -> t
 
+(** [blit ~src ~dst] overwrites [dst] with the bits of [src], without
+    allocating.  Both must have the same length. *)
+val blit : src:t -> dst:t -> unit
+
 (** [get v i] is bit [i].  Raises [Invalid_argument] when out of range. *)
 val get : t -> int -> bool
 
@@ -91,6 +95,15 @@ val iter_ones : (int -> unit) -> t -> unit
 
 (** [fold_ones f acc v] folds [f] over set-bit indices, ascending. *)
 val fold_ones : ('a -> int -> 'a) -> 'a -> t -> 'a
+
+(** [sum_at v a] is the sum of [a.(i)] over the set bits [i] of [v],
+    added in ascending order of [i], without allocating. *)
+val sum_at : t -> float array -> float
+
+(** [next_one v i] is the lowest set-bit index [>= i], or [-1] when there
+    is none.  A loop [next_one v 0], [next_one v (j + 1)], ... visits the
+    set bits in ascending order without a closure or any allocation. *)
+val next_one : t -> int -> int
 
 (** [first_one v] is the lowest set-bit index, or [None]. *)
 val first_one : t -> int option

@@ -91,6 +91,16 @@ let fold_ones f acc r =
   | RDense v -> Bitvec.fold_ones f acc v
   | RSparse idx -> Array.fold_left f acc idx
 
+let sum_at r a =
+  match r.rep with
+  | RDense v -> Bitvec.sum_at v a
+  | RSparse idx ->
+      let acc = ref 0. in
+      for k = 0 to Array.length idx - 1 do
+        acc := !acc +. a.(Array.unsafe_get idx k)
+      done;
+      !acc
+
 let to_list r = List.rev (fold_ones (fun acc i -> i :: acc) [] r)
 
 let to_bitvec r =

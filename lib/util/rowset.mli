@@ -42,6 +42,10 @@ val mem : t -> int -> bool
 val iter_ones : (int -> unit) -> t -> unit
 val fold_ones : ('a -> int -> 'a) -> 'a -> t -> 'a
 
+(** [sum_at r a] is {!Bitvec.sum_at} over the set columns of [r]:
+    ascending order, no allocation. *)
+val sum_at : t -> float array -> float
+
 (** [to_list r] is the ascending list of set columns. *)
 val to_list : t -> int list
 

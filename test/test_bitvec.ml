@@ -183,7 +183,25 @@ let prop_iteration_matches_scan =
       && List.rev (Bitvec.fold_ones (fun acc i -> i :: acc) [] v) = expected
       && Bitvec.to_list v = expected
       && Bitvec.first_one v
-         = (match expected with [] -> None | i :: _ -> Some i))
+         = (match expected with [] -> None | i :: _ -> Some i)
+      &&
+      let stepped = ref [] and j = ref (Bitvec.next_one v 0) in
+      while !j >= 0 do
+        stepped := !j :: !stepped;
+        j := Bitvec.next_one v (!j + 1)
+      done;
+      List.rev !stepped = expected
+      &&
+      (* [sum_at] adds in ascending order, so equality is exact. *)
+      let a = Array.init (Bitvec.length v) (fun i -> 0.37 *. float_of_int (i + 1)) in
+      let sum = List.fold_left (fun acc i -> acc +. a.(i)) 0. expected in
+      let copy = Bitvec.create (Bitvec.length v) in
+      Bitvec.blit ~src:v ~dst:copy;
+      Bitvec.sum_at v a = sum
+      && Rowset.sum_at (Rowset.dense_of_bitvec v) a = sum
+      && Rowset.sum_at (Rowset.of_sorted_array (Bitvec.length v) (Array.of_list expected)) a
+         = sum
+      && Bitvec.equal copy v)
 
 (* Bits outside the mask never reach the hash: [a] and [b] agree inside
    [mask] and differ arbitrarily outside it. *)

@@ -108,6 +108,34 @@ let test_reduce_span_args () =
   check_int "cols dominated" r.Reduce.cols_dominated (int_of_string (arg "cols_dominated"));
   check "residual span" true ((span "reduce.residual").Trace.ph = 'X')
 
+(* The [ilp.solve] span says why the search ended where it did: its
+   node, prune and incumbent counts (the same numbers the counters get),
+   the stop reason, the root Lagrangian bound and the final cost. *)
+let test_ilp_span_args () =
+  (* Greedy takes 3 rows here, the optimum is 2: the search branches. *)
+  let m =
+    Matrix.of_rows ~cols:8
+      (Array.map (Bitvec.of_list 8)
+         [| [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ]; [ 0; 1; 4; 5; 2 ] |])
+  in
+  let counter name =
+    match Metrics.get name with Some (Metrics.Counter_v n) -> n | _ -> 0
+  in
+  let prunes0 = counter "ilp_bound_prunes"
+  and incs0 = counter "ilp_incumbent_updates" in
+  let r = with_tracer @@ fun () -> Ilp.solve m in
+  let args = (List.find (fun e -> e.Trace.name = "ilp.solve") (Trace.events ())).Trace.args in
+  let arg key = List.assoc key args in
+  check "branched" true (r.Ilp.nodes_explored > 0);
+  check_int "nodes" r.Ilp.nodes_explored (int_of_string (arg "nodes"));
+  check_int "prunes" (counter "ilp_bound_prunes" - prunes0) (int_of_string (arg "prunes"));
+  check_int "incumbent updates"
+    (counter "ilp_incumbent_updates" - incs0)
+    (int_of_string (arg "incumbent_updates"));
+  check "stop reason" true (arg "stop_reason" = "complete");
+  check "root bound below the optimum" true (float_of_string (arg "root_lb") <= r.Ilp.cost);
+  check "cost" true (float_of_string (arg "cost") = r.Ilp.cost)
+
 let test_span_exception_recorded () =
   with_tracer @@ fun () ->
   (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
@@ -314,6 +342,7 @@ let suite =
         Alcotest.test_case "span result args" `Quick test_span_result_args;
         Alcotest.test_case "podem span args" `Quick test_podem_span_args;
         Alcotest.test_case "reduce span args" `Quick test_reduce_span_args;
+        Alcotest.test_case "ilp span args" `Quick test_ilp_span_args;
         Alcotest.test_case "instant" `Quick test_instant;
         Alcotest.test_case "merge determinism across jobs" `Quick test_merge_determinism;
         Alcotest.test_case "disabled zero alloc" `Quick test_disabled_zero_alloc;
