@@ -116,20 +116,13 @@ module Codec = struct
     u32 b (Bitvec.length v);
     Buffer.add_bytes b (Bitvec.to_bytes v)
 
-  (* A detection-matrix row in its native representation: sparse rows
-     are stored as their index list (tag 1), anything dense as packed
-     bits (tag 0) — so a 100k-column row that detects a dozen faults
-     costs ~50 bytes on disk instead of 12.5 kB. *)
-  let rowset b r =
-    match Rowset.repr r with
-    | Rowset.Sparse ->
-        Buffer.add_char b '\001';
-        u32 b (Rowset.length r);
-        u32 b (Rowset.count r);
-        Rowset.iter_ones (fun i -> u32 b i) r
-    | Rowset.Dense ->
-        Buffer.add_char b '\000';
-        bitvec b (Rowset.to_bitvec r)
+  (* A detection-matrix row: a tag byte, then the row.  Rows are always
+     written as packed bits (tag 0); tag 1, an index list, is what stores
+     filled by earlier versions hold for their sparse rows, and is still
+     read. *)
+  let row b v =
+    Buffer.add_char b '\000';
+    bitvec b v
 
   let pattern b p =
     u32 b (Array.length p);
@@ -212,17 +205,24 @@ module Codec = struct
     try Bitvec.of_bytes n (Bytes.of_string (String.sub r.s off nb))
     with Invalid_argument _ -> raise Malformed
 
-  let get_rowset r =
+  let get_row r =
     let tag = String.get r.s (take r 1) in
     match tag with
-    | '\000' -> Rowset.of_bitvec (get_bitvec r)
+    | '\000' -> get_bitvec r
     | '\001' ->
         let len = get_u32 r in
         let cnt = get_u32 r in
-        if cnt > len then raise Malformed;
-        let idx = Array.init cnt (fun _ -> get_u32 r) in
-        (try Rowset.of_sorted_array len idx
-         with Invalid_argument _ -> raise Malformed)
+        (* A truncated index list is caught before the row is allocated. *)
+        if cnt > len || 4 * cnt > String.length r.s - r.pos then raise Malformed;
+        let v = Bitvec.create len in
+        let prev = ref (-1) in
+        for _ = 1 to cnt do
+          let i = get_u32 r in
+          if i <= !prev || i >= len then raise Malformed;
+          Bitvec.set v i;
+          prev := i
+        done;
+        v
     | _ -> raise Malformed
 
   let get_pattern r =

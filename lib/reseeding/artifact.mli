@@ -64,11 +64,15 @@ module Codec : sig
   val int_list : Buffer.t -> int list -> unit
   val bitvec : Buffer.t -> Bitvec.t -> unit
 
-  (** [rowset] stores a detection-matrix row representation-aware: a
-      sparse row as its index list, a dense one as packed bits.
-      [get_rowset] rebuilds a packed row through {!Rowset.of_bitvec}'s
-      policy and an index list as a sparse row. *)
-  val rowset : Buffer.t -> Rowset.t -> unit
+  (** [row] stores a detection-matrix row: a tag byte [0], then the row
+      as {!bitvec}.  [get_row] reads that, and also tag [1] — the
+      ascending index list ([length], [count], then [count] indices)
+      that stores filled by earlier versions hold for rows sparser than
+      one set bit in 64 — expanding it into a fresh vector.  A count
+      above the length, an index out of range or not strictly above its
+      predecessor, an unknown tag or a truncated payload raises
+      {!Malformed}. *)
+  val row : Buffer.t -> Bitvec.t -> unit
 
   (** [pattern] / [patterns] pack simulator bit patterns LSB-first, eight
       per byte, length-prefixed. *)
@@ -92,7 +96,7 @@ module Codec : sig
   val get_str : reader -> string
   val get_int_list : reader -> int list
   val get_bitvec : reader -> Bitvec.t
-  val get_rowset : reader -> Rowset.t
+  val get_row : reader -> Bitvec.t
   val get_pattern : reader -> bool array
   val get_patterns : reader -> bool array array
   val get_word : reader -> Word.t

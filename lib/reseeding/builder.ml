@@ -83,7 +83,7 @@ let encode_built b =
     Array.iteri
       (fun i useful ->
         Artifact.Codec.u32 buf useful;
-        Artifact.Codec.rowset buf (Matrix.rowset b.matrix i))
+        Artifact.Codec.row buf (Matrix.row b.matrix i))
       b.useful_cycles;
     Some (Buffer.contents buf)
   end
@@ -97,13 +97,13 @@ let decode_built ~config ~tests ~targets tpg r =
   let rows =
     Array.init n (fun i ->
         useful_cycles.(i) <- Artifact.Codec.get_u32 r;
-        let row = Artifact.Codec.get_rowset r in
-        if Rowset.length row <> nf then raise Artifact.Codec.Malformed;
+        let row = Artifact.Codec.get_row r in
+        if Bitvec.length row <> nf then raise Artifact.Codec.Malformed;
         row)
   in
   {
     triplets = make_triplets ~config tpg tests;
-    matrix = Matrix.of_rowsets ~cols:nf rows;
+    matrix = Matrix.of_rows ~cols:nf rows;
     targets;
     useful_cycles;
     fault_sims = 0;
@@ -128,7 +128,7 @@ let encode_shard group =
       Array.iter
         (fun (useful, row) ->
           Artifact.Codec.u32 buf useful;
-          Artifact.Codec.rowset buf row)
+          Artifact.Codec.row buf row)
         rows;
       Some (Buffer.contents buf)
 
@@ -138,8 +138,8 @@ let decode_shard ~nf ~expect r =
   Some
     (Array.init n (fun _ ->
          let useful = Artifact.Codec.get_u32 r in
-         let row = Artifact.Codec.get_rowset r in
-         if Rowset.length row <> nf then raise Artifact.Codec.Malformed;
+         let row = Artifact.Codec.get_row r in
+         if Bitvec.length row <> nf then raise Artifact.Codec.Malformed;
          (useful, row)))
 
 let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
@@ -164,12 +164,10 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
   let triplets = make_triplets ~config tpg tests in
   let n = Array.length triplets in
   let useful_cycles = Array.make n 1 in
-  (* Rows start empty and are compacted the moment they are simulated;
-     only the in-flight rows of one chunk ever exist in dense scratch
-     form, so the full M x F matrix is never resident during
-     construction. *)
-  let empty_row = Rowset.of_sorted_array nf [||] in
-  let rows = Array.make n empty_row in
+  (* Every row starts as its own empty vector and is filled in place
+     once its burst is simulated; the matrix adopts the vectors as they
+     are. *)
+  let rows = Array.init n (fun _ -> Bitvec.create nf) in
   let completed = Array.make n false in
   let restored = ref 0 in
   (* One task per matrix row; each worker fault-simulates on its own
@@ -206,7 +204,7 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
                 (* An expired budget may have cut the sweep short: discard
                    the partial row rather than commit an understated one. *)
                 if not (Budget.check budget) then begin
-                  let row = Bitvec.create nf in
+                  let row = rows.(i) in
                   let useful = ref 1 in
                   Array.iteri
                     (fun fi first ->
@@ -216,7 +214,6 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
                           if p + 1 > !useful then useful := p + 1
                       | _ -> ())
                     firsts;
-                  rows.(i) <- Rowset.of_bitvec row;
                   useful_cycles.(i) <- !useful;
                   completed.(i) <- true
                 end
@@ -257,7 +254,7 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
   Metrics.add m_rows_computed (n - !restored - !skipped);
   Metrics.add m_ck_hits !restored;
   Metrics.add m_rows_skipped !skipped;
-  let matrix = Matrix.of_rowsets ~cols:nf rows in
+  let matrix = Matrix.of_rows ~cols:nf rows in
   {
     triplets;
     matrix;

@@ -92,9 +92,9 @@ val fingerprint :
     finished shards behind, and the rerun restores them row-for-row
     (counted in [rows_restored]) and simulates only the rest.  A shard
     that fails its checksum or decode is re-simulated, and a failed save
-    only costs a miss next run.  Rows are compacted to their
-    {!Reseed_util.Rowset} representation as soon as they are produced;
-    the full dense matrix is never resident during construction. *)
+    only costs a miss next run.  Each row is a packed vector over the
+    fault list, filled in place as its burst is simulated and adopted by
+    the matrix without a copy. *)
 val build :
   ?pool:Pool.t ->
   ?budget:Budget.t ->

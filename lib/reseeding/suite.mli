@@ -146,4 +146,5 @@ val full_suite : string list
 val xl_suite : string list
 (** the scale tier ({!Reseed_netlist.Library.xl_names}): scaled-up
     catalog members with roughly 10k-100k universe faults, exercising
-    the sparse-row and sharded matrix paths.  Minutes each — bench-only. *)
+    the sharded matrix build and the word-parallel reduction.  Minutes
+    each — bench-only. *)

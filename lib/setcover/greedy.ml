@@ -8,7 +8,7 @@ let solve m =
   while not (Bitvec.is_empty need) do
     let best = ref (-1) and best_gain = ref 0 in
     for i = 0 to Matrix.rows m - 1 do
-      let gain = Rowset.count_inter (Matrix.rowset m i) need in
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
       if gain > !best_gain then begin
         best := i;
         best_gain := gain
@@ -17,7 +17,7 @@ let solve m =
     (* Every needed column is coverable, so a positive-gain row exists. *)
     assert (!best >= 0);
     chosen := !best :: !chosen;
-    Rowset.diff_into ~into:need (Matrix.rowset m !best)
+    Bitvec.diff_into ~into:need (Matrix.row m !best)
   done;
   List.rev !chosen
 
@@ -40,7 +40,7 @@ let solve_weighted ?weights m =
       while not (Bitvec.is_empty need) do
         let best = ref (-1) and best_ratio = ref 0. in
         for i = 0 to Matrix.rows m - 1 do
-          let gain = Rowset.count_inter (Matrix.rowset m i) need in
+          let gain = Bitvec.count_inter (Matrix.row m i) need in
           if gain > 0 then begin
             let ratio = float_of_int gain /. w.(i) in
             if ratio > !best_ratio then begin
@@ -51,7 +51,7 @@ let solve_weighted ?weights m =
         done;
         assert (!best >= 0);
         chosen := !best :: !chosen;
-        Rowset.diff_into ~into:need (Matrix.rowset m !best)
+        Bitvec.diff_into ~into:need (Matrix.row m !best)
       done;
       List.rev !chosen
 

@@ -53,7 +53,7 @@ let check_weights n_rows w =
    because depth-first order pops every frame pushed below a child before
    the child's next sibling.
 
-   Everything fixed for the search is computed once in [make]: each
+   Everything fixed for the search is computed once in [start]: each
    column's row count and cheapest covering weight, and the column
    vectors of the matrix's cached transpose (shared, not copied).  With
    scratch arrays for the candidates and the independent bound, a node
@@ -97,9 +97,6 @@ type search = {
    branching, not polishing multipliers. *)
 let lagrangian_iters m = if Matrix.ones m > 2_000_000 then 8 else 25
 
-let root_bound m weights ~ub =
-  Lagrangian.optimize ~iters:(lagrangian_iters m) ~ub ~weights m
-
 let seed_of ?weights m =
   (* The incumbent must optimise the same objective as the search: a
      cardinality-greedy seed on a weighted instance both starts the
@@ -108,7 +105,42 @@ let seed_of ?weights m =
   let rows = Greedy.solve_weighted ?weights m in
   (rows, Greedy.cost ?weights rows)
 
-let make ~weights ~node_limit ~lag ~seed:(seed_rows, seed_cost) m =
+let weights_of ?weights m =
+  match weights with
+  | None -> Array.make (Matrix.rows m) 1.0
+  | Some w ->
+      check_weights (Matrix.rows m) w;
+      w
+
+(* The root of a search: the instance, its weights, the incumbent seed
+   and the Lagrangian bound optimised against the seed's cost.  Whoever
+   decides whether to branch at all reads the bound from here, and the
+   search adopts it, so it is computed once per solve. *)
+type root = {
+  r_matrix : Matrix.t;
+  r_weights : float array;
+  r_seed : int list * float;
+  r_lag : Lagrangian.t;
+}
+
+let root_of m w ((_, seed_cost) as seed) =
+  {
+    r_matrix = m;
+    r_weights = w;
+    r_seed = seed;
+    r_lag = Lagrangian.optimize ~iters:(lagrangian_iters m) ~ub:seed_cost ~weights:w m;
+  }
+
+let root ?weights ?seed m =
+  let w = weights_of ?weights m in
+  let seed = match seed with Some s -> s | None -> seed_of ?weights m in
+  root_of m w seed
+
+let root_lb r = r.r_lag.Lagrangian.lb
+
+let start ?(node_limit = 2_000_000) r =
+  let m = r.r_matrix and weights = r.r_weights in
+  let seed_rows, seed_cost = r.r_seed in
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
   let cols = Array.init n_cols (Matrix.col m) in
   let min_weight c =
@@ -117,7 +149,7 @@ let make ~weights ~node_limit ~lag ~seed:(seed_rows, seed_cost) m =
   {
     s_matrix = m;
     s_weights = weights;
-    s_lag = lag;
+    s_lag = r.r_lag;
     s_cols = cols;
     s_col_count = Array.map Bitvec.count cols;
     s_col_min_w = Array.map min_weight cols;
@@ -138,19 +170,6 @@ let make ~weights ~node_limit ~lag ~seed:(seed_rows, seed_cost) m =
     s_prunes = 0;
     s_stop = None;
   }
-
-let weights_of ?weights m =
-  match weights with
-  | None -> Array.make (Matrix.rows m) 1.0
-  | Some w ->
-      check_weights (Matrix.rows m) w;
-      w
-
-let start ?weights ?(node_limit = 2_000_000) ?seed m =
-  let w = weights_of ?weights m in
-  let seed = match seed with Some s -> s | None -> seed_of ?weights m in
-  let lag = root_bound m w ~ub:(snd seed) in
-  make ~weights:w ~node_limit ~lag ~seed m
 
 let inject s ~rows ~cost =
   if cost < s.s_cost -. epsilon then begin
@@ -186,7 +205,7 @@ let enter s d i =
   end;
   let need = s.s_need.(d) in
   Bitvec.blit ~src:s.s_need.(d - 1) ~dst:need;
-  Rowset.diff_into ~into:need (Matrix.rowset s.s_matrix i);
+  Bitvec.diff_into ~into:need (Matrix.row s.s_matrix i);
   s.s_cost_at.(d) <- s.s_cost_at.(d - 1) +. s.s_weights.(i);
   s.s_pick_at.(d) <- i
 
@@ -230,7 +249,7 @@ let branch s d need =
   let k = ref 0 in
   let i = ref (Bitvec.next_one col 0) in
   while !i >= 0 do
-    let row = !i and g = Rowset.count_inter (Matrix.rowset m !i) need in
+    let row = !i and g = Bitvec.count_inter (Matrix.row m !i) need in
     let p = ref !k in
     while
       !p > 0
@@ -349,19 +368,17 @@ let solve ?weights ?(node_limit = 2_000_000) ?budget m =
     match already_expired with
     | Some r -> (seed_result ~optimal:false (Budget r), 0, 0, None)
     | None ->
-        let lag = root_bound m w ~ub:seed_cost in
-        let root_lb = Some lag.Lagrangian.lb in
-        if lag.Lagrangian.lb >= seed_cost -. epsilon then begin
+        let root = root_of m w (seed_rows, seed_cost) in
+        let lb = root_lb root in
+        if lb >= seed_cost -. epsilon then begin
           (* The dual bound already meets the greedy seed: optimal without
              opening a single node — the Lagrangian version of the paper's
              "the reduction solved it" fast path. *)
           Metrics.incr m_root_proofs;
-          (seed_result ~optimal:true Complete, 0, 0, root_lb)
+          (seed_result ~optimal:true Complete, 0, 0, Some lb)
         end
         else begin
-          let s =
-            make ~weights:w ~node_limit ~lag ~seed:(seed_rows, seed_cost) m
-          in
+          let s = start ~node_limit root in
           advance ?budget s;
           Metrics.add m_nodes s.s_nodes;
           Metrics.add m_incumbents s.s_incumbents;
@@ -377,7 +394,7 @@ let solve ?weights ?(node_limit = 2_000_000) ?budget m =
             },
             s.s_prunes,
             s.s_incumbents,
-            root_lb )
+            Some lb )
         end
   in
   r

@@ -83,16 +83,23 @@ val solve :
 
 type search
 
-(** [start ?weights ?node_limit ?seed m] prepares a search, with the
-    root Lagrangian multipliers optimised against the seed's cost.
-    [seed] is the initial incumbent as [(rows, cost)] (default: the
-    weighted greedy cover). *)
-val start :
-  ?weights:float array ->
-  ?node_limit:int ->
-  ?seed:int list * float ->
-  Matrix.t ->
-  search
+(** The root of a search: the instance, its weights, the initial
+    incumbent and the root Lagrangian bound optimised against the
+    incumbent's cost.  Computing it is the whole root step; a caller
+    that finds {!root_lb} already meets the incumbent is done without
+    building a search. *)
+type root
+
+(** [root ?weights ?seed m] runs the root step.  [seed] is the initial
+    incumbent as [(rows, cost)] (default: the weighted greedy cover). *)
+val root : ?weights:float array -> ?seed:int list * float -> Matrix.t -> root
+
+(** [root_lb r] is the root Lagrangian lower bound. *)
+val root_lb : root -> float
+
+(** [start ?node_limit r] prepares the search below [r], adopting its
+    bound and incumbent. *)
+val start : ?node_limit:int -> root -> search
 
 (** [advance ?quantum ?budget s] explores up to [quantum] further nodes
     (default: unbounded), stopping early on exhaustion (optimality

@@ -25,11 +25,11 @@ let optimize ?(iters = 25) ~ub ~weights m =
      the cheapest offer per column — a feasible u ≥ 0 that already prices
      every coverable column. *)
   for i = 0 to n_rows - 1 do
-    let r = Matrix.rowset m i in
-    let c = Rowset.count r in
+    let r = Matrix.row m i in
+    let c = Bitvec.count r in
     if c > 0 then begin
       let share = weights.(i) /. float_of_int c in
-      Rowset.iter_ones
+      Bitvec.iter_ones
         (fun j -> if u.(j) = 0. || share < u.(j) then u.(j) <- share)
         r
     end
@@ -44,11 +44,11 @@ let optimize ?(iters = 25) ~ub ~weights m =
     Array.fill cov 0 n_cols 0;
     let slack = ref 0. in
     for i = 0 to n_rows - 1 do
-      let r = Matrix.rowset m i in
-      let reduced = weights.(i) -. Rowset.sum_at r u in
+      let r = Matrix.row m i in
+      let reduced = weights.(i) -. Bitvec.sum_at r u in
       if reduced < 0. then begin
         slack := !slack +. reduced;
-        Rowset.iter_ones (fun j -> cov.(j) <- cov.(j) + 1) r
+        Bitvec.iter_ones (fun j -> cov.(j) <- cov.(j) + 1) r
       end
     done;
     let lb = Bitvec.sum_at universe u +. !slack in

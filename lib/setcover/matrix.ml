@@ -3,7 +3,7 @@ open Reseed_util
 type t = {
   n_rows : int;
   n_cols : int;
-  rows : Rowset.t array; (* per row, over columns *)
+  rows : Bitvec.t array; (* per row, over columns *)
   mutable n_ones : int; (* incremental: updated by [set] *)
   mutable universe : Bitvec.t; (* union of all rows, over columns *)
   mutable transpose : Bitvec.t array option; (* per column, over rows; lazy *)
@@ -14,21 +14,20 @@ let create ~rows ~cols =
   {
     n_rows = rows;
     n_cols = cols;
-    rows = Array.init rows (fun _ -> Rowset.dense_of_bitvec (Bitvec.create cols));
+    rows = Array.init rows (fun _ -> Bitvec.create cols);
     n_ones = 0;
     universe = Bitvec.create cols;
     transpose = None;
   }
 
-let of_rowsets ~cols rows_arr =
+let of_rows ~cols rows_arr =
   let universe = Bitvec.create cols in
   let ones = ref 0 in
   Array.iter
     (fun r ->
-      if Rowset.length r <> cols then
-        invalid_arg "Matrix.of_rowsets: row width mismatch";
-      ones := !ones + Rowset.count r;
-      Rowset.union_into ~into:universe r)
+      if Bitvec.length r <> cols then invalid_arg "Matrix.of_rows: row width mismatch";
+      ones := !ones + Bitvec.count r;
+      Bitvec.union_into ~into:universe r)
     rows_arr;
   {
     n_rows = Array.length rows_arr;
@@ -39,21 +38,12 @@ let of_rowsets ~cols rows_arr =
     transpose = None;
   }
 
-let of_rows ~cols rows_arr =
-  of_rowsets ~cols
-    (Array.map
-       (fun v ->
-         if Bitvec.length v <> cols then
-           invalid_arg "Matrix.of_rows: row width mismatch";
-         Rowset.of_bitvec v)
-       rows_arr)
-
 let rows m = m.n_rows
 let cols m = m.n_cols
 
 let set m ~row ~col =
-  if not (Rowset.mem m.rows.(row) col) then begin
-    m.rows.(row) <- Rowset.add m.rows.(row) col;
+  if not (Bitvec.get m.rows.(row) col) then begin
+    Bitvec.set m.rows.(row) col;
     m.n_ones <- m.n_ones + 1;
     Bitvec.set m.universe col;
     match m.transpose with
@@ -61,11 +51,9 @@ let set m ~row ~col =
     | None -> ()
   end
 
-let get m ~row ~col = Rowset.mem m.rows.(row) col
+let get m ~row ~col = Bitvec.get m.rows.(row) col
 
-let rowset m i = m.rows.(i)
-
-let row m i = Rowset.to_bitvec m.rows.(i)
+let row m i = m.rows.(i)
 
 (* The transposed view is a one-shot shard, cached on the matrix: the
    exact end-game and the historical [col] API read columns, so the
@@ -78,7 +66,7 @@ let transpose m =
   | None ->
       let t = Array.init m.n_cols (fun _ -> Bitvec.create m.n_rows) in
       Array.iteri
-        (fun i r -> Rowset.iter_ones (fun j -> Bitvec.unsafe_set t.(j) i) r)
+        (fun i r -> Bitvec.iter_ones (fun j -> Bitvec.unsafe_set t.(j) i) r)
         m.rows;
       m.transpose <- Some t;
       t
@@ -95,7 +83,7 @@ let density m =
 
 let covers m ~rows_subset =
   let union = Bitvec.create m.n_cols in
-  List.iter (fun i -> Rowset.union_into ~into:union m.rows.(i)) rows_subset;
+  List.iter (fun i -> Bitvec.union_into ~into:union m.rows.(i)) rows_subset;
   Bitvec.subset m.universe union
 
 let uncoverable m =

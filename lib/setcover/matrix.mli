@@ -4,10 +4,10 @@
     [d(i,j) = 1] iff some pattern of the test set generated by triplet [i]
     detects fault [j].
 
-    Rows are the only authoritative storage, each held as a {!Rowset.t}
-    (dense packed bits or sorted-sparse, picked per row by density) — at 10k x 100k the redundant column-wise copy the matrix
-    used to keep would double a multi-hundred-megabyte footprint.  The
-    column view still exists, but as a one-shot transposed shard
+    Rows are the only authoritative storage, each a packed {!Bitvec.t}
+    over the columns — at 10k x 100k the redundant column-wise copy the
+    matrix used to keep would double a multi-hundred-megabyte footprint.
+    The column view still exists, but as a one-shot transposed shard
     materialised on the first {!col} and cached; the exact end-game
     reads it on the small reduced matrix.  The reduction ([Reduce.run])
     never calls it: it builds its own column view for the duration of
@@ -21,32 +21,23 @@ type t
 
 val create : rows:int -> cols:int -> t
 
-(** [of_rows ~cols rows] builds from row bitvectors (each of length
-    [cols]); each row is compacted to the representation the
-    {!Rowset.of_bitvec} policy picks. *)
+(** [of_rows ~cols rows] adopts the row bitvectors (each of length
+    [cols]) without copying: the matrix owns them from then on, so the
+    caller must not touch them afterwards, and no two rows may share a
+    vector. *)
 val of_rows : cols:int -> Bitvec.t array -> t
-
-(** [of_rowsets ~cols rows] adopts already-compacted rows without
-    copying. *)
-val of_rowsets : cols:int -> Rowset.t array -> t
 
 val rows : t -> int
 val cols : t -> int
 
 (** [set m ~row ~col] sets one cell.  Only meaningful for matrices built
-    with {!create} (test rigs and the reduction residual); a sparse row
-    is converted to mutable dense form first. *)
+    with {!create} (test rigs). *)
 val set : t -> row:int -> col:int -> unit
 
 val get : t -> row:int -> col:int -> bool
 
-(** [rowset m i] is row [i] in its native representation — the
-    allocation-free accessor scale-critical code uses. *)
-val rowset : t -> int -> Rowset.t
-
-(** [row m i] is a dense view of row [i]: the backing vector itself when
-    row [i] is stored dense (do not mutate), otherwise a fresh copy per
-    call. *)
+(** [row m i] is row [i]'s backing vector itself, without allocating;
+    callers must not mutate it. *)
 val row : t -> int -> Bitvec.t
 
 (** [col m j] exposes the internal column bitvector of the transposed

@@ -178,7 +178,7 @@ let grasp_cover ~rng ~alpha ~weight m =
   while (not !stuck) && not (Bitvec.is_empty need) do
     let best = ref 0. in
     for i = 0 to n - 1 do
-      let gain = Rowset.count_inter (Matrix.rowset m i) need in
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
       if gain > 0 then begin
         let r = float_of_int gain /. weight i in
         if r > !best then best := r
@@ -189,7 +189,7 @@ let grasp_cover ~rng ~alpha ~weight m =
       let thresh = alpha *. !best in
       let rcl = ref [] and size = ref 0 in
       for i = n - 1 downto 0 do
-        let gain = Rowset.count_inter (Matrix.rowset m i) need in
+        let gain = Bitvec.count_inter (Matrix.row m i) need in
         if gain > 0 && float_of_int gain /. weight i >= thresh then begin
           rcl := i :: !rcl;
           incr size
@@ -197,7 +197,7 @@ let grasp_cover ~rng ~alpha ~weight m =
       done;
       let choice = List.nth !rcl (Rng.int rng !size) in
       picked := choice :: !picked;
-      Rowset.diff_into ~into:need (Matrix.rowset m choice)
+      Bitvec.diff_into ~into:need (Matrix.row m choice)
     end
   done;
   (* Trim: drop rows whose every column stays covered without them,
@@ -205,7 +205,7 @@ let grasp_cover ~rng ~alpha ~weight m =
   let counts = Array.make (Matrix.cols m) 0 in
   List.iter
     (fun i ->
-      Rowset.iter_ones (fun j -> counts.(j) <- counts.(j) + 1) (Matrix.rowset m i))
+      Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) + 1) (Matrix.row m i))
     !picked;
   let order =
     List.sort
@@ -215,11 +215,11 @@ let grasp_cover ~rng ~alpha ~weight m =
   let kept =
     List.filter
       (fun i ->
-        let rs = Matrix.rowset m i in
+        let rs = Matrix.row m i in
         let redundant = ref true in
-        Rowset.iter_ones (fun j -> if counts.(j) < 2 then redundant := false) rs;
+        Bitvec.iter_ones (fun j -> if counts.(j) < 2 then redundant := false) rs;
         if !redundant then begin
-          Rowset.iter_ones (fun j -> counts.(j) <- counts.(j) - 1) rs;
+          Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) - 1) rs;
           false
         end
         else true)
@@ -279,15 +279,9 @@ let solve ?(config = default_config) ?weights ?budget ?pool m =
   let cost_of rows = Greedy.cost ?weights rows in
   let seed_rows = List.sort compare (Greedy.solve_weighted ?weights m) in
   let seed_cost = cost_of seed_rows in
-  let w_arr =
-    match weights with None -> Array.make n_rows 1.0 | Some w -> w
-  in
-  let lag =
-    Lagrangian.optimize
-      ~iters:(if Matrix.ones m > 2_000_000 then 8 else 25)
-      ~ub:seed_cost ~weights:w_arr m
-  in
-  if lag.Lagrangian.lb >= seed_cost -. epsilon then begin
+  let root = Ilp.root ?weights ~seed:(seed_rows, seed_cost) m in
+  let root_lb = Ilp.root_lb root in
+  if root_lb >= seed_cost -. epsilon then begin
     (* Dual bound meets the greedy seed at the root: optimal before any
        leg runs — identical to {!Ilp.solve}'s root short-circuit, so the
        two methods agree on these instances by construction. *)
@@ -301,19 +295,15 @@ let solve ?(config = default_config) ?weights ?budget ?pool m =
       proved_by = Some "bound";
       legs = [];
       rounds = 0;
-      root_lb = lag.Lagrangian.lb;
+      root_lb;
       uncovered;
     }
   end
   else begin
-    (* [Ilp.start] builds the same Lagrangian/independent-column bound
-       [Ilp.solve] does, so a leg that closes without foreign incumbents
-       explores the standalone solver's exact node sequence and reports
-       its exact answer. *)
-    let search =
-      Ilp.start ?weights ~node_limit:config.node_limit
-        ~seed:(seed_rows, seed_cost) m
-    in
+    (* The search adopts the root bound [Ilp.solve] would compute, so a
+       leg that closes without foreign incumbents explores the standalone
+       solver's exact node sequence and reports its exact answer. *)
+    let search = Ilp.start ~node_limit:config.node_limit root in
     let uniform =
       match weights with
       | None -> true
@@ -380,7 +370,7 @@ let solve ?(config = default_config) ?weights ?budget ?pool m =
             end
           end)
         active;
-      if !proved_by = None && lag.Lagrangian.lb >= !best_cost -. epsilon then
+      if !proved_by = None && root_lb >= !best_cost -. epsilon then
         proved_by := Some "bound";
       (match budget with
       | Some b when !proved_by = None && Budget.expired b ->
@@ -412,7 +402,7 @@ let solve ?(config = default_config) ?weights ?budget ?pool m =
       proved_by = !proved_by;
       legs = List.map stat_of legs;
       rounds = !rounds;
-      root_lb = lag.Lagrangian.lb;
+      root_lb;
       uncovered;
     }
   end

@@ -81,12 +81,12 @@ let run ?(config = default_config) ?row_weights m =
   Bitvec.fill_all row_mask;
   let col_active j = Bitvec.unsafe_get col_mask j in
   (* The column view: per column, the rows that cover it, filled in one
-     pass over the rows.  It holds the rows x columns cells the dense
-     rows hold, and is dropped on return: never cached on [m], so the
+     pass over the rows.  It holds the rows x columns cells the rows
+     hold, and is dropped on return: never cached on [m], so the
      large input matrices do not carry it between calls. *)
   let view = Array.init n_cols (fun _ -> Bitvec.create n_rows) in
   for i = 0 to n_rows - 1 do
-    Rowset.iter_ones (fun j -> Bitvec.unsafe_set view.(j) i) (Matrix.rowset m i)
+    Bitvec.iter_ones (fun j -> Bitvec.unsafe_set view.(j) i) (Matrix.row m i)
   done;
   let necessary = ref [] in
   let rows_dominated = ref 0 and cols_dominated = ref 0 in
@@ -96,7 +96,7 @@ let run ?(config = default_config) ?row_weights m =
   let select_row i =
     necessary := i :: !necessary;
     drop_row i;
-    Rowset.diff_into ~into:col_mask (Matrix.rowset m i)
+    Bitvec.diff_into ~into:col_mask (Matrix.row m i)
   in
   (* A column covered by exactly one active row makes that row
      essential.  Selecting it drops only columns it covers, so the cover
@@ -124,7 +124,7 @@ let run ?(config = default_config) ?row_weights m =
     let changed = ref false in
     let rows = Array.of_list (Bitvec.to_list row_mask) in
     let counts =
-      Array.map (fun i -> Rowset.count_inter (Matrix.rowset m i) col_mask) rows
+      Array.map (fun i -> Bitvec.count_inter (Matrix.row m i) col_mask) rows
     in
     let n = Array.length rows in
     (* Identical (masked) covers first, via one hash pass over the masked
@@ -134,12 +134,11 @@ let run ?(config = default_config) ?row_weights m =
     let seen = Hashtbl.create (max 16 n) in
     for a = 0 to n - 1 do
       let i = rows.(a) in
-      let r = Matrix.rowset m i in
-      (* A sparse row hashes through a temporary dense copy. *)
-      let h = Bitvec.hash_masked (Rowset.to_bitvec r) ~mask:col_mask in
+      let r = Matrix.row m i in
+      let h = Bitvec.hash_masked r ~mask:col_mask in
       let same slot =
         counts.(!slot) = counts.(a)
-        && Rowset.subset_masked r (Matrix.rowset m rows.(!slot)) ~mask:col_mask
+        && Bitvec.subset_masked r (Matrix.row m rows.(!slot)) ~mask:col_mask
       in
       match List.find_opt same (Hashtbl.find_all seen h) with
       | None -> Hashtbl.add seen h (ref a)
@@ -179,7 +178,7 @@ let run ?(config = default_config) ?row_weights m =
           if
             live.(b)
             && weight_ok ~dropped:i ~kept:k
-            && Rowset.subset_masked (Matrix.rowset m i) (Matrix.rowset m k)
+            && Bitvec.subset_masked (Matrix.row m i) (Matrix.row m k)
                  ~mask:col_mask
           then begin
             drop_row i;
@@ -279,7 +278,7 @@ let run ?(config = default_config) ?row_weights m =
   done;
   (* Rows left with no active column contribute nothing. *)
   Bitvec.iter_ones
-    (fun i -> if not (Rowset.intersects (Matrix.rowset m i) col_mask) then drop_row i)
+    (fun i -> if not (Bitvec.intersects (Matrix.row m i) col_mask) then drop_row i)
     row_mask;
   Metrics.add m_iterations !iterations;
   Metrics.add m_essential (List.length !necessary);
@@ -304,13 +303,13 @@ let residual m result =
   let sub =
     Array.map
       (fun i ->
-        let r = Matrix.rowset m i in
+        let r = Matrix.row m i in
         let v = Bitvec.create (Array.length cols) in
-        Array.iteri (fun cj j -> if Rowset.mem r j then Bitvec.unsafe_set v cj) cols;
-        Rowset.dense_of_bitvec v)
+        Array.iteri (fun cj j -> if Bitvec.get r j then Bitvec.unsafe_set v cj) cols;
+        v)
       rows
   in
-  (Matrix.of_rowsets ~cols:(Array.length cols) sub, rows, cols)
+  (Matrix.of_rows ~cols:(Array.length cols) sub, rows, cols)
 
 let cover_of m rows =
   let u = Bitvec.create (Matrix.cols m) in

@@ -23,9 +23,9 @@ let create ~ub m =
   (* Covering constraints, built row-wise (no transposed shard). *)
   let covering = Array.make n_cols [] in
   for i = n_rows - 1 downto 0 do
-    Rowset.iter_ones
+    Bitvec.iter_ones
       (fun j -> covering.(j) <- row_var i :: covering.(j))
-      (Matrix.rowset m i)
+      (Matrix.row m i)
   done;
   let universe = Matrix.universe m in
   for j = 0 to n_cols - 1 do

@@ -38,11 +38,11 @@ module Lagrangian = struct
        the cheapest offer per column — a feasible u ≥ 0 that already prices
        every coverable column. *)
     for i = 0 to n_rows - 1 do
-      let r = Matrix.rowset m i in
-      let c = Rowset.count r in
+      let r = Matrix.row m i in
+      let c = Bitvec.count r in
       if c > 0 then begin
         let share = weights.(i) /. float_of_int c in
-        Rowset.iter_ones
+        Bitvec.iter_ones
           (fun j -> if u.(j) = 0. || share < u.(j) then u.(j) <- share)
           r
       end
@@ -57,12 +57,12 @@ module Lagrangian = struct
       Array.fill cov 0 n_cols 0;
       let slack = ref 0. in
       for i = 0 to n_rows - 1 do
-        let r = Matrix.rowset m i in
-        let s = Rowset.fold_ones (fun acc j -> acc +. u.(j)) 0. r in
+        let r = Matrix.row m i in
+        let s = Bitvec.fold_ones (fun acc j -> acc +. u.(j)) 0. r in
         let reduced = weights.(i) -. s in
         if reduced < 0. then begin
           slack := !slack +. reduced;
-          Rowset.iter_ones (fun j -> cov.(j) <- cov.(j) + 1) r
+          Bitvec.iter_ones (fun j -> cov.(j) <- cov.(j) + 1) r
         end
       done;
       let sum_u = ref 0. in
@@ -291,7 +291,7 @@ let advance ?(quantum = max_int) ?budget s =
             if fr.f_sub < 0 then (fr.f_need, fr.f_chosen, fr.f_cost)
             else begin
               let need = Bitvec.copy fr.f_need in
-              Rowset.diff_into ~into:need (Matrix.rowset m fr.f_sub);
+              Bitvec.diff_into ~into:need (Matrix.row m fr.f_sub);
               (need, fr.f_sub :: fr.f_chosen, fr.f_cost +. weights.(fr.f_sub))
             end
           in
@@ -323,8 +323,8 @@ let advance ?(quantum = max_int) ?budget s =
                   if c <> 0 then c
                   else
                     Stdlib.compare
-                      (Rowset.count_inter (Matrix.rowset m b) need)
-                      (Rowset.count_inter (Matrix.rowset m a) need))
+                      (Bitvec.count_inter (Matrix.row m b) need)
+                      (Bitvec.count_inter (Matrix.row m a) need))
                 (Bitvec.to_list (Matrix.col m !pick))
             in
             (* Reverse push: the cheapest candidate is the next pop. *)

@@ -11,8 +11,8 @@ open Reseed_util
 module Ref = Ilp_reference
 
 (* A random small instance shaped to make ties: few distinct weights,
-   duplicated rows, and columns no row covers.  Widths up to 150 put
-   rows on both sides of [Rowset]'s sparse cutover. *)
+   duplicated rows, and columns no row covers.  Widths up to 150 span
+   several row words. *)
 let random_instance seed =
   let rng = Rng.create (seed + 7000) in
   let rows = 1 + Rng.int rng 30 in
@@ -80,7 +80,7 @@ let prop_resumable =
     (fun seed ->
       let rng, m, weights = random_instance seed in
       let node_limit = if Rng.bool rng then 2_000_000 else 1 + Rng.int rng 60 in
-      let s = Ilp.start ?weights ~node_limit m
+      let s = Ilp.start ~node_limit (Ilp.root ?weights m)
       and r = Ref.start ?weights ~node_limit m in
       let observe best nodes incs prunes stop exhausted =
         let rows, cost = best in

@@ -107,6 +107,51 @@ let test_artifact_cached_and_corruption () =
   check_string "overwritten artifact hits again" "hello" v4;
   check_int "rewarm hits" 1 hits
 
+(* Detection-matrix rows are written as packed bits (tag 0).  The
+   reader still expands an index list (tag 1), the form earlier versions
+   stored sparse rows in, and rejects every malformed variant of it. *)
+let test_row_codec () =
+  let bits = Bitvec.of_list 100 [ 3; 17; 64; 99 ] in
+  let decode s =
+    let r = Artifact.Codec.reader s in
+    let v = Artifact.Codec.get_row r in
+    (v, Artifact.Codec.at_end r)
+  in
+  let b = Buffer.create 32 in
+  Artifact.Codec.row b bits;
+  let packed = Buffer.contents b in
+  check "written as tag 0" true (packed.[0] = '\000');
+  let v, at_end = decode packed in
+  check "packed row round-trips" true (Bitvec.equal v bits && at_end);
+  let index_list ?(tag = '\001') ~len ~cnt idx =
+    let b = Buffer.create 32 in
+    Buffer.add_char b tag;
+    Artifact.Codec.u32 b len;
+    Artifact.Codec.u32 b cnt;
+    List.iter (Artifact.Codec.u32 b) idx;
+    Buffer.contents b
+  in
+  let v, at_end = decode (index_list ~len:100 ~cnt:4 [ 3; 17; 64; 99 ]) in
+  check "index list expands to the row" true (Bitvec.equal v bits && at_end);
+  let v, at_end = decode (index_list ~len:70 ~cnt:0 []) in
+  check "empty index list" true
+    (Bitvec.length v = 70 && Bitvec.is_empty v && at_end);
+  let malformed what s =
+    match decode s with
+    | exception Artifact.Codec.Malformed -> ()
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  malformed "count above length" (index_list ~len:2 ~cnt:3 [ 0; 1; 2 ]);
+  malformed "index out of range" (index_list ~len:100 ~cnt:2 [ 3; 100 ]);
+  malformed "repeated index" (index_list ~len:100 ~cnt:3 [ 3; 17; 17 ]);
+  malformed "descending indices" (index_list ~len:100 ~cnt:2 [ 17; 3 ]);
+  malformed "missing index" (index_list ~len:100 ~cnt:4 [ 3; 17; 64 ]);
+  let full = index_list ~len:100 ~cnt:4 [ 3; 17; 64; 99 ] in
+  malformed "truncated last index" (String.sub full 0 (String.length full - 1));
+  malformed "truncated header" (String.sub full 0 6);
+  malformed "unknown tag" (index_list ~tag:'\002' ~len:100 ~cnt:0 []);
+  malformed "empty payload" ""
+
 (* --- ATPG-stage invalidation ------------------------------------------ *)
 
 let test_atpg_stage_invalidation () =
@@ -432,6 +477,8 @@ let suite =
           test_circuit_fingerprint;
         Alcotest.test_case "artifact: cached + corruption recovery" `Quick
           test_artifact_cached_and_corruption;
+        Alcotest.test_case "artifact: row codec reads index lists" `Quick
+          test_row_codec;
         Alcotest.test_case "atpg stage: every knob invalidates" `Quick
           test_atpg_stage_invalidation;
         Alcotest.test_case "matrix stage: warm hit bit-identical" `Quick

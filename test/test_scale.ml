@@ -1,8 +1,7 @@
-(* Scale-tier equivalence properties: the dense and sparse Rowset
-   representations are interchangeable down to the end-to-end flow
-   result, the sharded matrix build reproduces the monolithic one, and
-   the word-parallel reduction and its residual match a direct
-   column-wise reference on random instances and real built matrices. *)
+(* Scale-tier equivalence properties: the sharded matrix build
+   reproduces the monolithic one, and the word-parallel reduction and
+   its residual match a direct column-wise reference on random instances
+   and real built matrices. *)
 
 open Reseed_core
 open Reseed_fault
@@ -10,86 +9,6 @@ open Reseed_netlist
 open Reseed_setcover
 open Reseed_tpg
 open Reseed_util
-
-let reprs = [ Rowset.Dense; Rowset.Sparse ]
-
-(* Run [f] with every subsequent [Rowset.of_bitvec] pinned to [r],
-   restoring the previous setting afterwards even on failure. *)
-let with_force r f =
-  let prev = Rowset.forced () in
-  Rowset.set_force r;
-  Fun.protect ~finally:(fun () -> Rowset.set_force prev) f
-
-let random_bitvec rng len ~density =
-  let v = Bitvec.create len in
-  for i = 0 to len - 1 do
-    if Rng.int rng 100 < density then Bitvec.set v i
-  done;
-  v
-
-(* Every representation of the same bit set answers every query the
-   dense one does. *)
-let prop_rowset_equivalence =
-  QCheck.Test.make ~name:"rowset: dense/sparse are interchangeable"
-    ~count:60
-    QCheck.(triple (int_range 1 300) (int_bound 100) (int_bound 9999))
-    (fun (len, density, seed) ->
-      let rng = Rng.create seed in
-      let v = random_bitvec rng len ~density in
-      let mask = random_bitvec rng len ~density:70 in
-      let other = random_bitvec rng len ~density in
-      let dense = Rowset.dense_of_bitvec v in
-      List.for_all
-        (fun r ->
-          let row = with_force (Some r) (fun () -> Rowset.of_bitvec v) in
-          Rowset.repr row = r
-          && Rowset.count row = Bitvec.count v
-          && Rowset.length row = len
-          && Bitvec.equal (Rowset.to_bitvec row) v
-          && Rowset.equal row dense
-          && Rowset.to_list row = Bitvec.to_list v)
-        reprs
-      &&
-      (* Set algebra agrees with the Bitvec reference for every
-         representation, and subset_masked for every representation
-         pair. *)
-      List.for_all
-        (fun r ->
-          let row = with_force (Some r) (fun () -> Rowset.of_bitvec v) in
-          let i = Rng.int rng len in
-          let u = Bitvec.create len in
-          Rowset.union_into ~into:u row;
-          let d = Bitvec.copy mask in
-          Rowset.diff_into ~into:d row;
-          let d_ref = Bitvec.copy mask in
-          Bitvec.iter_ones (fun j -> Bitvec.clear d_ref j) v;
-          Rowset.mem row i = Bitvec.get v i
-          && Bitvec.equal u v
-          && Bitvec.equal d d_ref
-          && Rowset.count_inter row mask = Bitvec.count_inter v mask
-          && Rowset.intersects row mask = (Bitvec.count_inter v mask > 0)
-          && List.for_all
-               (fun r2 ->
-                 let row2 = with_force (Some r2) (fun () -> Rowset.of_bitvec other) in
-                 Rowset.subset_masked row row2 ~mask
-                 = Bitvec.subset_masked v other ~mask
-                 && Rowset.equal row row2 = Bitvec.equal v other)
-               reprs)
-        reprs)
-
-(* The automatic policy is the density cutover alone: rows at or below
-   one set bit per 64 columns go sparse, every denser row goes dense
-   whatever its width. *)
-let prop_rowset_policy =
-  QCheck.Test.make ~name:"rowset: density cutover policy" ~count:40
-    QCheck.(pair (int_range 64 10000) (int_bound 9999))
-    (fun (len, seed) ->
-      let rng = Rng.create seed in
-      let sparse_v = Bitvec.create len in
-      Bitvec.set sparse_v (Rng.int rng len);
-      let dense_v = random_bitvec rng len ~density:50 in
-      Rowset.repr (Rowset.of_bitvec sparse_v) = Rowset.Sparse
-      && Rowset.repr (Rowset.of_bitvec dense_v) = Rowset.Dense)
 
 (* --- Sharded build vs monolithic build ------------------------------- *)
 
@@ -115,7 +34,7 @@ let same_build (a : Builder.t) (b : Builder.t) =
   Alcotest.(check int) "cols" (Matrix.cols a.Builder.matrix) (Matrix.cols b.Builder.matrix);
   Alcotest.(check int) "ones" (Matrix.ones a.Builder.matrix) (Matrix.ones b.Builder.matrix);
   for i = 0 to Matrix.rows a.Builder.matrix - 1 do
-    if not (Rowset.equal (Matrix.rowset a.Builder.matrix i) (Matrix.rowset b.Builder.matrix i))
+    if not (Bitvec.equal (Matrix.row a.Builder.matrix i) (Matrix.row b.Builder.matrix i))
     then Alcotest.failf "row %d differs between builds" i
   done;
   Alcotest.(check (array int)) "useful_cycles" a.Builder.useful_cycles b.Builder.useful_cycles
@@ -135,43 +54,6 @@ let test_sharded_build_matches () =
   with_tmp_store @@ fun store ->
   let sharded = Builder.build ~store sim tpg ~tests ~targets ~config in
   same_build mono sharded
-
-let test_build_identical_across_reprs () =
-  let sim, tpg, tests, targets = build_fixture () in
-  let config = Builder.default_config in
-  let auto = Builder.build sim tpg ~tests ~targets ~config in
-  List.iter
-    (fun r ->
-      let b =
-        with_force (Some r) (fun () -> Builder.build sim tpg ~tests ~targets ~config)
-      in
-      same_build auto b)
-    reprs
-
-(* The whole flow on a library circuit — build, reduce, exact solve,
-   truncation — gives the same triplets, coverage and test length with
-   every row pinned dense, every row pinned sparse, and the automatic
-   mix. *)
-let test_flow_identical_across_reprs () =
-  let p = Suite.prepare ~scale_factor:1 "s953" in
-  let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
-  let run r =
-    with_force r (fun () ->
-        Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets)
-  in
-  let auto = run None in
-  let triplet = Alcotest.testable Triplet.pp ( = ) in
-  List.iter
-    (fun r ->
-      let f = run (Some r) in
-      let what = Rowset.(match r with Dense -> "dense" | Sparse -> "sparse") in
-      Alcotest.(check (list triplet)) (what ^ " triplets")
-        auto.Flow.final_triplets f.Flow.final_triplets;
-      Alcotest.(check (float 0.)) (what ^ " coverage") auto.Flow.coverage_pct
-        f.Flow.coverage_pct;
-      Alcotest.(check int) (what ^ " test length") auto.Flow.test_length
-        f.Flow.test_length)
-    reprs
 
 (* --- Word-parallel reduction vs column-wise reference ----------------- *)
 
@@ -365,35 +247,26 @@ let prop_reduce_matches_reference =
         (Reduce.run ?row_weights:weights m)
         (reference_reduce ?row_weights:weights m))
 
-(* The residual holds exactly the surviving rows x columns of the input,
-   whichever representation backs the input's rows. *)
+(* The residual holds exactly the surviving rows x columns of the input. *)
 let prop_residual_matches_matrix =
   QCheck.Test.make ~name:"residual = input cells at the kept indices" ~count:20
     QCheck.(
       quad (int_range 2 130) (int_range 2 200) (int_range 5 97) (int_bound 9999))
     (fun (rows, cols, density, seed) ->
-      let base = random_matrix (Rng.create seed) ~rows ~cols ~density in
-      List.for_all
-        (fun r ->
-          with_force (Some r) (fun () ->
-              let m =
-                Matrix.of_rowsets ~cols
-                  (Array.init rows (fun i -> Rowset.of_bitvec (Matrix.row base i)))
-              in
-              let sub, rmap, cmap = Reduce.residual m (Reduce.run m) in
-              let same = ref true in
-              Array.iteri
-                (fun ri i ->
-                  Array.iteri
-                    (fun cj j ->
-                      if Matrix.get sub ~row:ri ~col:cj <> Matrix.get m ~row:i ~col:j
-                      then same := false)
-                    cmap)
-                rmap;
-              Matrix.rows sub = Array.length rmap
-              && Matrix.cols sub = Array.length cmap
-              && !same))
-        reprs)
+      let m = random_matrix (Rng.create seed) ~rows ~cols ~density in
+      let sub, rmap, cmap = Reduce.residual m (Reduce.run m) in
+      let same = ref true in
+      Array.iteri
+        (fun ri i ->
+          Array.iteri
+            (fun cj j ->
+              if Matrix.get sub ~row:ri ~col:cj <> Matrix.get m ~row:i ~col:j then
+                same := false)
+            cmap)
+        rmap;
+      Matrix.rows sub = Array.length rmap
+      && Matrix.cols sub = Array.length cmap
+      && !same)
 
 (* The column-dominance limit still short-circuits the pass without a
    transpose: over the limit both sides must leave columns alone. *)
@@ -422,27 +295,6 @@ let test_reduce_matches_on_built_matrix () =
          (reference_reduce ~row_weights:weights m))
   then Alcotest.fail "weighted reduction diverged on a built matrix"
 
-(* Same covering solution whichever representation backs the rows. *)
-let prop_solution_identity_across_reprs =
-  QCheck.Test.make ~name:"solve: identical across row representations" ~count:15
-    QCheck.(quad (int_range 2 12) (int_range 2 30) (int_range 5 60) (int_bound 9999))
-    (fun (rows, cols, density, seed) ->
-      let rng = Rng.create seed in
-      let m = random_matrix rng ~rows ~cols ~density in
-      let base = Solution.solve m in
-      List.for_all
-        (fun r ->
-          with_force (Some r) (fun () ->
-              let rs =
-                Array.init rows (fun i -> Rowset.of_bitvec (Matrix.row m i))
-              in
-              let m2 = Matrix.of_rowsets ~cols rs in
-              let s = Solution.solve m2 in
-              s.Solution.rows = base.Solution.rows
-              && s.Solution.stats.Solution.necessary
-                 = base.Solution.stats.Solution.necessary))
-        reprs)
-
 (* The xl tier is defined by its size: every member carries at least
    10,000 uncollapsed faults at its full catalog gate count. *)
 let test_xl_tier_size () =
@@ -456,20 +308,13 @@ let suite =
   [
     ( "scale",
       [
-        QCheck_alcotest.to_alcotest prop_rowset_equivalence;
-        QCheck_alcotest.to_alcotest prop_rowset_policy;
         Alcotest.test_case "sharded build = monolithic build" `Quick
           test_sharded_build_matches;
-        Alcotest.test_case "build identical across representations" `Quick
-          test_build_identical_across_reprs;
-        Alcotest.test_case "flow identical across representations" `Quick
-          test_flow_identical_across_reprs;
         QCheck_alcotest.to_alcotest prop_reduce_matches_reference;
         QCheck_alcotest.to_alcotest prop_reduce_coldom_limit;
         QCheck_alcotest.to_alcotest prop_residual_matches_matrix;
         Alcotest.test_case "word-parallel reduce = reference on built matrix" `Quick
           test_reduce_matches_on_built_matrix;
-        QCheck_alcotest.to_alcotest prop_solution_identity_across_reprs;
         Alcotest.test_case "xl tier: >= 10k universe faults" `Quick test_xl_tier_size;
       ] );
   ]

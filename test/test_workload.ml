@@ -489,6 +489,23 @@ let test_compress_cached_solve_identical () =
         && warm.Workload.entries = plain.Workload.entries))
     Solution.[ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
 
+(* At width 12 the ATPG corpora of c880 and s953 give the sparsest
+   covering matrices the workload builds — every row holds at most one
+   set bit per 64 columns.  Their shape and answer are pinned to the
+   values recorded when such rows were still stored as index lists. *)
+let test_compress_atpg_corpora_pinned () =
+  List.iter
+    (fun (name, (rows, cols), necessary, entries) ->
+      let p = Suite.prepare_circuit (Library.load ~scale_factor:1 name) in
+      let corpus = Workload.corpus_of_patterns ~width:12 p.Suite.tests in
+      let r = Workload.solve corpus in
+      let st = r.Workload.solution.Solution.stats in
+      check_int (name ^ " matrix rows") rows st.Solution.initial_rows;
+      check_int (name ^ " matrix cols") cols st.Solution.initial_cols;
+      check_int (name ^ " necessary") necessary (List.length st.Solution.necessary);
+      check_int (name ^ " entries") entries (List.length r.Workload.entries))
+    [ ("c880", (309, 320), 309, 309); ("s953", (271, 284), 252, 252) ]
+
 let random_corpus_text rng ~lines ~width ~exact ~allow_x =
   String.concat "\n"
     (List.init lines (fun _ ->
@@ -577,6 +594,8 @@ let suite =
           test_compress_solve_and_accounting;
         Alcotest.test_case "compress: cached solve identical" `Quick
           test_compress_cached_solve_identical;
+        Alcotest.test_case "compress: sparse ATPG corpora pinned" `Quick
+          test_compress_atpg_corpora_pinned;
         QCheck_alcotest.to_alcotest prop_compress_no_x_cost;
         QCheck_alcotest.to_alcotest prop_compress_with_x_covers;
       ] );
