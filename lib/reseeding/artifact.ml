@@ -90,17 +90,8 @@ let write_atomic path data =
         (Unix.error_message e)
 
 module Codec = struct
-  let u32 b v =
-    for k = 0 to 3 do
-      Buffer.add_char b (Char.chr ((v lsr (8 * k)) land 0xff))
-    done
-
-  let u64 b v =
-    for k = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff))
-    done
-
+  let u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+  let u64 b v = Buffer.add_int64_le b v
   let vint b v = u64 b (Int64.of_int v)
   let float b v = u64 b (Int64.bits_of_float v)
 
@@ -124,17 +115,21 @@ module Codec = struct
     Buffer.add_char b '\000';
     bitvec b v
 
+  (* LSB-first, eight bits per byte, each byte gathered in an int. *)
+  let add_packed b bits =
+    let n = Array.length bits in
+    let acc = ref 0 in
+    for i = 0 to n - 1 do
+      if Array.unsafe_get bits i then acc := !acc lor (1 lsl (i land 7));
+      if i land 7 = 7 || i = n - 1 then begin
+        Buffer.add_char b (Char.unsafe_chr !acc);
+        acc := 0
+      end
+    done
+
   let pattern b p =
     u32 b (Array.length p);
-    let nb = (Array.length p + 7) / 8 in
-    let by = Bytes.make nb '\000' in
-    Array.iteri
-      (fun i bit ->
-        if bit then
-          Bytes.set by (i / 8)
-            (Char.chr (Char.code (Bytes.get by (i / 8)) lor (1 lsl (i mod 8)))))
-      p;
-    Buffer.add_bytes b by
+    add_packed b p
 
   let patterns b ps =
     u32 b (Array.length ps);
@@ -143,43 +138,24 @@ module Codec = struct
   let word b w =
     let bits = Word.to_bits w in
     u32 b (Array.length bits);
-    let nb = (Array.length bits + 7) / 8 in
-    let by = Bytes.make nb '\000' in
-    Array.iteri
-      (fun i bit ->
-        if bit then
-          Bytes.set by (i / 8)
-            (Char.chr (Char.code (Bytes.get by (i / 8)) lor (1 lsl (i mod 8)))))
-      bits;
-    Buffer.add_bytes b by
+    add_packed b bits
 
-  type reader = { s : string; mutable pos : int }
+  (* A reader walks [s] from [pos] up to [stop]: a payload is read in
+     place inside the blob that holds it. *)
+  type reader = { s : string; mutable pos : int; stop : int }
 
   exception Malformed
 
-  let reader s = { s; pos = 0 }
+  let reader s = { s; pos = 0; stop = String.length s }
 
   let take r n =
-    if n < 0 || r.pos + n > String.length r.s then raise Malformed;
+    if n < 0 || n > r.stop - r.pos then raise Malformed;
     let off = r.pos in
     r.pos <- off + n;
     off
 
-  let get_u32 r =
-    let off = take r 4 in
-    let v = ref 0 in
-    for k = 3 downto 0 do
-      v := (!v lsl 8) lor Char.code r.s.[off + k]
-    done;
-    !v
-
-  let get_u64 r =
-    let off = take r 8 in
-    let v = ref 0L in
-    for k = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.s.[off + k]))
-    done;
-    !v
+  let get_u32 r = Int32.to_int (String.get_int32_le r.s (take r 4)) land 0xffff_ffff
+  let get_u64 r = String.get_int64_le r.s (take r 8)
 
   let get_vint r =
     let v = get_u64 r in
@@ -200,10 +176,8 @@ module Codec = struct
 
   let get_bitvec r =
     let n = get_u32 r in
-    let nb = (n + 7) / 8 in
-    let off = take r nb in
-    try Bitvec.of_bytes n (Bytes.of_string (String.sub r.s off nb))
-    with Invalid_argument _ -> raise Malformed
+    let off = take r ((n + 7) / 8) in
+    try Bitvec.of_substring n r.s off with Invalid_argument _ -> raise Malformed
 
   let get_row r =
     let tag = String.get r.s (take r 1) in
@@ -213,7 +187,7 @@ module Codec = struct
         let len = get_u32 r in
         let cnt = get_u32 r in
         (* A truncated index list is caught before the row is allocated. *)
-        if cnt > len || 4 * cnt > String.length r.s - r.pos then raise Malformed;
+        if cnt > len || 4 * cnt > r.stop - r.pos then raise Malformed;
         let v = Bitvec.create len in
         let prev = ref (-1) in
         for _ = 1 to cnt do
@@ -225,11 +199,12 @@ module Codec = struct
         v
     | _ -> raise Malformed
 
-  let get_pattern r =
-    let n = get_u32 r in
-    let nb = (n + 7) / 8 in
-    let off = take r nb in
-    Array.init n (fun i -> Char.code r.s.[off + (i / 8)] land (1 lsl (i mod 8)) <> 0)
+  let get_packed r n =
+    let off = take r ((n + 7) / 8) in
+    Array.init n (fun i ->
+        Char.code (String.unsafe_get r.s (off + (i lsr 3))) land (1 lsl (i land 7)) <> 0)
+
+  let get_pattern r = get_packed r (get_u32 r)
 
   let get_patterns r =
     let n = get_u32 r in
@@ -238,16 +213,13 @@ module Codec = struct
   let get_word r =
     let n = get_u32 r in
     if n < 1 || n > 4096 then raise Malformed;
-    let nb = (n + 7) / 8 in
-    let off = take r nb in
-    Word.of_bits
-      (Array.init n (fun i ->
-           Char.code r.s.[off + (i / 8)] land (1 lsl (i mod 8)) <> 0))
+    Word.of_bits (get_packed r n)
 
-  let at_end r = r.pos = String.length r.s
+  let at_end r = r.pos = r.stop
 end
 
-let checksum payload = Fingerprint.raw_string Fingerprint.empty payload
+(* The FNV-1a of the [len] payload bytes at [pos] of [s]. *)
+let checksum s pos len = Fingerprint.raw_substring Fingerprint.empty s pos len
 let kind_digest kind = Fingerprint.string (Fingerprint.salted "artifact-kind") kind
 
 let encode ~kind ~fingerprint payload =
@@ -257,10 +229,13 @@ let encode ~kind ~fingerprint payload =
   Codec.u64 b (kind_digest kind);
   Codec.u64 b fingerprint;
   Codec.u32 b (String.length payload);
-  Codec.u64 b (checksum payload);
+  Codec.u64 b (checksum payload 0 (String.length payload));
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* The payload's reader, or [None] for a defective blob.  The checksum
+   is computed over the payload where it lies, and the reader decodes it
+   there: nothing is copied. *)
 let decode ~kind ~fingerprint s =
   if String.length s < header_bytes then None
   else
@@ -275,9 +250,8 @@ let decode ~kind ~fingerprint s =
         let len = Codec.get_u32 r in
         let cks = Codec.get_u64 r in
         if String.length s <> header_bytes + len then None
-        else
-          let payload = String.sub s header_bytes len in
-          if Fingerprint.equal (checksum payload) cks then Some payload else None
+        else if Fingerprint.equal (checksum s header_bytes len) cks then Some r
+        else None
       end
     with Codec.Malformed -> None
 
@@ -322,7 +296,7 @@ let load t ~stage fp =
   | None -> None
   | Some s -> (
       match decode ~kind:stage ~fingerprint:fp s with
-      | Some payload -> Some payload
+      | Some r -> Some r
       | None ->
           Metrics.incr m_corrupt;
           None)
@@ -344,11 +318,10 @@ let cached store ~stage ~fp ~encode:enc ~decode:dec compute =
       let decoded =
         match load t ~stage fp with
         | None -> None
-        | Some payload -> (
+        | Some r -> (
             (* Any decoder failure — truncated stream, out-of-range field,
                trailing bytes — is corruption: recompute and overwrite. *)
             try
-              let r = Codec.reader payload in
               let v = dec r in
               if Codec.at_end r then Some v
               else begin

@@ -122,10 +122,11 @@ val root : store -> string
     exists). *)
 val path : store -> stage:string -> Fingerprint.t -> string
 
-(** [load store ~stage fp] is the decoded payload, or [None] when the
-    artifact is absent or structurally defective: wrong magic or
-    version, foreign stage or fingerprint, bad length or checksum. *)
-val load : store -> stage:string -> Fingerprint.t -> string option
+(** [load store ~stage fp] is a reader over the artifact's payload, read
+    in place in the file's bytes, or [None] when the artifact is absent
+    or structurally defective: wrong magic or version, foreign stage or
+    fingerprint, bad length or checksum. *)
+val load : store -> stage:string -> Fingerprint.t -> Codec.reader option
 
 (** [save store ~stage fp payload] persists atomically. *)
 val save : store -> stage:string -> Fingerprint.t -> string -> unit

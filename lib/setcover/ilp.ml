@@ -56,9 +56,9 @@ let check_weights n_rows w =
    Everything fixed for the search is computed once in [start]: each
    column's row count and cheapest covering weight, and the column
    vectors of the matrix's cached transpose (shared, not copied).  With
-   scratch arrays for the candidates and the independent bound, a node
-   allocates nothing but the boxed float [Lagrangian.node_bound] returns
-   (and the one it gets from [Bitvec.sum_at]).
+   scratch arrays for the candidates and the independent bound, and the
+   Lagrangian bound received through a one-slot float array, a node
+   allocates nothing.
 
    The pop-order reproduces the historical recursive traversal exactly:
    candidates are pushed in reverse, so the cheapest-first candidate
@@ -76,6 +76,7 @@ type search = {
   s_used : Bitvec.t; (* scratch: rows claimed by the independent bound *)
   s_cand : int array; (* scratch: candidate rows of the branching column *)
   s_gain : int array; (* scratch: each candidate's marginal coverage *)
+  s_lag_bound : float array; (* scratch: the node's Lagrangian bound *)
   (* Per depth; depth 0 is the root. *)
   mutable s_need : Bitvec.t array; (* residual columns *)
   mutable s_cost_at : float array;
@@ -157,6 +158,7 @@ let start ?(node_limit = 2_000_000) r =
     s_used = Bitvec.create n_rows;
     s_cand = Array.make n_rows 0;
     s_gain = Array.make n_rows 0;
+    s_lag_bound = [| 0. |];
     s_need = [| Bitvec.copy (Matrix.universe m) |];
     s_cost_at = [| 0. |];
     s_pick_at = [| -1 |];
@@ -307,7 +309,8 @@ let advance ?(quantum = max_int) ?budget s =
          and computing the independent bound only when it does not prune
          decides every node as the max would. *)
       else if
-        cost +. Lagrangian.node_bound s.s_lag need >= prune_at
+        (Lagrangian.node_bound_into s.s_lag need s.s_lag_bound 0;
+         cost +. s.s_lag_bound.(0) >= prune_at)
         || cost +. independent_bound s need >= prune_at
       then s.s_prunes <- s.s_prunes + 1
       else branch s d need

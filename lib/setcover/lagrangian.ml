@@ -96,3 +96,7 @@ let optimize ?(iters = 25) ~ub ~weights m =
      Σ_{j ∈ need} u_j + Σ_i min(0, w_i − u·row_i)   (slack at the root)
    lower-bounds the residual cover cost — an O(|need|) per-node bound. *)
 let node_bound t need = Bitvec.sum_at need t.u +. t.slack
+
+let node_bound_into t need dst k =
+  Bitvec.sum_at_into need t.u dst k;
+  dst.(k) <- dst.(k) +. t.slack

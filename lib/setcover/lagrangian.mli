@@ -34,3 +34,8 @@ val optimize : ?iters:int -> ub:float -> weights:float array -> Matrix.t -> t
     matrix [t] was optimised on.  It sums [u] over [need] in ascending
     column order with a plain loop, boxing no float per column. *)
 val node_bound : t -> Bitvec.t -> float
+
+(** [node_bound_into t need dst k] stores [node_bound t need] in
+    [dst.(k)]: the same value, handed over through a flat float array so
+    that a search loop in another module receives it without a box. *)
+val node_bound_into : t -> Bitvec.t -> float array -> int -> unit

@@ -176,8 +176,10 @@ let fold_ones f acc v =
   !acc
 
 (* A plain loop over the words, so the running sum stays an unboxed
-   local: no closure and no boxed float per set bit. *)
-let sum_at v a =
+   local: no closure and no boxed float per set bit.  Inlined into
+   [sum_at_into], whose caller gets the sum through a flat float array
+   and so without a box even across a module boundary. *)
+let[@inline] sum_at v a =
   let acc = ref 0. in
   let words = v.words in
   for wi = 0 to Array.length words - 1 do
@@ -189,6 +191,8 @@ let sum_at v a =
     done
   done;
   !acc
+
+let sum_at_into v a dst k = dst.(k) <- sum_at v a
 
 let next_one v i =
   if i >= v.len then -1
@@ -235,30 +239,69 @@ let to_list v = List.rev (fold_ones (fun acc i -> i :: acc) [] v)
 let append_ones v buf = fold_ones (fun acc i -> i :: acc) buf v
 
 (* 8 bits per byte, independent of the 62-bit packing, so the encoding is
-   stable across any future change of the in-memory word layout. *)
+   stable across any future change of the in-memory word layout.  Both
+   directions move a whole byte at a time: byte [k] holds bits [8k ..
+   8k+7], which start at bit [off] of word [w] and run on into word
+   [w + 1] when [off > 54], since 62 is not a multiple of 8.  Bits at or
+   above [len] are zero in every word, so no byte needs masking. *)
 let to_bytes v =
   let nb = (v.len + 7) / 8 in
-  let b = Bytes.make nb '\000' in
-  for i = 0 to v.len - 1 do
-    if v.words.(i / bits_per_word) lsr (i mod bits_per_word) land 1 = 1 then
-      Bytes.set_uint8 b (i / 8) (Bytes.get_uint8 b (i / 8) lor (1 lsl (i mod 8)))
+  let b = Bytes.create nb in
+  let words = v.words in
+  let nw = Array.length words in
+  let w = ref 0 and off = ref 0 in
+  for k = 0 to nb - 1 do
+    let x = Array.unsafe_get words !w lsr !off in
+    let x =
+      if !off > bits_per_word - 8 && !w + 1 < nw then
+        x lor (Array.unsafe_get words (!w + 1) lsl (bits_per_word - !off))
+      else x
+    in
+    Bytes.unsafe_set b k (Char.unsafe_chr (x land 0xff));
+    off := !off + 8;
+    if !off >= bits_per_word then begin
+      off := !off - bits_per_word;
+      incr w
+    end
   done;
   b
+
+(* Decodes the [ceil (n / 8)] bytes of [s] at [pos], bounds already
+   checked; [fn] names the caller in the padding error. *)
+let unpack fn n s pos =
+  let nb = (n + 7) / 8 in
+  (* Padding bits beyond [n] must be zero: catches truncation/corruption
+     that a length check alone would miss. *)
+  if n mod 8 <> 0 && Char.code s.[pos + nb - 1] lsr (n mod 8) <> 0 then
+    invalid_arg (fn ^ ": nonzero padding");
+  let v = create n in
+  let words = v.words in
+  let nw = Array.length words in
+  let w = ref 0 and off = ref 0 in
+  for k = 0 to nb - 1 do
+    let x = Char.code (String.unsafe_get s (pos + k)) in
+    Array.unsafe_set words !w
+      (Array.unsafe_get words !w lor ((x lsl !off) land full_mask));
+    if !off > bits_per_word - 8 && !w + 1 < nw then
+      Array.unsafe_set words (!w + 1) (x lsr (bits_per_word - !off));
+    off := !off + 8;
+    if !off >= bits_per_word then begin
+      off := !off - bits_per_word;
+      incr w
+    end
+  done;
+  v
 
 let of_bytes n b =
   if n < 0 then invalid_arg "Bitvec.of_bytes: negative length";
   if Bytes.length b <> (n + 7) / 8 then invalid_arg "Bitvec.of_bytes: size mismatch";
-  let v = create n in
-  for i = 0 to n - 1 do
-    if Bytes.get_uint8 b (i / 8) lsr (i mod 8) land 1 = 1 then set v i
-  done;
-  (* Padding bits beyond [n] must be zero: catches truncation/corruption
-     that a length check alone would miss. *)
-  if n mod 8 <> 0 then begin
-    let last = Bytes.get_uint8 b (Bytes.length b - 1) in
-    if last lsr (n mod 8) <> 0 then invalid_arg "Bitvec.of_bytes: nonzero padding"
-  end;
-  v
+  unpack "Bitvec.of_bytes" n (Bytes.unsafe_to_string b) 0
+
+let of_substring n s pos =
+  if n < 0 then invalid_arg "Bitvec.of_substring: negative length";
+  if pos < 0 || pos > String.length s - ((n + 7) / 8) then
+    invalid_arg "Bitvec.of_substring: out of bounds";
+  unpack "Bitvec.of_substring" n s pos
 
 let pp ppf v =
   Format.fprintf ppf "{";

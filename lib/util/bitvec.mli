@@ -97,8 +97,13 @@ val iter_ones : (int -> unit) -> t -> unit
 val fold_ones : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 (** [sum_at v a] is the sum of [a.(i)] over the set bits [i] of [v],
-    added in ascending order of [i], without allocating. *)
+    added in ascending order of [i], allocating nothing but the boxed
+    result. *)
 val sum_at : t -> float array -> float
+
+(** [sum_at_into v a dst k] stores [sum_at v a] in [dst.(k)], allocating
+    nothing: for per-node bounds in a search loop. *)
+val sum_at_into : t -> float array -> float array -> int -> unit
 
 (** [next_one v i] is the lowest set-bit index [>= i], or [-1] when there
     is none.  A loop [next_one v 0], [next_one v (j + 1)], ... visits the
@@ -123,13 +128,20 @@ val append_ones : t -> int list -> int list
 
 (** [to_bytes v] is a compact little-endian byte serialisation (8 bits
     per byte, [ceil (length / 8)] bytes); platform- and version-stable,
-    used by the artifact codec and {!Fingerprint.bitvec}. *)
+    used by the artifact codec and {!Fingerprint.bitvec}.  It and the
+    decoders below move a whole byte per step, not a bit. *)
 val to_bytes : t -> bytes
 
 (** [of_bytes n b] rebuilds a vector of length [n] from {!to_bytes}
     output.  Raises [Invalid_argument] on a size mismatch or when padding
     bits beyond [n] are set. *)
 val of_bytes : int -> bytes -> t
+
+(** [of_substring n s pos] is [of_bytes n] applied to the [ceil (n / 8)]
+    bytes of [s] starting at [pos], read in place without a copy.
+    Raises [Invalid_argument] when those bytes run past the end of [s]
+    or when padding bits beyond [n] are set. *)
+val of_substring : int -> string -> int -> t
 
 (** [pp] prints as a ["{1,5,9}"]-style set, for debugging. *)
 val pp : Format.formatter -> t -> unit

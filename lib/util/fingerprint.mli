@@ -50,6 +50,11 @@ val string : t -> string -> t
     reproducing fixed legacy streams; prefer {!string}. *)
 val raw_string : t -> string -> t
 
+(** [raw_substring h s pos len] is [raw_string h (String.sub s pos len)],
+    hashed in place.  Raises [Invalid_argument] when the range is not
+    inside [s]. *)
+val raw_substring : t -> string -> int -> int -> t
+
 val bytes : t -> bytes -> t
 val option : (t -> 'a -> t) -> t -> 'a option -> t
 val list : (t -> 'a -> t) -> t -> 'a list -> t

@@ -11,7 +11,7 @@ let () =
    @ Test_portfolio.suite @ Test_sat.suite @ Test_satpg.suite
    @ Test_ga_gatsby.suite @ Test_flow.suite @ Test_fullscan_misr.suite
    @ Test_diagnose.suite @ Test_parallel.suite @ Test_properties.suite
-   @ Test_observability.suite @ Test_pipeline.suite
+   @ Test_observability.suite @ Test_pipeline.suite @ Test_codec.suite
    @ Test_workload.suite
    @ Test_robustness.suite @ Test_resilience.suite @ Test_scale.suite
    @ Test_chaos.suite @ Test_integration.suite @ Test_cli.suite)

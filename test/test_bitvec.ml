@@ -197,7 +197,11 @@ let prop_iteration_matches_scan =
       let sum = List.fold_left (fun acc i -> acc +. a.(i)) 0. expected in
       let copy = Bitvec.create (Bitvec.length v) in
       Bitvec.blit ~src:v ~dst:copy;
+      let dst = [| nan; nan |] in
+      Bitvec.sum_at_into v a dst 1;
       Bitvec.sum_at v a = sum
+      && dst.(1) = sum
+      && Float.is_nan dst.(0)
       && Bitvec.equal copy v)
 
 (* Bits outside the mask never reach the hash: [a] and [b] agree inside
