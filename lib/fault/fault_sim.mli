@@ -5,23 +5,24 @@
     per-fault detection words are then derived by the selected {!engine}:
 
     - {!Event}: every fault is injected and its fanout cone re-evaluated
-      event-driven, in topological order — the exactness oracle;
+      in topological order — the exactness oracle;
     - {!Cpt} (default): critical-path tracing — the circuit is decomposed
       once into fanout-free regions ({!Reseed_netlist.Ffr}); faults inside
       a region are graded by a backward derivative chain over the good
-      values, and only each region's stem costs an event-driven flip
-      propagation for its observability word, computed on first use in a
-      block, so only stems that live faults reach are propagated.
+      values, and only each region's stem costs a flip propagation for
+      its observability word, computed on first use in a block, so only
+      stems that live faults reach are propagated.
 
     Both engines produce bit-identical results, and both run every
     faulty-machine evaluation through one propagation kernel.  {!create}
     lays the circuit out once as flat shared arrays (per-node op code and
-    inversion word, CSR fanins and fanouts).  A propagation writes the
-    site's faulty value into a per-simulator mirror of the block's good
-    values, then sweeps node indices upward from the site, evaluating
-    only the nodes marked by a changed fanin — valid because every fanin
-    has a smaller index than its gate ({!Reseed_netlist.Circuit}) — and
-    finally restores the nodes it wrote from the good values.
+    inversion word, CSR fanins and fanouts, the largest index in each
+    node's fanout cone).  A propagation writes the site's faulty value
+    into a per-simulator mirror of the block's good values, re-evaluates
+    every node from the site's smallest fanout up to the largest index in
+    its fanout cone — valid because every fanin has a smaller index than
+    its gate ({!Reseed_netlist.Circuit}) — reads the primary outputs in
+    that interval, and copies the interval back from the good values.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -54,7 +55,7 @@ open Reseed_util
 type t
 
 type engine =
-  | Event  (** per-fault event-driven propagation *)
+  | Event  (** per-fault cone propagation *)
   | Cpt  (** critical-path tracing, lazy per-block stem observability *)
 
 (** [engine_name e] is ["event"] or ["cpt"]. *)
@@ -76,8 +77,8 @@ val model : t -> Fault_model.t
 
 (** [copy t] is a simulator over the same circuit, fault list and flat
     layout with fresh private scratch — the block's good values, the
-    faulty-value mirror, dirty map and undo list of the propagation
-    kernel, the CPT memo — and zeroed work counters; it can run
+    faulty-value mirror of the propagation kernel, the CPT memo and its
+    path stack — and zeroed work counters; it can run
     concurrently with [t] from another domain (the shared arrays are
     never written after {!create}). *)
 val copy : t -> t
@@ -100,15 +101,21 @@ val fault_count : t -> int
 
 (** [sims_performed t] counts per-fault detectability evaluations — the
     paper's "number of fault simulations" cost metric.  Engine-independent
-    by construction: a CPT fault grade counts exactly like an event-driven
+    by construction: a CPT fault grade counts exactly like a fault
     injection, so Table 1 comparisons stay meaningful across engines. *)
 val sims_performed : t -> int
 
-(** [event_propagations t] counts event-driven cone propagations actually
-    launched: fault injections whose site difference was non-zero under
-    [Event], plus stem observability flips under [Cpt].  This is the work
-    metric the CPT engine shrinks. *)
+(** [event_propagations t] counts cone propagations actually launched —
+    one kernel sweep each: fault injections whose site difference was
+    non-zero under [Event], plus stem observability flips under [Cpt].
+    This is the work metric the CPT engine shrinks; the name predates the
+    sweep kernel and is kept because reports read it. *)
 val event_propagations : t -> int
+
+(** [cone_hi t i] is the largest node index in [i]'s fanout cone ([i]
+    itself when nothing reads [i]): the upper end of the index interval a
+    propagation from [i] re-evaluates.  Exposed for tests. *)
+val cone_hi : t -> int -> int
 
 (** Every sweep below takes an optional [budget]: a tripped deadline or
     cancellation stops the sweep cleanly at the next 62-pattern block

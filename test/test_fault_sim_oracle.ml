@@ -90,6 +90,68 @@ let prop_generated =
       | [] -> true
       | first :: _ -> QCheck.Test.fail_reportf "seed %d: %s" seed first)
 
+(* The kernel's sweep bound: the largest node index in each node's fanout
+   cone, as [Circuit.fanout_cone] enumerates it. *)
+let prop_cone_hi =
+  QCheck.Test.make ~name:"cone_hi = max of fanout_cone" ~count:40
+    QCheck.(pair (int_bound 10_000) (int_bound 180))
+    (fun (seed, extra_gates) ->
+      let c =
+        Generator.generate
+          {
+            (Generator.default_spec "cone" ~inputs:9 ~outputs:4
+               ~gates:(20 + extra_gates))
+            with
+            Generator.seed = seed;
+          }
+      in
+      let sim = Fault_sim.create c [||] in
+      for i = 0 to Circuit.node_count c - 1 do
+        let want = Array.fold_left max i (Circuit.fanout_cone c i) in
+        let got = Fault_sim.cone_hi sim i in
+        if got <> want then
+          QCheck.Test.fail_reportf "seed %d node %d: cone_hi %d, expected %d" seed
+            i got want
+      done;
+      true)
+
+(* Primary inputs and constants listed between a stem's fanouts: a flip's
+   sweep interval covers them, so the kernel must leave an [Input] at its
+   good value and recompute a constant as itself. *)
+let test_inputs_in_interval () =
+  let b = Circuit.Builder.create "interleaved" in
+  let a = Circuit.Builder.add_input b "a" in
+  let bb = Circuit.Builder.add_input b "b" in
+  let s = Circuit.Builder.add_gate b Gate.Nand [ a; bb ] "s" in
+  let g1 = Circuit.Builder.add_gate b Gate.And [ s; a ] "g1" in
+  let c_in = Circuit.Builder.add_input b "c" in
+  let k1 = Circuit.Builder.add_gate b Gate.Const1 [] "k1" in
+  let k0 = Circuit.Builder.add_gate b Gate.Const0 [] "k0" in
+  let g2 = Circuit.Builder.add_gate b Gate.And [ s; c_in; k1 ] "g2" in
+  let g3 = Circuit.Builder.add_gate b Gate.Or [ g2; k0 ] "g3" in
+  let o = Circuit.Builder.add_gate b Gate.Xor [ g1; g3 ] "o" in
+  let e = Circuit.Builder.add_input b "e" in
+  let p = Circuit.Builder.add_gate b Gate.Nor [ o; e; bb ] "p" in
+  List.iter (Circuit.Builder.mark_output b) [ o; g2; p ];
+  let c = Circuit.Builder.finalize b in
+  let idx = Circuit.find c in
+  let sim = Fault_sim.create c [||] in
+  let lo = idx "g1" and hi = Fault_sim.cone_hi sim (idx "s") in
+  Alcotest.(check int) "sweep interval ends at p" (idx "p") hi;
+  List.iter
+    (fun name ->
+      if not (lo < idx name && idx name < hi) then
+        Alcotest.failf "%s (index %d) lies outside the interval (%d, %d)" name
+          (idx name) lo hi)
+    [ "c"; "k1"; "k0"; "e" ];
+  (* 100 patterns: one full block and a partial one of 38 lanes. *)
+  let rng = Rng.create 29 in
+  let patterns =
+    Array.init 100 (fun _ ->
+        Array.init (Circuit.input_count c) (fun _ -> Rng.bool rng))
+  in
+  expect_same "interleaved" c patterns
+
 (* Detection-matrix rows as the builder simulates them: one triplet burst
    of T = 150 patterns per paper TPG, on catalog circuits up to the deep
    scale-tier s820_x4. *)
@@ -118,6 +180,9 @@ let suite =
     ( "fault-sim-oracle",
       [
         QCheck_alcotest.to_alcotest prop_generated;
+        QCheck_alcotest.to_alcotest prop_cone_hi;
+        Alcotest.test_case "inputs and constants inside a sweep interval" `Quick
+          test_inputs_in_interval;
         Alcotest.test_case "catalog rows x paper TPGs" `Quick test_catalog_rows;
       ] );
   ]
