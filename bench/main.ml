@@ -9,9 +9,9 @@
      all      — the four above, in order (the default)
 
    [--full] runs the full circuit suite (slow) instead of the quick one.
-   Fault collapsing is on and the engine is cpt; circuits above 2000
-   gates are generated at a quarter of their catalog size.  Timing and
-   the resource envelope are measured by perfbench, not here.
+   Fault collapsing is on; circuits above 2000 gates are generated at a
+   quarter of their catalog size.  Timing and the resource envelope are
+   measured by perfbench, not here.
 
    Environment: RESEED_JOBS (worker domains) and RESEED_CACHE (artifact
    store: a warm table1 rerun touches neither ATPG nor the matrix

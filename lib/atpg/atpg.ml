@@ -139,10 +139,8 @@ let run ?(config = default_config) ?budget sim =
     stopped_early = Budget.check budget;
   }
 
-let run_circuit ?config ?sim_engine ?(fault_model = Fault_model.Stuck_at) ?faults
-    ?budget c =
-  let faults =
-    match faults with Some f -> f | None -> Fault_model.faults fault_model c
+let run_circuit ?config ?(fault_model = Fault_model.Stuck_at) ?budget c =
+  let sim =
+    Fault_sim.create ~model:fault_model c (Fault_model.faults fault_model c)
   in
-  let sim = Fault_sim.create ?engine:sim_engine ~model:fault_model c faults in
   (sim, run ?config ?budget sim)

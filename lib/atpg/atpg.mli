@@ -66,19 +66,15 @@ val fault_coverage : Fault_sim.t -> result -> float
     are skipped, with surviving faults classified [aborted]. *)
 val run : ?config:config -> ?budget:Budget.t -> Fault_sim.t -> result
 
-(** [run_circuit ?config ?sim_engine ?fault_model ?faults ?budget c]
-    builds the fault list ([faults] defaults to the [fault_model]'s own
-    enumeration, {!Fault_model.faults} — equivalence-collapsed for
-    stuck-at, uncollapsed for transition; pass [Collapse.reps] for
-    class-collapsed stuck-at simulation) and the simulator ([sim_engine]
-    selects the {!Fault_sim.engine}, default [Cpt]; [fault_model]
-    defaults to {!Fault_model.Stuck_at}), then runs the flow; returns the
-    simulator too. *)
+(** [run_circuit ?config ?fault_model ?budget c] builds the
+    [fault_model]'s own fault list ({!Fault_model.faults} —
+    equivalence-collapsed for stuck-at, uncollapsed for transition;
+    [fault_model] defaults to {!Fault_model.Stuck_at}) and a simulator
+    over it, then runs the flow; returns the simulator too.  For another
+    fault list, build the simulator and call {!run}. *)
 val run_circuit :
   ?config:config ->
-  ?sim_engine:Fault_sim.engine ->
   ?fault_model:Fault_model.t ->
-  ?faults:Fault.t array ->
   ?budget:Budget.t ->
   Circuit.t ->
   Fault_sim.t * result

@@ -2,14 +2,9 @@ open Reseed_netlist
 open Reseed_sim
 open Reseed_util
 
-type engine = Event | Cpt
-
-let engine_name = function Event -> "event" | Cpt -> "cpt"
-
 type t = {
   circuit : Circuit.t;
   faults : Fault.t array;
-  engine : engine;
   model : Fault_model.t;
   site_sig : int array;
       (* transition model only: per-fault launch-signal node (the stem
@@ -82,7 +77,7 @@ let csr rows =
   Array.iteri (fun i r -> start.(i + 1) <- start.(i) + Array.length r) rows;
   (start, Array.concat (Array.to_list rows))
 
-let create ?(engine = Cpt) ?(model = Fault_model.Stuck_at) circuit faults =
+let create ?(model = Fault_model.Stuck_at) circuit faults =
   let nodes = circuit.Circuit.nodes in
   let code (node : Circuit.node) =
     match node.Circuit.kind with
@@ -124,7 +119,6 @@ let create ?(engine = Cpt) ?(model = Fault_model.Stuck_at) circuit faults =
     {
       circuit;
       faults;
-      engine;
       model;
       site_sig;
       good = [||];
@@ -171,7 +165,6 @@ let fault_count t = Array.length t.faults
 let sims_performed t = t.sims
 let event_propagations t = t.props
 let cone_hi t i = t.cone_hi.(i)
-let engine t = t.engine
 
 (* --- Propagation kernel ----------------------------------------------- *)
 
@@ -257,25 +250,7 @@ let propagate t (good : int array) mask site v =
   done;
   !detect land mask
 
-(* --- Event engine: single-fault cone propagation ----------------------- *)
-
-(* Inject one fault against the good-machine block values and return the
-   word of patterns that detect it at some primary output. *)
-let process t (good : int array) mask (fault : Fault.t) =
-  t.sims <- t.sims + 1;
-  let stuck_word = if fault.Fault.stuck then full else 0 in
-  let site, d =
-    match fault.Fault.site with
-    | Fault.Out g -> (g, stuck_word lxor good.(g))
-    | Fault.Pin { gate; pin } -> (gate, pin_diff t good ~gate ~pin stuck_word)
-  in
-  let diff0 = d land mask in
-  if diff0 = 0 then 0
-  else
-    (if t.next_po.(site) = site then diff0 else 0)
-    lor propagate t good mask site (good.(site) lxor d)
-
-(* --- CPT engine: critical-path tracing over fanout-free regions ------- *)
+(* --- Critical-path tracing over fanout-free regions -------------------- *)
 
 (* Observability word of stem [s]: patterns where complementing [s]
    changes some primary output.  Exact for single faults funnelled through
@@ -320,7 +295,9 @@ let sens t good mask n =
     !acc
   end
 
-let process_cpt t (good : int array) mask (fault : Fault.t) =
+(* The stuck-at detection word of one fault: its excitation at the site,
+   ANDed with the site's sensitivity. *)
+let process t (good : int array) mask (fault : Fault.t) =
   t.sims <- t.sims + 1;
   let stuck_word = if fault.Fault.stuck then full else 0 in
   match fault.Fault.site with
@@ -331,12 +308,12 @@ let process_cpt t (good : int array) mask (fault : Fault.t) =
       let diff = pin_diff t good ~gate ~pin stuck_word land mask in
       if diff = 0 then 0 else diff land sens t good mask gate
 
-(* --- Per-fault dispatch ----------------------------------------------- *)
+(* --- Fault model -------------------------------------------------------- *)
 
-(* The selected engine's detection word with the fault model applied.
-   Under [Stuck_at] this is the engine's word verbatim.  Under
-   [Transition_delay] the capture-cycle detection word the stuck-at
-   engines computed is masked down to the lanes whose {e preceding}
+(* A fault's detection word with the fault model applied.  Under
+   [Stuck_at] this is [process]'s word verbatim.  Under
+   [Transition_delay] the capture-cycle detection word [process]
+   computed is masked down to the lanes whose {e preceding}
    pattern put the launch signal at the fault's slow initial value (= the
    capture stuck value): lane [k]'s launch value is lane [k-1] of [good]
    at the site signal, lane 0 takes the last lane of the previous block
@@ -345,11 +322,7 @@ let process_cpt t (good : int array) mask (fault : Fault.t) =
    the capture grade's, so the cost metrics stay comparable across
    models. *)
 let process_fault t good mask fi fault =
-  let d =
-    match t.engine with
-    | Event -> process t good mask fault
-    | Cpt -> process_cpt t good mask fault
-  in
+  let d = process t good mask fault in
   match t.model with
   | Fault_model.Stuck_at -> d
   | Fault_model.Transition_delay ->

@@ -1,21 +1,17 @@
-(** Parallel-pattern fault simulation with selectable engines and fault
-    models.
+(** Parallel-pattern fault simulation by critical-path tracing, under
+    either fault model.
 
     Patterns are simulated 62 per block against the good machine once;
-    per-fault detection words are then derived by the selected {!engine}:
+    per-fault detection words are then derived by critical-path tracing.
+    The circuit is decomposed once into fanout-free regions
+    ({!Reseed_netlist.Ffr}); a fault inside a region is graded by a
+    backward derivative chain over the good values, and only each
+    region's stem costs a flip propagation for its observability word,
+    computed on first use in a block, so only stems that live faults
+    reach are propagated.
 
-    - {!Event}: every fault is injected and its fanout cone re-evaluated
-      in topological order — the exactness oracle;
-    - {!Cpt} (default): critical-path tracing — the circuit is decomposed
-      once into fanout-free regions ({!Reseed_netlist.Ffr}); faults inside
-      a region are graded by a backward derivative chain over the good
-      values, and only each region's stem costs a flip propagation for
-      its observability word, computed on first use in a block, so only
-      stems that live faults reach are propagated.
-
-    Both engines produce bit-identical results, and both run every
-    faulty-machine evaluation through one propagation kernel.  {!create}
-    lays the circuit out once as flat shared arrays (per-node op code and
+    Every flip propagation runs through one kernel.  {!create} lays the
+    circuit out once as flat shared arrays (per-node op code and
     inversion word, CSR fanins and fanouts, the largest index in each
     node's fanout cone).  A propagation writes the site's faulty value
     into a per-simulator mirror of the block's good values, re-evaluates
@@ -23,6 +19,9 @@
     its fanout cone — valid because every fanin has a smaller index than
     its gate ({!Reseed_netlist.Circuit}) — reads the primary outputs in
     that interval, and copies the interval back from the good values.
+    The oracles for all of this are test-side: a level-queue simulator
+    with a per-fault injection engine, and a serial checker that
+    evaluates each fault gate by gate.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -31,8 +30,8 @@
     its pattern array as a {e sequence}: pattern [p] detects a fault iff
     pattern [p-1] (launch) sets the fault's site signal to its slow
     initial value {e and} pattern [p] (capture) detects the
-    corresponding stuck-at fault — the capture grade reuses the selected
-    engine unchanged, and the launch condition is applied as a per-lane
+    corresponding stuck-at fault — the capture grade is the stuck-at
+    grade unchanged, and the launch condition is applied as a per-lane
     mask with the carry across 62-pattern blocks handled internally.  The
     first pattern of a sweep has no launch predecessor and detects
     nothing.  Work counters ({!sims_performed}, {!event_propagations})
@@ -54,23 +53,12 @@ open Reseed_util
 
 type t
 
-type engine =
-  | Event  (** per-fault cone propagation *)
-  | Cpt  (** critical-path tracing, lazy per-block stem observability *)
-
-(** [engine_name e] is ["event"] or ["cpt"]. *)
-val engine_name : engine -> string
-
-(** [create ?engine ?model c faults] builds a reusable simulator
-    ([engine] defaults to [Cpt], [model] to
-    {!Fault_model.Stuck_at}).  The fault order fixes the fault indexing
-    used by every result; pair [faults] with the model's own enumeration
-    ({!Fault_model.faults}) unless a test needs a custom list. *)
-val create :
-  ?engine:engine -> ?model:Fault_model.t -> Circuit.t -> Fault.t array -> t
-
-(** [engine t] is the engine [t] was created with. *)
-val engine : t -> engine
+(** [create ?model c faults] builds a reusable simulator ([model]
+    defaults to {!Fault_model.Stuck_at}).  The fault order fixes the
+    fault indexing used by every result; pair [faults] with the model's
+    own enumeration ({!Fault_model.faults}) unless a test needs a custom
+    list. *)
+val create : ?model:Fault_model.t -> Circuit.t -> Fault.t array -> t
 
 (** [model t] is the fault model [t] was created with. *)
 val model : t -> Fault_model.t
@@ -100,16 +88,16 @@ val faults : t -> Fault.t array
 val fault_count : t -> int
 
 (** [sims_performed t] counts per-fault detectability evaluations — the
-    paper's "number of fault simulations" cost metric.  Engine-independent
-    by construction: a CPT fault grade counts exactly like a fault
-    injection, so Table 1 comparisons stay meaningful across engines. *)
+    paper's "number of fault simulations" cost metric.  A traced fault
+    grade counts exactly like a fault injection would, so Table 1 stays
+    comparable with serial and per-fault-injection simulators. *)
 val sims_performed : t -> int
 
 (** [event_propagations t] counts cone propagations actually launched —
-    one kernel sweep each: fault injections whose site difference was
-    non-zero under [Event], plus stem observability flips under [Cpt].
-    This is the work metric the CPT engine shrinks; the name predates the
-    sweep kernel and is kept because reports read it. *)
+    one kernel sweep each, and each one a stem observability flip.  This
+    is the work metric critical-path tracing shrinks against injecting
+    every excited fault; the name predates the sweep kernel and is kept
+    because reports read it. *)
 val event_propagations : t -> int
 
 (** [cone_hi t i] is the largest node index in [i]'s fanout cone ([i]

@@ -1,9 +1,4 @@
-type t = {
-  is_stem : bool array;
-  stem : int array;
-  stems : int array;
-  reaches_po : bool array;
-}
+type t = { is_stem : bool array; reaches_po : bool array }
 
 let compute c =
   let n = Circuit.node_count c in
@@ -17,21 +12,12 @@ let compute c =
   in
   (* Fanout edges strictly increase node indices, so one reverse sweep sees
      every fanout before its driver. *)
-  let stem = Array.make n (-1) in
   let reaches_po = Array.make n false in
   for i = n - 1 downto 0 do
-    let fanouts = c.Circuit.fanouts.(i) in
-    stem.(i) <- (if is_stem.(i) then i else stem.(fanouts.(0)));
-    reaches_po.(i) <- is_po.(i) || Array.exists (fun o -> reaches_po.(o)) fanouts
+    reaches_po.(i) <-
+      is_po.(i) || Array.exists (fun o -> reaches_po.(o)) c.Circuit.fanouts.(i)
   done;
-  let stems = ref [] in
-  for i = n - 1 downto 0 do
-    if is_stem.(i) then stems := i :: !stems
-  done;
-  { is_stem; stem; stems = Array.of_list !stems; reaches_po }
+  { is_stem; reaches_po }
 
 let is_stem t i = t.is_stem.(i)
-let stem_of t i = t.stem.(i)
-let stems t = t.stems
-let stem_count t = Array.length t.stems
 let reaches_po t i = t.reaches_po.(i)

@@ -22,16 +22,6 @@ val compute : Circuit.t -> t
     differs from one, or [i] drives a primary output). *)
 val is_stem : t -> int -> bool
 
-(** [stem_of t i] is the stem of [i]'s fanout-free region: [i] itself when
-    [is_stem t i], otherwise the stem reached by following the unique
-    fanout edges. *)
-val stem_of : t -> int -> int
-
-(** [stems t] is the ascending array of all stem nodes. *)
-val stems : t -> int array
-
-val stem_count : t -> int
-
 (** [reaches_po t i] — some path from [i] reaches a primary output
     ([i] itself counts when it is one). *)
 val reaches_po : t -> int -> bool

@@ -61,7 +61,7 @@ val make_triplets : config:config -> Tpg.t -> bool array array -> Triplet.t arra
     [matrix] stage: the ATPG patterns, target mask, TPG identity and
     width, and the builder config (cycles, operand mode, seed).  [salt]
     folds in the upstream lineage — the ATPG-stage fingerprint — so
-    changing how the tests were produced (ATPG config, simulation engine,
+    changing how the tests were produced (ATPG config, fault model,
     fault collapsing) misses the cache even when the patterns happen to
     coincide.  [fault_model] (default {!Fault_model.Stuck_at}) salts the
     key with the detection semantics the rows were simulated under, so a

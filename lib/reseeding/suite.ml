@@ -35,13 +35,13 @@ let circuit_fingerprint c =
   array int h c.Circuit.outputs
 
 (* The ATPG-stage key digests everything the prepared workload depends
-   on: the netlist, the full ATPG config, the fault-simulation engine,
-   the fault model and the collapse mode.  It doubles as the lineage salt
-   for every later stage of this circuit's pipeline, so the workload tag
-   below propagates into every downstream stage key — a warm stuck-at
-   store is a guaranteed miss for a transition-delay request. *)
-let atpg_fingerprint ?sim_engine ?(fault_model = Fault_model.Stuck_at) ~config
-    ~collapse circuit =
+   on: the netlist, the full ATPG config, the fault model and the
+   collapse mode.  It doubles as the lineage salt for every later stage
+   of this circuit's pipeline, so the workload tag below propagates into
+   every downstream stage key — a warm stuck-at store is a guaranteed
+   miss for a transition-delay request. *)
+let atpg_fingerprint ?(fault_model = Fault_model.Stuck_at) ~config ~collapse
+    circuit =
   let open Fingerprint in
   let h = salted "atpg" in
   let h = string h ("workload:faults:" ^ Fault_model.name fault_model) in
@@ -52,10 +52,9 @@ let atpg_fingerprint ?sim_engine ?(fault_model = Fault_model.Stuck_at) ~config
   let h = bool h config.Atpg.compaction in
   let h = bool h config.Atpg.use_random_phase in
   let h = string h (Atpg.engine_name config.Atpg.engine) in
-  let h =
-    string h
-      (Fault_sim.engine_name (Option.value sim_engine ~default:Fault_sim.Cpt))
-  in
+  (* The fault simulator's name from when there were two engines, kept
+     constant so existing stores stay warm. *)
+  let h = string h "cpt" in
   bool h collapse
 
 let encode_atpg (r : Atpg.result) =
@@ -98,7 +97,7 @@ let decode_atpg ~width ~fault_count r =
     stopped_early = false;
   }
 
-let prepare_circuit ?atpg_config ?sim_engine ?(fault_model = Fault_model.Stuck_at)
+let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at)
     ?(collapse = false) ?budget ?store circuit =
   Trace.with_span "suite.prepare" ~args:[ ("circuit", Circuit.name circuit) ]
   @@ fun () ->
@@ -108,9 +107,7 @@ let prepare_circuit ?atpg_config ?sim_engine ?(fault_model = Fault_model.Stuck_a
        lift to launch/capture semantics)"
       (Fault_model.name fault_model);
   let config = Option.value atpg_config ~default:Atpg.default_config in
-  let fingerprint =
-    atpg_fingerprint ?sim_engine ~fault_model ~config ~collapse circuit
-  in
+  let fingerprint = atpg_fingerprint ~fault_model ~config ~collapse circuit in
   let classes =
     if collapse then
       Some (Trace.with_span "collapse.compute" @@ fun () -> Collapse.compute circuit)
@@ -121,27 +118,14 @@ let prepare_circuit ?atpg_config ?sim_engine ?(fault_model = Fault_model.Stuck_a
     | Some cl -> Collapse.reps cl
     | None -> Fault_model.faults fault_model circuit
   in
-  (* On a warm hit the ATPG never runs, so the simulator it would have
-     returned is rebuilt directly — same circuit, fault order, engine and
-     model, hence the same detection behaviour. *)
-  let sim_ref = ref None in
+  let sim = Fault_sim.create ~model:fault_model circuit faults in
   let atpg =
     Artifact.cached store ~stage:"atpg" ~fp:fingerprint ~encode:encode_atpg
       ~decode:
         (decode_atpg
            ~width:(Circuit.input_count circuit)
            ~fault_count:(Array.length faults))
-    @@ fun () ->
-    let sim, r =
-      Atpg.run_circuit ~config ?sim_engine ~fault_model ~faults ?budget circuit
-    in
-    sim_ref := Some sim;
-    r
-  in
-  let sim =
-    match !sim_ref with
-    | Some s -> s
-    | None -> Fault_sim.create ?engine:sim_engine ~model:fault_model circuit faults
+    @@ fun () -> Atpg.run ~config ?budget sim
   in
   {
     circuit;
@@ -155,9 +139,9 @@ let prepare_circuit ?atpg_config ?sim_engine ?(fault_model = Fault_model.Stuck_a
     store;
   }
 
-let prepare ?scale_factor ?atpg_config ?sim_engine ?fault_model ?collapse ?budget
-    ?store name =
-  prepare_circuit ?atpg_config ?sim_engine ?fault_model ?collapse ?budget ?store
+let prepare ?scale_factor ?atpg_config ?fault_model ?collapse ?budget ?store
+    name =
+  prepare_circuit ?atpg_config ?fault_model ?collapse ?budget ?store
     (Library.load ?scale_factor name)
 
 (* Universe-level coverage implied by a detection set over the prepared
@@ -193,9 +177,9 @@ let flow_config_with_cycles cycles =
       }
 
 (* Flow runs are deterministic; Table 1 and Table 2 share them.  The key
-   is the workload's fingerprint (netlist, ATPG config, simulation engine,
-   fault model, collapse mode), so two preparations of one circuit that
-   differ in any of these never share a row within one process. *)
+   is the workload's fingerprint (netlist, ATPG config, fault model,
+   collapse mode), so two preparations of one circuit that differ in any
+   of these never share a row within one process. *)
 let flow_cache : (Fingerprint.t * string * int, Flow.result) Hashtbl.t =
   Hashtbl.create 64
 

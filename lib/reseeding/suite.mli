@@ -24,9 +24,9 @@ type prepared = {
       (** class structure when prepared with [~collapse:true]: [sim] then
           runs over the class representatives only *)
   fingerprint : Fingerprint.t;
-      (** the ATPG-stage fingerprint — netlist, ATPG config, simulation
-          engine, fault model and collapse mode.  Lineage salt for every
-          downstream stage key of this workload. *)
+      (** the ATPG-stage fingerprint — netlist, ATPG config, fault model
+          and collapse mode.  Lineage salt for every downstream stage key
+          of this workload. *)
   store : Artifact.store option;
       (** the artifact store the workload was prepared against; threaded
           to every flow run on this workload *)
@@ -38,13 +38,12 @@ type prepared = {
     for cache-invalidation tests. *)
 val circuit_fingerprint : Circuit.t -> Fingerprint.t
 
-(** [prepare ?scale_factor ?atpg_config ?sim_engine ?fault_model ?collapse
-    name] loads a catalog circuit and runs the ATPG front-end once.
-    [sim_engine] selects the fault-simulation engine every downstream
-    phase uses (default [Fault_sim.Cpt]).  [fault_model] (default
-    {!Fault_model.Stuck_at}) fixes the detection semantics of the whole
-    workload — fault list, ATPG phases, every downstream sweep — and is
-    folded into the [fingerprint], so artifacts never cross models.
+(** [prepare ?scale_factor ?atpg_config ?fault_model ?collapse name]
+    loads a catalog circuit and runs the ATPG front-end once.
+    [fault_model] (default {!Fault_model.Stuck_at}) fixes the detection
+    semantics of the whole workload — fault list, ATPG phases, every
+    downstream sweep — and is folded into the [fingerprint], so
+    artifacts never cross models.
     [collapse] (default [false]) simulates one representative per
     structural fault class ({!Collapse}), shrinking every downstream
     fault-simulation; it is a stuck-at notion and raises
@@ -53,13 +52,12 @@ val circuit_fingerprint : Circuit.t -> Fingerprint.t
     test set is partial but sound, and [targets] shrinks accordingly.
 
     [store] memoises the ATPG stage: a warm prepare skips test
-    generation entirely (the simulator is rebuilt, the result decoded),
-    keyed by the [fingerprint] described on {!prepared}.  Budget-cut
-    (partial) ATPG results are never persisted. *)
+    generation entirely and decodes the stored result, keyed by the
+    [fingerprint] described on {!prepared}.  Budget-cut (partial) ATPG
+    results are never persisted. *)
 val prepare :
   ?scale_factor:int ->
   ?atpg_config:Atpg.config ->
-  ?sim_engine:Fault_sim.engine ->
   ?fault_model:Fault_model.t ->
   ?collapse:bool ->
   ?budget:Budget.t ->
@@ -67,11 +65,10 @@ val prepare :
   string ->
   prepared
 
-(** [prepare_circuit ?atpg_config ?sim_engine ?fault_model ?collapse
-    ?budget ?store c] — same, for an arbitrary circuit. *)
+(** [prepare_circuit ?atpg_config ?fault_model ?collapse ?budget ?store
+    c] — same, for an arbitrary circuit. *)
 val prepare_circuit :
   ?atpg_config:Atpg.config ->
-  ?sim_engine:Fault_sim.engine ->
   ?fault_model:Fault_model.t ->
   ?collapse:bool ->
   ?budget:Budget.t ->

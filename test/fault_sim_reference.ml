@@ -3,8 +3,11 @@
    [Podem_reference] keeps the PODEM loop): a level-bucketed event queue,
    per-propagation [stamp]/[fval] overlays and the record-walking,
    stamp-checked [eval_faulty], under both engines and both fault models.
-   [Fault_sim] must return the same detections and the same
-   [sims_performed] and [event_propagations] on every entry point.  Only
+   [Fault_sim] is this file's [Cpt] engine and must return the same
+   detections and the same [sims_performed] and [event_propagations] on
+   every entry point.  The [Event] engine, one injection and cone
+   propagation per excited fault, lives only here: it must return the
+   same detections and [sims_performed] as [Fault_sim].  Only
    the metrics/trace wrapper of each sweep is dropped, so running the
    oracle leaves the flow-wide counters alone. *)
 
@@ -13,7 +16,7 @@ open Reseed_fault
 open Reseed_sim
 open Reseed_util
 
-type engine = Fault_sim.engine = Event | Cpt
+type engine = Event | Cpt
 
 let engine_name = function Event -> "event" | Cpt -> "cpt"
 

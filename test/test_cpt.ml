@@ -1,33 +1,30 @@
+(* Critical-path tracing ([Fault_sim]) against per-fault injection: the
+   reference's [Event] engine, which injects every excited fault and
+   propagates it through its cone, shares no grading code with the
+   traced derivative chains and stem observabilities. *)
+
 open Reseed_netlist
 open Reseed_fault
 open Reseed_util
+module R = Fault_sim_reference
 
 let check = Alcotest.(check bool)
 
-let engines = [ Fault_sim.Event; Fault_sim.Cpt ]
-
-(* Build one simulator per engine over the same fault list. *)
+(* The simulator under test and the injection reference over the same
+   fault list. *)
 let sims_for c =
   let faults = Fault.all c in
-  List.map (fun e -> Fault_sim.create ~engine:e c faults) engines
+  (Fault_sim.create c faults, R.create ~engine:R.Event c faults)
 
 let check_identical_maps c patterns =
-  match sims_for c with
-  | [] | [ _ ] -> assert false
-  | ref_sim :: rest ->
-      let ref_map = Fault_sim.detection_map ref_sim patterns in
-      List.iter
-        (fun sim ->
-          let map = Fault_sim.detection_map sim patterns in
-          Array.iteri
-            (fun fi row ->
-              if not (Bitvec.equal row ref_map.(fi)) then
-                Alcotest.failf "%s/%s: fault %d detection word differs from event"
-                  (Circuit.name c)
-                  (Fault_sim.engine_name (Fault_sim.engine sim))
-                  fi)
-            map)
-        rest
+  let sim, ev = sims_for c in
+  let ev_map = R.detection_map ev patterns in
+  Array.iteri
+    (fun fi row ->
+      if not (Bitvec.equal row ev_map.(fi)) then
+        Alcotest.failf "%s: fault %d detection word differs from event"
+          (Circuit.name c) fi)
+    (Fault_sim.detection_map sim patterns)
 
 (* Random generated circuits crossed with random pattern blocks, including
    a block count that leaves the final word partially filled. *)
@@ -63,7 +60,7 @@ let test_structured_circuits () =
       Library.alu 2;
     ]
 
-(* detected_set with a sparse active mask must agree across engines: CPT
+(* detected_set with a sparse active mask must agree with injection: CPT
    then computes observability only for the stems live faults reach. *)
 let test_detected_set_partial_active () =
   let rng = Rng.create 779 in
@@ -78,19 +75,13 @@ let test_detected_set_partial_active () =
       for fi = 0 to nf - 1 do
         if fi mod keep_one_in = 0 then Bitvec.set active fi
       done;
-      match
-        List.map
-          (fun e ->
-            let sim = Fault_sim.create ~engine:e c faults in
-            Fault_sim.detected_set sim patterns ~active)
-          engines
-      with
-      | [ ev; cpt ] -> check "cpt = event (partial active)" true (Bitvec.equal cpt ev)
-      | _ -> assert false)
+      let cpt = Fault_sim.detected_set (Fault_sim.create c faults) patterns ~active in
+      let ev = R.detected_set (R.create ~engine:R.Event c faults) patterns ~active in
+      check "cpt = event (partial active)" true (Bitvec.equal cpt ev))
     [ 1; 3; 17 ]
 
-(* Fault dropping: the first-detecting pattern index per fault must be
-   engine-independent. *)
+(* Fault dropping: the first-detecting pattern index per fault must match
+   injection's. *)
 let test_first_detections_identical () =
   let rng = Rng.create 780 in
   List.iter
@@ -98,13 +89,14 @@ let test_first_detections_identical () =
       let c = Library.load name in
       let n = Circuit.input_count c in
       let patterns = Array.init 70 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
-      match List.map (fun sim -> Fault_sim.first_detections sim patterns) (sims_for c) with
-      | [ ev; cpt ] ->
-          Alcotest.(check (array (option int))) (name ^ " cpt firsts") ev cpt
-      | _ -> assert false)
+      let sim, ev = sims_for c in
+      Alcotest.(check (array (option int)))
+        (name ^ " cpt firsts")
+        (R.first_detections ev patterns)
+        (Fault_sim.first_detections sim patterns))
     [ "c17"; "s420" ]
 
-(* The engine cross-check on catalog circuits: every engine grades every
+(* The cross-check on catalog circuits: tracing and injection grade every
    fault of every pattern identically.  s820_x4 (depth 33) is the deep
    member: a propagation that evaluated a node before one of its fanins
    would corrupt its long reconvergent cones. *)
@@ -118,8 +110,8 @@ let test_catalog_engines_agree () =
       check_identical_maps c patterns)
     [ "c17"; "c432"; "s420"; "s820_x4" ]
 
-(* The optimisation claim itself: on a reconvergent benchmark the CPT
-   engine must launch fewer event propagations than the event engine.
+(* The optimisation claim itself: on a reconvergent benchmark tracing
+   must launch fewer propagations than injecting every excited fault.
    The exact work counters are pinned too: they are the paper's cost
    metric, and a change to the propagation kernel or to the
    observability memo that altered them would show here. *)
@@ -128,29 +120,23 @@ let test_props_reduction () =
   let c = Library.load "c432" in
   let n = Circuit.input_count c in
   let patterns = Array.init 124 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
-  match sims_for c with
-  | [ ev_sim; cpt_sim ] as sims ->
-      List.iter (fun sim -> ignore (Fault_sim.detection_map sim patterns)) sims;
-      let ev = Fault_sim.event_propagations ev_sim in
-      let cpt = Fault_sim.event_propagations cpt_sim in
-      if not (2 * cpt <= ev) then
-        Alcotest.failf "cpt props %d not >=2x below event props %d" cpt ev;
-      let check_int = Alcotest.(check int) in
-      check_int "event props" 1373 ev;
-      check_int "cpt props" 206 cpt;
-      List.iter
-        (fun sim ->
-          check_int
-            (Fault_sim.engine_name (Fault_sim.engine sim) ^ " sims")
-            1418
-            (Fault_sim.sims_performed sim))
-        sims
-  | _ -> assert false
+  let cpt_sim, ev_sim = sims_for c in
+  ignore (Fault_sim.detection_map cpt_sim patterns);
+  ignore (R.detection_map ev_sim patterns);
+  let ev = R.event_propagations ev_sim in
+  let cpt = Fault_sim.event_propagations cpt_sim in
+  if not (2 * cpt <= ev) then
+    Alcotest.failf "cpt props %d not >=2x below event props %d" cpt ev;
+  let check_int = Alcotest.(check int) in
+  check_int "event props" 1373 ev;
+  check_int "cpt props" 206 cpt;
+  check_int "event sims" 1418 (R.sims_performed ev_sim);
+  check_int "cpt sims" 1418 (Fault_sim.sims_performed cpt_sim)
 
 (* Fault-dropping tails: with a single live fault, CPT refreshes at most
    the one stem that fault reaches, so a [first_detections] sweep costs at
    most one propagation per 62-pattern block it simulates — no more than
-   injecting the fault with the event engine would. *)
+   injecting the fault would. *)
 let test_single_fault_tail () =
   let rng = Rng.create 784 in
   let c = Library.load "c432" in
@@ -162,7 +148,7 @@ let test_single_fault_tail () =
   let all_blocks = (Array.length patterns + w - 1) / w in
   for fi = 0 to nf - 1 do
     if fi mod 7 = 0 then begin
-      let sim = Fault_sim.create ~engine:Fault_sim.Cpt c faults in
+      let sim = Fault_sim.create c faults in
       let active = Bitvec.create nf in
       Bitvec.set active fi;
       let blocks =
@@ -218,11 +204,11 @@ let is_block_prefix ~full ~cut =
       Bitvec.equal expect k)
     full cut
 
-(* One long-lived simulator per engine and fault model serves an
-   interleaved stream of sweeps.  Every sweep must return what the same
-   sweep returns on a fresh simulator: no mirror, dirty-map, block or
-   launch state may carry over from one sweep into the next, also after a sweep
-   cut short by its budget. *)
+(* One long-lived simulator per fault model serves an interleaved stream
+   of sweeps.  Every sweep must return what the same sweep returns on a
+   fresh simulator: no mirror, memo, block or launch state may carry over
+   from one sweep into the next, also after a sweep cut short by its
+   budget. *)
 let test_no_state_leak () =
   let c = deep_circuit () in
   let n = Circuit.input_count c in
@@ -243,39 +229,33 @@ let test_no_state_leak () =
       for fi = 0 to nf - 1 do
         if fi mod 3 <> 1 then Bitvec.set active fi
       done;
-      List.iter
-        (fun engine ->
-          let fresh () = Fault_sim.create ~engine ~model c faults in
-          let label =
-            Printf.sprintf "%s/%s" (Fault_model.name model)
-              (Fault_sim.engine_name engine)
-          in
-          let sim = fresh () in
-          let check_stream () =
-            List.iter
-              (fun (sweep, patterns) ->
-                if
-                  run_sweep sim active patterns sweep
-                  <> run_sweep (fresh ()) active patterns sweep
-                then
-                  Alcotest.failf "%s: sweep over %d patterns differs from a fresh simulator"
-                    label (Array.length patterns))
-              stream
-          in
-          check_stream ();
-          (* A sweep whose budget expires after half a full sweep's time.
-             Where it stops depends on timing; that it stops on a block
-             boundary with the fresh answer so far does not. *)
-          let t0 = Unix.gettimeofday () in
-          let full = Fault_sim.detection_map (fresh ()) long in
-          let deadline_s = (Unix.gettimeofday () -. t0) /. 2. in
-          let cut =
-            Fault_sim.detection_map ~budget:(Budget.create ~deadline_s ()) sim long
-          in
-          if not (is_block_prefix ~full ~cut) then
-            Alcotest.failf "%s: budget-stopped map is not a block prefix" label;
-          check_stream ())
-        engines)
+      let fresh () = Fault_sim.create ~model c faults in
+      let label = Fault_model.name model in
+      let sim = fresh () in
+      let check_stream () =
+        List.iter
+          (fun (sweep, patterns) ->
+            if
+              run_sweep sim active patterns sweep
+              <> run_sweep (fresh ()) active patterns sweep
+            then
+              Alcotest.failf "%s: sweep over %d patterns differs from a fresh simulator"
+                label (Array.length patterns))
+          stream
+      in
+      check_stream ();
+      (* A sweep whose budget expires after half a full sweep's time.
+         Where it stops depends on timing; that it stops on a block
+         boundary with the fresh answer so far does not. *)
+      let t0 = Unix.gettimeofday () in
+      let full = Fault_sim.detection_map (fresh ()) long in
+      let deadline_s = (Unix.gettimeofday () -. t0) /. 2. in
+      let cut =
+        Fault_sim.detection_map ~budget:(Budget.create ~deadline_s ()) sim long
+      in
+      if not (is_block_prefix ~full ~cut) then
+        Alcotest.failf "%s: budget-stopped map is not a block prefix" label;
+      check_stream ())
     [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
 
 (* Two copies sharing one simulator's flat layout run concurrently on two
@@ -286,21 +266,15 @@ let test_concurrent_copies () =
   let rng = Rng.create 783 in
   let a = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   let b = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
-  List.iter
-    (fun engine ->
-      let sim = Fault_sim.create ~engine c (Fault.all c) in
-      let want_a = Fault_sim.detection_map (Fault_sim.copy sim) a in
-      let want_b = Fault_sim.first_detections (Fault_sim.copy sim) b in
-      let s0 = Fault_sim.copy sim and s1 = Fault_sim.copy sim in
-      let d = Domain.spawn (fun () -> Fault_sim.first_detections s1 b) in
-      let got_a = Fault_sim.detection_map s0 a in
-      let got_b = Domain.join d in
-      let name = Fault_sim.engine_name engine in
-      check (name ^ ": concurrent map = sequential") true
-        (Array.for_all2 Bitvec.equal want_a got_a);
-      Alcotest.(check (array (option int))) (name ^ ": concurrent firsts = sequential")
-        want_b got_b)
-    engines
+  let sim = Fault_sim.create c (Fault.all c) in
+  let want_a = Fault_sim.detection_map (Fault_sim.copy sim) a in
+  let want_b = Fault_sim.first_detections (Fault_sim.copy sim) b in
+  let s0 = Fault_sim.copy sim and s1 = Fault_sim.copy sim in
+  let d = Domain.spawn (fun () -> Fault_sim.first_detections s1 b) in
+  let got_a = Fault_sim.detection_map s0 a in
+  let got_b = Domain.join d in
+  check "concurrent map = sequential" true (Array.for_all2 Bitvec.equal want_a got_a);
+  Alcotest.(check (array (option int))) "concurrent firsts = sequential" want_b got_b
 
 let suite =
   [

@@ -5,41 +5,20 @@ open Reseed_util
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Brute-force oracle: rebuild the whole faulty circuit per pattern. *)
-let brute_force_detects c (fault : Fault.t) pattern =
-  let goodv = Reseed_sim.Logic_sim.output_response c pattern in
-  let values = Reseed_sim.Logic_sim.simulate_bool c pattern in
-  let fvals = Array.copy values in
-  let n_nodes = Circuit.node_count c in
-  for i = 0 to n_nodes - 1 do
-    (match c.Circuit.nodes.(i).Circuit.kind with
-    | Gate.Input -> ()
-    | k ->
-        let args = Array.map (fun f -> fvals.(f)) c.Circuit.nodes.(i).Circuit.fanins in
-        (match fault.Fault.site with
-        | Fault.Pin { gate; pin } when gate = i -> args.(pin) <- fault.Fault.stuck
-        | _ -> ());
-        fvals.(i) <- Gate.eval k args);
-    match fault.Fault.site with
-    | Fault.Out g when g = i -> fvals.(i) <- fault.Fault.stuck
-    | _ -> ()
-  done;
-  Array.map (fun o -> fvals.(o)) c.Circuit.outputs <> goodv
-
+(* Every fault under every pattern, graded by the serial checker. *)
 let cross_check c patterns =
   let faults = Fault.all c in
   let sim = Fault_sim.create c faults in
   let map = Fault_sim.detection_map sim patterns in
   Array.iteri
     (fun fi fault ->
-      Array.iteri
-        (fun p pattern ->
-          let brute = brute_force_detects c fault pattern in
-          let fast = Bitvec.get map.(fi) p in
-          if brute <> fast then
-            Alcotest.failf "fault %s pattern %d: brute=%b fast=%b"
-              (Fault.to_string c fault) p brute fast)
-        patterns)
+      for p = 0 to Array.length patterns - 1 do
+        let serial = Fault_checker.detects Fault_model.Stuck_at c fault patterns p in
+        let fast = Bitvec.get map.(fi) p in
+        if serial <> fast then
+          Alcotest.failf "fault %s pattern %d: serial=%b fast=%b"
+            (Fault.to_string c fault) p serial fast
+      done)
     faults
 
 let test_oracle_c17_exhaustive () =
@@ -141,6 +120,36 @@ let prop_detection_order_independent =
         (Fault_sim.detected_set sim patterns ~active)
         (Fault_sim.detected_set sim shuffled ~active))
 
+(* The serial checker's first detections equal the simulator's, under
+   both fault models, on generated circuits and 1 to 100 patterns: one
+   block, or a full one and a partial one. *)
+let prop_serial_checker =
+  QCheck.Test.make ~name:"serial checker = first_detections" ~count:30
+    QCheck.(triple (int_bound 10_000) (int_bound 80) (int_bound 99))
+    (fun (seed, extra_gates, extra_patterns) ->
+      let c =
+        Generator.generate
+          {
+            (Generator.default_spec "serial" ~inputs:8 ~outputs:3
+               ~gates:(20 + extra_gates))
+            with
+            Generator.seed = seed;
+          }
+      in
+      let rng = Rng.create seed in
+      let patterns =
+        Array.init (1 + extra_patterns) (fun _ -> Array.init 8 (fun _ -> Rng.bool rng))
+      in
+      List.for_all
+        (fun model ->
+          let faults = Fault_model.faults model c in
+          let sim = Fault_sim.create ~model c faults in
+          Fault_sim.first_detections sim patterns
+          = Fault_checker.first_detections model c faults patterns
+          || QCheck.Test.fail_reportf "seed %d: %s first detections differ" seed
+               (Fault_model.name model))
+        [ Fault_model.Stuck_at; Fault_model.Transition_delay ])
+
 let suite =
   [
     ( "fault_sim",
@@ -154,5 +163,6 @@ let suite =
         Alcotest.test_case "empty pattern set" `Quick test_empty_patterns;
         Alcotest.test_case "coverage pct" `Quick test_coverage_pct;
         QCheck_alcotest.to_alcotest prop_detection_order_independent;
+        QCheck_alcotest.to_alcotest prop_serial_checker;
       ] );
   ]

@@ -1,8 +1,9 @@
 (* Differential tests of [Fault_sim]'s flat propagation kernel against
    [Fault_sim_reference], the level-queue simulator it replaced.  Every
-   entry point, under both engines and both fault models, must return the
-   same result and leave the same [sims_performed] and
-   [event_propagations] behind it. *)
+   entry point, under both fault models, must return the same result as
+   both reference engines and leave the same [sims_performed] behind it;
+   [event_propagations] must match the reference's [Cpt], whose stem
+   flips are the ones [Fault_sim] launches. *)
 
 open Reseed_netlist
 open Reseed_fault
@@ -10,7 +11,7 @@ open Reseed_tpg
 open Reseed_util
 module R = Fault_sim_reference
 
-let engines = [ Fault_sim.Event; Fault_sim.Cpt ]
+let engines = [ R.Event; R.Cpt ]
 let models = [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
 
 (* Runs every entry point on [patterns] through one long-lived simulator
@@ -28,20 +29,22 @@ let differences c patterns =
       done;
       List.iter
         (fun engine ->
-          let sim = Fault_sim.create ~engine ~model c faults in
+          let sim = Fault_sim.create ~model c faults in
           let oracle = R.create ~engine ~model c faults in
           let check what got want =
             let differs field =
               mismatches :=
                 Printf.sprintf "%s/%s %s: %s" (Fault_model.name model)
-                  (Fault_sim.engine_name engine) what field
+                  (R.engine_name engine) what field
                 :: !mismatches
             in
             if got <> want then differs "result";
             if Fault_sim.sims_performed sim <> R.sims_performed oracle then
               differs "sims_performed";
-            if Fault_sim.event_propagations sim <> R.event_propagations oracle then
-              differs "event_propagations"
+            if
+              engine = R.Cpt
+              && Fault_sim.event_propagations sim <> R.event_propagations oracle
+            then differs "event_propagations"
           in
           check "first_detections"
             (Fault_sim.first_detections sim patterns)

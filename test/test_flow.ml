@@ -231,24 +231,44 @@ let test_table_rows_keyed_by_workload () =
   check "seed 42 row" true (memo_row p42 = row_of p42);
   check "seed 7 row is its own" true (memo_row p7 = row_of p7)
 
-(* Flow-level engine differential: the whole covering flow prepared on
-   the event engine and on the CPT one must reach the same Table 2
-   row, the same final triplets and the same test length. *)
+(* The detection matrix against per-fault injection: every row and
+   [useful_cycles] entry [Builder.build] computes on a prepared workload
+   must equal the one the reference's [Event] engine derives from the
+   same triplet's burst, and the reference must grade the ATPG test set
+   to the same targets. *)
 let test_flow_engines_agree () =
+  let module R = Fault_sim_reference in
   List.iter
     (fun name ->
-      let run sim_engine =
-        let p = Suite.prepare ~sim_engine ~collapse:true name in
-        let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
-        let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
-        (Suite.table2_row p, r)
+      let p = Suite.prepare ~collapse:true name in
+      let c = p.Suite.circuit and targets = p.Suite.targets in
+      let ev = R.create ~engine:R.Event c (Reseed_fault.Fault_sim.faults p.Suite.sim) in
+      let all = Bitvec.create (Bitvec.length targets) in
+      Bitvec.fill_all all;
+      check (name ^ ": ATPG targets") true
+        (Bitvec.equal targets (R.detected_set ev p.Suite.tests ~active:all));
+      let tpg = Accumulator.adder (Circuit.input_count c) in
+      let b =
+        Builder.build p.Suite.sim tpg ~tests:p.Suite.tests ~targets
+          ~config:Builder.default_config
       in
-      let ev_row, ev = run Reseed_fault.Fault_sim.Event in
-      let cpt_row, cpt = run Reseed_fault.Fault_sim.Cpt in
-      check (name ^ ": table2 row") true (ev_row = cpt_row);
-      check (name ^ ": final triplets") true
-        (List.equal Triplet.equal ev.Flow.final_triplets cpt.Flow.final_triplets);
-      check_int (name ^ ": test length") ev.Flow.test_length cpt.Flow.test_length)
+      Array.iteri
+        (fun i triplet ->
+          let row = Bitvec.create (Bitvec.length targets) and useful = ref 1 in
+          Array.iteri
+            (fun fi first ->
+              match first with
+              | Some k ->
+                  Bitvec.set row fi;
+                  useful := max !useful (k + 1)
+              | None -> ())
+            (R.first_detections ev ~active:targets (Triplet.patterns tpg triplet));
+          if not (Bitvec.equal row (Matrix.row b.Builder.matrix i)) then
+            Alcotest.failf "%s: row %d differs from event" name i;
+          check_int
+            (Printf.sprintf "%s: useful cycles of row %d" name i)
+            !useful b.Builder.useful_cycles.(i))
+        b.Builder.triplets)
     [ "c432"; "s420"; "s1238" ]
 
 let suite =

@@ -1,7 +1,8 @@
-(* Workload-generic core: the transition-delay model against a
-   brute-force launch/capture oracle (all engines, block-boundary
-   carries included), stuck-at-through-the-abstraction differentials,
-   cross-model cache keying, the extended batch manifest schema, and the
+(* Workload-generic core: the transition-delay model against the serial
+   launch/capture checker (the simulator and the reference's per-fault
+   injection engine, block-boundary carries included),
+   stuck-at-through-the-abstraction differentials, cross-model cache
+   keying, the extended batch manifest schema, and the
    code-based compression workload. *)
 
 open Reseed_atpg
@@ -41,72 +42,37 @@ let with_store f =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f (Artifact.open_store dir))
 
-let all_engines = [ Fault_sim.Event; Fault_sim.Cpt ]
+module R = Fault_sim_reference
 
-(* --- brute-force oracles ----------------------------------------------- *)
+(* --- transition-delay oracle -------------------------------------------- *)
 
-(* Single-pattern stuck-at detection, rebuilding the faulty circuit. *)
-let brute_stuck_detects c (fault : Fault.t) pattern =
-  let goodv = Reseed_sim.Logic_sim.output_response c pattern in
-  let values = Reseed_sim.Logic_sim.simulate_bool c pattern in
-  let fvals = Array.copy values in
-  for i = 0 to Circuit.node_count c - 1 do
-    (match c.Circuit.nodes.(i).Circuit.kind with
-    | Gate.Input -> ()
-    | k ->
-        let args =
-          Array.map (fun f -> fvals.(f)) c.Circuit.nodes.(i).Circuit.fanins
-        in
-        (match fault.Fault.site with
-        | Fault.Pin { gate; pin } when gate = i -> args.(pin) <- fault.Fault.stuck
-        | _ -> ());
-        fvals.(i) <- Gate.eval k args);
-    match fault.Fault.site with
-    | Fault.Out g when g = i -> fvals.(i) <- fault.Fault.stuck
-    | _ -> ()
-  done;
-  Array.map (fun o -> fvals.(o)) c.Circuit.outputs <> goodv
-
-(* Launch/capture reference semantics: the launch pattern must put the
-   fault's site signal at the slow initial value (= the capture-cycle
-   stuck value), then the capture pattern must detect the stuck-at
-   fault. *)
-let brute_transition_detects c (fault : Fault.t) ~launch ~capture =
-  let lv =
-    (Reseed_sim.Logic_sim.simulate_bool c launch).(Fault_model.site_signal c
-                                                     fault)
-  in
-  lv = fault.Fault.stuck && brute_stuck_detects c fault capture
+(* The simulator and the reference's injection engine, as one interface:
+   a name and a detection map. *)
+let transition_maps c faults =
+  let model = Fault_model.Transition_delay in
+  [
+    ("cpt", Fault_sim.detection_map (Fault_sim.create ~model c faults));
+    ("event", R.detection_map (R.create ~engine:R.Event ~model c faults));
+  ]
 
 let cross_check_transition c patterns =
-  let faults = Fault_model.faults Fault_model.Transition_delay c in
+  let model = Fault_model.Transition_delay in
+  let faults = Fault_model.faults model c in
   List.iter
-    (fun engine ->
-      let sim =
-        Fault_sim.create ~engine ~model:Fault_model.Transition_delay c faults
-      in
-      let map = Fault_sim.detection_map sim patterns in
+    (fun (name, detection_map) ->
+      let map = detection_map patterns in
       Array.iteri
         (fun fi fault ->
-          if Bitvec.get map.(fi) 0 then
-            Alcotest.failf "[%s] %s: pattern 0 has no launch predecessor"
-              (Fault_sim.engine_name engine)
-              (Fault_model.fault_to_string Fault_model.Transition_delay c fault);
-          for p = 1 to Array.length patterns - 1 do
-            let brute =
-              brute_transition_detects c fault ~launch:patterns.(p - 1)
-                ~capture:patterns.(p)
-            in
+          for p = 0 to Array.length patterns - 1 do
+            let serial = Fault_checker.detects model c fault patterns p in
             let fast = Bitvec.get map.(fi) p in
-            if brute <> fast then
-              Alcotest.failf "[%s] %s pattern %d: brute=%b fast=%b"
-                (Fault_sim.engine_name engine)
-                (Fault_model.fault_to_string Fault_model.Transition_delay c
-                   fault)
-                p brute fast
+            if serial <> fast then
+              Alcotest.failf "[%s] %s pattern %d: serial=%b fast=%b" name
+                (Fault_model.fault_to_string model c fault)
+                p serial fast
           done)
         faults)
-    all_engines
+    (transition_maps c faults)
 
 (* Hand-built circuits: small enough to brute-force, fanout-heavy enough
    that Pin faults get launch sites distinct from their stems. *)
@@ -181,12 +147,8 @@ let test_transition_block_carry () =
         if p = 61 then [| false; false |] else [| true; true |])
   in
   List.iter
-    (fun engine ->
-      let sim =
-        Fault_sim.create ~engine ~model:Fault_model.Transition_delay c faults
-      in
-      let map = Fault_sim.detection_map sim patterns in
-      let name = Fault_sim.engine_name engine in
+    (fun (name, detection_map) ->
+      let map = detection_map patterns in
       check (name ^ ": STR launched at lane 61, captured at lane 0 of block 1")
         true
         (Bitvec.get map.(str) 62);
@@ -195,9 +157,9 @@ let test_transition_block_carry () =
       check (name ^ ": STF captured where the output falls") true
         (Bitvec.get map.(stf) 61);
       check (name ^ ": pattern 0 detects nothing") false
-        (Bitvec.get map.(str) 0 || Bitvec.get map.(stf) 0);
-      cross_check_transition c patterns)
-    all_engines
+        (Bitvec.get map.(str) 0 || Bitvec.get map.(stf) 0))
+    (transition_maps c faults);
+  cross_check_transition c patterns
 
 (* --- stuck-at through the abstraction ---------------------------------- *)
 
