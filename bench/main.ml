@@ -44,17 +44,18 @@ let prepare name =
   | None ->
       let t0 = Unix.gettimeofday () in
       let p = Suite.prepare ~scale_factor:(scale_for name) ~collapse:true ?store name in
-      log "  [prep] %s: %d PIs, %d gates, %d ATPG patterns, %d target faults%s (%.1fs)"
+      let classes = Reseed_fault.Fault_sim.fault_count p.Suite.sim in
+      let universe = Array.length (Reseed_fault.Fault.universe p.Suite.circuit) in
+      log
+        "  [prep] %s: %d PIs, %d gates, %d ATPG patterns, %d target faults (%d \
+         classes, -%.0f%%) (%.1fs)"
         name
         (Circuit.input_count p.Suite.circuit)
         (Circuit.gate_count p.Suite.circuit)
         (Array.length p.Suite.tests)
         (Bitvec.count p.Suite.targets)
-        (match p.Suite.collapse with
-        | Some c ->
-            Printf.sprintf " (%d classes, -%.0f%%)" (Reseed_fault.Collapse.rep_count c)
-              (Reseed_fault.Collapse.reduction_pct c)
-        | None -> "")
+        classes
+        (100.0 *. (1.0 -. (float_of_int classes /. float_of_int universe)))
         (Unix.gettimeofday () -. t0);
       Hashtbl.add prepared name p;
       p

@@ -76,5 +76,3 @@ let simulate c pi_values ?fault () =
 
 let error ~good ~faulty i =
   known good.(i) && known faulty.(i) && good.(i) <> faulty.(i)
-
-let to_char = function F -> '0' | T -> '1' | X -> 'x'

@@ -31,5 +31,3 @@ val simulate :
 
 (** [error ~good ~faulty i] — node [i] carries a fault effect. *)
 val error : good:v array -> faulty:v array -> int -> bool
-
-val to_char : v -> char

@@ -21,30 +21,24 @@ val site_node : t -> int
     deterministic order: node by node, s-a-0 before s-a-1. *)
 val universe : Circuit.t -> t array
 
-(** [collapse c faults] removes structurally equivalent faults, keeping a
+(** [all c] is the equivalence-collapsed [universe c] — the target fault
+    list [F].  It removes structurally equivalent faults, keeping a
     canonical representative per class (gate-output side):
     - AND/NAND input s-a-0 ≡ output s-a-0/1; OR/NOR input s-a-1 likewise;
     - BUF/NOT input faults fold into output faults;
     - fanout-free branch faults never appear (see [universe]). *)
-val collapse : Circuit.t -> t array -> t array
-
-(** [all c] is [collapse c (universe c)] — the target fault list [F]. *)
 val all : Circuit.t -> t array
 
-(** [collapse_dominance c faults] additionally removes faults *dominated*
-    by another listed fault — any test for the dominator necessarily
-    detects the dominated fault, so complete coverage of the reduced list
-    implies complete coverage of [faults]:
+(** [all_collapsed c] is the fully collapsed list: [all c] less the faults
+    {i dominated} by another listed fault — any test for the dominator
+    necessarily detects the dominated fault, so complete coverage of the
+    reduced list implies complete coverage of [all c]:
     - AND/NAND output stuck in the non-controlled sense (s-a-1 / s-a-0) is
       dominated by every input s-a-1;
     - OR/NOR output s-a-0 / s-a-1 likewise by every input s-a-0.
     Unlike equivalence collapsing this changes per-fault accounting (a
     dominated fault's detection is implied, not identical), so it is an
     opt-in refinement, not part of {!all}. *)
-val collapse_dominance : Circuit.t -> t array -> t array
-
-(** [all_collapsed c] is the fully collapsed list:
-    [collapse_dominance c (all c)]. *)
 val all_collapsed : Circuit.t -> t array
 
 val equal : t -> t -> bool

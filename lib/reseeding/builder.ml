@@ -69,30 +69,16 @@ let fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~targets tpg
   let h = bitvec h targets in
   patterns h tests
 
-(* The matrix artifact stores what fault simulation produced — row sets
-   and useful-cycle counts.  Triplets are re-derived from the same seed
-   (cheap and deterministic), so a warm hit costs zero injections. *)
-let encode_built b =
-  if b.rows_skipped > 0 then None
-  else begin
-    let n = Array.length b.useful_cycles in
-    let cols = Bitvec.length b.targets in
-    let buf = Buffer.create (8 + (n * 16)) in
-    Artifact.Codec.u32 buf n;
-    Artifact.Codec.u32 buf cols;
-    Array.iteri
-      (fun i useful ->
-        Artifact.Codec.u32 buf useful;
-        Artifact.Codec.row buf (Matrix.row b.matrix i))
-      b.useful_cycles;
-    Some (Buffer.contents buf)
-  end
+(* Both matrix payloads carry what fault simulation produced: per row,
+   its useful-cycle count (u32) then its row set. *)
+let put_entries buf useful_cycles row =
+  Array.iteri
+    (fun i useful ->
+      Artifact.Codec.u32 buf useful;
+      Artifact.Codec.row buf (row i))
+    useful_cycles
 
-let decode_built ~config ~tests ~targets tpg r =
-  let nf = Bitvec.length targets in
-  let n = Artifact.Codec.get_u32 r in
-  let cols = Artifact.Codec.get_u32 r in
-  if n <> Array.length tests || cols <> nf then raise Artifact.Codec.Malformed;
+let get_entries ~nf n r =
   let useful_cycles = Array.make n 1 in
   let rows =
     Array.init n (fun i ->
@@ -101,6 +87,28 @@ let decode_built ~config ~tests ~targets tpg r =
         if Bitvec.length row <> nf then raise Artifact.Codec.Malformed;
         row)
   in
+  (useful_cycles, rows)
+
+(* The matrix artifact is the row count, the column count and the
+   entries.  Triplets are re-derived from the same seed (cheap and
+   deterministic), so a warm hit costs zero injections. *)
+let encode_built b =
+  if b.rows_skipped > 0 then None
+  else begin
+    let n = Array.length b.useful_cycles in
+    let buf = Buffer.create (8 + (n * 16)) in
+    Artifact.Codec.u32 buf n;
+    Artifact.Codec.u32 buf (Bitvec.length b.targets);
+    put_entries buf b.useful_cycles (Matrix.row b.matrix);
+    Some (Buffer.contents buf)
+  end
+
+let decode_built ~config ~tests ~targets tpg r =
+  let nf = Bitvec.length targets in
+  let n = Artifact.Codec.get_u32 r in
+  let cols = Artifact.Codec.get_u32 r in
+  if n <> Array.length tests || cols <> nf then raise Artifact.Codec.Malformed;
+  let useful_cycles, rows = get_entries ~nf n r in
   {
     triplets = make_triplets ~config tpg tests;
     matrix = Matrix.of_rows ~cols:nf rows;
@@ -122,25 +130,17 @@ let shard_rows = 16
 let encode_shard group =
   match group with
   | None -> None
-  | Some rows ->
-      let buf = Buffer.create (Array.length rows * 16) in
-      Artifact.Codec.u32 buf (Array.length rows);
-      Array.iter
-        (fun (useful, row) ->
-          Artifact.Codec.u32 buf useful;
-          Artifact.Codec.row buf row)
-        rows;
+  | Some (useful_cycles, rows) ->
+      let n = Array.length rows in
+      let buf = Buffer.create (n * 16) in
+      Artifact.Codec.u32 buf n;
+      put_entries buf useful_cycles (Array.get rows);
       Some (Buffer.contents buf)
 
 let decode_shard ~nf ~expect r =
   let n = Artifact.Codec.get_u32 r in
   if n <> expect then raise Artifact.Codec.Malformed;
-  Some
-    (Array.init n (fun _ ->
-         let useful = Artifact.Codec.get_u32 r in
-         let row = Artifact.Codec.get_row r in
-         if Bitvec.length row <> nf then raise Artifact.Codec.Malformed;
-         (useful, row)))
+  Some (get_entries ~nf n r)
 
 let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
     ~config =
@@ -224,7 +224,7 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
           if not completed.(i) then all := false
         done;
         if !all then
-          Some (Array.init (hi - lo) (fun j -> (useful_cycles.(lo + j), rows.(lo + j))))
+          Some (Array.sub useful_cycles lo (hi - lo), Array.sub rows lo (hi - lo))
         else None
       in
       let shard_result =
@@ -235,15 +235,15 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
           compute
       in
       match shard_result with
-      | Some group_rows when not !computed ->
+      | Some (group_useful, group_rows) when not !computed ->
           (* Shard cache hit: adopt the stored rows. *)
           Array.iteri
-            (fun j (useful, row) ->
+            (fun j row ->
               let i = lo + j in
               completed.(i) <- true;
               incr restored;
               rows.(i) <- row;
-              useful_cycles.(i) <- useful)
+              useful_cycles.(i) <- group_useful.(j))
             group_rows
       | _ -> ()
     end

@@ -12,7 +12,6 @@ type prepared = {
   targets : Bitvec.t;
   atpg : Atpg.result;
   fault_model : Fault_model.t;
-  collapse : Collapse.t option;
   fingerprint : Fingerprint.t;
   store : Artifact.store option;
 }
@@ -108,15 +107,9 @@ let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at)
       (Fault_model.name fault_model);
   let config = Option.value atpg_config ~default:Atpg.default_config in
   let fingerprint = atpg_fingerprint ~fault_model ~config ~collapse circuit in
-  let classes =
-    if collapse then
-      Some (Trace.with_span "collapse.compute" @@ fun () -> Collapse.compute circuit)
-    else None
-  in
   let faults =
-    match classes with
-    | Some cl -> Collapse.reps cl
-    | None -> Fault_model.faults fault_model circuit
+    if collapse then Fault.all_collapsed circuit
+    else Fault_model.faults fault_model circuit
   in
   let sim = Fault_sim.create ~model:fault_model circuit faults in
   let atpg =
@@ -134,7 +127,6 @@ let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at)
     targets = atpg.Atpg.detected;
     atpg;
     fault_model;
-    collapse = classes;
     fingerprint;
     store;
   }
@@ -143,14 +135,6 @@ let prepare ?scale_factor ?atpg_config ?fault_model ?collapse ?budget ?store
     name =
   prepare_circuit ?atpg_config ?fault_model ?collapse ?budget ?store
     (Library.load ?scale_factor name)
-
-(* Universe-level coverage implied by a detection set over the prepared
-   fault list: expanded through the collapse classes when present,
-   otherwise reported over the (equivalence-collapsed) list itself. *)
-let expanded_coverage_pct p detected =
-  match p.collapse with
-  | Some cl -> Collapse.coverage_pct cl detected
-  | None -> Fault_sim.coverage_pct p.sim detected
 
 let paper_tpgs p = Accumulator.paper_tpgs (Circuit.input_count p.circuit)
 
@@ -391,5 +375,3 @@ let render_table2 rows = Table.render (table2_table rows)
 let quick_suite = [ "c17"; "c432"; "c499"; "c880"; "s420"; "s641"; "s820"; "s1238" ]
 
 let full_suite = Library.names
-
-let xl_suite = Library.xl_names

@@ -20,9 +20,6 @@ type prepared = {
   fault_model : Fault_model.t;
       (** the detection semantics the workload was prepared under; [sim]
           was created with the same model *)
-  collapse : Collapse.t option;
-      (** class structure when prepared with [~collapse:true]: [sim] then
-          runs over the class representatives only *)
   fingerprint : Fingerprint.t;
       (** the ATPG-stage fingerprint — netlist, ATPG config, fault model
           and collapse mode.  Lineage salt for every downstream stage key
@@ -44,10 +41,11 @@ val circuit_fingerprint : Circuit.t -> Fingerprint.t
     semantics of the whole workload — fault list, ATPG phases, every
     downstream sweep — and is folded into the [fingerprint], so
     artifacts never cross models.
-    [collapse] (default [false]) simulates one representative per
-    structural fault class ({!Collapse}), shrinking every downstream
-    fault-simulation; it is a stuck-at notion and raises
-    {!Reseed_util.Error.Reseed_error} ([Usage]) under any other model.
+    [collapse] (default [false]) simulates the structurally collapsed
+    list {!Fault.all_collapsed} (equivalence and dominance folds),
+    shrinking every downstream fault simulation; it is a stuck-at
+    notion and raises {!Reseed_util.Error.Reseed_error} ([Usage]) under
+    any other model.
     [budget] bounds the ATPG front-end (see {!Atpg.run}): on expiry the
     test set is partial but sound, and [targets] shrinks accordingly.
 
@@ -75,11 +73,6 @@ val prepare_circuit :
   ?store:Artifact.store ->
   Circuit.t ->
   prepared
-
-(** [expanded_coverage_pct p detected] is universe-level coverage implied
-    by a detection set over [p.sim]'s fault list, expanded through the
-    collapse classes when present. *)
-val expanded_coverage_pct : prepared -> Bitvec.t -> float
 
 (** [paper_tpgs p] instantiates adder / multiplier / subtracter at the
     circuit's PI width. *)
@@ -139,9 +132,3 @@ val quick_suite : string list
 
 val full_suite : string list
 (** every catalog entry; the largest are scaled unless [scale_factor 1]. *)
-
-val xl_suite : string list
-(** the scale tier ({!Reseed_netlist.Library.xl_names}): scaled-up
-    catalog members with roughly 10k-100k universe faults, exercising
-    the sharded matrix build and the word-parallel reduction.  Minutes
-    each — bench-only. *)

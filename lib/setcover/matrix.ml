@@ -92,7 +92,3 @@ let uncoverable m =
     if not (Bitvec.get m.universe j) then acc := j :: !acc
   done;
   !acc
-
-let pp_stats ppf m =
-  Format.fprintf ppf "%dx%d, %d ones (density %.4f)" m.n_rows m.n_cols (ones m)
-    (density m)

@@ -64,5 +64,3 @@ val covers : t -> rows_subset:int list -> bool
 (** [uncoverable m] lists columns no row covers (should be empty when the
     initial reseeding is built from a complete ATPG test set). *)
 val uncoverable : t -> int list
-
-val pp_stats : Format.formatter -> t -> unit

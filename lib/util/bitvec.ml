@@ -236,8 +236,6 @@ let of_list n l =
 
 let to_list v = List.rev (fold_ones (fun acc i -> i :: acc) [] v)
 
-let append_ones v buf = fold_ones (fun acc i -> i :: acc) buf v
-
 (* 8 bits per byte, independent of the 62-bit packing, so the encoding is
    stable across any future change of the in-memory word layout.  Both
    directions move a whole byte at a time: byte [k] holds bits [8k ..

@@ -123,9 +123,6 @@ val of_list : int -> int list -> t
 (** [to_list v] is the ascending list of set-bit indices. *)
 val to_list : t -> int list
 
-(** [append_ones v buf] pushes indices of set bits onto [buf]. *)
-val append_ones : t -> int list -> int list
-
 (** [to_bytes v] is a compact little-endian byte serialisation (8 bits
     per byte, [ceil (length / 8)] bytes); platform- and version-stable,
     used by the artifact codec and {!Fingerprint.bitvec}.  It and the

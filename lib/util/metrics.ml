@@ -52,9 +52,6 @@ let set g v = Atomic.set g.g_cell v
 
 let gauge_value g = Atomic.get g.g_cell
 
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-
 let snapshot () =
   let entries =
     with_registry (fun () ->

@@ -39,8 +39,6 @@ val add : counter -> int -> unit
 val value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val counter_name : counter -> string
-val gauge_name : gauge -> string
 
 (** [snapshot ()] is every registered metric, sorted by name. *)
 val snapshot : unit -> (string * value) list

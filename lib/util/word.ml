@@ -98,8 +98,6 @@ let neg a = add (lognot a) (of_int a.width 1)
 
 let sub a b = same_width a b; add a (neg b)
 
-let succ a = add a (of_int a.width 1)
-
 let mul a b =
   same_width a b;
   let n = Array.length a.limbs in

@@ -49,9 +49,6 @@ val neg : t -> t
 (** [mul a b] is [(a * b) mod 2^n]. *)
 val mul : t -> t -> t
 
-(** [succ a] is [(a + 1) mod 2^n]. *)
-val succ : t -> t
-
 (** [logxor a b], [logand a b], [logor a b] are bitwise operations. *)
 val logxor : t -> t -> t
 

@@ -42,31 +42,30 @@ let test_no_collapse_on_xor () =
     (Array.length (Fault.all c))
 
 let test_collapse_preserves_detectability () =
-  (* Every dropped fault must be equivalent to a kept one: exhaustive
-     detection signatures over all patterns must cover the same set of
-     (pattern, output-difference) behaviours. Here: every universe fault
-     detectable exhaustively is also detected at the same patterns as some
-     kept fault. *)
-  let c = Library.c17 () in
-  let universe = Fault.universe c in
-  let collapsed = Fault.all c in
-  let signature faults =
-    let sim = Fault_sim.create c faults in
-    let patterns = Array.init 32 (fun p -> Array.init 5 (fun i -> p lsr i land 1 = 1)) in
-    Fault_sim.detection_map sim patterns
+  (* Every dropped fault must be equivalent to a kept one: every universe
+     fault the patterns detect is detected at exactly the patterns of some
+     kept fault.  c17 runs exhaustively; c432 over 60 random patterns. *)
+  let check_circuit c patterns =
+    let signature faults = Fault_sim.detection_map (Fault_sim.create c faults) patterns in
+    let universe = Fault.universe c in
+    let sig_u = signature universe and sig_c = signature (Fault.all c) in
+    Array.iteri
+      (fun i s ->
+        if not (Reseed_util.Bitvec.is_empty s) then begin
+          let found = Array.exists (fun s' -> Reseed_util.Bitvec.equal s s') sig_c in
+          if not found then
+            Alcotest.failf "%s: universe fault %s has no equivalent representative"
+              (Circuit.name c) (Fault.to_string c universe.(i))
+        end)
+      sig_u
   in
-  let sig_u = signature universe and sig_c = signature collapsed in
-  Array.iteri
-    (fun i s ->
-      if not (Reseed_util.Bitvec.is_empty s) then begin
-        let found =
-          Array.exists (fun s' -> Reseed_util.Bitvec.equal s s') sig_c
-        in
-        if not found then
-          Alcotest.failf "universe fault %s has no equivalent representative"
-            (Fault.to_string c universe.(i))
-      end)
-    sig_u
+  check_circuit (Library.c17 ())
+    (Array.init 32 (fun p -> Array.init 5 (fun i -> p lsr i land 1 = 1)));
+  let c432 = Library.load "c432" in
+  let rng = Reseed_util.Rng.create 31 in
+  check_circuit c432
+    (Array.init 60 (fun _ ->
+         Array.init (Circuit.input_count c432) (fun _ -> Reseed_util.Rng.bool rng)))
 
 let test_site_node () =
   check_int "out site" 3 (Fault.site_node { Fault.site = Fault.Out 3; stuck = true });

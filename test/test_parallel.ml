@@ -176,57 +176,6 @@ let tradeoff_with ~jobs =
 let test_tradeoff_jobs_invariant () =
   check "figure-2 series identical" true (tradeoff_with ~jobs:1 = tradeoff_with ~jobs:4)
 
-(* --- Collapse -------------------------------------------------------- *)
-
-let collapse_setup name =
-  let c = Library.load name in
-  let rng = Rng.create 31 in
-  let patterns = random_patterns rng ~inputs:(Circuit.input_count c) ~n:60 in
-  (c, patterns)
-
-let detect c faults patterns =
-  let sim = Fault_sim.create c faults in
-  let active = Bitvec.create (Array.length faults) in
-  Bitvec.fill_all active;
-  Fault_sim.detected_set sim patterns ~active
-
-let test_collapse_equivalence_exact () =
-  (* Without dominance, classes are exact equivalences: simulating the
-     representatives and expanding reproduces the universe detection
-     bit-for-bit. *)
-  List.iter
-    (fun name ->
-      let c, patterns = collapse_setup name in
-      let cls = Collapse.compute ~dominance:false c in
-      check_int "universe = Fault.universe"
-        (Array.length (Fault.universe c))
-        (Collapse.universe_count cls);
-      check_int "classes = Fault.all" (Array.length (Fault.all c))
-        (Collapse.equivalence_count cls);
-      let expanded = Collapse.expand cls (detect c (Collapse.reps cls) patterns) in
-      let actual = detect c (Collapse.universe cls) patterns in
-      check (name ^ ": expansion = universe detection") true (Bitvec.equal expanded actual))
-    [ "c17"; "c432" ]
-
-let test_collapse_dominance_conservative () =
-  (* With dominance removal the expansion is a sound lower bound: every
-     fault it claims detected really is. *)
-  let c, patterns = collapse_setup "c432" in
-  let cls = Collapse.compute c in
-  check_int "reps = Fault.all_collapsed"
-    (Array.length (Fault.all_collapsed c))
-    (Collapse.rep_count cls);
-  check "collapsing shrinks the list" true
-    (Collapse.rep_count cls < Collapse.universe_count cls);
-  let expanded = Collapse.expand cls (detect c (Collapse.reps cls) patterns) in
-  let actual = detect c (Collapse.universe cls) patterns in
-  let sound = ref true in
-  for i = 0 to Bitvec.length expanded - 1 do
-    if Bitvec.get expanded i && not (Bitvec.get actual i) then sound := false
-  done;
-  check "expansion implies detection" true !sound;
-  check "expansion not empty" true (Bitvec.count expanded > 0)
-
 (* A malformed RESEED_JOBS is a usage error naming the variable and its
    value, never a silent fallback to every core; blank means unset. *)
 let test_pool_env_malformed () =
@@ -263,8 +212,5 @@ let suite =
         Alcotest.test_case "builder: jobs=1 = jobs=4" `Quick test_builder_jobs_invariant;
         Alcotest.test_case "gatsby: jobs=1 = jobs=4" `Quick test_gatsby_jobs_invariant;
         Alcotest.test_case "tradeoff: jobs=1 = jobs=4" `Quick test_tradeoff_jobs_invariant;
-        Alcotest.test_case "collapse: equivalence exact" `Quick test_collapse_equivalence_exact;
-        Alcotest.test_case "collapse: dominance conservative" `Quick
-          test_collapse_dominance_conservative;
       ] );
   ]
