@@ -195,7 +195,6 @@ let run_ablation () =
        ());
   add "greedy end-game" (flow_with ~method_:Solution.Greedy_only ());
   add "exact, no reduction" (flow_with ~method_:Solution.No_reduction_exact ());
-  add "portfolio end-game" (flow_with ~method_:Solution.Portfolio_race ());
   add "shared operand σ=1"
     (flow_with
        ~builder:

@@ -175,9 +175,9 @@ let cycles_arg =
 let fault_model_arg =
   Arg.(value & opt (named Reseed_fault.Fault_model.all Reseed_fault.Fault_model.name) Reseed_fault.Fault_model.Stuck_at & info [ "fault-model" ] ~docv:"M" ~doc:"Fault model: $(b,stuck) (single stuck-at, the paper's model, default) or $(b,transition) (transition-delay faults detected by launch/capture pairs of consecutive patterns).")
 
-let method_arg ~tail =
+let method_arg =
   let open Reseed_setcover.Solution in
-  Arg.(value & opt (named methods method_name) Exact & info [ "method" ] ~docv:"M" ~doc:("Covering method: " ^ bold_alts (List.map method_name methods) ^ tail))
+  Arg.(value & opt (named methods method_name) Exact & info [ "method" ] ~docv:"M" ~doc:("Covering method: " ^ bold_alts (List.map method_name methods) ^ "."))
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
@@ -298,6 +298,7 @@ let atpg_cmd =
 
 let solve_cmd =
   let open Reseed_setcover in
+  let open Reseed_atpg in
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"Re-simulate the final solution from scratch.")
   in
@@ -340,26 +341,20 @@ let solve_cmd =
     Printf.printf "reduced matrix: %dx%d\n" stats.Solution.reduced_rows
       stats.Solution.reduced_cols;
     Printf.printf "from exact solver: %d\n" (List.length stats.Solution.from_solver);
-    (match stats.Solution.uncovered with
+    (* Faults outside F have empty columns by construction: report them
+       by their ATPG class.  Only a target no triplet detects is lost. *)
+    let atpg = p.Suite.atpg in
+    let untestable = List.length atpg.Atpg.untestable
+    and aborted = List.length atpg.Atpg.aborted in
+    if untestable + aborted > 0 then
+      Printf.printf "faults outside F: %d (%d untestable, %d aborted)\n"
+        (untestable + aborted) untestable aborted;
+    let targets = r.Flow.initial.Builder.targets in
+    (match List.filter (Bitvec.get targets) stats.Solution.uncovered with
     | [] -> ()
     | u ->
-        Printf.printf "warning: %d columns coverable by no triplet (skipped)\n"
+        Printf.printf "warning: %d target faults detected by no triplet (skipped)\n"
           (List.length u));
-    (match stats.Solution.portfolio_winner with
-    | None -> ()
-    | Some winner ->
-        Printf.printf "portfolio: winner %s, %s\n" winner
-          (Ilp.stop_reason_name stats.Solution.solver_stop);
-        List.iter
-          (fun l ->
-            Printf.printf
-              "  leg %-5s rounds %d  work %d  best %s  improvements %d%s\n"
-              l.Portfolio.leg l.Portfolio.rounds l.Portfolio.work
-              (if l.Portfolio.best_cost = infinity then "-"
-               else Printf.sprintf "%g" l.Portfolio.best_cost)
-              l.Portfolio.improvements
-              (if l.Portfolio.proved then "  PROVED" else ""))
-          stats.Solution.portfolio_legs);
     if r.Flow.initial.Builder.rows_restored > 0 then
       Printf.printf "checkpoint: %d rows restored, %d rows skipped\n"
         r.Flow.initial.Builder.rows_restored r.Flow.initial.Builder.rows_skipped;
@@ -368,13 +363,12 @@ let solve_cmd =
     if r.Flow.dropped_triplets > 0 then
       Printf.printf "warning: %d selected triplets added no coverage and were dropped\n"
         r.Flow.dropped_triplets;
-    let degraded = r.Flow.degraded || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early in
+    let degraded = r.Flow.degraded || atpg.Atpg.stopped_early in
     if degraded then print_degraded s ~fallback:"solver budget";
     List.iteri (fun i t -> Format.printf "  %2d: %a@." i Triplet.pp t) r.Flow.final_triplets;
     if verify then begin
       (* A degraded run may print less than 100%: the re-grade must then
          reproduce the printed figure rather than full coverage. *)
-      let targets = r.Flow.initial.Builder.targets in
       let detected = Flow.regrade p.Suite.sim tpg r in
       let ok =
         Stats.pct (Bitvec.count detected) (max 1 (Bitvec.count targets))
@@ -388,7 +382,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Compute a minimal reseeding solution (set covering flow).")
     Term.(
       const run $ circuit_arg $ scale_arg $ tpg_arg $ cycles_arg $ fault_model_arg
-      $ method_arg ~tail:" (racing exact/SAT/GRASP legs)." $ verify_arg
+      $ method_arg $ verify_arg
       $ objective_arg $ deadline_arg $ jobs_arg $ store_arg $ chaos_arg $ obs_arg)
 
 (* gatsby *)
@@ -527,7 +521,7 @@ let compress_cmd =
             (Array.length p.Suite.tests) )
       end
     in
-    let r = Workload.solve ~method_ ?pool:s.pool ~budget:s.budget ?store:s.store corpus in
+    let r = Workload.solve ~method_ ~budget:s.budget ?store:s.store corpus in
     let stats = r.Workload.solution.Solution.stats in
     Printf.printf "corpus: %s\n" origin;
     Printf.printf "blocks: %d (%d distinct), width %d\n" r.Workload.corpus_blocks
@@ -554,7 +548,7 @@ let compress_cmd =
     (Cmd.info "compress"
        ~doc:"Code-based test-data compression: select a minimum dictionary of fully-specified words covering every ternary test-data block of the corpus, via the same covering pipeline (matrix, reduce, exact end-game) the reseeding flow uses.")
     Term.(
-      const run $ source_arg $ scale_arg $ width_arg $ method_arg ~tail:"." $ deadline_arg
+      const run $ source_arg $ scale_arg $ width_arg $ method_arg $ deadline_arg
       $ jobs_arg $ cache_arg $ chaos_arg $ obs_arg)
 
 (* fullscan *)

@@ -9,7 +9,7 @@
     circuits     = c17, c432
     tpgs         = adder, multiplier
     cycles       = 100, 150
-    method       = exact          # exact | greedy | noreduce | portfolio
+    method       = exact          # exact | greedy | noreduce
     objective    = triplets       # triplets | length
     scale        = 1              # synthetic-circuit divisor
     job_deadline = 30             # seconds per job (optional)

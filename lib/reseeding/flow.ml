@@ -203,7 +203,7 @@ let memo ~method_ ~reduce ~row_weights store fpm =
         ~encode:encode_solve ~decode:decode_solve;
   }
 
-let run_prebuilt ?(config = default_config) ?pool ?budget ?store ?fingerprint:fpm
+let run_prebuilt ?(config = default_config) ?pool:_ ?budget ?store ?fingerprint:fpm
     sim tpg ~initial ~targets =
   let t0 = Unix.gettimeofday () in
   let sims_before = Fault_sim.sims_performed sim in
@@ -228,7 +228,7 @@ let run_prebuilt ?(config = default_config) ?pool ?budget ?store ?fingerprint:fp
   in
   let solution =
     Solution.solve ~method_:config.method_ ~reduce_config:config.reduce
-      ?row_weights ?budget ?pool ?memo initial.Builder.matrix
+      ?row_weights ?budget ?memo initial.Builder.matrix
   in
   let final_triplets, missed, dropped =
     let compute () =
@@ -288,7 +288,7 @@ let run ?(config = default_config) ?pool ?budget ?store ?fingerprint sim tpg ~te
       ~targets ~config:config.builder
   in
   let r =
-    run_prebuilt ~config ?pool ?budget ?store ~fingerprint:fpm sim tpg ~initial
+    run_prebuilt ~config ?budget ?store ~fingerprint:fpm sim tpg ~initial
       ~targets
   in
   (* The prebuilt leg timed itself; report the whole flow, matrix build

@@ -81,11 +81,10 @@ val truncate_solution :
 (** [run ?config ?pool ?budget ?store ?fingerprint sim tpg ~tests
     ~targets] executes the whole flow.  [tests] is the deterministic test
     set (ATPGTS), [targets] the fault list F.  [pool] is forwarded to the
-    parallel Detection-Matrix build ({!Builder.build}) and to the
-    portfolio method's racing legs, [budget] to every expensive phase
-    (matrix build and covering solver).  On budget expiry the result is
-    valid but possibly partial: see [degraded], [coverage_pct] and
-    {!Builder.t.rows_skipped}.
+    parallel Detection-Matrix build ({!Builder.build}), [budget] to every
+    expensive phase (matrix build and covering solver).  On budget expiry
+    the result is valid but possibly partial: see [degraded],
+    [coverage_pct] and {!Builder.t.rows_skipped}.
 
     [store] memoises each stage — [matrix], [reduce], [solve],
     [truncate] — in the artifact store, keyed by {!Builder.fingerprint}
@@ -126,12 +125,13 @@ val memo :
     ~initial ~targets] is the back half of {!run} — covering, end-game
     and Section-4 truncation — over an already-built {!Builder.t}.  The
     trade-off sweep uses it to share one matrix build across grid points.
-    [pool] drives the portfolio method's racing legs (other methods
-    ignore it).  [fingerprint] is the {e matrix-stage} fingerprint of
-    [initial] (i.e. {!Builder.fingerprint} of the inputs that produced
-    it); when both it and [store] are present the reduce/solve/truncate
-    stages are memoised exactly as in {!run}.  [elapsed_s] and
-    [fault_sims] cover this half only, plus [initial.fault_sims]. *)
+    [pool] is accepted for the callers that pass it and ignored: nothing
+    after the matrix build runs on the pool.  [fingerprint] is the
+    {e matrix-stage} fingerprint of [initial] (i.e. {!Builder.fingerprint}
+    of the inputs that produced it); when both it and [store] are
+    present the reduce/solve/truncate stages are memoised exactly as in
+    {!run}.  [elapsed_s] and [fault_sims] cover this half only, plus
+    [initial.fault_sims]. *)
 val run_prebuilt :
   ?config:config ->
   ?pool:Pool.t ->

@@ -138,7 +138,7 @@ let distinct_count corpus =
   Hashtbl.length seen
 
 let solve ?(method_ = Solution.Exact) ?(reduce = Reduce.default_config) ?budget
-    ?pool ?store corpus =
+    ?store corpus =
   Trace.with_span "workload.compress"
     ~args:[ ("blocks", string_of_int (Array.length corpus.blocks)) ]
   @@ fun () ->
@@ -154,7 +154,7 @@ let solve ?(method_ = Solution.Exact) ?(reduce = Reduce.default_config) ?budget
         store
   in
   let solution =
-    Solution.solve ~method_ ~reduce_config:reduce ?budget ?pool ?memo m
+    Solution.solve ~method_ ~reduce_config:reduce ?budget ?memo m
   in
   let entries = List.map (fun r -> cands.(r)) solution.Solution.rows in
   let nb = Array.length corpus.blocks in

@@ -96,7 +96,7 @@ type compressed = {
   raw_bits : int;  (** blocks × width — the uncompressed baseline *)
 }
 
-(** [solve ?method_ ?reduce ?budget ?pool ?store corpus] selects a
+(** [solve ?method_ ?reduce ?budget ?store corpus] selects a
     minimum dictionary covering every block.  With [store] the reduce and
     end-game stages are memoised through {!Flow.memo} under
     {!fingerprint} — cached compression artifacts share the store with
@@ -107,7 +107,6 @@ val solve :
   ?method_:Solution.method_ ->
   ?reduce:Reduce.config ->
   ?budget:Budget.t ->
-  ?pool:Pool.t ->
   ?store:Artifact.store ->
   corpus ->
   compressed

@@ -5,18 +5,16 @@ type t = {
   mutable clauses : int array list; (* reversed insertion order *)
   mutable n_clauses : int;
   mutable trivially_unsat : bool;
-  mutable last_conflicts : int;
 }
 
 type outcome = Sat of bool array | Unsat | Unknown
 
 let create nvars =
   if nvars < 0 then invalid_arg "Sat.create: negative variable count";
-  { nvars; clauses = []; n_clauses = 0; trivially_unsat = false; last_conflicts = 0 }
+  { nvars; clauses = []; n_clauses = 0; trivially_unsat = false }
 
 let nvars t = t.nvars
 let clause_count t = t.n_clauses
-let conflicts t = t.last_conflicts
 
 let new_var t =
   t.nvars <- t.nvars + 1;
@@ -109,7 +107,6 @@ type decision = { d_mark : int; d_lit : int; mutable d_flipped : bool }
 let budget_stride = 1024
 
 let solve ?(assumptions = []) ?(max_conflicts = 200_000) ?budget t =
-  t.last_conflicts <- 0;
   if t.trivially_unsat then Unsat
   else begin
     let clauses = Array.of_list (List.rev t.clauses) in
@@ -205,7 +202,6 @@ let solve ?(assumptions = []) ?(max_conflicts = 200_000) ?budget t =
           end
         end
       done;
-      t.last_conflicts <- !conflicts;
       Option.get !result
     end
   end

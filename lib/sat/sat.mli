@@ -1,10 +1,9 @@
 (** A small DPLL SAT solver over CNF.
 
     Built as the substrate for SAT-based test generation (Larrabee-style
-    ATPG) and the SAT leg of the covering-solver portfolio: unit
-    propagation over occurrence lists, chronological backtracking, and a
-    conflict budget that turns pathological instances into an explicit
-    [Unknown] instead of a hang.  Complete within the budget: [Unsat] is
+    ATPG): unit propagation over occurrence lists, chronological
+    backtracking, and a conflict budget that turns pathological instances
+    into an explicit [Unknown] instead of a hang.  Complete within the budget: [Unsat] is
     a proof.
 
     The solver object is incremental in the assumption-based style:
@@ -43,13 +42,9 @@ val add_clause : t -> int list -> unit
     literals fixed before search (default none); [max_conflicts] defaults
     to 200_000.  [budget] adds cooperative wall-clock cancellation: the
     search loop polls it every ~1k steps (mirroring the ILP node-stride
-    pattern) and returns [Unknown] when it has expired, so a SAT-backed
-    ATPG or portfolio leg cannot overrun a [--deadline]. *)
+    pattern) and returns [Unknown] when it has expired, so SAT-backed
+    ATPG cannot overrun a [--deadline]. *)
 val solve : ?assumptions:int list -> ?max_conflicts:int -> ?budget:Budget.t -> t -> outcome
 
 val nvars : t -> int
 val clause_count : t -> int
-
-(** [conflicts t] is the conflict count of the most recent [solve] call
-    (0 before any call) — portfolio work attribution. *)
-val conflicts : t -> int

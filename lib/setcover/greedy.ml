@@ -59,3 +59,47 @@ let cost ?weights rows =
   match weights with
   | None -> float_of_int (List.length rows)
   | Some w -> List.fold_left (fun acc i -> acc +. w.(i)) 0. rows
+
+let grasp_cover ?weights ~rng ~alpha m =
+  Option.iter (validate_weights m) weights;
+  let weight i = match weights with None -> 1.0 | Some w -> w.(i) in
+  let n = Matrix.rows m in
+  let need = Bitvec.copy (Matrix.universe m) in
+  let picked = ref [] in
+  while not (Bitvec.is_empty need) do
+    let best = ref 0. in
+    for i = 0 to n - 1 do
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
+      if gain > 0 then best := Float.max !best (float_of_int gain /. weight i)
+    done;
+    let thresh = alpha *. !best in
+    let rcl = ref [] and size = ref 0 in
+    for i = n - 1 downto 0 do
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
+      if gain > 0 && float_of_int gain /. weight i >= thresh then begin
+        rcl := i :: !rcl;
+        incr size
+      end
+    done;
+    let choice = List.nth !rcl (Rng.int rng !size) in
+    picked := choice :: !picked;
+    Bitvec.diff_into ~into:need (Matrix.row m choice)
+  done;
+  (* Trim: drop rows whose every column stays covered without them,
+     most expensive (then highest-index) first. *)
+  let counts = Array.make (Matrix.cols m) 0 in
+  List.iter
+    (fun i -> Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) + 1) (Matrix.row m i))
+    !picked;
+  let order = List.sort (fun a b -> compare (weight b, b) (weight a, a)) !picked in
+  let kept =
+    List.filter
+      (fun i ->
+        let rs = Matrix.row m i in
+        let redundant = ref true in
+        Bitvec.iter_ones (fun j -> if counts.(j) < 2 then redundant := false) rs;
+        if !redundant then Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) - 1) rs;
+        not !redundant)
+      order
+  in
+  List.sort compare kept

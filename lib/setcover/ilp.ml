@@ -44,7 +44,8 @@ let check_weights n_rows w =
 
    The search keeps an explicit stack of pending subproblems instead of
    recursing, so it can stop after a node quantum and resume later with
-   the frontier intact — the suspension point the racing portfolio needs.
+   the frontier intact — the suspension point where [solve] adopts the
+   GRASP incumbent.
    A frame is two ints in flat arrays: the child's tree depth and the row
    it picks (-1 for the root).  Each depth owns one residual-need buffer,
    one cost slot and one pick slot: popping a frame at depth [d] blits
@@ -319,23 +320,50 @@ let advance ?(quantum = max_int) ?budget s =
 
 (* ------------------------------------------------------------------ *)
 
+(* [solve] runs the search unaided for [first_quantum] nodes.  Every
+   table-1 instance closes well inside it, so its node sequence is the
+   plain search's.  A search still open after it
+   adopts the best of [grasp_restarts] GRASP covers, restart [r] drawing
+   from [Rng.create r], and runs on to the node limit. *)
+let first_quantum = 500_000
+let grasp_restarts = 64
+let grasp_alpha = 0.8
+
+(* The best GRASP cover as [(rows, cost)], the first found on cost ties;
+   [None] when the budget expired before any restart ran. *)
+let grasp_incumbent ?weights ?budget m =
+  let best = ref None in
+  for r = 0 to grasp_restarts - 1 do
+    if not (Budget.check budget) then begin
+      let rows = Greedy.grasp_cover ?weights ~rng:(Rng.create r) ~alpha:grasp_alpha m in
+      let c = Greedy.cost ?weights rows in
+      match !best with
+      | Some (_, bc) when bc <= c +. epsilon -> ()
+      | _ -> best := Some (rows, c)
+    end
+  done;
+  !best
+
 let solve ?weights ?(node_limit = 2_000_000) ?budget m =
   let n_rows = Matrix.rows m and n_cols = Matrix.cols m in
   (* The span's result args say why the search stopped where it did:
-     its work, the root dual bound and the cost it ended with. *)
-  let span_args (r, prunes, incumbents, root_lb) =
+     its work, the root dual bound, the GRASP cover it adopted after the
+     first quantum (when it ran) and the cost it ended with. *)
+  let span_args (r, prunes, incumbents, root_lb, grasp_cost) =
+    let opt key = function
+      | Some x -> [ (key, Printf.sprintf "%g" x) ]
+      | None -> []
+    in
     [
       ("nodes", string_of_int r.nodes_explored);
       ("prunes", string_of_int prunes);
       ("incumbent_updates", string_of_int incumbents);
       ("stop_reason", stop_reason_name r.stop_reason);
     ]
-    @ (match root_lb with
-      | Some lb -> [ ("root_lb", Printf.sprintf "%g" lb) ]
-      | None -> [])
+    @ opt "root_lb" root_lb @ opt "grasp_cost" grasp_cost
     @ [ ("cost", Printf.sprintf "%g" r.cost) ]
   in
-  let r, _, _, _ =
+  let r, _, _, _, _ =
     Trace.with_span "ilp.solve"
       ~args:[ ("rows", string_of_int n_rows); ("cols", string_of_int n_cols) ]
       ~result_args:span_args
@@ -369,7 +397,7 @@ let solve ?weights ?(node_limit = 2_000_000) ?budget m =
       | _ -> None
     in
     match already_expired with
-    | Some r -> (seed_result ~optimal:false (Budget r), 0, 0, None)
+    | Some r -> (seed_result ~optimal:false (Budget r), 0, 0, None, None)
     | None ->
         let root = root_of m w (seed_rows, seed_cost) in
         let lb = root_lb root in
@@ -378,11 +406,20 @@ let solve ?weights ?(node_limit = 2_000_000) ?budget m =
              opening a single node — the Lagrangian version of the paper's
              "the reduction solved it" fast path. *)
           Metrics.incr m_root_proofs;
-          (seed_result ~optimal:true Complete, 0, 0, Some lb)
+          (seed_result ~optimal:true Complete, 0, 0, Some lb, None)
         end
         else begin
           let s = start ~node_limit root in
-          advance ?budget s;
+          advance ~quantum:first_quantum ?budget s;
+          let grasp =
+            if s.s_top = 0 || s.s_stop <> None then None
+            else begin
+              let g = grasp_incumbent ?weights ?budget m in
+              Option.iter (fun (rows, cost) -> inject s ~rows ~cost) g;
+              advance ?budget s;
+              Option.map snd g
+            end
+          in
           Metrics.add m_nodes s.s_nodes;
           Metrics.add m_incumbents s.s_incumbents;
           Metrics.add m_prunes s.s_prunes;
@@ -397,7 +434,8 @@ let solve ?weights ?(node_limit = 2_000_000) ?budget m =
             },
             s.s_prunes,
             s.s_incumbents,
-            Some lb )
+            Some lb,
+            grasp )
         end
   in
   r

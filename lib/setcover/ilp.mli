@@ -9,7 +9,11 @@
     from root multipliers and the weighted independent-column bound,
     seed the incumbent with the (weighted) greedy solution.  A root dual
     bound that already meets the greedy seed proves optimality without
-    opening a node.  When the search runs to completion ([stop_reason =
+    opening a node.  A search still open after its first 500,000 nodes
+    adopts the best of 64 seeded GRASP covers ({!Greedy.grasp_cover}) as
+    its incumbent and runs on; every instance that closes inside that
+    first quantum explores the plain search's node sequence.  When the
+    search runs to completion ([stop_reason =
     Complete], [optimal = true]) the result is a global optimum — exactly
     what the paper gets out of LINGO on the reduced matrix.  When the
     node limit or the wall-clock budget trips first, the best incumbent
@@ -22,7 +26,9 @@
     each tree depth owns a residual buffer, and the frontier is held in
     flat int arrays (see {e Resumable search}).  The
     [ilp.solve] trace span reports nodes, prunes, incumbent updates, the
-    stop reason, the root Lagrangian bound and the final cost. *)
+    stop reason, the root Lagrangian bound, the adopted GRASP cover's
+    cost ([grasp_cost], only when the GRASP restarts ran) and the final
+    cost. *)
 
 open Reseed_util
 
@@ -54,7 +60,8 @@ type result = {
     all-ones (cardinality minimisation); [node_limit] defaults to
     2_000_000; [budget] bounds wall-clock time (polled every few thousand
     nodes; an already-expired budget returns the greedy incumbent without
-    branching).  Columns coverable by no row are excluded from the
+    branching).  The result is a pure function of [m], [weights] and
+    [node_limit] when no budget trips.  Columns coverable by no row are excluded from the
     instance and reported in [uncovered] — the same silent degradation
     {!Greedy.solve} applies — so the exact path never crashes mid-flow on
     a matrix that still carries undetectable faults. *)
@@ -63,12 +70,11 @@ val solve :
 
 (** {1 Resumable search}
 
-    The portfolio's racing leg: the same branch-and-bound as {!solve},
-    but with the depth-first frontier held in an explicit stack so it
-    can run a node quantum at a time and adopt foreign incumbents
-    between quanta.  Pop order reproduces {!solve}'s recursion exactly,
-    so a search left to run without injections explores the identical
-    node sequence.
+    The branch-and-bound {!solve} runs on, with the depth-first
+    frontier held in an explicit stack so it can run a node quantum at a
+    time and adopt foreign incumbents between quanta ({!solve} adopts
+    the GRASP cover this way).  A search left to run without injections
+    explores the node sequence of the historical recursive search.
 
     A frame is two ints in flat arrays: the child's depth and the row it
     picks.  Each depth owns one residual-need buffer and one cost slot;

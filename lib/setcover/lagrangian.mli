@@ -9,11 +9,10 @@
     strictly row-wise, never materialising the column view, so the bound
     scales to the xl tier.
 
-    Used two ways by the solver stack: {!Ilp.solve} takes [lb ≥ ub − ε]
-    as an optimality proof for its greedy seed without branching, and
-    both the standalone ILP and the portfolio's racing legs prune with
-    [max(independent-column bound, node_bound)], testing [node_bound]
-    first. *)
+    Used two ways by {!Ilp}: {!Ilp.solve} takes [lb ≥ ub − ε] as an
+    optimality proof for its greedy seed without branching, and the
+    branch-and-bound prunes with [max(independent-column bound,
+    node_bound)], testing [node_bound] first. *)
 
 open Reseed_util
 

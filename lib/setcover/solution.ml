@@ -1,4 +1,4 @@
-type method_ = Exact | Greedy_only | No_reduction_exact | Portfolio_race
+type method_ = Exact | Greedy_only | No_reduction_exact
 
 type stats = {
   initial_rows : int;
@@ -13,8 +13,6 @@ type stats = {
   solver_stop : Ilp.stop_reason;
   degraded : bool;
   uncovered : int list;
-  portfolio_legs : Portfolio.leg_stat list;
-  portfolio_winner : string option;
 }
 
 type t = { rows : int list; stats : stats }
@@ -26,16 +24,15 @@ type t = { rows : int list; stats : stats }
 let is_degraded method_ stop =
   match (method_, stop) with
   | Greedy_only, _ -> false
-  | (Exact | No_reduction_exact | Portfolio_race), Ilp.Complete -> false
-  | (Exact | No_reduction_exact | Portfolio_race), _ -> true
+  | (Exact | No_reduction_exact), Ilp.Complete -> false
+  | (Exact | No_reduction_exact), _ -> true
 
-let methods = [ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
+let methods = [ Exact; Greedy_only; No_reduction_exact ]
 
 let method_name = function
   | Exact -> "exact"
   | Greedy_only -> "greedy"
   | No_reduction_exact -> "noreduce"
-  | Portfolio_race -> "portfolio"
 
 type endgame = {
   selected : int list;
@@ -51,8 +48,7 @@ type memo = {
 
 let no_memo = { reduce = (fun f -> f ()); endgame = (fun f -> f ()) }
 
-let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool
-    ?(memo = no_memo) m =
+let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_memo) m =
   Reseed_util.Trace.with_span "solution.solve"
     ~args:[ ("method", method_name method_) ]
   @@ fun () ->
@@ -66,7 +62,7 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool
   let necessary, iterations, residual, row_of =
     match method_ with
     | No_reduction_exact -> ([], 0, m, Fun.id)
-    | Exact | Greedy_only | Portfolio_race ->
+    | Exact | Greedy_only ->
         let red =
           memo.reduce (fun () -> Reduce.run ?config:reduce_config ?row_weights m)
         in
@@ -81,36 +77,19 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool
   let mapped selected nodes stop optimal =
     { selected = List.map row_of selected; nodes; stop; optimal }
   in
-  let e, legs, winner =
+  let e =
     if method_ <> No_reduction_exact
        && (Matrix.rows residual = 0 || Matrix.cols residual = 0)
-    then (mapped [] 0 Ilp.Complete true, [], None)
+    then mapped [] 0 Ilp.Complete true
     else
       match method_ with
       | Greedy_only ->
-          let greedy () = mapped (Greedy.solve residual) 0 Ilp.Complete false in
-          (memo.endgame greedy, [], None)
+          memo.endgame (fun () -> mapped (Greedy.solve residual) 0 Ilp.Complete false)
       | Exact | No_reduction_exact ->
-          let ilp () =
-            let r = Ilp.solve ?weights ?budget residual in
-            mapped r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
-              r.Ilp.optimal
-          in
-          (memo.endgame ilp, [], None)
-      | Portfolio_race ->
-          (* Never memoised: per-leg attribution does not fit an
-             [endgame], and the race reads the shared incumbent as it
-             runs. *)
-          let r = Portfolio.solve ?weights ?budget ?pool residual in
-          let ilp_nodes =
-            List.fold_left
-              (fun acc l -> if l.Portfolio.leg = "ilp" then l.Portfolio.work else acc)
-              0 r.Portfolio.legs
-          in
-          ( mapped r.Portfolio.selected ilp_nodes r.Portfolio.stop_reason
-              r.Portfolio.optimal,
-            r.Portfolio.legs,
-            Some r.Portfolio.winner )
+          memo.endgame (fun () ->
+              let r = Ilp.solve ?weights ?budget residual in
+              mapped r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
+                r.Ilp.optimal)
   in
   {
     rows = List.sort_uniq compare (necessary @ e.selected);
@@ -128,8 +107,6 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?pool
         solver_stop = e.stop;
         degraded = is_degraded method_ e.stop;
         uncovered;
-        portfolio_legs = legs;
-        portfolio_winner = winner;
       };
   }
 

@@ -9,19 +9,15 @@
 open Reseed_util
 
 type method_ =
-  | Exact
+  | Exact  (** reduce, then solve the residual exactly ({!Ilp.solve}) *)
   | Greedy_only
   | No_reduction_exact
-  | Portfolio_race
-      (** reduce, then race {!Portfolio}'s three legs (exact B&B,
-          SAT/cardinality descent, GRASP restarts) on the residual *)
 
 (** Every covering method, in CLI order. *)
 val methods : method_ list
 
-(** [method_name m] is ["exact"], ["greedy"], ["noreduce"] or
-    ["portfolio"] — the CLI / manifest spelling and a cache-key
-    component. *)
+(** [method_name m] is ["exact"], ["greedy"] or ["noreduce"] — the CLI
+    / manifest spelling and a cache-key component. *)
 val method_name : method_ -> string
 
 type stats = {
@@ -32,8 +28,7 @@ type stats = {
   reduced_cols : int;
   from_solver : int list;  (** rows added by the end-game solver *)
   reduction_iterations : int;
-  solver_nodes : int;
-      (** branch-and-bound nodes (the exact leg's, for the portfolio) *)
+  solver_nodes : int;  (** branch-and-bound nodes *)
   solver_optimal : bool;
   solver_stop : Ilp.stop_reason;  (** why the end-game solver stopped *)
   degraded : bool;
@@ -44,10 +39,6 @@ type stats = {
       (** columns of the {e input} matrix no row covers, ascending —
           undetectable faults every method silently skips; [[]] on a
           feasible instance *)
-  portfolio_legs : Portfolio.leg_stat list;
-      (** per-leg attribution; [[]] for non-portfolio methods *)
-  portfolio_winner : string option;
-      (** leg holding the final incumbent; [None] for other methods *)
 }
 
 type t = { rows : int list;  (** the final solution N, ascending *) stats : stats }
@@ -63,20 +54,16 @@ type endgame = {
 (** Hooks around [solve]'s two expensive legs: each receives its leg as
     a thunk and must return what the thunk would (e.g. a cached copy).
     [endgame] wraps the greedy or exact solve; it is skipped when
-    reduction leaves an empty residual, and never called for
-    [Portfolio_race], whose racing legs always rerun. *)
+    reduction leaves an empty residual. *)
 type memo = {
   reduce : (unit -> Reduce.result) -> Reduce.result;
   endgame : (unit -> endgame) -> endgame;
 }
 
-(** [solve ?method_ ?reduce_config ?row_weights ?budget ?pool ?memo m] —
+(** [solve ?method_ ?reduce_config ?row_weights ?budget ?memo m] —
     [method_] defaults to [Exact].  [Greedy_only] replaces the exact
     end-game with greedy (ablation #2); [No_reduction_exact] skips
-    reduction entirely (ablation showing why the paper reduces first);
-    [Portfolio_race] races exact, SAT and GRASP legs on the residual,
-    sharing one incumbent ([pool] controls the racing parallelism —
-    results are identical at every pool size).
+    reduction entirely (ablation showing why the paper reduces first).
 
     [row_weights] switches the objective from cardinality to weighted
     cost (e.g. estimated per-triplet test length); reduction honours the
@@ -96,7 +83,6 @@ val solve :
   ?reduce_config:Reduce.config ->
   ?row_weights:float array ->
   ?budget:Budget.t ->
-  ?pool:Pool.t ->
   ?memo:memo ->
   Matrix.t ->
   t

@@ -8,7 +8,7 @@ let () =
    @ Test_ternary.suite
    @ Test_testability.suite @ Test_podem.suite @ Test_compact_random.suite
    @ Test_atpg.suite @ Test_tpg.suite @ Test_setcover.suite @ Test_ilp_oracle.suite
-   @ Test_portfolio.suite @ Test_sat.suite @ Test_satpg.suite
+   @ Test_endgame.suite @ Test_sat.suite @ Test_satpg.suite
    @ Test_ga_gatsby.suite @ Test_flow.suite @ Test_fullscan_misr.suite
    @ Test_diagnose.suite @ Test_parallel.suite @ Test_properties.suite
    @ Test_observability.suite @ Test_pipeline.suite @ Test_codec.suite

@@ -1,7 +1,8 @@
 (* The reseed executable, spawned as a child process: option values
    outside their range are usage errors (exit 2) naming the flag,
-   tradeoff runs on the pool its --jobs asks for, and solve --verify
-   checks degraded runs too. *)
+   tradeoff runs on the pool its --jobs asks for, solve --verify checks
+   degraded runs too, and solve reports the faults outside F by their
+   ATPG class. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -98,6 +99,17 @@ let test_verify_degraded () =
   check "run is degraded" true (contains ~sub:"degraded: true" out);
   check "verification: PASSED" true (contains ~sub:"verification: PASSED" out)
 
+(* c432's 18 empty matrix columns are its 7 untestable and 11 aborted
+   faults, none of them in F: a full-coverage run prints their split and
+   no warning. *)
+let test_faults_outside_f () =
+  let code, out, _ = run [ "solve"; "c432" ] in
+  check_int "exit 0" 0 code;
+  check "split line" true
+    (contains ~sub:"\nfaults outside F: 18 (7 untestable, 11 aborted)\n" out);
+  check "no warning" false (contains ~sub:"warning:" out);
+  check "full coverage" true (contains ~sub:"coverage 100.00%" out)
+
 let suite =
   [
     ( "cli",
@@ -107,5 +119,7 @@ let suite =
         Alcotest.test_case "tradeoff honours --jobs" `Quick test_tradeoff_honours_jobs;
         Alcotest.test_case "solve --verify checks degraded runs" `Quick
           test_verify_degraded;
+        Alcotest.test_case "solve splits the faults outside F" `Quick
+          test_faults_outside_f;
       ] );
   ]

@@ -110,7 +110,8 @@ let test_reduce_span_args () =
 
 (* The [ilp.solve] span says why the search ended where it did: its
    node, prune and incumbent counts (the same numbers the counters get),
-   the stop reason, the root Lagrangian bound and the final cost. *)
+   the stop reason, the root Lagrangian bound, the GRASP cover it adopted
+   (only when its first node quantum left it open) and the final cost. *)
 let test_ilp_span_args () =
   (* Greedy takes 3 rows here, the optimum is 2: the search branches. *)
   let m =
@@ -134,7 +135,14 @@ let test_ilp_span_args () =
     (int_of_string (arg "incumbent_updates"));
   check "stop reason" true (arg "stop_reason" = "complete");
   check "root bound below the optimum" true (float_of_string (arg "root_lb") <= r.Ilp.cost);
-  check "cost" true (float_of_string (arg "cost") = r.Ilp.cost)
+  check "cost" true (float_of_string (arg "cost") = r.Ilp.cost);
+  check "closed in the first quantum: no GRASP" false (List.mem_assoc "grasp_cost" args);
+  let m = Test_endgame.open_instance () in
+  let r = with_tracer @@ fun () -> Ilp.solve ~node_limit:500_001 m in
+  let args = (List.find (fun e -> e.Trace.name = "ilp.solve") (Trace.events ())).Trace.args in
+  let grasp_cost = float_of_string (List.assoc "grasp_cost" args) in
+  check "grasp_cost is the GRASP best" true (grasp_cost = Test_endgame.grasp_best m);
+  check "cost no worse than grasp_cost" true (r.Ilp.cost <= grasp_cost)
 
 let test_span_exception_recorded () =
   with_tracer @@ fun () ->

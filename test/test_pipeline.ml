@@ -232,9 +232,6 @@ let flow_signature r =
     r.Flow.coverage_pct,
     r.Flow.degraded )
 
-let methods =
-  Solution.[ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
-
 (* Every method x objective: the memoised solve must hand back the very
    same [Solution.t] as the plain one — rows and every stats field — cold
    and warm.  The mp-lfsr TPG at T=5 leaves c17 a non-empty residual, so
@@ -277,7 +274,7 @@ let test_cached_flow_matches_plain () =
           check_int (label "fully warm run misses nothing") 0 misses;
           check (label "verifies") true (Flow.verify p.Suite.sim tpg warm))
         [ (Flow.Min_triplets, "triplets"); (Flow.Min_test_length, "length") ])
-    methods
+    Solution.methods
 
 (* --- trade-off sweep --------------------------------------------------- *)
 
@@ -441,7 +438,7 @@ let test_batch_parse_errors () =
     | _ -> Alcotest.failf "%S: expected Reseed_error" text
   in
   check_string "unknown method"
-    "unknown method \"fast\" (exact|greedy|noreduce|portfolio)"
+    "unknown method \"fast\" (exact|greedy|noreduce)"
     (message "method = fast\njob c17 adder 10");
   check_string "unknown objective" "unknown objective \"speed\" (triplets|length)"
     (message "objective = speed\njob c17 adder 10")

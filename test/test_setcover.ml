@@ -282,12 +282,7 @@ let test_solution_uncovered_surfaced () =
       Alcotest.(check (list int))
         ("uncovered via " ^ Solution.method_name method_)
         [ 1 ] sol.Solution.stats.Solution.uncovered)
-    [
-      Solution.Exact;
-      Solution.Greedy_only;
-      Solution.No_reduction_exact;
-      Solution.Portfolio_race;
-    ];
+    Solution.methods;
   let feasible = matrix_of 2 [ [ 0 ]; [ 1 ] ] in
   let sol = Solution.solve feasible in
   check "feasible instance: empty" true (sol.Solution.stats.Solution.uncovered = [])

@@ -449,7 +449,7 @@ let test_compress_cached_solve_identical () =
       check (label "entries identical") true
         (cold.Workload.entries = plain.Workload.entries
         && warm.Workload.entries = plain.Workload.entries))
-    Solution.[ Exact; Greedy_only; No_reduction_exact; Portfolio_race ]
+    Solution.methods
 
 (* At width 12 the ATPG corpora of c880 and s953 give the sparsest
    covering matrices the workload builds — every row holds at most one
