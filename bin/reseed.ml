@@ -591,11 +591,15 @@ let gen_cmd =
 
    Sweeps every registered faultpoint × a set of fault kinds, each leg a
    child [reseed solve] process with a one-shot injection ([@1]) into a
-   fresh artifact store.  A leg passes when the run either
+   fresh artifact store — for [artifact.read], a store a clean run has
+   filled, so that the injection has a blob to strike.  A leg passes
+   when the run either
    - exits 0 with output byte-identical to a clean reference run
-     (the fault healed through retries, or never fired), or
+     (the fault healed or cost a cache miss) — a leg whose child
+     injected nothing (its [chaos_injected] metric reads 0) is [not
+     reached] and counted apart — or
    - exits with a documented failure code (the fault surfaced as a
-     diagnostic, never a wrong answer), or
+     diagnostic, never a wrong answer; 70, a bug, is not one), or
    - aborts at the crashpoint (exit 66) and a chaos-free rerun against
      the same store then reproduces the reference exactly (crash
      consistency: finished stages and matrix shards are resumable). *)
@@ -658,7 +662,8 @@ let chaos_cmd =
     in
     rm_rf root;
     Artifact.mkdir_p root;
-    Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+    (* At exit, not in a [finally]: a failed sweep leaves through [exit 1]. *)
+    at_exit (fun () -> rm_rf root);
     let n = ref 0 in
     let fresh_leg () =
       incr n;
@@ -670,6 +675,20 @@ let chaos_cmd =
       [ "solve"; circuit; "--jobs"; string_of_int jobs; "--cache"; store ]
       @ (match chaos with Some s -> [ "--chaos"; s ] | None -> [])
     in
+    (* Whether the child injected: its --metrics file holds a nonzero
+       [chaos_injected] counter. *)
+    let injected metrics =
+      let prefix = "\"chaos_injected\": " in
+      match In_channel.with_open_bin metrics In_channel.input_lines with
+      | exception Sys_error _ -> false
+      | lines ->
+          List.exists
+            (fun l ->
+              let l = String.trim l in
+              String.starts_with ~prefix l
+              && not (String.starts_with ~prefix:(prefix ^ "0") l))
+            lines
+    in
     let reference =
       let store, out = fresh_leg () in
       let code = run_child (solve_args ~store None) ~out_file:out in
@@ -679,33 +698,42 @@ let chaos_cmd =
     in
     let documented =
       List.map Error.exit_code
-        Error.[ Usage; Input_error; Infeasible; Task_failed; Internal; Interrupted ]
+        Error.[ Usage; Input_error; Infeasible; Task_failed; Interrupted ]
     in
-    let failures = ref 0 in
+    let passed = ref 0 and failures = ref 0 and unreached = ref 0 in
     let leg point kind =
       let spec =
         Printf.sprintf "%d:%s=%s@1" seed point (Faultpoint.kind_name kind)
       in
       let store, out = fresh_leg () in
-      let code = run_child (solve_args ~store (Some spec)) ~out_file:out in
-      let ok, detail =
+      if point = "artifact.read" then
+        ignore (run_child (solve_args ~store None) ~out_file:out);
+      let metrics = Filename.concat (Filename.dirname out) "metrics.json" in
+      let code =
+        run_child (solve_args ~store (Some spec) @ [ "--metrics"; metrics ]) ~out_file:out
+      in
+      let verdict, detail =
         if code = 0 then
-          if filtered_output out = reference then (true, "healed, output identical")
-          else (false, "exit 0 but output diverged")
+          if filtered_output out <> reference then (`Fail, "exit 0 but output diverged")
+          else if injected metrics then (`Ok, "healed, output identical")
+          else (`Unreached, "not reached")
         else if code = Faultpoint.abort_exit_code then begin
           let _, out2 = fresh_leg () in
           let rcode = run_child (solve_args ~store None) ~out_file:out2 in
           if rcode = 0 && filtered_output out2 = reference then
-            (true, "aborted, resume identical")
-          else (false, Printf.sprintf "aborted, resume exit %d/diverged" rcode)
+            (`Ok, "aborted, resume identical")
+          else (`Fail, Printf.sprintf "aborted, resume exit %d/diverged" rcode)
         end
         else if List.mem code documented then
-          (true, Printf.sprintf "documented failure (exit %d)" code)
-        else (false, Printf.sprintf "undocumented exit %d" code)
+          (`Ok, Printf.sprintf "documented failure (exit %d)" code)
+        else (`Fail, Printf.sprintf "undocumented exit %d" code)
       in
-      if not ok then incr failures;
+      (match verdict with
+      | `Ok -> incr passed
+      | `Fail -> incr failures
+      | `Unreached -> incr unreached);
       Printf.printf "  %-20s %-8s %-4s %s\n%!" point (Faultpoint.kind_name kind)
-        (if ok then "ok" else "FAIL")
+        (match verdict with `Ok -> "ok" | `Fail -> "FAIL" | `Unreached -> "--")
         detail
     in
     let points = Faultpoint.all () in
@@ -716,7 +744,9 @@ let chaos_cmd =
       Printf.printf "chaos: %d leg(s) FAILED\n" !failures;
       exit 1
     end
-    else Printf.printf "chaos: all %d legs passed\n" (List.length points * List.length kinds)
+    else
+      Printf.printf "chaos: all %d reached legs passed, %d not reached\n" !passed
+        !unreached
   in
   Cmd.v
     (Cmd.info "chaos"

@@ -11,19 +11,13 @@ let fp_read = Faultpoint.register "artifact.read"
 let fp_write = Faultpoint.register "artifact.write"
 let fp_publish = Faultpoint.register "artifact.publish"
 
-(* Reads are always recoverable — a missing or unreadable blob is a
-   cache miss, never an error — so transient read failures (including
-   injected ones) are retried and anything that survives degrades to
-   [None].  The payload passes the [artifact.read] data point, so chaos
-   schedules can corrupt it in flight and exercise the checksum path. *)
+(* The store is a checksummed cache, so a read that fails for any
+   reason, real or injected, is a miss.  The payload passes the
+   [artifact.read] data point, so chaos schedules can corrupt it in
+   flight and exercise the checksum path. *)
 let read_opt path =
-  match
-    Retry.run ~label:"artifact.read" (fun ~attempt:_ ->
-        try Some (Faultpoint.mangle fp_read (In_channel.with_open_bin path In_channel.input_all))
-        with Sys_error _ -> None)
-  with
-  | Ok r -> r
-  | Error _ -> None
+  try Some (Faultpoint.mangle fp_read (In_channel.with_open_bin path In_channel.input_all))
+  with Sys_error _ | Unix.Unix_error _ | Faultpoint.Injected _ -> None
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -38,56 +32,34 @@ let rec mkdir_p dir =
   else if not (Sys.is_directory dir) then
     Error.fail Error.Input_error "artifact path %s is not a directory" dir
 
-(* Directory fsync makes the rename itself durable.  Some filesystems
-   refuse to open or fsync a directory; that only weakens durability, so
-   it stays best-effort rather than failing the write. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let write_fd fd data =
-  let n = String.length data in
-  let pos = ref 0 in
-  while !pos < n do
-    pos := !pos + Unix.write_substring fd data !pos (n - !pos)
-  done
-
-(* Crash-safe, durable write: the payload is written to a [.tmp] sibling
-   and fsynced, renamed into place, and the parent directory fsynced —
-   so the file appears under its final name only complete, and a crash
-   immediately after publish cannot roll it back to a zero-length or
-   missing blob.  Transient failures are retried with backoff; each
-   attempt passes the [artifact.write] data point (payload mangling, IO
-   errors) and the [artifact.publish] control point (crashpoints between
-   write and rename). *)
+(* Write-then-rename: the payload goes to a [.tmp] sibling and is renamed
+   into place, so a blob appears under its final name only complete.
+   Nothing is fsynced: every blob is checksummed and every artifact is
+   recomputable from its fingerprinted inputs, so a crash can lose or
+   tear one but never change a result.  The payload passes the
+   [artifact.write] data point and the [artifact.publish] control point
+   (crashpoints between write and rename); any failure, real or
+   injected, is an [Input_error]. *)
 let write_atomic path data =
   mkdir_p (Filename.dirname path);
   let tmp = path ^ ".tmp" in
   try
-    Retry.with_retries ~label:"artifact.write" (fun ~attempt:_ ->
-        let payload = Faultpoint.mangle fp_write data in
-        let fd =
-          Unix.openfile tmp
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-            0o644
-        in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            write_fd fd payload;
-            Unix.fsync fd);
-        Faultpoint.hit fp_publish;
-        Sys.rename tmp path;
-        fsync_dir (Filename.dirname path))
+    let payload = Faultpoint.mangle fp_write data in
+    (* [with_open_bin] closes without reporting errors: flush first, so a
+       failed write (ENOSPC) raises here instead of publishing a stub. *)
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_string oc payload;
+        Out_channel.flush oc);
+    Faultpoint.hit fp_publish;
+    Sys.rename tmp path
   with
   | Sys_error m -> Error.fail Error.Input_error "artifact write failed: %s" m
   | Unix.Unix_error (e, _, _) ->
       Error.fail Error.Input_error "artifact write failed: %s: %s" path
         (Unix.error_message e)
+  | Faultpoint.Injected _ as e ->
+      Error.fail Error.Input_error "artifact write failed: %s: %s" path
+        (Printexc.to_string e)
 
 module Codec = struct
   let u32 b v = Buffer.add_int32_le b (Int32.of_int v)

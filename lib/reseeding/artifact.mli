@@ -10,41 +10,41 @@
     so a rerun with identical inputs loads the bytes instead of
     recomputing, across processes and across the points of a campaign.
 
-    Durability discipline:
+    The store is a plain checksummed cache:
 
-    - {e write-then-rename, fsynced}: an artifact appears under its
-      final name only complete; the payload is fsynced before the rename
-      and the parent directory after it, so a published blob survives a
-      crash.  A crash mid-write leaves at most a [.tmp] orphan;
+    - {e write-then-rename}: an artifact appears under its final name
+      only complete.  Nothing is fsynced: a crash can lose or tear an
+      artifact, or leave a [.tmp] orphan, but every artifact is a
+      deterministic function of its fingerprint, so the loss costs a
+      recompute to the same bytes, never a different result;
     - {e checksummed}: every blob carries magic, format version, kind
       tag, fingerprint and an FNV-1a payload checksum; any defect makes
       {!load} return [None] and the stage recomputes — corruption can
       cost time, never correctness;
     - {e only complete results are stored}: callers pass [None] from
       their encoder when a budget degraded the result;
-    - {e retried}: reads and writes go through the shared {!Retry}
-      policy (one retry), so transient IO errors heal before they
-      surface.
+    - {e a failure is a miss}: a read or write that fails for any
+      reason, real or injected, is never retried; a failed read is a
+      miss and a failed save is counted and missed again next run.
 
     Fault injection: reads pass the [artifact.read] {!Faultpoint} (data
     point — payloads can be mangled in flight to exercise the checksum
-    path), writes pass [artifact.write] (data point, per attempt) and
-    [artifact.publish] (control point between the fsynced [.tmp] write
-    and the rename — the crash-consistency window).
+    path), writes pass [artifact.write] (data point) and
+    [artifact.publish] (control point between the [.tmp] write and the
+    rename — the crash-consistency window).
 
     The store root comes from the [RESEED_CACHE] environment variable or
     an explicit directory ([--cache] on the CLI). *)
 
 open Reseed_util
 
-(** [read_opt path] is the file's contents, or [None] when unreadable
-    (after transient failures have been retried). *)
+(** [read_opt path] is the file's contents, or [None] when the read
+    fails: [Sys_error], [Unix_error] or {!Faultpoint.Injected}. *)
 val read_opt : string -> string option
 
-(** [write_atomic path data] writes to [path ^ ".tmp"], fsyncs it,
-    renames into place and fsyncs the parent directory (best-effort on
-    filesystems that refuse directory fsync).  Creates the parent
-    directory.  Transient failures are retried; what survives raises
+(** [write_atomic path data] writes to [path ^ ".tmp"] and renames it
+    into place, creating the parent directory.  Nothing is fsynced.  A
+    [Sys_error], [Unix_error] or {!Faultpoint.Injected} raises
     {!Error.Reseed_error} ([Input_error]). *)
 val write_atomic : string -> string -> unit
 
@@ -139,9 +139,9 @@ val save : store -> stage:string -> Fingerprint.t -> string -> unit
     [store = None] is a transparent pass-through to [compute].
 
     The cache is an accelerator, never a point of failure: if the save
-    of a recomputed result fails even after retries, the result is still
-    returned — the failure only bumps [artifact_write_failures] and the
-    store misses again next run.
+    of a recomputed result fails, the result is still returned — the
+    failure only bumps [artifact_write_failures] and the store misses
+    again next run.
 
     Work accounting: bumps [artifact_hits] / [artifact_misses] /
     [artifact_corrupt] / [artifact_writes] plus the per-stage

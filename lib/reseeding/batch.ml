@@ -221,8 +221,8 @@ let m_skipped =
   Metrics.counter ~help:"batch jobs skipped (campaign budget expired)"
     "batch_jobs_skipped"
 
-(* Chaos schedules can fail or stall whole campaign jobs here; the pool's
-   retry policy then re-runs the job chunk, exercising idempotent job
+(* Chaos schedules can fail or stall whole campaign jobs here; the pool
+   then re-runs the job chunk once, exercising idempotent job
    re-execution against the shared prepared workloads. *)
 let fp_job = Faultpoint.register "batch.job"
 

@@ -12,7 +12,7 @@
     2    usage error (bad command line; produced by Cmdliner)
     3    input error (malformed .bench, unknown circuit, unusable store dir)
     4    infeasible instance (no valid cover exists)
-    5    worker task failure (a pool task kept failing after retries)
+    5    worker task failure (a pool task failed again when re-run)
     66   chaos abort (an injected {!Faultpoint} crashpoint; testing only)
     70   internal error (a bug: unexpected exception)
     130  interrupted (SIGINT; finished stages and matrix shards are kept)

@@ -11,18 +11,16 @@ exception
     lo : int;
     hi : int;
     attempts : int;
-    backoff_s : float;
     exn : exn;
   }
 
 let () =
   Printexc.register_printer (function
-    | Task_error { label; worker; lo; hi; attempts; backoff_s; exn } ->
+    | Task_error { label; worker; lo; hi; attempts; exn } ->
         Some
           (Printf.sprintf
-             "Pool.Task_error(task %S, worker %d, chunk [%d,%d), %d attempts, \
-              %.3fs backoff: %s)"
-             label worker lo hi attempts backoff_s (Printexc.to_string exn))
+             "Pool.Task_error(task %S, worker %d, chunk [%d,%d), %d attempts: %s)"
+             label worker lo hi attempts (Printexc.to_string exn))
     | _ -> None)
 
 type job = {
@@ -62,36 +60,27 @@ let default_jobs () =
       | Some n when n >= 1 -> n
       | _ -> Error.fail Error.Usage "RESEED_JOBS=%S: expected a positive integer" s)
 
-(* A chunk that raises is retried on the same worker through the shared
-   {!Retry} policy (one retry with backoff)
-   before the job is declared failed — transient faults (resource blips,
-   interrupted syscalls, injected chaos) heal; deterministic ones cost
-   duplicate runs.  Chunk bodies therefore must be idempotent per index
-   (every combinator here writes result slot [i] from task [i], which
-   is).  The surviving exception is wrapped in {!Task_error} with the
-   attempt count and total backoff, so failures in a fleet of domains
-   stay attributable.  Structured {!Error.Reseed_error} diagnostics and
-   already-contained nested {!Task_error}s are permanent: retrying a
-   documented failure only duplicates its side effects. *)
-let task_classify = function
-  | Task_error _ | Error.Reseed_error _ -> Retry.Permanent
-  | _ -> Retry.Transient
-
+(* A chunk that raises is re-run once, at once, on the same worker (so
+   chunk bodies must be idempotent per index, as every combinator here
+   is); a second failure is wrapped in {!Task_error}.  A structured
+   {!Error.Reseed_error} is never re-run: that only duplicates a
+   documented failure's side effects.  A nested {!Task_error} passes. *)
 let fp_task = Faultpoint.register "pool.task"
 
 let run_chunk_retrying ~label body ~worker ~lo ~hi =
-  match
-    Retry.run ~classify:task_classify ~label (fun ~attempt:_ ->
-        Faultpoint.hit fp_task;
-        body ~worker ~lo ~hi)
-  with
-  | Ok () -> ()
-  | Error { Retry.exn = Task_error _ as e; _ } ->
-      raise e (* already contained (and retried) deeper down *)
-  | Error { Retry.attempts; backoff_s; exn } ->
-      raise (Task_error { label; worker; lo; hi; attempts; backoff_s; exn })
-
-let run_body j ~worker ~lo ~hi = run_chunk_retrying ~label:j.label j.body ~worker ~lo ~hi
+  let fail attempts exn = raise (Task_error { label; worker; lo; hi; attempts; exn }) in
+  let rec go attempts =
+    match
+      Faultpoint.hit fp_task;
+      body ~worker ~lo ~hi
+    with
+    | () -> ()
+    | exception (Task_error _ as e) -> raise e
+    | exception (Error.Reseed_error _ as e) -> fail attempts e
+    | exception _ when attempts = 1 -> go 2
+    | exception e -> fail attempts e
+  in
+  go 1
 
 (* Every claimed chunk is accounted exactly once, run or skipped, so
    [completed = total] is the completion condition even after a failure. *)
@@ -103,7 +92,7 @@ let run_chunks j ~worker =
     else begin
       let hi = min j.total (lo + j.chunk) in
       (if not (Atomic.get j.failed) then
-         try run_body j ~worker ~lo ~hi
+         try run_chunk_retrying ~label:j.label j.body ~worker ~lo ~hi
          with e ->
            Atomic.set j.failed true;
            Mutex.lock j.jm;

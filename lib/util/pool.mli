@@ -19,25 +19,22 @@
 type t
 
 (** Raised by the [parallel_*] combinators when a chunk body keeps
-    failing: the chunk is retried on the same worker through the shared
-    {!Retry} policy — one retry with
-    exponential, deterministically jittered backoff — so transient
-    faults heal (bodies must be idempotent per index, which every slot-
-    writing combinator here is).  {!Error.Reseed_error} diagnostics are
-    classified permanent and never retried.  The surviving exception is
-    wrapped with its task context — the region's [label], the worker
-    slot, the index range, the attempt count and the total backoff — so
-    failures in a fleet of domains stay attributable.  The first failing
-    chunk wins; chunks not yet started are skipped.  Every chunk attempt
-    also passes the [pool.task] {!Faultpoint}. *)
+    failing: a chunk that raises is re-run once, at once, on the same
+    worker, so one-shot faults heal (bodies must be idempotent per
+    index, which every slot-writing combinator here is).
+    {!Error.Reseed_error} diagnostics are never re-run.  The surviving
+    exception is wrapped with its task context — the region's [label],
+    the worker slot, the index range and the attempt count — so failures
+    in a fleet of domains stay attributable.  The first failing chunk
+    wins; chunks not yet started are skipped.  Every chunk attempt also
+    passes the [pool.task] {!Faultpoint}. *)
 exception
   Task_error of {
     label : string;  (** the [?label] of the failed region *)
     worker : int;  (** participant slot that ran the chunk *)
     lo : int;  (** failed index range, [lo] inclusive *)
     hi : int;  (** … [hi] exclusive *)
-    attempts : int;  (** runs of the chunk body, including retries *)
-    backoff_s : float;  (** total time spent backing off between attempts *)
+    attempts : int;  (** runs of the chunk body: 1, or 2 after a re-run *)
     exn : exn;  (** the underlying exception (last attempt's) *)
   }
 
@@ -74,7 +71,7 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     (e.g. {i Fault_sim} shards) with it.  [chunk] is the claim
     granularity (default: coarse, [total/(8*jobs)]).  [label] names the
     region in failure reports (default ["parallel region"]).  A chunk
-    that raises is retried once; a second failure is re-raised in the
+    that raises is re-run once; a second failure is re-raised in the
     caller as {!Task_error} (first failing chunk wins) after every
     participant has stopped — the pool itself never hangs or dies. *)
 val parallel_for :

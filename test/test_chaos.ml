@@ -1,8 +1,8 @@
 (* Fault injection and crash consistency: the chaos spec grammar, the
-   deterministic injection schedule, the shared retry policy, and the
-   end-to-end guarantee that any single injected fault either heals,
-   degrades to a cache miss, or surfaces as a documented diagnostic —
-   never as a silently wrong answer. *)
+   deterministic injection schedule, the store's failure-is-a-miss
+   contract, and the end-to-end guarantee that any single injected fault
+   either heals, degrades to a cache miss, or surfaces as a documented
+   diagnostic — never as a silently wrong answer. *)
 
 open Reseed_core
 open Reseed_netlist
@@ -145,74 +145,6 @@ let test_mangle_torn_and_flip () =
   (* Disabled points return the payload unchanged through the fast path. *)
   check_string "disabled mangle is identity" "abc" (Faultpoint.mangle fp "abc")
 
-(* --- retry policy ------------------------------------------------------ *)
-
-let fast = { Retry.max_attempts = 3; base_delay_s = 0.; max_delay_s = 0. }
-
-let test_retry_transient_heals () =
-  let calls = ref 0 in
-  let r, retries =
-    delta "retry_attempts" (fun () ->
-        Retry.run ~config:fast (fun ~attempt ->
-            incr calls;
-            if attempt = 1 then raise (Unix.Unix_error (Unix.EIO, "t", ""));
-            "ok"))
-  in
-  check "heals" true (r = Ok "ok");
-  check_int "two calls" 2 !calls;
-  check_int "one retry counted" 1 retries
-
-let test_retry_permanent_immediate () =
-  let calls = ref 0 in
-  let r =
-    Retry.run ~config:fast (fun ~attempt:_ ->
-        incr calls;
-        raise (Unix.Unix_error (Unix.ENOENT, "t", "")))
-  in
-  (match r with
-  | Error { Retry.attempts; _ } -> check_int "one attempt" 1 attempts
-  | Ok _ -> Alcotest.fail "expected failure");
-  check_int "never retried" 1 !calls
-
-let test_retry_exhaustion () =
-  match
-    Retry.run ~config:fast (fun ~attempt:_ ->
-        raise (Unix.Unix_error (Unix.EIO, "t", "")))
-  with
-  | Error { Retry.attempts; exn = Unix.Unix_error (Unix.EIO, _, _); _ } ->
-      check_int "all attempts used" fast.Retry.max_attempts attempts
-  | _ -> Alcotest.fail "expected EIO failure after exhaustion"
-
-let test_retry_classification_defaults () =
-  let cls e = Retry.class_name (Retry.classify e) in
-  check_string "eio transient" "transient"
-    (cls (Unix.Unix_error (Unix.EIO, "", "")));
-  check_string "enospc permanent" "permanent"
-    (cls (Unix.Unix_error (Unix.ENOSPC, "", "")));
-  check_string "injected transient" "transient"
-    (cls (Faultpoint.Injected { point = "p"; fault = "fail" }));
-  check_string "sys_error transient" "transient" (cls (Sys_error "x"));
-  check_string "diagnostics permanent" "permanent"
-    (cls
-       (Error.Reseed_error
-          { Error.code = Error.Input_error; message = ""; file = None;
-            line = None; column = None }));
-  check_string "anything else permanent" "permanent" (cls Exit)
-
-let test_retry_backoff_deterministic () =
-  let cfg = { Retry.max_attempts = 3; base_delay_s = 0.001; max_delay_s = 0.01 } in
-  let fail_all () =
-    match
-      Retry.run ~config:cfg ~label:"t" (fun ~attempt:_ ->
-          raise (Unix.Unix_error (Unix.EIO, "t", "")))
-    with
-    | Error f -> f.Retry.backoff_s
-    | Ok _ -> assert false
-  in
-  let a = fail_all () and b = fail_all () in
-  check "backoff accumulated" true (a > 0.);
-  check "backoff deterministic across runs" true (a = b)
-
 (* --- artifact store under chaos ---------------------------------------- *)
 
 let enc v =
@@ -258,27 +190,29 @@ let test_artifact_rewrite_counted () =
   let _, rewrites = delta "artifact_rewrites" (fun () -> cached store fp computes) in
   check_int "corrupt blob overwrite counted" 1 rewrites
 
-let test_artifact_read_eio_heals () =
+(* No read is retried: an injected read error costs one miss and one
+   recompute, and the value is unchanged. *)
+let test_artifact_read_eio_is_miss () =
   with_temp_dir @@ fun dir ->
   let store = Artifact.open_store dir in
   let fp = Fingerprint.string (Fingerprint.salted "chaos") "read" in
   let computes = ref 0 in
   ignore (cached store fp computes);
   check_int "written clean" 1 !computes;
-  let v, retries =
-    delta "retry_attempts" (fun () ->
+  let v, misses =
+    delta "artifact_misses" (fun () ->
         with_chaos "1:artifact.read=eio@1" (fun () -> cached store fp computes))
   in
-  check_string "healed through retry" "payload" v;
-  check "retried" true (retries >= 1);
-  check_int "no recompute" 1 !computes
+  check_string "same value" "payload" v;
+  check_int "one miss" 1 misses;
+  check_int "one recompute" 2 !computes
 
 let test_artifact_save_failure_nonfatal () =
   with_temp_dir @@ fun dir ->
   let store = Artifact.open_store dir in
   let fp = Fingerprint.string (Fingerprint.salted "chaos") "nospace" in
   let computes = ref 0 in
-  (* ENOSPC is permanent: the save fails, the result survives. *)
+  (* An ENOSPC save fails, and the result survives. *)
   let v, failures =
     delta "artifact_write_failures" (fun () ->
         with_chaos "1:artifact.write=enospc@1" (fun () -> cached store fp computes))
@@ -309,6 +243,21 @@ let test_pool_task_exhaustion_is_task_error () =
   | exception Pool.Task_error { attempts; exn = Faultpoint.Injected _; _ } ->
       check_int "attempt count surfaced" 2 attempts
 
+(* A structured diagnostic is wrapped at once, never re-run: re-running
+   a documented failure only duplicates its side effects. *)
+let test_pool_diagnostic_not_rerun () =
+  let runs = Atomic.make 0 in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  match
+    Pool.parallel_init ~pool 1 (fun _ ->
+        Atomic.incr runs;
+        Error.fail Error.Input_error "documented")
+  with
+  | _ -> Alcotest.fail "expected Task_error"
+  | exception Pool.Task_error { attempts; exn = Error.Reseed_error _; _ } ->
+      check_int "wrapped at the first attempt" 1 attempts;
+      check_int "ran once" 1 (Atomic.get runs)
+
 (* --- flow-level crash consistency -------------------------------------- *)
 
 let prepared_c17 = lazy (Suite.prepare "c17")
@@ -332,19 +281,88 @@ let run_flow ~dir =
   Flow.run ~config ~store ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg
     ~tests:p.Suite.tests ~targets:p.Suite.targets
 
-(* A save that keeps failing only costs cache misses: with every
-   artifact write (matrix shards included) failing with EIO, the sharded
-   flow still returns the clean answer. *)
-let test_persistent_write_fault_heals () =
+(* A save that fails on every hit only costs cache misses: it is never
+   raised, it is counted, and the sharded flow (matrix shards included)
+   still returns the clean answer. *)
+let check_persistent_save_faults specs =
   with_temp_dir @@ fun dir ->
-  let clean = flow_signature (run_flow ~dir:(Filename.concat dir "a")) in
-  let faulted, failures =
-    delta "artifact_write_failures" (fun () ->
-        with_chaos "1:artifact.write=eio" (fun () ->
-            flow_signature (run_flow ~dir:(Filename.concat dir "b"))))
+  let clean = flow_signature (run_flow ~dir:(Filename.concat dir "clean")) in
+  List.iter
+    (fun spec ->
+      let faulted, failures =
+        delta "artifact_write_failures" (fun () ->
+            with_chaos spec (fun () ->
+                flow_signature (run_flow ~dir:(Filename.concat dir spec))))
+      in
+      check (spec ^ ": flow identical") true (clean = faulted);
+      check (spec ^ ": saves failed") true (failures > 0))
+    specs
+
+let test_persistent_write_fault_heals () =
+  check_persistent_save_faults [ "1:artifact.write=eio" ]
+
+(* Every other kind that makes a save fail, at both write points. *)
+let test_persistent_save_fault_any_kind () =
+  check_persistent_save_faults
+    [
+      "1:artifact.write=enospc"; "1:artifact.write=fail";
+      "1:artifact.publish=eio"; "1:artifact.publish=enospc";
+      "1:artifact.publish=fail";
+    ]
+
+(* --- damaged store ------------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Every file under [root]: path relative to [root], contents. *)
+let snapshot root =
+  let rec walk rel =
+    let path = Filename.concat root rel in
+    if Sys.is_directory path then
+      List.concat_map
+        (fun n -> walk (if rel = "" then n else Filename.concat rel n))
+        (List.sort compare (Array.to_list (Sys.readdir path)))
+    else [ (rel, read_file path) ]
   in
-  check "flow identical under persistent write fault" true (clean = faulted);
-  check "saves failed" true (failures > 0)
+  walk ""
+
+(* Damage every artifact of a filled store, then rerun the flow: each
+   damaged artifact loads as a miss ([corrupt] of them counted
+   [artifact_corrupt]), the answer is the clean one, and the rerun
+   leaves the store byte-identical to the clean store — a crash that
+   loses or tears artifacts costs recomputes, never a result. *)
+let test_damaged_store ~corrupt damage () =
+  with_temp_dir @@ fun dir ->
+  let clean = flow_signature (run_flow ~dir) in
+  let cache = Filename.concat dir "cache" in
+  let filled = snapshot cache in
+  List.iter (fun (rel, _) -> damage (Filename.concat cache rel)) filled;
+  let n = List.length filled in
+  check "store filled" true (n > 0);
+  let (rerun, misses), corrupted =
+    delta "artifact_corrupt" (fun () ->
+        delta "artifact_misses" (fun () -> flow_signature (run_flow ~dir)))
+  in
+  check "rerun answer identical" true (clean = rerun);
+  check_int "every damaged artifact missed" n misses;
+  check_int "corrupt counted" (if corrupt then n else 0) corrupted;
+  check "store rewritten byte-identical" true (snapshot cache = filled)
+
+let zero_length path = write_file path ""
+
+let truncated path =
+  let s = read_file path in
+  write_file path (String.sub s 0 (String.length s / 2))
+
+(* A crash between the [.tmp] write and the rename: the artifact is
+   missing and a torn [.tmp] sits beside it. *)
+let tmp_orphan path =
+  let s = read_file path in
+  Sys.remove path;
+  write_file (path ^ ".tmp") (String.sub s 0 (String.length s / 2))
 
 (* Any single injected fault: the flow either produces the exact clean
    solution or raises a documented diagnostic — never a wrong answer. *)
@@ -392,29 +410,32 @@ let suite =
           test_probabilistic_schedule_replays;
         Alcotest.test_case "mangle: torn and flip are deterministic" `Quick
           test_mangle_torn_and_flip;
-        Alcotest.test_case "retry: transient heals" `Quick test_retry_transient_heals;
-        Alcotest.test_case "retry: permanent fails fast" `Quick
-          test_retry_permanent_immediate;
-        Alcotest.test_case "retry: exhaustion surfaces last error" `Quick
-          test_retry_exhaustion;
-        Alcotest.test_case "retry: default classification" `Quick
-          test_retry_classification_defaults;
-        Alcotest.test_case "retry: deterministic backoff" `Quick
-          test_retry_backoff_deterministic;
         Alcotest.test_case "artifact: torn write detected and rewritten" `Quick
           test_artifact_torn_write_recovers;
         Alcotest.test_case "artifact: rewrite counter" `Quick
           test_artifact_rewrite_counted;
-        Alcotest.test_case "artifact: read EIO heals warm hit" `Quick
-          test_artifact_read_eio_heals;
+        Alcotest.test_case "artifact: read EIO is a miss" `Quick
+          test_artifact_read_eio_is_miss;
         Alcotest.test_case "artifact: failed save is non-fatal" `Quick
           test_artifact_save_failure_nonfatal;
         Alcotest.test_case "pool: one-shot task fault heals" `Quick
           test_pool_task_fault_heals;
         Alcotest.test_case "pool: persistent fault is Task_error" `Quick
           test_pool_task_exhaustion_is_task_error;
+        Alcotest.test_case "pool: diagnostic is not re-run" `Quick
+          test_pool_diagnostic_not_rerun;
         Alcotest.test_case "flow: persistent write EIO heals" `Quick
           test_persistent_write_fault_heals;
+        Alcotest.test_case "flow: persistent save fault of any kind heals" `Quick
+          test_persistent_save_fault_any_kind;
+        Alcotest.test_case "store: zero-length artifact is a miss" `Quick
+          (test_damaged_store ~corrupt:true zero_length);
+        Alcotest.test_case "store: truncated artifact is a miss" `Quick
+          (test_damaged_store ~corrupt:true truncated);
+        Alcotest.test_case "store: missing artifact is a miss" `Quick
+          (test_damaged_store ~corrupt:false Sys.remove);
+        Alcotest.test_case "store: .tmp orphan is a miss" `Quick
+          (test_damaged_store ~corrupt:false tmp_orphan);
         QCheck_alcotest.to_alcotest prop_single_fault_never_wrong;
       ] );
   ]
