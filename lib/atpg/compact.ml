@@ -1,59 +1,15 @@
 open Reseed_fault
-open Reseed_setcover
-open Reseed_util
 
+(* Pattern [p] is kept iff it is the last pattern of the set to detect
+   some fault: fault-simulating the set backwards with dropping, that is
+   the fault's first detection.  Faults the set never detects have none,
+   so they never hold a pattern hostage. *)
 let reverse_order sim tests =
   let n = Array.length tests in
-  if n = 0 then ([||], 0)
-  else begin
-    let nf = Fault_sim.fault_count sim in
-    (* Restrict to faults the set actually detects, so undetectable faults
-       never hold patterns hostage. *)
-    let detectable = Bitvec.create nf in
-    let map = Fault_sim.detection_map sim tests in
-    Array.iteri (fun fi v -> if not (Bitvec.is_empty v) then Bitvec.set detectable fi) map;
-    let remaining = Bitvec.copy detectable in
-    let keep = Array.make n false in
-    for p = n - 1 downto 0 do
-      if not (Bitvec.is_empty remaining) then begin
-        (* Does pattern p detect any still-needed fault? *)
-        let contributes = ref false in
-        Array.iteri
-          (fun fi v ->
-            if Bitvec.get remaining fi && Bitvec.get v p then begin
-              contributes := true;
-              Bitvec.clear remaining fi
-            end)
-          map;
-        keep.(p) <- !contributes
-      end
-    done;
-    let kept =
-      Array.of_list
-        (List.filteri (fun p _ -> keep.(p)) (Array.to_list tests))
-    in
-    (kept, n - Array.length kept)
-  end
-
-let covering sim tests =
-  let n = Array.length tests in
-  if n = 0 then ([||], 0)
-  else begin
-    (* Rows: patterns; columns: faults.  detection_map is fault-major, so
-       transpose while building the covering instance. *)
-    let map = Fault_sim.detection_map sim tests in
-    let nf = Array.length map in
-    let rows = Array.init n (fun _ -> Bitvec.create nf) in
-    Array.iteri
-      (fun fi per_pattern ->
-        Bitvec.iter_ones (fun p -> Bitvec.set rows.(p) fi) per_pattern)
-      map;
-    let m = Matrix.of_rows ~cols:nf rows in
-    let solution = Solution.solve m in
-    let keep = Array.make n false in
-    List.iter (fun p -> keep.(p) <- true) solution.Solution.rows;
-    let kept =
-      Array.of_list (List.filteri (fun p _ -> keep.(p)) (Array.to_list tests))
-    in
-    (kept, n - Array.length kept)
-  end
+  let keep = Array.make n false in
+  let reversed = Array.init n (fun p -> tests.(n - 1 - p)) in
+  Array.iter
+    (function Some q -> keep.(n - 1 - q) <- true | None -> ())
+    (Fault_sim.first_detections sim reversed);
+  let kept = List.filteri (fun p _ -> keep.(p)) (Array.to_list tests) in
+  (Array.of_list kept, n - List.length kept)

@@ -6,29 +6,43 @@ type t = { site : site; stuck : bool }
 
 let site_node f = match f.site with Out n -> n | Pin { gate; _ } -> gate
 
+(* Per node, in node order: its two output faults (none on a constant),
+   then, pin by pin, the two branch faults of every fanin whose stem fans
+   out more than once (none on an input or a constant). *)
 let universe c =
-  let acc = ref [] in
-  let n = Circuit.node_count c in
-  for i = n - 1 downto 0 do
-    let node = c.Circuit.nodes.(i) in
-    (* Branch faults, only where the driving stem has fanout > 1. *)
-    (match node.Circuit.kind with
-    | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
-    | _ ->
-        for pin = Array.length node.Circuit.fanins - 1 downto 0 do
-          let stem = node.Circuit.fanins.(pin) in
-          if Array.length c.Circuit.fanouts.(stem) > 1 then begin
-            acc := { site = Pin { gate = i; pin }; stuck = true } :: !acc;
-            acc := { site = Pin { gate = i; pin }; stuck = false } :: !acc
-          end
-        done);
-    (match node.Circuit.kind with
-    | Gate.Const0 | Gate.Const1 -> () (* constants are untestable by definition *)
-    | _ ->
-        acc := { site = Out i; stuck = true } :: !acc;
-        acc := { site = Out i; stuck = false } :: !acc)
-  done;
-  Array.of_list !acc
+  let nodes = c.Circuit.nodes and fanouts = c.Circuit.fanouts in
+  let has_pins (node : Circuit.node) =
+    match node.Circuit.kind with
+    | Gate.Input | Gate.Const0 | Gate.Const1 -> false
+    | _ -> true
+  in
+  let has_out (node : Circuit.node) =
+    match node.Circuit.kind with Gate.Const0 | Gate.Const1 -> false | _ -> true
+  in
+  let branch stem = Array.length fanouts.(stem) > 1 in
+  let count = ref 0 in
+  Array.iter
+    (fun node ->
+      if has_out node then count := !count + 2;
+      if has_pins node then
+        Array.iter (fun stem -> if branch stem then count := !count + 2) node.Circuit.fanins)
+    nodes;
+  let faults = Array.make !count { site = Out 0; stuck = false } in
+  let next = ref 0 in
+  let push site =
+    faults.(!next) <- { site; stuck = false };
+    faults.(!next + 1) <- { site; stuck = true };
+    next := !next + 2
+  in
+  Array.iteri
+    (fun i node ->
+      if has_out node then push (Out i);
+      if has_pins node then
+        Array.iteri
+          (fun pin stem -> if branch stem then push (Pin { gate = i; pin }))
+          node.Circuit.fanins)
+    nodes;
+  faults
 
 let collapse c faults =
   let is_po = Array.make (Circuit.node_count c) false in

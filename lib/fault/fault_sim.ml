@@ -9,7 +9,9 @@ type t = {
   site_sig : int array;
       (* transition model only: per-fault launch-signal node (the stem
          whose good value at the launch pattern gates activation) *)
-  good : int array; (* good-machine values of the current block *)
+  good : int array;
+      (* good-machine values of the current block, then the two constant
+         slots [ones] and [zero] *)
   launch_prev : Bytes.t;
       (* transition model only: every node's good value at the last lane
          of the previous block — the launch value of the next block's
@@ -17,14 +19,17 @@ type t = {
   mutable launch_valid : bool;
       (* false on a sweep's first block: lane 0 has no launch pattern *)
   ffr : Ffr.t;
-  (* Flat layout of the circuit for the propagation kernel, computed once
-     by [create] and shared by every [copy]: node [i] folds its fanins
-     [fin.(fin_start.(i) .. fin_start.(i+1) - 1)] with [op.(i)] (0 AND,
-     1 OR, 2 XOR, 3 an [Input], which reads its own mirror entry) and XORs
-     the result with [inv.(i)] (0 or [full]); its fanouts, ascending, are
+  (* Flat layout of the circuit, computed once by [create] and shared by
+     every [copy].  Node [i]'s gate record is
+     [gate.(stride*i .. stride*i + 5)]: three fanin slots, then the [pre],
+     [post] and [xor] masks (each 0 or [full]) of [apply].  A gate with
+     fewer than three fanins is padded with the constant slots, one with
+     more carries [wide] in its first slot and is folded over
+     [fin.(fin_start.(i) .. fin_start.(i+1) - 1)], the CSR fanins the
+     derivative chain reads too.  Its fanouts, ascending, are
      [fout.(fout_start.(i) .. fout_start.(i+1) - 1)]. *)
-  op : int array;
-  inv : int array;
+  gate : int array;
+  input_nodes : int array; (* the [Input] nodes, in node order *)
   fin_start : int array;
   fin : int array;
   fout_start : int array;
@@ -37,6 +42,7 @@ type t = {
      an index interval of it and copies that interval back from [good]
      before it returns. *)
   fv : int array;
+  live : int array; (* fault-dropping sweeps: the faults still undetected *)
   (* Per-block CPT scratch, invalidated by bumping [block]. *)
   mutable block : int;
   sens : int array;
@@ -50,6 +56,18 @@ type t = {
 }
 
 let full = max_int
+let stride = 6
+
+(* The two constant slots past the last node of [good] and [fv]. *)
+let ones n = n
+let zero n = n + 1
+let wide = -1
+
+(* A value array of [n] nodes followed by the constant slots. *)
+let values n =
+  let v = Array.make (n + 2) 0 in
+  v.(ones n) <- full;
+  v
 
 (* Fresh scratch over the same immutable circuit/fault/FFR/layout
    arrays: the copy can run [process] concurrently with the original from
@@ -59,10 +77,11 @@ let copy t =
   let n = Circuit.node_count t.circuit in
   {
     t with
-    good = Array.make n 0;
+    good = values n;
     launch_prev = Bytes.make n '\000';
     launch_valid = false;
-    fv = Array.make n 0;
+    fv = values n;
+    live = Array.make (Array.length t.faults) 0;
     block = 0;
     sens = Array.make n 0;
     sens_stamp = Array.make n (-1);
@@ -77,23 +96,40 @@ let csr rows =
   Array.iteri (fun i r -> start.(i + 1) <- start.(i) + Array.length r) rows;
   (start, Array.concat (Array.to_list rows))
 
+(* Node [i]'s gate record.  AND-like kinds fold with [pre = 0] and pad
+   with [ones]; OR-like ones fold the complements ([pre = full]) and pad
+   with [zero]; XOR-like ones take the parity ([xor = full]) and pad with
+   [zero]; [post] inverts.  A constant folds three constant slots, and an
+   [Input] is an AND of its own entry, which holds its good value
+   whenever a sweep reads it. *)
+let gate_record n i (node : Circuit.node) =
+  let pad, pre, post, xor =
+    match node.Circuit.kind with
+    | Gate.Input | Gate.Buf | Gate.And | Gate.Const1 -> (ones n, 0, 0, 0)
+    | Gate.Not | Gate.Nand -> (ones n, 0, full, 0)
+    | Gate.Const0 -> (zero n, 0, 0, 0)
+    | Gate.Or -> (zero n, full, full, 0)
+    | Gate.Nor -> (zero n, full, 0, 0)
+    | Gate.Xor -> (zero n, 0, 0, full)
+    | Gate.Xnor -> (zero n, 0, full, full)
+  in
+  let fanins =
+    if node.Circuit.kind = Gate.Input then [| i |] else node.Circuit.fanins
+  in
+  let slot k =
+    if Array.length fanins > 3 then wide
+    else if k < Array.length fanins then fanins.(k)
+    else pad
+  in
+  [| slot 0; slot 1; slot 2; pre; post; xor |]
+
 let create ?(model = Fault_model.Stuck_at) circuit faults =
   let nodes = circuit.Circuit.nodes in
-  let code (node : Circuit.node) =
-    match node.Circuit.kind with
-    | Gate.Input -> (3, 0)
-    | Gate.Buf | Gate.And | Gate.Const1 -> (0, 0)
-    | Gate.Not | Gate.Nand -> (0, full)
-    | Gate.Or | Gate.Const0 -> (1, 0)
-    | Gate.Nor -> (1, full)
-    | Gate.Xor -> (2, 0)
-    | Gate.Xnor -> (2, full)
-  in
+  let n = Array.length nodes in
   let fin_start, fin = csr (Array.map (fun n -> n.Circuit.fanins) nodes) in
   let fout_start, fout = csr circuit.Circuit.fanouts in
   (* One reverse pass: every fanout of [i] has a larger index, so its
      cone bound is final when [i] is reached. *)
-  let n = Array.length nodes in
   let cone_hi = Array.init n Fun.id in
   let next_po = Array.make (n + 1) n in
   Array.iter (fun o -> next_po.(o) <- o) circuit.Circuit.outputs;
@@ -108,6 +144,14 @@ let create ?(model = Fault_model.Stuck_at) circuit faults =
       if fout_start.(p + 1) - fout_start.(p) = 1 then fo_pin.(p) <- k - fin_start.(i)
     done
   done;
+  let gate = Array.make (stride * n) 0 in
+  Array.iteri
+    (fun i node -> Array.blit (gate_record n i node) 0 gate (stride * i) stride)
+    nodes;
+  let input_nodes =
+    Array.of_seq
+      (Seq.filter (fun i -> nodes.(i).Circuit.kind = Gate.Input) (Seq.init n Fun.id))
+  in
   let site_sig =
     match model with
     | Fault_model.Stuck_at -> [||]
@@ -125,8 +169,8 @@ let create ?(model = Fault_model.Stuck_at) circuit faults =
       launch_prev = Bytes.empty;
       launch_valid = false;
       ffr = Ffr.compute circuit;
-      op = Array.map (fun n -> fst (code n)) nodes;
-      inv = Array.map (fun n -> snd (code n)) nodes;
+      gate;
+      input_nodes;
       fin_start;
       fin;
       fout_start;
@@ -135,6 +179,7 @@ let create ?(model = Fault_model.Stuck_at) circuit faults =
       next_po;
       fo_pin;
       fv = [||];
+      live = [||];
       block = 0;
       sens = [||];
       sens_stamp = [||];
@@ -166,23 +211,93 @@ let sims_performed t = t.sims
 let event_propagations t = t.props
 let cone_hi t i = t.cone_hi.(i)
 
+(* --- The gate kernel ---------------------------------------------------- *)
+
+(* The gate of [i] over inputs [a], [b], [c] (words) with its masks:
+   [y] is the AND of the fanins XOR [pre] (an AND, or with [pre = full]
+   a NOR), the [xor] mask swaps it for the parity, and [post] inverts. *)
+let[@inline] apply a b c ~pre ~post ~xor =
+  let y = (a lxor pre) land (b lxor pre) land (c lxor pre) in
+  y lxor ((a lxor b lxor c lxor y) land xor) lxor post
+
+(* A gate of more than three fanins: the same fold, over its CSR
+   fanins. *)
+let eval_wide t (v : int array) i =
+  let o = stride * i in
+  let pre = t.gate.(o + 3) in
+  let y = ref full and s = ref 0 in
+  for k = t.fin_start.(i) to t.fin_start.(i + 1) - 1 do
+    let x = v.(t.fin.(k)) in
+    y := !y land (x lxor pre);
+    s := !s lxor x
+  done;
+  !y lxor ((!s lxor !y) land t.gate.(o + 5)) lxor t.gate.(o + 4)
+
+(* Evaluate nodes [lo ..] of value array [v] in place, in index order,
+   up to [hi] or the first wide gate, whichever comes first; the result
+   is the next node to evaluate.  The loop makes no call, so its
+   variables stay in registers. *)
+let sweep_run (g : int array) (v : int array) lo hi =
+  let i = ref lo in
+  while !i <= hi && Array.unsafe_get g (stride * !i) <> wide do
+    let o = stride * !i in
+    Array.unsafe_set v !i
+      (apply
+         (Array.unsafe_get v (Array.unsafe_get g o))
+         (Array.unsafe_get v (Array.unsafe_get g (o + 1)))
+         (Array.unsafe_get v (Array.unsafe_get g (o + 2)))
+         ~pre:(Array.unsafe_get g (o + 3))
+         ~post:(Array.unsafe_get g (o + 4))
+         ~xor:(Array.unsafe_get g (o + 5)));
+    incr i
+  done;
+  !i
+
+(* Evaluate nodes [lo .. hi] of [v] in place, in index order: the good
+   machine of a whole block and every stem flip are this one loop. *)
+let sweep t (v : int array) lo hi =
+  let i = ref (sweep_run t.gate v lo hi) in
+  while !i <= hi do
+    v.(!i) <- eval_wide t v !i;
+    i := sweep_run t.gate v (!i + 1) hi
+  done
+
+(* Load [block] into [t.good] and the faulty-value mirror: the inputs
+   take their words, every other node is swept. *)
+let simulate_block t (block : Logic_sim.block) =
+  let good = t.good and fv = t.fv in
+  let n = Circuit.node_count t.circuit in
+  Array.iteri
+    (fun k i -> Array.unsafe_set good i block.Logic_sim.per_input.(k))
+    t.input_nodes;
+  sweep t good 0 (n - 1);
+  (* A plain loop: [Array.blit] onto the major-heap mirror goes through
+     the write barrier once per element. *)
+  for i = 0 to n - 1 do
+    Array.unsafe_set fv i (Array.unsafe_get good i)
+  done
+
+let good_values t block =
+  simulate_block t block;
+  Array.sub t.good 0 (Circuit.node_count t.circuit)
+
 (* --- Propagation kernel ----------------------------------------------- *)
 
 (* Word of patterns where flipping fanin position [pin] of gate [i]
-   flips the gate's output, all other fanins held at their good values.
-   Inversions don't affect whether a flip passes, and an XOR or a
-   one-input AND (Buf, Not) passes every flip. *)
+   flips the gate's output, all other fanins held at their good values:
+   the AND of the other fanins XOR [pre].  Inversions don't affect
+   whether a flip passes, and an XOR or a one-input AND (Buf, Not) passes
+   every flip. *)
 let deriv t (good : int array) i ~pin =
-  let lo = t.fin_start.(i) and op = t.op.(i) in
-  if op = 2 then full
+  let o = stride * i in
+  if t.gate.(o + 5) <> 0 then full
   else begin
-    let acc = ref (if op = 0 then full else 0) in
+    let lo = t.fin_start.(i) and pre = t.gate.(o + 3) in
+    let acc = ref full in
     for k = lo to t.fin_start.(i + 1) - 1 do
-      if k - lo <> pin then
-        let x = good.(t.fin.(k)) in
-        acc := if op = 0 then !acc land x else !acc lor x
+      if k - lo <> pin then acc := !acc land (good.(t.fin.(k)) lxor pre)
     done;
-    if op = 0 then !acc else lnot !acc land full
+    !acc
   end
 
 (* Faulty-minus-good difference at [gate]'s output for its fanin [pin]
@@ -190,35 +305,6 @@ let deriv t (good : int array) i ~pin =
 let pin_diff t (good : int array) ~gate ~pin stuck_word =
   (stuck_word lxor good.(t.fin.(t.fin_start.(gate) + pin)))
   land deriv t good gate ~pin
-
-(* Value of node [i] over the faulty-value mirror: the hot path. *)
-let[@inline] eval t i =
-  let fv = t.fv and fin = t.fin in
-  let lo = Array.unsafe_get t.fin_start i in
-  let hi = Array.unsafe_get t.fin_start (i + 1) - 1 in
-  let v =
-    match Array.unsafe_get t.op i with
-    | 0 ->
-        let acc = ref full in
-        for k = lo to hi do
-          acc := !acc land Array.unsafe_get fv (Array.unsafe_get fin k)
-        done;
-        !acc
-    | 1 ->
-        let acc = ref 0 in
-        for k = lo to hi do
-          acc := !acc lor Array.unsafe_get fv (Array.unsafe_get fin k)
-        done;
-        !acc
-    | 2 ->
-        let acc = ref 0 in
-        for k = lo to hi do
-          acc := !acc lxor Array.unsafe_get fv (Array.unsafe_get fin k)
-        done;
-        !acc
-    | _ -> Array.unsafe_get fv i
-  in
-  v lxor Array.unsafe_get t.inv i
 
 (* Write the faulty value [v] at [site] and propagate it through the
    site's fanout cone; the result is the word of [mask]ed patterns where
@@ -237,9 +323,7 @@ let propagate t (good : int array) mask site v =
   let first = t.fout_start.(site) in
   let lo = if first < t.fout_start.(site + 1) then t.fout.(first) else site + 1 in
   let hi = t.cone_hi.(site) in
-  for n = lo to hi do
-    Array.unsafe_set fv n (eval t n)
-  done;
+  sweep t fv lo hi;
   let detect = ref 0 and p = ref t.next_po.(lo) in
   while !p <= hi do
     detect := !detect lor (Array.unsafe_get fv !p lxor Array.unsafe_get good !p);
@@ -350,20 +434,21 @@ let process_fault t good mask fi fault =
 let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
   let stop () = stop () || Budget.check budget in
   let total = Array.length patterns in
+  let n = Circuit.node_count t.circuit in
   t.launch_valid <- false;
   let base = ref 0 in
   while !base < total && not (stop ()) do
     let len = min Logic_sim.block_width (total - !base) in
     let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
-    let good = t.good in
-    Logic_sim.simulate_into t.circuit block good;
-    Array.blit good 0 t.fv 0 (Array.length good);
+    simulate_block t block;
     t.block <- t.block + 1; (* new good values: memoised [sens] go stale *)
+    let good = t.good in
     let mask = Logic_sim.valid_mask block.Logic_sim.width in
     f ~base:!base ~good ~mask;
     if t.model = Fault_model.Transition_delay then begin
       let last = len - 1 in
-      for i = 0 to Array.length good - 1 do
+      (* [good] ends in the two constant slots: stop at the last node. *)
+      for i = 0 to n - 1 do
         Bytes.unsafe_set t.launch_prev i
           (Char.unsafe_chr ((good.(i) lsr last) land 1))
       done;
@@ -411,26 +496,43 @@ let detection_map ?budget t patterns =
         t.faults);
   result
 
+(* The fault-dropping sweep behind [detected_set] and
+   [first_detections]: [t.live] starts as the faults of [active] (every
+   fault when absent), ascending.  Each block grades the live faults,
+   hands each detection to [found fi ~base d] and compacts the survivors
+   to the front of [t.live]; the sweep stops once none is left. *)
+let drop_sweep ?budget t ?active patterns found =
+  let live = t.live in
+  let nlive = ref 0 in
+  (* The callers checked [active]'s length against the fault count. *)
+  for fi = 0 to fault_count t - 1 do
+    let on = match active with None -> true | Some a -> Bitvec.unsafe_get a fi in
+    if on then begin
+      Array.unsafe_set live !nlive fi;
+      incr nlive
+    end
+  done;
+  iter_blocks ?budget ~stop:(fun () -> !nlive = 0) t patterns
+    (fun ~base ~good ~mask ->
+      let kept = ref 0 in
+      for j = 0 to !nlive - 1 do
+        let fi = Array.unsafe_get live j in
+        let d = process_fault t good mask fi (Array.unsafe_get t.faults fi) in
+        if d <> 0 then found fi ~base d
+        else begin
+          Array.unsafe_set live !kept fi;
+          incr kept
+        end
+      done;
+      nlive := !kept)
+
 let detected_set ?budget t patterns ~active =
   if Bitvec.length active <> fault_count t then
     invalid_arg "Fault_sim.detected_set: active mask size mismatch";
   with_sweep "fault_sim.detected_set" t patterns @@ fun () ->
   let detected = Bitvec.create (fault_count t) in
-  let remaining = ref (Bitvec.count active) in
-  iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
-    (fun ~base:_ ~good ~mask ->
-      (* [fi] ranges over the fault array, whose length both vectors were
-         checked (or built) to match — the per-fault test is the hottest
-         line of the sweep, so skip the bounds checks. *)
-      Array.iteri
-        (fun fi fault ->
-          if Bitvec.unsafe_get active fi && not (Bitvec.unsafe_get detected fi)
-          then
-            if process_fault t good mask fi fault <> 0 then begin
-              Bitvec.unsafe_set detected fi;
-              decr remaining
-            end)
-        t.faults);
+  drop_sweep ?budget t ~active patterns (fun fi ~base:_ _ ->
+      Bitvec.unsafe_set detected fi);
   detected
 
 let first_detections ?budget t ?active patterns =
@@ -444,29 +546,10 @@ let first_detections ?budget t ?active patterns =
      not a fresh box that the result array (on the major heap for any
      sizable fault list) would drag out of the minor heap. *)
   let firsts = Array.init (Array.length patterns) Option.some in
-  let live fi =
-    match active with None -> true | Some a -> Bitvec.unsafe_get a fi
-  in
-  let remaining =
-    ref
-      (match active with
-      | None -> fault_count t
-      | Some a -> Bitvec.count a)
-  in
-  iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
-    (fun ~base ~good ~mask ->
-      Array.iteri
-        (fun fi fault ->
-          if live fi && result.(fi) = None then begin
-            let d = process_fault t good mask fi fault in
-            if d <> 0 then begin
-              let k = ref 0 in
-              while d lsr !k land 1 = 0 do incr k done;
-              result.(fi) <- firsts.(base + !k);
-              decr remaining
-            end
-          end)
-        t.faults);
+  drop_sweep ?budget t ?active patterns (fun fi ~base d ->
+      let k = ref 0 in
+      while d lsr !k land 1 = 0 do incr k done;
+      result.(fi) <- firsts.(base + !k));
   result
 
 let coverage_pct t detected = Stats.pct (Bitvec.count detected) (fault_count t)

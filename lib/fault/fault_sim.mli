@@ -10,18 +10,26 @@
     computed on first use in a block, so only stems that live faults
     reach are propagated.
 
-    Every flip propagation runs through one kernel.  {!create} lays the
-    circuit out once as flat shared arrays (per-node op code and
-    inversion word, CSR fanins and fanouts, the largest index in each
-    node's fanout cone).  A propagation writes the site's faulty value
-    into a per-simulator mirror of the block's good values, re-evaluates
-    every node from the site's smallest fanout up to the largest index in
-    its fanout cone — valid because every fanin has a smaller index than
-    its gate ({!Reseed_netlist.Circuit}) — reads the primary outputs in
-    that interval, and copies the interval back from the good values.
-    The oracles for all of this are test-side: a level-queue simulator
-    with a per-fault injection engine, and a serial checker that
-    evaluates each fault gate by gate.
+    One gate kernel evaluates both machines.  {!create} lays the
+    circuit out once as flat shared arrays: per node a gate record of
+    three fanin slots (padded with two constant slots, all ones and zero,
+    kept past the last node of every value array) and three masks
+    [pre], [post] and [xor], so every gate kind evaluates as
+    [y = (a^pre)&(b^pre)&(c^pre); v = y ^ ((a^b^c^y) & xor) ^ post]
+    with no match and no fanin loop (a gate of more than three fanins
+    folds its CSR fanins the same way); plus CSR fanouts and the largest
+    index in each node's fanout cone.  One sweep over that layout
+    computes a block's good values, and every stem flip: the flip writes
+    the site's faulty value into a per-simulator mirror of the block's
+    good values, re-evaluates every node from the site's smallest fanout
+    up to the largest index in its fanout cone — valid because every
+    fanin has a smaller index than its gate
+    ({!Reseed_netlist.Circuit}) — reads the primary outputs in that
+    interval, and copies the interval back from the good values.  The
+    fault-dropping sweeps grade a live-fault index list that shrinks
+    after every block.  The oracles for all of this are test-side: a
+    level-queue simulator with a per-fault injection engine, and a
+    serial checker that evaluates each fault gate by gate.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -40,11 +48,14 @@
 
     Three entry points cover the library's needs:
 
-    - {!detection_map}: full per-pattern detection bit-matrix — feeds the
-      Detection Matrix construction of Section 3.1 of the paper;
+    - {!detection_map}: full per-pattern detection bit-matrix, with no
+      dropping — used only by {!Diagnose} and by tests; the Detection
+      Matrix of Section 3.1 of the paper is built from
+      {!first_detections};
     - {!first_detections}: fault-dropping sweep returning the first
-      detecting pattern index per fault — feeds ATPG, the Detection
-      Matrix rows and GATSBY;
+      detecting pattern index per fault — feeds ATPG (its random phase
+      and its reverse-order compaction), the Detection Matrix rows and
+      GATSBY;
     - {!detected_set}: the faults of an active mask that a candidate
       pattern set detects — feeds ATPG and the GATSBY fitness function. *)
 
@@ -65,8 +76,9 @@ val model : t -> Fault_model.t
 
 (** [copy t] is a simulator over the same circuit, fault list and flat
     layout with fresh private scratch — the block's good values, the
-    faulty-value mirror of the propagation kernel, the CPT memo and its
-    path stack — and zeroed work counters; it can run
+    faulty-value mirror of the propagation kernel, the live-fault list
+    of the dropping sweeps, the CPT memo and its path stack — and zeroed
+    work counters; it can run
     concurrently with [t] from another domain (the shared arrays are
     never written after {!create}). *)
 val copy : t -> t
@@ -104,6 +116,11 @@ val event_propagations : t -> int
     itself when nothing reads [i]): the upper end of the index interval a
     propagation from [i] re-evaluates.  Exposed for tests. *)
 val cone_hi : t -> int -> int
+
+(** [good_values t block] is every node's good-machine word over
+    [block], as the sweeps compute it — {!Reseed_sim.Logic_sim.simulate}'s
+    result.  Exposed for tests. *)
+val good_values : t -> Reseed_sim.Logic_sim.block -> int array
 
 (** Every sweep below takes an optional [budget]: a tripped deadline or
     cancellation stops the sweep cleanly at the next 62-pattern block

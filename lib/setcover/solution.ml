@@ -58,37 +58,46 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_mem
      once instead of being dropped on the floor per-solver. *)
   let uncovered = Matrix.uncoverable m in
   (* [No_reduction_exact] hands the whole matrix to the solver, which
-     itself excludes the uncoverable columns. *)
-  let necessary, iterations, residual, row_of =
+     itself excludes the uncoverable columns.  The residual sub-matrix is
+     only the end-game's input, so it is built inside the end-game's
+     thunk: a memoised end-game never pays for it. *)
+  let necessary, iterations, reduced_rows, reduced_cols, residual =
     match method_ with
-    | No_reduction_exact -> ([], 0, m, Fun.id)
+    | No_reduction_exact -> ([], 0, Matrix.rows m, Matrix.cols m, fun () -> (m, Fun.id))
     | Exact | Greedy_only ->
         let red =
           memo.reduce (fun () -> Reduce.run ?config:reduce_config ?row_weights m)
         in
-        let residual, row_map, _col_map = Reduce.residual m red in
-        (red.Reduce.necessary, red.Reduce.iterations, residual, fun ri -> row_map.(ri))
+        ( red.Reduce.necessary,
+          red.Reduce.iterations,
+          List.length red.Reduce.remaining_rows,
+          List.length red.Reduce.remaining_cols,
+          fun () ->
+            let residual, row_map, _col_map = Reduce.residual m red in
+            (residual, fun ri -> row_map.(ri)) )
   in
-  let weights =
-    Option.map
-      (fun w -> Array.init (Matrix.rows residual) (fun ri -> w.(row_of ri)))
-      row_weights
-  in
-  let mapped selected nodes stop optimal =
+  let mapped row_of selected nodes stop optimal =
     { selected = List.map row_of selected; nodes; stop; optimal }
   in
   let e =
-    if method_ <> No_reduction_exact
-       && (Matrix.rows residual = 0 || Matrix.cols residual = 0)
-    then mapped [] 0 Ilp.Complete true
+    if method_ <> No_reduction_exact && (reduced_rows = 0 || reduced_cols = 0)
+    then { selected = []; nodes = 0; stop = Ilp.Complete; optimal = true }
     else
       match method_ with
       | Greedy_only ->
-          memo.endgame (fun () -> mapped (Greedy.solve residual) 0 Ilp.Complete false)
+          memo.endgame (fun () ->
+              let residual, row_of = residual () in
+              mapped row_of (Greedy.solve residual) 0 Ilp.Complete false)
       | Exact | No_reduction_exact ->
           memo.endgame (fun () ->
+              let residual, row_of = residual () in
+              let weights =
+                Option.map
+                  (fun w -> Array.init (Matrix.rows residual) (fun ri -> w.(row_of ri)))
+                  row_weights
+              in
               let r = Ilp.solve ?weights ?budget residual in
-              mapped r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
+              mapped row_of r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
                 r.Ilp.optimal)
   in
   {
@@ -98,8 +107,8 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_mem
         initial_rows = Matrix.rows m;
         initial_cols = Matrix.cols m;
         necessary;
-        reduced_rows = Matrix.rows residual;
-        reduced_cols = Matrix.cols residual;
+        reduced_rows;
+        reduced_cols;
         from_solver = e.selected;
         reduction_iterations = iterations;
         solver_nodes = e.nodes;

@@ -228,6 +228,12 @@ let flip_bit data hit =
     Bytes.to_string b
   end
 
+(* A data fault acts only on a payload: at a control point ([hit], no
+   data) a [torn] or [flip] rule changes nothing and is not an
+   injection. *)
+let acts rule data =
+  match (rule.kind, data) with (Torn | Flip), None -> false | _ -> true
+
 (* One hit of point [t]: every matching rule fires in spec order.
    Control faults raise or abort; data faults transform [data]. *)
 let fire t data =
@@ -235,7 +241,9 @@ let fire t data =
   let data = ref data in
   List.iter
     (fun r ->
-      if selected t r hit then begin
+      (* [selected] first: a [Prob] rule draws on every hit either way,
+         so the point's stream stays the schedule's. *)
+      if selected t r hit && acts r !data then begin
         Metrics.incr m_injected;
         Trace.instant "faultpoint.hit"
           ~args:

@@ -34,7 +34,9 @@
     counter and probability stream.
 
     Work accounting: every injection bumps the [chaos_injected] counter
-    and records a [faultpoint.hit] trace instant. *)
+    and records a [faultpoint.hit] trace instant.  A [torn] or [flip]
+    rule selected at a control point ({!hit}: no payload) changes
+    nothing, so it is neither counted nor traced. *)
 
 type kind = Eio | Enospc | Torn | Flip | Fail | Latency | Abort
 

@@ -145,6 +145,23 @@ let test_mangle_torn_and_flip () =
   (* Disabled points return the payload unchanged through the fast path. *)
   check_string "disabled mangle is identity" "abc" (Faultpoint.mangle fp "abc")
 
+(* A data fault needs a payload: at a control point ([hit]) a selected
+   [torn] or [flip] rule changes nothing and counts no injection, while
+   the same rule at a data point ([mangle]) counts one; a control fault
+   counts at either. *)
+let test_data_fault_needs_payload () =
+  let fp = Faultpoint.register "chaos.test.payload" in
+  let injected spec f = snd (delta "chaos_injected" (fun () -> with_chaos spec f)) in
+  List.iter
+    (fun kind ->
+      let spec = "1:chaos.test.payload=" ^ kind in
+      check_int (kind ^ " at hit") 0 (injected spec (fun () -> Faultpoint.hit fp));
+      check_int (kind ^ " at mangle") 1
+        (injected spec (fun () -> ignore (Faultpoint.mangle fp "0123456789"))))
+    [ "torn"; "flip" ];
+  check_int "latency at hit" 1
+    (injected "1:chaos.test.payload=latency:0" (fun () -> Faultpoint.hit fp))
+
 (* --- artifact store under chaos ---------------------------------------- *)
 
 let enc v =
@@ -408,6 +425,8 @@ let suite =
         Alcotest.test_case "schedule: @N fires exactly once" `Quick test_nth_selector;
         Alcotest.test_case "schedule: @p replays per seed" `Quick
           test_probabilistic_schedule_replays;
+        Alcotest.test_case "torn and flip count only with a payload" `Quick
+          test_data_fault_needs_payload;
         Alcotest.test_case "mangle: torn and flip are deterministic" `Quick
           test_mangle_torn_and_flip;
         Alcotest.test_case "artifact: torn write detected and rewritten" `Quick

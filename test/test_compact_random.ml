@@ -76,29 +76,29 @@ let test_random_gen_budget () =
   let r = Random_gen.run sim ~rng ~max_patterns:62 ~give_up_after:1 () in
   check "budget respected" true (r.Random_gen.patterns_tried <= 124)
 
-let test_covering_compaction_optimal () =
-  let _, sim = setup () in
-  let rng = Rng.create 21 in
-  let c = Library.comparator 6 in
-  let n = Circuit.input_count c in
-  let tests = Array.init 120 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
-  let active = Bitvec.create (Fault_sim.fault_count sim) in
-  Bitvec.fill_all active;
-  let before = Fault_sim.detected_set sim tests ~active in
-  let kept_cov, dropped_cov = Compact.covering sim tests in
-  let after = Fault_sim.detected_set sim kept_cov ~active in
-  check "coverage preserved" true (Bitvec.equal before after);
-  check "drops something" true (dropped_cov > 0);
-  (* exact covering compaction is never worse than reverse-order *)
-  let kept_rev, _ = Compact.reverse_order sim tests in
-  check "covering <= reverse-order" true
-    (Array.length kept_cov <= Array.length kept_rev)
-
-let test_covering_compaction_empty () =
-  let _, sim = setup () in
-  let kept, dropped = Compact.covering sim [||] in
-  check_int "empty" 0 (Array.length kept);
-  check_int "none dropped" 0 dropped
+(* Compaction by first detections over the reversed set keeps exactly
+   the patterns of the detection-map scan it replaced, on generated
+   circuits (every gate kind the generator emits) and random sets that
+   span several blocks. *)
+let prop_same_as_reference =
+  QCheck.Test.make ~name:"reverse_order = detection-map reference" ~count:40
+    QCheck.(triple (int_bound 10_000) (int_bound 120) (int_bound 199))
+    (fun (seed, extra_gates, extra_tests) ->
+      let c =
+        Generator.generate
+          {
+            (Generator.default_spec "compact" ~inputs:9 ~outputs:4
+               ~gates:(20 + extra_gates))
+            with
+            Generator.seed = seed;
+          }
+      in
+      let sim = Fault_sim.create c (Fault.all c) in
+      let rng = Rng.create seed in
+      let tests =
+        Array.init (1 + extra_tests) (fun _ -> Array.init 9 (fun _ -> Rng.bool rng))
+      in
+      Compact.reverse_order sim tests = Compact_reference.reverse_order sim tests)
 
 let suite =
   [
@@ -110,7 +110,6 @@ let suite =
         Alcotest.test_case "random phase useful patterns" `Quick test_random_gen_useful_patterns;
         Alcotest.test_case "already-detected respected" `Quick test_random_gen_respects_already;
         Alcotest.test_case "pattern budget respected" `Quick test_random_gen_budget;
-        Alcotest.test_case "covering compaction optimal" `Quick test_covering_compaction_optimal;
-        Alcotest.test_case "covering compaction empty" `Quick test_covering_compaction_empty;
+        QCheck_alcotest.to_alcotest prop_same_as_reference;
       ] );
   ]

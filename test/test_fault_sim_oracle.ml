@@ -6,6 +6,7 @@
    flips are the ones [Fault_sim] launches. *)
 
 open Reseed_netlist
+open Reseed_sim
 open Reseed_fault
 open Reseed_tpg
 open Reseed_util
@@ -155,6 +156,50 @@ let test_inputs_in_interval () =
   in
   expect_same "interleaved" c patterns
 
+(* Every arm of the gate kernel on one circuit: gates of more than three
+   fanins (the CSR fold behind the [wide] slot) of the AND, NOR and XOR
+   families, XOR and XNOR records padded with the zero slot, both
+   constants, and an [Input] inside a stem's sweep interval.  The sweeps
+   must match the reference, and one block's good values
+   [Logic_sim.simulate]. *)
+let test_gate_kernel () =
+  let b = Circuit.Builder.create "kernel" in
+  let input = Circuit.Builder.add_input b in
+  let gate = Circuit.Builder.add_gate b in
+  let a = input "a" in
+  let bb = input "b" in
+  let c_in = input "c" in
+  let d = input "d" in
+  let s = gate Gate.Nand [ a; bb ] "s" in
+  let g1 = gate Gate.Xor [ s; c_in ] "g1" in
+  let e = input "e" in
+  let k0 = gate Gate.Const0 [] "k0" in
+  let k1 = gate Gate.Const1 [] "k1" in
+  let w = gate Gate.And [ s; c_in; d; e; k1 ] "w" in
+  let x = gate Gate.Xnor [ g1; w; k0 ] "x" in
+  let o1 = gate Gate.Nor [ x; d; a; bb ] "o1" in
+  let o2 = gate Gate.Or [ w; g1 ] "o2" in
+  let y = gate Gate.Xor [ x; e; s; d ] "y" in
+  let xn = gate Gate.Xnor [ y; c_in ] "xn" in
+  let nd = gate Gate.Nand [ k1; y ] "nd" in
+  let n = gate Gate.Not [ o2 ] "n" in
+  List.iter (Circuit.Builder.mark_output b) [ o1; n; xn; g1; nd ];
+  let c = Circuit.Builder.finalize b in
+  let idx = Circuit.find c in
+  let sim = Fault_sim.create c [||] in
+  if not (idx "g1" < idx "e" && idx "e" < Fault_sim.cone_hi sim (idx "s")) then
+    Alcotest.fail "input e lies outside the sweep interval of stem s";
+  let rng = Rng.create 43 in
+  let patterns =
+    Array.init 130 (fun _ ->
+        Array.init (Circuit.input_count c) (fun _ -> Rng.bool rng))
+  in
+  let block = Logic_sim.pack c (Array.sub patterns 0 Logic_sim.block_width) in
+  Alcotest.(check (array int))
+    "good values" (Logic_sim.simulate c block)
+    (Fault_sim.good_values sim block);
+  expect_same "kernel" c patterns
+
 (* Detection-matrix rows as the builder simulates them: one triplet burst
    of T = 150 patterns per paper TPG, on catalog circuits up to the deep
    scale-tier s820_x4. *)
@@ -186,6 +231,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_cone_hi;
         Alcotest.test_case "inputs and constants inside a sweep interval" `Quick
           test_inputs_in_interval;
+        Alcotest.test_case "every gate-kernel arm" `Quick test_gate_kernel;
         Alcotest.test_case "catalog rows x paper TPGs" `Quick test_catalog_rows;
       ] );
   ]
