@@ -9,9 +9,9 @@
      all      — the four above, in order (the default)
 
    [--full] runs the full circuit suite (slow) instead of the quick one.
-   Fault collapsing is on; circuits above 2000 gates are generated at a
-   quarter of their catalog size.  Timing and the resource envelope are
-   measured by perfbench, not here.
+   Circuits above 2000 gates are generated at a quarter of their catalog
+   size.  Timing and the resource envelope are measured by perfbench, not
+   here.
 
    Environment: RESEED_JOBS (worker domains) and RESEED_CACHE (artifact
    store: a warm table1 rerun touches neither ATPG nor the matrix
@@ -43,28 +43,20 @@ let prepare name =
   | Some p -> p
   | None ->
       let t0 = Unix.gettimeofday () in
-      let p = Suite.prepare ~scale_factor:(scale_for name) ~collapse:true ?store name in
-      let classes = Reseed_fault.Fault_sim.fault_count p.Suite.sim in
-      let universe = Array.length (Reseed_fault.Fault.universe p.Suite.circuit) in
-      log
-        "  [prep] %s: %d PIs, %d gates, %d ATPG patterns, %d target faults (%d \
-         classes, -%.0f%%) (%.1fs)"
+      let p = Suite.prepare ~scale_factor:(scale_for name) ?store name in
+      log "  [prep] %s: %d PIs, %d gates, %d ATPG patterns, %d target faults (%.1fs)"
         name
         (Circuit.input_count p.Suite.circuit)
         (Circuit.gate_count p.Suite.circuit)
         (Array.length p.Suite.tests)
         (Bitvec.count p.Suite.targets)
-        classes
-        (100.0 *. (1.0 -. (float_of_int classes /. float_of_int universe)))
         (Unix.gettimeofday () -. t0);
       Hashtbl.add prepared name p;
       p
 
 (* Transition-delay dimension: the same Table 1 flow re-run under the
-   launch/capture model on a small subset.  Collapsing stays off (stuck-at
-   equivalences do not lift to launch/capture semantics) and GATSBY is
-   skipped — the point is the covering flow under another fault model, not
-   the GA baseline. *)
+   launch/capture model on a small subset.  GATSBY is skipped — the point
+   is the covering flow under another fault model, not the GA baseline. *)
 let run_transition_table1 () =
   log "== Table 1 (transition-delay faults, subset) ==";
   let rows =
@@ -73,8 +65,7 @@ let run_transition_table1 () =
         let t0 = Unix.gettimeofday () in
         let p =
           Suite.prepare ~scale_factor:(scale_for name)
-            ~fault_model:Reseed_fault.Fault_model.Transition_delay ~collapse:false
-            ?store name
+            ~fault_model:Reseed_fault.Fault_model.Transition_delay ?store name
         in
         let row = Suite.table1_row ~with_gatsby:false p in
         log "  [t1-transition] %s done (%.1fs, %d faults, %d patterns)" name

@@ -73,44 +73,6 @@ let collapse c faults =
 
 let all c = collapse c (universe c)
 
-let collapse_dominance c faults =
-  let keep fault =
-    match fault.site with
-    | Pin _ -> true
-    | Out g -> (
-        let node = c.Circuit.nodes.(g) in
-        (* The dominated output sense, if any, for this gate kind. *)
-        let dominated_sense =
-          match node.Circuit.kind with
-          | Gate.And -> Some true (* out s-a-1 dominated by any input s-a-1 *)
-          | Gate.Nand -> Some false
-          | Gate.Or -> Some false
-          | Gate.Nor -> Some true
-          | Gate.Input | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor | Gate.Const0
-          | Gate.Const1 ->
-              None
-        in
-        match dominated_sense with
-        | Some s when fault.stuck = s ->
-            (* Valid only when some dominating input fault is actually in
-               the collapsed list: any non-constant fanin provides one
-               (a branch fault when the stem fans out, the stem's own
-               output fault otherwise). *)
-            let has_dominator =
-              Array.exists
-                (fun stem ->
-                  match c.Circuit.nodes.(stem).Circuit.kind with
-                  | Gate.Const0 | Gate.Const1 -> false
-                  | _ -> true)
-                node.Circuit.fanins
-            in
-            not has_dominator
-        | _ -> true)
-  in
-  Array.of_seq (Seq.filter keep (Array.to_seq faults))
-
-let all_collapsed c = collapse_dominance c (all c)
-
 let equal a b = a = b
 
 let compare = Stdlib.compare

@@ -29,18 +29,6 @@ val universe : Circuit.t -> t array
     - fanout-free branch faults never appear (see [universe]). *)
 val all : Circuit.t -> t array
 
-(** [all_collapsed c] is the fully collapsed list: [all c] less the faults
-    {i dominated} by another listed fault — any test for the dominator
-    necessarily detects the dominated fault, so complete coverage of the
-    reduced list implies complete coverage of [all c]:
-    - AND/NAND output stuck in the non-controlled sense (s-a-1 / s-a-0) is
-      dominated by every input s-a-1;
-    - OR/NOR output s-a-0 / s-a-1 likewise by every input s-a-0.
-    Unlike equivalence collapsing this changes per-fault accounting (a
-    dominated fault's detection is implied, not identical), so it is an
-    opt-in refinement, not part of {!all}. *)
-val all_collapsed : Circuit.t -> t array
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -49,9 +49,8 @@
     Three entry points cover the library's needs:
 
     - {!detection_map}: full per-pattern detection bit-matrix, with no
-      dropping — used only by {!Diagnose} and by tests; the Detection
-      Matrix of Section 3.1 of the paper is built from
-      {!first_detections};
+      dropping — used only by the oracle tests; the Detection Matrix of
+      Section 3.1 of the paper is built from {!first_detections};
     - {!first_detections}: fault-dropping sweep returning the first
       detecting pattern index per fault — feeds ATPG (its random phase
       and its reverse-order compaction), the Detection Matrix rows and

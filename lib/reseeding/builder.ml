@@ -69,6 +69,18 @@ let fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~targets tpg
   let h = bitvec h targets in
   patterns h tests
 
+let fill_row ~cycles ~targets row firsts =
+  let useful = ref 1 in
+  Array.iteri
+    (fun fi first ->
+      match first with
+      | Some p when p < cycles && Bitvec.get targets fi ->
+          Bitvec.set row fi;
+          if p + 1 > !useful then useful := p + 1
+      | _ -> ())
+    firsts;
+  !useful
+
 (* Both matrix payloads carry what fault simulation produced: per row,
    its useful-cycle count (u32) then its row set. *)
 let put_entries buf useful_cycles row =
@@ -204,17 +216,8 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
                 (* An expired budget may have cut the sweep short: discard
                    the partial row rather than commit an understated one. *)
                 if not (Budget.check budget) then begin
-                  let row = rows.(i) in
-                  let useful = ref 1 in
-                  Array.iteri
-                    (fun fi first ->
-                      match first with
-                      | Some p when Bitvec.get targets fi ->
-                          Bitvec.set row fi;
-                          if p + 1 > !useful then useful := p + 1
-                      | _ -> ())
-                    firsts;
-                  useful_cycles.(i) <- !useful;
+                  useful_cycles.(i) <-
+                    fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
                   completed.(i) <- true
                 end
               end

@@ -61,15 +61,25 @@ val make_triplets : config:config -> Tpg.t -> bool array array -> Triplet.t arra
     [matrix] stage: the ATPG patterns, target mask, TPG identity and
     width, and the builder config (cycles, operand mode, seed).  [salt]
     folds in the upstream lineage — the ATPG-stage fingerprint — so
-    changing how the tests were produced (ATPG config, fault model,
-    fault collapsing) misses the cache even when the patterns happen to
-    coincide.  [fault_model] (default {!Fault_model.Stuck_at}) salts the
-    key with the detection semantics the rows were simulated under, so a
-    stuck-at matrix can never satisfy a transition-delay request. *)
+    changing how the tests were produced (ATPG config, fault model)
+    misses the cache even when the patterns happen to coincide.
+    [fault_model] (default {!Fault_model.Stuck_at}) salts the key with
+    the detection semantics the rows were simulated under, so a stuck-at
+    matrix can never satisfy a transition-delay request. *)
 val fingerprint :
   ?salt:Fingerprint.t ->
   ?fault_model:Fault_model.t ->
   tests:bool array array -> targets:Bitvec.t -> Tpg.t -> config:config -> Fingerprint.t
+
+(** [fill_row ~cycles ~targets row firsts] sets in [row] every target
+    fault whose first detection [firsts.(f)] (as
+    {!Fault_sim.first_detections} returns it) falls within the first
+    [cycles] patterns of the burst, and returns the row's useful cycles:
+    1 + the largest such index, or 1 for an empty row.  [build] fills
+    every matrix row with it, and {!Tradeoff.sweep} thresholds one long
+    burst's detections at each shorter [cycles]. *)
+val fill_row :
+  cycles:int -> targets:Bitvec.t -> Bitvec.t -> int option array -> int
 
 (** [build ?pool ?budget ?store ?fingerprint sim tpg ~tests ~targets
     ~config] — [tests] is ATPGTS; [targets] selects the fault list F

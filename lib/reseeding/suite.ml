@@ -34,13 +34,12 @@ let circuit_fingerprint c =
   array int h c.Circuit.outputs
 
 (* The ATPG-stage key digests everything the prepared workload depends
-   on: the netlist, the full ATPG config, the fault model and the
-   collapse mode.  It doubles as the lineage salt for every later stage
-   of this circuit's pipeline, so the workload tag below propagates into
-   every downstream stage key — a warm stuck-at store is a guaranteed
-   miss for a transition-delay request. *)
-let atpg_fingerprint ?(fault_model = Fault_model.Stuck_at) ~config ~collapse
-    circuit =
+   on: the netlist, the full ATPG config and the fault model.  It doubles
+   as the lineage salt for every later stage of this circuit's pipeline,
+   so the workload tag below propagates into every downstream stage key —
+   a warm stuck-at store is a guaranteed miss for a transition-delay
+   request. *)
+let atpg_fingerprint ?(fault_model = Fault_model.Stuck_at) ~config circuit =
   let open Fingerprint in
   let h = salted "atpg" in
   let h = string h ("workload:faults:" ^ Fault_model.name fault_model) in
@@ -51,10 +50,11 @@ let atpg_fingerprint ?(fault_model = Fault_model.Stuck_at) ~config ~collapse
   let h = bool h config.Atpg.compaction in
   let h = bool h config.Atpg.use_random_phase in
   let h = string h (Atpg.engine_name config.Atpg.engine) in
-  (* The fault simulator's name from when there were two engines, kept
-     constant so existing stores stay warm. *)
+  (* The fault simulator's name from when there were two engines, and
+     the collapse flag from when there were two stuck-at fault lists,
+     kept constant so existing stores stay warm. *)
   let h = string h "cpt" in
-  bool h collapse
+  bool h false
 
 let encode_atpg (r : Atpg.result) =
   if r.Atpg.stopped_early then None
@@ -96,21 +96,13 @@ let decode_atpg ~width ~fault_count r =
     stopped_early = false;
   }
 
-let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at)
-    ?(collapse = false) ?budget ?store circuit =
+let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at) ?budget
+    ?store circuit =
   Trace.with_span "suite.prepare" ~args:[ ("circuit", Circuit.name circuit) ]
   @@ fun () ->
-  if collapse && fault_model <> Fault_model.Stuck_at then
-    Error.fail Error.Usage
-      "fault model %s does not support collapsing (stuck-at equivalences do not \
-       lift to launch/capture semantics)"
-      (Fault_model.name fault_model);
   let config = Option.value atpg_config ~default:Atpg.default_config in
-  let fingerprint = atpg_fingerprint ~fault_model ~config ~collapse circuit in
-  let faults =
-    if collapse then Fault.all_collapsed circuit
-    else Fault_model.faults fault_model circuit
-  in
+  let fingerprint = atpg_fingerprint ~fault_model ~config circuit in
+  let faults = Fault_model.faults fault_model circuit in
   let sim = Fault_sim.create ~model:fault_model circuit faults in
   let atpg =
     Artifact.cached store ~stage:"atpg" ~fp:fingerprint ~encode:encode_atpg
@@ -131,9 +123,8 @@ let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at)
     store;
   }
 
-let prepare ?scale_factor ?atpg_config ?fault_model ?collapse ?budget ?store
-    name =
-  prepare_circuit ?atpg_config ?fault_model ?collapse ?budget ?store
+let prepare ?scale_factor ?atpg_config ?fault_model ?budget ?store name =
+  prepare_circuit ?atpg_config ?fault_model ?budget ?store
     (Library.load ?scale_factor name)
 
 let paper_tpgs p = Accumulator.paper_tpgs (Circuit.input_count p.circuit)
@@ -161,9 +152,9 @@ let flow_config_with_cycles cycles =
       }
 
 (* Flow runs are deterministic; Table 1 and Table 2 share them.  The key
-   is the workload's fingerprint (netlist, ATPG config, fault model,
-   collapse mode), so two preparations of one circuit that differ in any
-   of these never share a row within one process. *)
+   is the workload's fingerprint (netlist, ATPG config, fault model), so
+   two preparations of one circuit that differ in any of these never
+   share a row within one process. *)
 let flow_cache : (Fingerprint.t * string * int, Flow.result) Hashtbl.t =
   Hashtbl.create 64
 

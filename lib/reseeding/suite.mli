@@ -21,9 +21,9 @@ type prepared = {
       (** the detection semantics the workload was prepared under; [sim]
           was created with the same model *)
   fingerprint : Fingerprint.t;
-      (** the ATPG-stage fingerprint — netlist, ATPG config, fault model
-          and collapse mode.  Lineage salt for every downstream stage key
-          of this workload. *)
+      (** the ATPG-stage fingerprint — netlist, ATPG config and fault
+          model.  Lineage salt for every downstream stage key of this
+          workload. *)
   store : Artifact.store option;
       (** the artifact store the workload was prepared against; threaded
           to every flow run on this workload *)
@@ -35,17 +35,13 @@ type prepared = {
     for cache-invalidation tests. *)
 val circuit_fingerprint : Circuit.t -> Fingerprint.t
 
-(** [prepare ?scale_factor ?atpg_config ?fault_model ?collapse name]
-    loads a catalog circuit and runs the ATPG front-end once.
+(** [prepare ?scale_factor ?atpg_config ?fault_model name] loads a
+    catalog circuit and runs the ATPG front-end once.
     [fault_model] (default {!Fault_model.Stuck_at}) fixes the detection
-    semantics of the whole workload — fault list, ATPG phases, every
-    downstream sweep — and is folded into the [fingerprint], so
+    semantics of the whole workload — fault list
+    ({!Fault_model.faults}: {!Fault.all} under stuck-at), ATPG phases,
+    every downstream sweep — and is folded into the [fingerprint], so
     artifacts never cross models.
-    [collapse] (default [false]) simulates the structurally collapsed
-    list {!Fault.all_collapsed} (equivalence and dominance folds),
-    shrinking every downstream fault simulation; it is a stuck-at
-    notion and raises {!Reseed_util.Error.Reseed_error} ([Usage]) under
-    any other model.
     [budget] bounds the ATPG front-end (see {!Atpg.run}): on expiry the
     test set is partial but sound, and [targets] shrinks accordingly.
 
@@ -57,18 +53,16 @@ val prepare :
   ?scale_factor:int ->
   ?atpg_config:Atpg.config ->
   ?fault_model:Fault_model.t ->
-  ?collapse:bool ->
   ?budget:Budget.t ->
   ?store:Artifact.store ->
   string ->
   prepared
 
-(** [prepare_circuit ?atpg_config ?fault_model ?collapse ?budget ?store
-    c] — same, for an arbitrary circuit. *)
+(** [prepare_circuit ?atpg_config ?fault_model ?budget ?store c] — same,
+    for an arbitrary circuit. *)
 val prepare_circuit :
   ?atpg_config:Atpg.config ->
   ?fault_model:Fault_model.t ->
-  ?collapse:bool ->
   ?budget:Budget.t ->
   ?store:Artifact.store ->
   Circuit.t ->

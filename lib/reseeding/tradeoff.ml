@@ -28,8 +28,8 @@ let sweep_fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~target
   patterns h tests
 
 (* firsts.(i).(f) is the first burst index at which row i's T_max burst
-   detects fault f, or -1; stored as first+1 so the codec stays
-   non-negative. *)
+   detects fault f, if any; stored as first+1, or 0 for none, so the
+   codec stays non-negative. *)
 let encode_firsts firsts =
   let n = Array.length firsts in
   let nf = if n = 0 then 0 else Array.length firsts.(0) in
@@ -37,7 +37,11 @@ let encode_firsts firsts =
   Artifact.Codec.u32 b n;
   Artifact.Codec.u32 b nf;
   Array.iter
-    (fun row -> Array.iter (fun first -> Artifact.Codec.u32 b (first + 1)) row)
+    (fun row ->
+      Array.iter
+        (fun first ->
+          Artifact.Codec.u32 b (match first with Some p -> p + 1 | None -> 0))
+        row)
     firsts;
   Some (Buffer.contents b)
 
@@ -45,7 +49,9 @@ let decode_firsts ~rows ~faults r =
   let n = Artifact.Codec.get_u32 r in
   let nf = Artifact.Codec.get_u32 r in
   if n <> rows || nf <> faults then raise Artifact.Codec.Malformed;
-  Array.init n (fun _ -> Array.init nf (fun _ -> Artifact.Codec.get_u32 r - 1))
+  Array.init n (fun _ ->
+      Array.init nf (fun _ ->
+          match Artifact.Codec.get_u32 r with 0 -> None | k -> Some (k - 1)))
 
 let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
     ~tests ~targets ~grid =
@@ -91,10 +97,7 @@ let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
           let s = shard.(worker) in
           for i = lo to hi - 1 do
             let burst = Triplet.patterns tpg triplets_max.(i) in
-            firsts.(i) <-
-              Array.map
-                (function Some p -> p | None -> -1)
-                (Fault_sim.first_detections s ~active:targets burst)
+            firsts.(i) <- Fault_sim.first_detections s ~active:targets burst
           done);
       firsts
     in
@@ -115,19 +118,10 @@ let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
           let triplets =
             Builder.make_triplets ~config:config.Flow.builder tpg tests
           in
-          let useful_cycles = Array.make n 1 in
-          let rows =
+          let rows = Array.init n (fun _ -> Bitvec.create nf) in
+          let useful_cycles =
             Array.init n (fun i ->
-                let row = Bitvec.create nf in
-                Array.iteri
-                  (fun fi first ->
-                    if first >= 0 && first < cycles && Bitvec.get targets fi then begin
-                      Bitvec.set row fi;
-                      if first + 1 > useful_cycles.(i) then
-                        useful_cycles.(i) <- first + 1
-                    end)
-                  firsts.(i);
-                row)
+                Builder.fill_row ~cycles ~targets rows.(i) firsts.(i))
           in
           let initial =
             {

@@ -10,7 +10,7 @@ let () =
    @ Test_atpg.suite @ Test_tpg.suite @ Test_setcover.suite @ Test_ilp_oracle.suite
    @ Test_endgame.suite @ Test_sat.suite @ Test_satpg.suite
    @ Test_ga_gatsby.suite @ Test_flow.suite @ Test_fullscan_misr.suite
-   @ Test_diagnose.suite @ Test_parallel.suite @ Test_properties.suite
+   @ Test_parallel.suite @ Test_properties.suite
    @ Test_observability.suite @ Test_pipeline.suite @ Test_codec.suite
    @ Test_workload.suite
    @ Test_robustness.suite @ Test_resilience.suite @ Test_scale.suite

@@ -97,55 +97,6 @@ let test_po_stem_not_folded () =
   in
   check "PO stem fault kept" true has_g_fault
 
-
-let test_dominance_collapse_c17 () =
-  let c = Library.c17 () in
-  let eq = Fault.all c in
-  let dom = Fault.all_collapsed c in
-  (* c17 is all NANDs: every gate output s-a-0 is dominated and dropped *)
-  check "dominance shrinks further" true (Array.length dom < Array.length eq);
-  (* the canonical fully-collapsed c17 fault count is 22 *)
-  check_int "c17 fully collapsed" 22 (Array.length dom)
-
-let test_dominance_preserves_complete_coverage () =
-  (* Any test set covering the dominance-collapsed list covers the whole
-     equivalence-collapsed list. *)
-  List.iter
-    (fun c ->
-      let eq = Fault.all c in
-      let dom = Fault.all_collapsed c in
-      let sim_dom = Fault_sim.create c dom in
-      let _, r =
-        ( sim_dom,
-          Reseed_atpg.Atpg.run
-            ~config:
-              { Reseed_atpg.Atpg.default_config with Reseed_atpg.Atpg.seed = 5 }
-            sim_dom )
-      in
-      (* require complete coverage of detectable dominance-collapsed faults *)
-      if Reseed_atpg.Atpg.fault_coverage sim_dom r < 100.0 then
-        Alcotest.failf "%s: incomplete base coverage" (Circuit.name c);
-      (* now check the same tests against the larger equivalence list *)
-      let sim_eq = Fault_sim.create c eq in
-      let active = Reseed_util.Bitvec.create (Array.length eq) in
-      Reseed_util.Bitvec.fill_all active;
-      let det = Fault_sim.detected_set sim_eq r.Reseed_atpg.Atpg.tests ~active in
-      (* every equivalence-collapsed fault detectable at all must be hit;
-         undetectable ones are exactly the redundant ones *)
-      Array.iteri
-        (fun fi f ->
-          if not (Reseed_util.Bitvec.get det fi) then begin
-            (* must be genuinely undetectable *)
-            let rng = Reseed_util.Rng.create 9 in
-            match Reseed_atpg.Podem.generate c f ~rng ~max_backtracks:50_000 () with
-            | Reseed_atpg.Podem.Test _ ->
-                Alcotest.failf "%s: dominated fault %s escaped" (Circuit.name c)
-                  (Fault.to_string c f)
-            | Reseed_atpg.Podem.Untestable | Reseed_atpg.Podem.Aborted -> ()
-          end)
-        eq)
-    [ Library.c17 (); Library.ripple_adder 4; Library.mux_tree 3 ]
-
 let suite =
   [
     ( "fault",
@@ -158,7 +109,5 @@ let suite =
         Alcotest.test_case "site_node" `Quick test_site_node;
         Alcotest.test_case "to_string" `Quick test_to_string;
         Alcotest.test_case "PO stem not folded" `Quick test_po_stem_not_folded;
-        Alcotest.test_case "dominance collapse on c17" `Quick test_dominance_collapse_c17;
-        Alcotest.test_case "dominance preserves coverage" `Slow test_dominance_preserves_complete_coverage;
       ] );
   ]

@@ -240,7 +240,7 @@ let test_flow_engines_agree () =
   let module R = Fault_sim_reference in
   List.iter
     (fun name ->
-      let p = Suite.prepare ~collapse:true name in
+      let p = Suite.prepare name in
       let c = p.Suite.circuit and targets = p.Suite.targets in
       let ev = R.create ~engine:R.Event c (Reseed_fault.Fault_sim.faults p.Suite.sim) in
       let all = Bitvec.create (Bitvec.length targets) in

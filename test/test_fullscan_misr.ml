@@ -73,66 +73,6 @@ let test_full_scan_shared_state_net () =
   check_int "two dffs" 2 dffs;
   check_int "outputs deduped" 2 (Circuit.output_count c)
 
-(* --- MISR --- *)
-
-let w4 = Word.of_int 4
-
-let test_misr_step_known () =
-  let misr = Misr.create ~width:4 ~taps:[ 3; 2 ] () in
-  (* state 0b1000: shift out the 1 -> 0b0000 xor poly 0b1100 = 0b1100,
-     then xor response 0b0011 = 0b1111 *)
-  let next = Misr.step misr ~state:(w4 0b1000) ~response:(w4 0b0011) in
-  check_int "known step" 0b1111 (Option.get (Word.to_int next));
-  (* no carry: plain shift + response *)
-  let next2 = Misr.step misr ~state:(w4 0b0010) ~response:(w4 0b0001) in
-  check_int "no-carry step" 0b0101 (Option.get (Word.to_int next2))
-
-let test_misr_signature_order_sensitive () =
-  let misr = Misr.create ~width:8 () in
-  let r1 = List.map (Word.of_int 8) [ 1; 2; 3 ] in
-  let r2 = List.map (Word.of_int 8) [ 3; 2; 1 ] in
-  check "order matters" false (Word.equal (Misr.signature misr r1) (Misr.signature misr r2))
-
-let test_misr_detects_single_difference () =
-  let misr = Misr.create ~width:8 () in
-  let base = List.map (Word.of_int 8) [ 10; 20; 30; 40 ] in
-  let tweaked = List.map (Word.of_int 8) [ 10; 21; 30; 40 ] in
-  check "signature differs" false
-    (Word.equal (Misr.signature misr base) (Misr.signature misr tweaked))
-
-let test_misr_linear () =
-  (* MISRs are linear: sig(a xor b) relative to zero stream = sig(a) xor
-     sig(b) when starting from state 0. *)
-  let misr = Misr.create ~width:8 () in
-  let a = List.map (Word.of_int 8) [ 5; 9; 77 ] in
-  let b = List.map (Word.of_int 8) [ 200; 3; 14 ] in
-  let axb = List.map2 Word.logxor a b in
-  check "linearity" true
-    (Word.equal
-       (Misr.signature misr axb)
-       (Word.logxor (Misr.signature misr a) (Misr.signature misr b)))
-
-let test_misr_of_bits () =
-  let misr = Misr.create ~width:4 () in
-  let responses = [| [| true; false; false; false |]; [| false; true; false; false |] |] in
-  let s1 = Misr.signature_of_bits misr responses in
-  let s2 = Misr.signature misr [ w4 1; w4 2 ] in
-  check "bit interface agrees" true (Word.equal s1 s2)
-
-let test_misr_validation () =
-  check "width 1 rejected" true
-    (try
-       ignore (Misr.create ~width:1 ());
-       false
-     with Invalid_argument _ -> true);
-  let misr = Misr.create ~width:4 () in
-  check "width mismatch" true
-    (try
-       ignore (Misr.step misr ~state:(Word.zero 5) ~response:(Word.zero 4));
-       false
-     with Invalid_argument _ -> true);
-  check "aliasing prob" true (abs_float (Misr.aliasing_probability misr -. 0.0625) < 1e-12)
-
 (* --- weighted covering objective --- *)
 
 let test_min_test_length_objective () =
@@ -186,12 +126,6 @@ let suite =
         Alcotest.test_case "combinational unchanged" `Quick test_full_scan_combinational_unchanged;
         Alcotest.test_case "scan core through the flow" `Quick test_full_scan_flow_end_to_end;
         Alcotest.test_case "shared state net deduped" `Quick test_full_scan_shared_state_net;
-        Alcotest.test_case "misr known step" `Quick test_misr_step_known;
-        Alcotest.test_case "misr order sensitivity" `Quick test_misr_signature_order_sensitive;
-        Alcotest.test_case "misr detects difference" `Quick test_misr_detects_single_difference;
-        Alcotest.test_case "misr linearity" `Quick test_misr_linear;
-        Alcotest.test_case "misr bit interface" `Quick test_misr_of_bits;
-        Alcotest.test_case "misr validation" `Quick test_misr_validation;
         Alcotest.test_case "min-test-length objective" `Slow test_min_test_length_objective;
         Alcotest.test_case "weighted reduce" `Quick test_weighted_reduce_respects_weights;
         Alcotest.test_case "weighted solution cost" `Quick test_weighted_solution_cost;

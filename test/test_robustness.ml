@@ -124,11 +124,6 @@ let test_single_bit_vector () =
   Bitvec.fill_all v;
   check_int "fill" 1 (Bitvec.count v)
 
-let test_misr_width_boundary () =
-  (* 60+-bit MISR must not overflow aliasing computation *)
-  let m = Misr.create ~width:62 () in
-  check "aliasing ~0" true (Misr.aliasing_probability m = 0.0)
-
 let test_flow_on_tiny_targets () =
   (* restrict targets to a handful of faults: minimal solutions stay valid *)
   let p = Suite.prepare "c17" in
@@ -174,7 +169,6 @@ let suite =
         Alcotest.test_case "reduction idempotent" `Quick test_reduce_idempotent;
         Alcotest.test_case "word width 1" `Quick test_word_width_one;
         Alcotest.test_case "single-bit vector" `Quick test_single_bit_vector;
-        Alcotest.test_case "misr width boundary" `Quick test_misr_width_boundary;
         Alcotest.test_case "flow on restricted targets" `Quick test_flow_on_tiny_targets;
         QCheck_alcotest.to_alcotest ~long:true prop_flow_verifies_everywhere;
       ] );

@@ -232,16 +232,6 @@ let test_transition_flow_end_to_end () =
     (r.Flow.coverage_pct >= 100.0 -. 1e-9);
   check "not degraded" false r.Flow.degraded
 
-let test_transition_collapse_rejected () =
-  let c = Library.c17 () in
-  match
-    Suite.prepare_circuit ~fault_model:Fault_model.Transition_delay
-      ~collapse:true c
-  with
-  | exception Error.Reseed_error e ->
-      check "usage error" true (e.Error.code = Error.Usage)
-  | _ -> Alcotest.fail "collapsing under transition must be rejected"
-
 (* --- cross-model cache keying ------------------------------------------ *)
 
 let test_cross_model_cache_miss () =
@@ -537,8 +527,6 @@ let suite =
           test_stuck_flow_differential;
         Alcotest.test_case "transition flow end-to-end" `Quick
           test_transition_flow_end_to_end;
-        Alcotest.test_case "transition rejects collapsing" `Quick
-          test_transition_collapse_rejected;
         Alcotest.test_case "cross-model cache miss" `Quick
           test_cross_model_cache_miss;
         Alcotest.test_case "manifest: fault models and compress" `Quick
