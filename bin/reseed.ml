@@ -269,8 +269,7 @@ let atpg_cmd =
     session ?chaos ~obs ~deadline @@ fun s ->
     let c = load_circuit name ~scale in
     Printf.printf "%s\n" (Circuit.stats_line c);
-    let config = { Atpg.default_config with Atpg.engine } in
-    let sim, r = Atpg.run_circuit ~config ~fault_model ~budget:s.budget c in
+    let sim, r = Atpg.run_circuit ~engine ~fault_model ~budget:s.budget c in
     (match fault_model with
     | Reseed_fault.Fault_model.Stuck_at ->
         Printf.printf "faults (collapsed): %d\n"

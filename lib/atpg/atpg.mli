@@ -2,7 +2,12 @@
 
     Pipeline: random-pattern phase with fault dropping → PODEM on every
     surviving fault (dropping collateral detections after each new test) →
-    reverse-order static compaction.  The result is the deterministic test
+    reverse-order static compaction.  The settings are fixed: RNG seed
+    42 (random phase and don't-care fill), at most 10,000 random
+    patterns, and a PODEM backtrack limit of 2,000 for the whole run, not
+    per fault — every fault's search draws on one shared [podem_stats]
+    record, so once the run's total exceeds it every later PODEM target
+    aborts (see {!Podem.generate}).  The result is the deterministic test
     set [ATPGTS] the paper feeds to the Initial Reseeding Builder, plus
     the classification of every fault. *)
 
@@ -21,21 +26,9 @@ val engines : engine list
     ATPG-stage key component. *)
 val engine_name : engine -> string
 
-type config = {
-  seed : int;  (** RNG seed for random phase and don't-care fill *)
-  max_random_patterns : int;  (** budget for the random phase *)
-  max_backtracks : int;
-      (** PODEM backtrack limit for the whole run, not per fault: every
-          fault's search draws on one shared [podem_stats] record, so once
-          the run's total exceeds it, every later PODEM target aborts (see
-          {!Podem.generate}; ROADMAP's "Complete ATPG" item tracks the
-          fix) *)
-  compaction : bool;  (** run reverse-order compaction *)
-  use_random_phase : bool;
-  engine : engine;
-}
-
-val default_config : config
+(** [fingerprint h engine] folds the flow's fixed settings and
+    [engine] into [h]: the ATPG-stage part of an artifact key. *)
+val fingerprint : Fingerprint.t -> engine -> Fingerprint.t
 
 type result = {
   tests : bool array array;  (** the deterministic test set, ATPGTS *)
@@ -54,9 +47,9 @@ type result = {
     (testable-fault coverage, the figure the paper reports). *)
 val fault_coverage : Fault_sim.t -> result -> float
 
-(** [run ?config ?budget sim] generates tests for every fault of [sim]'s
-    list; an expired [budget] aborts the remaining faults (see
-    [stopped_early]).
+(** [run ?engine ?budget sim] generates tests for every fault of [sim]'s
+    list with the deterministic [engine] (default [Podem_engine]); an
+    expired [budget] aborts the remaining faults (see [stopped_early]).
 
     When [sim] was created with {!Fault_model.Transition_delay}, only the
     random phase runs: its kept patterns preserve launch/capture
@@ -64,16 +57,16 @@ val fault_coverage : Fault_sim.t -> result -> float
     kept with it), while the single-pattern deterministic engines and
     reverse-order compaction — both of which would break pair adjacency —
     are skipped, with surviving faults classified [aborted]. *)
-val run : ?config:config -> ?budget:Budget.t -> Fault_sim.t -> result
+val run : ?engine:engine -> ?budget:Budget.t -> Fault_sim.t -> result
 
-(** [run_circuit ?config ?fault_model ?budget c] builds the
+(** [run_circuit ?engine ?fault_model ?budget c] builds the
     [fault_model]'s own fault list ({!Fault_model.faults} —
     equivalence-collapsed for stuck-at, uncollapsed for transition;
     [fault_model] defaults to {!Fault_model.Stuck_at}) and a simulator
     over it, then runs the flow; returns the simulator too.  For another
     fault list, build the simulator and call {!run}. *)
 val run_circuit :
-  ?config:config ->
+  ?engine:engine ->
   ?fault_model:Fault_model.t ->
   ?budget:Budget.t ->
   Circuit.t ->

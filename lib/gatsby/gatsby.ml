@@ -92,14 +92,11 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
   let shard = Fault_sim.shard sim (Pool.jobs pool) in
   let eval_batch genomes =
     let out = Array.make (Array.length genomes) 0.0 in
-    Pool.parallel_for ~pool ~chunk:1 ~total:(Array.length genomes)
-      (fun ~worker ~lo ~hi ->
-        let s = shard.(worker) in
-        for i = lo to hi - 1 do
-          out.(i) <-
-            float_of_int
-              (Bitvec.count (Fault_sim.detected_set s (burst genomes.(i)) ~active))
-        done);
+    Pool.parallel_for ~pool ~total:(Array.length genomes) (fun ~worker i ->
+        out.(i) <-
+          float_of_int
+            (Bitvec.count
+               (Fault_sim.detected_set shard.(worker) (burst genomes.(i)) ~active)));
     out
   in
   let coverage () = 100.0 *. float_of_int (Bitvec.count detected) /. float_of_int total_targets in

@@ -222,7 +222,7 @@ let m_skipped =
     "batch_jobs_skipped"
 
 (* Chaos schedules can fail or stall whole campaign jobs here; the pool
-   then re-runs the job chunk once, exercising idempotent job
+   then re-runs the job once, exercising idempotent job
    re-execution against the shared prepared workloads. *)
 let fp_job = Faultpoint.register "batch.job"
 
@@ -260,84 +260,82 @@ let run ?pool ?store ?budget ?on_done manifest =
     jobs;
   let results = Array.map skipped_result jobs in
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  Pool.parallel_for ~pool ~chunk:1 ~label:"batch jobs" ~total:(Array.length jobs)
-    (fun ~worker:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        let job = jobs.(i) in
-        Faultpoint.hit fp_job;
-        if Budget.check budget then Metrics.incr m_skipped
-        else begin
-          let job_budget =
-            match (budget, manifest.job_deadline) with
-            | Some g, Some d -> Some (Budget.sub ~deadline_s:d g)
-            | Some g, None -> Some g
-            | None, Some d -> Some (Budget.create ~deadline_s:d ())
-            | None, None -> None
-          in
-          let p = Hashtbl.find prepared (prep_key job) in
-          (match job.task with
-          | Reseed { tpg = tpg_name; cycles; fault_model = _ } ->
-              (* Concurrent jobs on one circuit must not share the
-                 prepared simulator's scratch state. *)
-              let sim = Fault_sim.copy p.Suite.sim in
-              let tpg = tpg_of_name tpg_name (Circuit.input_count p.Suite.circuit) in
-              let config =
-                {
-                  Flow.default_config with
-                  Flow.builder = { Builder.default_config with Builder.cycles };
-                  method_ = manifest.method_;
-                  objective = manifest.objective;
-                }
-              in
-              let r =
-                Flow.run ~config ?budget:job_budget ?store:p.Suite.store
-                  ~fingerprint:p.Suite.fingerprint sim tpg ~tests:p.Suite.tests
-                  ~targets:p.Suite.targets
-              in
-              results.(i) <-
-                {
-                  job;
-                  status = Ok;
-                  metrics =
-                    Reseed_metrics
-                      {
-                        triplets = Flow.reseedings r;
-                        test_length = r.Flow.test_length;
-                        rom_bits =
-                          List.fold_left
-                            (fun acc t -> acc + Triplet.storage_bits t)
-                            0 r.Flow.final_triplets;
-                        coverage_pct = r.Flow.coverage_pct;
-                      };
-                  degraded =
-                    r.Flow.degraded || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early;
-                }
-          | Compress { width } ->
-              let corpus = Workload.corpus_of_patterns ~width p.Suite.tests in
-              let c =
-                Workload.solve ~method_:manifest.method_ ?budget:job_budget
-                  ?store:p.Suite.store corpus
-              in
-              results.(i) <-
-                {
-                  job;
-                  status = Ok;
-                  metrics =
-                    Compress_metrics
-                      {
-                        entries = List.length c.Workload.entries;
-                        dictionary_bits = c.Workload.dictionary_bits;
-                        index_bits = c.Workload.index_bits;
-                        raw_bits = c.Workload.raw_bits;
-                      };
-                  degraded =
-                    c.Workload.solution.Solution.stats.Solution.degraded
-                    || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early;
-                });
-          Metrics.incr m_completed
-        end;
-        Option.iter (fun f -> f i results.(i)) on_done
-      done);
+  Pool.parallel_for ~pool ~label:"batch jobs" ~total:(Array.length jobs)
+    (fun ~worker:_ i ->
+      let job = jobs.(i) in
+      Faultpoint.hit fp_job;
+      if Budget.check budget then Metrics.incr m_skipped
+      else begin
+        let job_budget =
+          match (budget, manifest.job_deadline) with
+          | Some g, Some d -> Some (Budget.sub ~deadline_s:d g)
+          | Some g, None -> Some g
+          | None, Some d -> Some (Budget.create ~deadline_s:d ())
+          | None, None -> None
+        in
+        let p = Hashtbl.find prepared (prep_key job) in
+        (match job.task with
+        | Reseed { tpg = tpg_name; cycles; fault_model = _ } ->
+            (* Concurrent jobs on one circuit must not share the
+               prepared simulator's scratch state. *)
+            let sim = Fault_sim.copy p.Suite.sim in
+            let tpg = tpg_of_name tpg_name (Circuit.input_count p.Suite.circuit) in
+            let config =
+              {
+                Flow.default_config with
+                Flow.builder = { Builder.default_config with Builder.cycles };
+                method_ = manifest.method_;
+                objective = manifest.objective;
+              }
+            in
+            let r =
+              Flow.run ~config ?budget:job_budget ?store:p.Suite.store
+                ~fingerprint:p.Suite.fingerprint sim tpg ~tests:p.Suite.tests
+                ~targets:p.Suite.targets
+            in
+            results.(i) <-
+              {
+                job;
+                status = Ok;
+                metrics =
+                  Reseed_metrics
+                    {
+                      triplets = Flow.reseedings r;
+                      test_length = r.Flow.test_length;
+                      rom_bits =
+                        List.fold_left
+                          (fun acc t -> acc + Triplet.storage_bits t)
+                          0 r.Flow.final_triplets;
+                      coverage_pct = r.Flow.coverage_pct;
+                    };
+                degraded =
+                  r.Flow.degraded || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early;
+              }
+        | Compress { width } ->
+            let corpus = Workload.corpus_of_patterns ~width p.Suite.tests in
+            let c =
+              Workload.solve ~method_:manifest.method_ ?budget:job_budget
+                ?store:p.Suite.store corpus
+            in
+            results.(i) <-
+              {
+                job;
+                status = Ok;
+                metrics =
+                  Compress_metrics
+                    {
+                      entries = List.length c.Workload.entries;
+                      dictionary_bits = c.Workload.dictionary_bits;
+                      index_bits = c.Workload.index_bits;
+                      raw_bits = c.Workload.raw_bits;
+                    };
+                degraded =
+                  c.Workload.solution.Solution.stats.Solution.degraded
+                  || p.Suite.atpg.Reseed_atpg.Atpg.stopped_early;
+              });
+        Metrics.incr m_completed
+      end;
+      Option.iter (fun f -> f i results.(i)) on_done);
   Array.to_list results
 
 (* --- report ---------------------------------------------------------- *)

@@ -203,25 +203,23 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
           ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
         @@ fun () ->
         computed := true;
-        Pool.parallel_for ~pool ~chunk:1 ~label:"detection-matrix rows"
-          ~total:(hi - lo) (fun ~worker ~lo:tlo ~hi:thi ->
-            let s = sim_shard.(worker) in
-            for j = tlo to thi - 1 do
-              let i = lo + j in
+        Pool.parallel_for ~pool ~label:"detection-matrix rows" ~total:(hi - lo)
+          (fun ~worker j ->
+            let i = lo + j in
+            if not (Budget.check budget) then begin
+              let burst = Triplet.patterns tpg triplets.(i) in
+              let firsts =
+                Fault_sim.first_detections ?budget sim_shard.(worker)
+                  ~active:targets burst
+              in
+              (* An expired budget may have cut the sweep short: discard
+                 the partial row rather than commit an understated one. *)
               if not (Budget.check budget) then begin
-                let burst = Triplet.patterns tpg triplets.(i) in
-                let firsts =
-                  Fault_sim.first_detections ?budget s ~active:targets burst
-                in
-                (* An expired budget may have cut the sweep short: discard
-                   the partial row rather than commit an understated one. *)
-                if not (Budget.check budget) then begin
-                  useful_cycles.(i) <-
-                    fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
-                  completed.(i) <- true
-                end
+                useful_cycles.(i) <-
+                  fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
+                completed.(i) <- true
               end
-            done);
+            end);
         let all = ref true in
         for i = lo to hi - 1 do
           if not completed.(i) then all := false

@@ -65,19 +65,6 @@ type result = {
 (** [reseedings r] is the paper's “#Triplets”. *)
 val reseedings : result -> int
 
-(** [truncate_solution sim tpg ~triplets ~targets rows] — the Section-4
-    accounting pass: applies the selected [rows] in order with fault
-    dropping, truncating each burst after its last useful pattern.
-    Returns (truncated triplets, still-undetected targets, number of
-    selected rows dropped as useless).  Exposed for tests. *)
-val truncate_solution :
-  Fault_sim.t ->
-  Tpg.t ->
-  triplets:Triplet.t array ->
-  targets:Bitvec.t ->
-  int list ->
-  Triplet.t list * Bitvec.t * int
-
 (** [run ?config ?pool ?budget ?store ?fingerprint sim tpg ~tests
     ~targets] executes the whole flow.  [tests] is the deterministic test
     set (ATPGTS), [targets] the fault list F.  [pool] is forwarded to the

@@ -34,22 +34,17 @@ let circuit_fingerprint c =
   array int h c.Circuit.outputs
 
 (* The ATPG-stage key digests everything the prepared workload depends
-   on: the netlist, the full ATPG config and the fault model.  It doubles
+   on: the netlist, the ATPG settings and the fault model.  It doubles
    as the lineage salt for every later stage of this circuit's pipeline,
    so the workload tag below propagates into every downstream stage key —
    a warm stuck-at store is a guaranteed miss for a transition-delay
    request. *)
-let atpg_fingerprint ?(fault_model = Fault_model.Stuck_at) ~config circuit =
+let atpg_fingerprint ~fault_model circuit =
   let open Fingerprint in
   let h = salted "atpg" in
   let h = string h ("workload:faults:" ^ Fault_model.name fault_model) in
   let h = int64 h (circuit_fingerprint circuit) in
-  let h = int h config.Atpg.seed in
-  let h = int h config.Atpg.max_random_patterns in
-  let h = int h config.Atpg.max_backtracks in
-  let h = bool h config.Atpg.compaction in
-  let h = bool h config.Atpg.use_random_phase in
-  let h = string h (Atpg.engine_name config.Atpg.engine) in
+  let h = Atpg.fingerprint h Atpg.Podem_engine in
   (* The fault simulator's name from when there were two engines, and
      the collapse flag from when there were two stuck-at fault lists,
      kept constant so existing stores stay warm. *)
@@ -96,12 +91,10 @@ let decode_atpg ~width ~fault_count r =
     stopped_early = false;
   }
 
-let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at) ?budget
-    ?store circuit =
+let prepare_circuit ?(fault_model = Fault_model.Stuck_at) ?budget ?store circuit =
   Trace.with_span "suite.prepare" ~args:[ ("circuit", Circuit.name circuit) ]
   @@ fun () ->
-  let config = Option.value atpg_config ~default:Atpg.default_config in
-  let fingerprint = atpg_fingerprint ~fault_model ~config circuit in
+  let fingerprint = atpg_fingerprint ~fault_model circuit in
   let faults = Fault_model.faults fault_model circuit in
   let sim = Fault_sim.create ~model:fault_model circuit faults in
   let atpg =
@@ -110,7 +103,7 @@ let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at) ?budget
         (decode_atpg
            ~width:(Circuit.input_count circuit)
            ~fault_count:(Array.length faults))
-    @@ fun () -> Atpg.run ~config ?budget sim
+    @@ fun () -> Atpg.run ?budget sim
   in
   {
     circuit;
@@ -123,8 +116,8 @@ let prepare_circuit ?atpg_config ?(fault_model = Fault_model.Stuck_at) ?budget
     store;
   }
 
-let prepare ?scale_factor ?atpg_config ?fault_model ?budget ?store name =
-  prepare_circuit ?atpg_config ?fault_model ?budget ?store
+let prepare ?scale_factor ?fault_model ?budget ?store name =
+  prepare_circuit ?fault_model ?budget ?store
     (Library.load ?scale_factor name)
 
 let paper_tpgs p = Accumulator.paper_tpgs (Circuit.input_count p.circuit)
@@ -152,7 +145,7 @@ let flow_config_with_cycles cycles =
       }
 
 (* Flow runs are deterministic; Table 1 and Table 2 share them.  The key
-   is the workload's fingerprint (netlist, ATPG config, fault model), so
+   is the workload's fingerprint (netlist, ATPG settings, fault model), so
    two preparations of one circuit that differ in any of these never
    share a row within one process. *)
 let flow_cache : (Fingerprint.t * string * int, Flow.result) Hashtbl.t =

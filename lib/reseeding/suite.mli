@@ -1,6 +1,7 @@
 (** Experiment drivers regenerating the paper's tables and figure.
 
-    Shared by [bench/main.exe] and the [reseed] CLI.  A {!prepared}
+    Every [reseed] command prepares its workload here; the table and
+    figure drivers below serve [bench/main.exe].  A {!prepared}
     workload bundles everything that is TPG-independent (circuit, fault
     list, ATPG test set); each table row then reuses it across the three
     accumulator TPGs, exactly like the paper's evaluation. *)
@@ -21,7 +22,7 @@ type prepared = {
       (** the detection semantics the workload was prepared under; [sim]
           was created with the same model *)
   fingerprint : Fingerprint.t;
-      (** the ATPG-stage fingerprint — netlist, ATPG config and fault
+      (** the ATPG-stage fingerprint — netlist, ATPG settings and fault
           model.  Lineage salt for every downstream stage key of this
           workload. *)
   store : Artifact.store option;
@@ -35,7 +36,7 @@ type prepared = {
     for cache-invalidation tests. *)
 val circuit_fingerprint : Circuit.t -> Fingerprint.t
 
-(** [prepare ?scale_factor ?atpg_config ?fault_model name] loads a
+(** [prepare ?scale_factor ?fault_model ?budget ?store name] loads a
     catalog circuit and runs the ATPG front-end once.
     [fault_model] (default {!Fault_model.Stuck_at}) fixes the detection
     semantics of the whole workload — fault list
@@ -51,17 +52,15 @@ val circuit_fingerprint : Circuit.t -> Fingerprint.t
     results are never persisted. *)
 val prepare :
   ?scale_factor:int ->
-  ?atpg_config:Atpg.config ->
   ?fault_model:Fault_model.t ->
   ?budget:Budget.t ->
   ?store:Artifact.store ->
   string ->
   prepared
 
-(** [prepare_circuit ?atpg_config ?fault_model ?budget ?store c] — same,
-    for an arbitrary circuit. *)
+(** [prepare_circuit ?fault_model ?budget ?store c] — same, for an
+    arbitrary circuit. *)
 val prepare_circuit :
-  ?atpg_config:Atpg.config ->
   ?fault_model:Fault_model.t ->
   ?budget:Budget.t ->
   ?store:Artifact.store ->

@@ -53,8 +53,7 @@ let decode_firsts ~rows ~faults r =
       Array.init nf (fun _ ->
           match Artifact.Codec.get_u32 r with 0 -> None | k -> Some (k - 1)))
 
-let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
-    ~tests ~targets ~grid =
+let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
   let grid = Array.of_list (List.sort compare grid) in
   Array.iter
     (fun cycles ->
@@ -66,9 +65,9 @@ let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
       ~args:[ ("points", string_of_int (Array.length grid)) ]
     @@ fun () ->
     let t_max = grid.(Array.length grid - 1) in
-    let builder = flow_config.Flow.builder in
+    let builder = Flow.default_config.Flow.builder in
     let config_at cycles =
-      { flow_config with Flow.builder = { builder with Builder.cycles } }
+      { Flow.default_config with Flow.builder = { builder with Builder.cycles } }
     in
     let triplets_max =
       Builder.make_triplets ~config:{ builder with Builder.cycles = t_max } tpg tests
@@ -92,13 +91,10 @@ let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
          sequences it: bit-identical at every job count. *)
       Trace.with_span "tradeoff.firsts" ~args:[ ("rows", string_of_int n) ]
       @@ fun () ->
-      Pool.parallel_for ~pool ~chunk:1 ~label:"trade-off burst sweeps" ~total:n
-        (fun ~worker ~lo ~hi ->
-          let s = shard.(worker) in
-          for i = lo to hi - 1 do
-            let burst = Triplet.patterns tpg triplets_max.(i) in
-            firsts.(i) <- Fault_sim.first_detections s ~active:targets burst
-          done);
+      Pool.parallel_for ~pool ~label:"trade-off burst sweeps" ~total:n
+        (fun ~worker i ->
+          let burst = Triplet.patterns tpg triplets_max.(i) in
+          firsts.(i) <- Fault_sim.first_detections shard.(worker) ~active:targets burst);
       firsts
     in
     (* Each grid point thresholds the shared firsts into the detection
@@ -107,46 +103,39 @@ let sweep ?(flow_config = Flow.default_config) ?pool ?store ?fingerprint sim tpg
        matrix-stage key at that T, so reduce/solve/truncate artifacts are
        shared with standalone runs at the same evolution length. *)
     let points = Array.make (Array.length grid) None in
-    Pool.parallel_for ~pool ~chunk:1 ~total:(Array.length grid)
-      (fun ~worker ~lo ~hi ->
-        let s = shard.(worker) in
-        for gi = lo to hi - 1 do
-          let cycles = grid.(gi) in
-          Trace.with_span "tradeoff.point" ~args:[ ("cycles", string_of_int cycles) ]
-          @@ fun () ->
-          let config = config_at cycles in
-          let triplets =
-            Builder.make_triplets ~config:config.Flow.builder tpg tests
-          in
-          let rows = Array.init n (fun _ -> Bitvec.create nf) in
-          let useful_cycles =
-            Array.init n (fun i ->
-                Builder.fill_row ~cycles ~targets rows.(i) firsts.(i))
-          in
-          let initial =
-            {
-              Builder.triplets;
-              matrix = Matrix.of_rows ~cols:nf rows;
-              targets;
-              useful_cycles;
-              fault_sims = 0;
-              rows_skipped = 0;
-              rows_restored = 0;
-            }
-          in
-          let fpm =
-            Builder.fingerprint ?salt:fingerprint
-              ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg
-              ~config:config.Flow.builder
-          in
-          let r =
-            Flow.run_prebuilt ~config ?store ~fingerprint:fpm s tpg ~initial
-              ~targets
-          in
-          points.(gi) <-
-            Some
-              { cycles; triplets = Flow.reseedings r; test_length = r.Flow.test_length }
-        done);
+    Pool.parallel_for ~pool ~total:(Array.length grid) (fun ~worker gi ->
+        let cycles = grid.(gi) in
+        Trace.with_span "tradeoff.point" ~args:[ ("cycles", string_of_int cycles) ]
+        @@ fun () ->
+        let config = config_at cycles in
+        let triplets = Builder.make_triplets ~config:config.Flow.builder tpg tests in
+        let rows = Array.init n (fun _ -> Bitvec.create nf) in
+        let useful_cycles =
+          Array.init n (fun i -> Builder.fill_row ~cycles ~targets rows.(i) firsts.(i))
+        in
+        let initial =
+          {
+            Builder.triplets;
+            matrix = Matrix.of_rows ~cols:nf rows;
+            targets;
+            useful_cycles;
+            fault_sims = 0;
+            rows_skipped = 0;
+            rows_restored = 0;
+          }
+        in
+        let fpm =
+          Builder.fingerprint ?salt:fingerprint
+            ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg
+            ~config:config.Flow.builder
+        in
+        let r =
+          Flow.run_prebuilt ~config ?store ~fingerprint:fpm shard.(worker) tpg
+            ~initial ~targets
+        in
+        points.(gi) <-
+          Some
+            { cycles; triplets = Flow.reseedings r; test_length = r.Flow.test_length });
     Fault_sim.merge_sims ~into:sim shard;
     Array.to_list (Array.map (function Some p -> p | None -> assert false) points)
   end

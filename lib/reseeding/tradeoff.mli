@@ -16,8 +16,9 @@ type point = {
   test_length : int;  (** truncated global test length *)
 }
 
-(** [sweep ?flow_config ?pool ?store ?fingerprint sim tpg ~tests ~targets
-    ~grid] computes one point per grid entry (ascending).
+(** [sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid]
+    computes one point per grid entry (ascending), each with
+    {!Flow.default_config} at that evolution length.
 
     A T-cycle burst is a prefix of the 2T-cycle burst from the same
     triplet, so the sweep fault-simulates each row {e once} at
@@ -33,7 +34,6 @@ type point = {
     ATPG lineage) so points share artifacts with standalone runs at the
     same evolution length. *)
 val sweep :
-  ?flow_config:Flow.config ->
   ?pool:Pool.t ->
   ?store:Artifact.store ->
   ?fingerprint:Fingerprint.t ->

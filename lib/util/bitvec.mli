@@ -56,9 +56,6 @@ val compare : t -> t -> int
 (** [union_into ~into src] ors [src] into [into]. *)
 val union_into : into:t -> t -> unit
 
-(** [inter_into ~into src] ands [src] into [into]. *)
-val inter_into : into:t -> t -> unit
-
 (** [diff_into ~into src] removes from [into] every bit set in [src]. *)
 val diff_into : into:t -> t -> unit
 

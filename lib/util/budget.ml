@@ -41,16 +41,4 @@ let expired t = refresh t <> 0
 let stop_reason t =
   match refresh t with 0 -> None | 1 -> Some Deadline | _ -> Some Cancelled
 
-let rec remaining_s t =
-  if expired t then 0.
-  else
-    let own =
-      match t.deadline with
-      | None -> infinity
-      | Some d -> Float.max 0. (d -. Unix.gettimeofday ())
-    in
-    match t.parent with
-    | None -> own
-    | Some p -> Float.min own (remaining_s p)
-
 let check = function None -> false | Some t -> expired t

@@ -47,10 +47,6 @@ val expired : t -> bool
     takes precedence over [Deadline] when both apply. *)
 val stop_reason : t -> stop_reason option
 
-(** [remaining_s t] is the wall-clock time left, [infinity] when no
-    deadline was set, and [0.] once expired. *)
-val remaining_s : t -> float
-
 (** [check b] — [expired] lifted over an optional budget: [false] when
     [b] is [None].  The idiom for [?budget] parameters. *)
 val check : t option -> bool

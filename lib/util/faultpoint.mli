@@ -30,7 +30,7 @@
       stream seeded by ([seed], point name), absent = every hit.
 
     The schedule is deterministic: equal seeds and equal hit sequences
-    replay equal injections.  {!configure} resets every per-point hit
+    replay equal injections.  {!configure_string} resets every per-point hit
     counter and probability stream.
 
     Work accounting: every injection bumps the [chaos_injected] counter
@@ -49,7 +49,6 @@ exception Injected of { point : string; fault : string }
 val abort_exit_code : int
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 val all_kinds : kind list
 
 (** A registered injection point. *)
@@ -62,7 +61,7 @@ val register : string -> t
 
 val name : t -> string
 
-(** [hit_count t] — hits since the last {!configure}/{!disable}. *)
+(** [hit_count t] — hits since the last {!configure_string}/{!disable}. *)
 val hit_count : t -> int
 
 (** [all ()] is every registered point name, sorted — the catalog the
@@ -72,14 +71,10 @@ val all : unit -> string list
 (** [enabled ()] — whether a schedule is active. *)
 val enabled : unit -> bool
 
-(** [configure ~seed ~spec] installs a schedule (rules as above, comma
-    separated) and resets all hit counters and probability streams.
-    Raises {!Error.Reseed_error} ([Usage]) on a malformed or empty
-    spec. *)
-val configure : seed:int -> spec:string -> unit
-
 (** [configure_string s] parses ["<seed>:<spec>"] — the [RESEED_CHAOS] /
-    [--chaos] syntax — and {!configure}s it. *)
+    [--chaos] syntax, rules comma separated — installs that schedule and
+    resets all hit counters and probability streams.  Raises
+    {!Error.Reseed_error} ([Usage]) on a malformed or empty spec. *)
 val configure_string : string -> unit
 
 (** [disable ()] removes the schedule; points return to the one-load

@@ -1,6 +1,6 @@
 (* Fixed worker domains fed by a single mutex/condition queue.  One job is
    in flight at a time; participants (the caller, slot 0, plus each worker
-   domain) claim contiguous index chunks with an atomic cursor, so the
+   domain) claim one index at a time with an atomic cursor, so the
    schedule is dynamic but every index runs exactly once and lands in its
    own result slot — results are independent of the job count. *)
 
@@ -8,29 +8,27 @@ exception
   Task_error of {
     label : string;
     worker : int;
-    lo : int;
-    hi : int;
+    index : int;
     attempts : int;
     exn : exn;
   }
 
 let () =
   Printexc.register_printer (function
-    | Task_error { label; worker; lo; hi; attempts; exn } ->
+    | Task_error { label; worker; index; attempts; exn } ->
         Some
           (Printf.sprintf
-             "Pool.Task_error(task %S, worker %d, chunk [%d,%d), %d attempts: %s)"
-             label worker lo hi attempts (Printexc.to_string exn))
+             "Pool.Task_error(task %S, worker %d, index %d, %d attempts: %s)"
+             label worker index attempts (Printexc.to_string exn))
     | _ -> None)
 
 type job = {
   id : int;
   total : int;
-  chunk : int;
   label : string;
   next : int Atomic.t;  (* next unclaimed index *)
-  failed : bool Atomic.t;  (* set on first exception: later chunks are skipped *)
-  body : worker:int -> lo:int -> hi:int -> unit;
+  failed : bool Atomic.t;  (* set on first exception: later indices are skipped *)
+  body : worker:int -> int -> unit;
   jm : Mutex.t;  (* guards [completed] and [exn] *)
   done_c : Condition.t;
   mutable completed : int;  (* indices claimed and accounted for *)
@@ -60,19 +58,19 @@ let default_jobs () =
       | Some n when n >= 1 -> n
       | _ -> Error.fail Error.Usage "RESEED_JOBS=%S: expected a positive integer" s)
 
-(* A chunk that raises is re-run once, at once, on the same worker (so
-   chunk bodies must be idempotent per index, as every combinator here
-   is); a second failure is wrapped in {!Task_error}.  A structured
-   {!Error.Reseed_error} is never re-run: that only duplicates a
-   documented failure's side effects.  A nested {!Task_error} passes. *)
+(* An index that raises is re-run once, at once, on the same worker (so
+   bodies must be idempotent per index); a second failure is wrapped in
+   {!Task_error}.  A structured {!Error.Reseed_error} is never re-run:
+   that only duplicates a documented failure's side effects.  A nested
+   {!Task_error} passes. *)
 let fp_task = Faultpoint.register "pool.task"
 
-let run_chunk_retrying ~label body ~worker ~lo ~hi =
-  let fail attempts exn = raise (Task_error { label; worker; lo; hi; attempts; exn }) in
+let run_index_retrying ~label body ~worker index =
+  let fail attempts exn = raise (Task_error { label; worker; index; attempts; exn }) in
   let rec go attempts =
     match
       Faultpoint.hit fp_task;
-      body ~worker ~lo ~hi
+      body ~worker index
     with
     | () -> ()
     | exception (Task_error _ as e) -> raise e
@@ -82,24 +80,23 @@ let run_chunk_retrying ~label body ~worker ~lo ~hi =
   in
   go 1
 
-(* Every claimed chunk is accounted exactly once, run or skipped, so
+(* Every claimed index is accounted exactly once, run or skipped, so
    [completed = total] is the completion condition even after a failure. *)
-let run_chunks j ~worker =
+let run_indices j ~worker =
   let continue = ref true in
   while !continue do
-    let lo = Atomic.fetch_and_add j.next j.chunk in
-    if lo >= j.total then continue := false
+    let i = Atomic.fetch_and_add j.next 1 in
+    if i >= j.total then continue := false
     else begin
-      let hi = min j.total (lo + j.chunk) in
       (if not (Atomic.get j.failed) then
-         try run_chunk_retrying ~label:j.label j.body ~worker ~lo ~hi
+         try run_index_retrying ~label:j.label j.body ~worker i
          with e ->
            Atomic.set j.failed true;
            Mutex.lock j.jm;
            if j.exn = None then j.exn <- Some e;
            Mutex.unlock j.jm);
       Mutex.lock j.jm;
-      j.completed <- j.completed + (hi - lo);
+      j.completed <- j.completed + 1;
       if j.completed = j.total then Condition.broadcast j.done_c;
       Mutex.unlock j.jm
     end
@@ -122,7 +119,7 @@ let rec worker_loop t ~slot ~last_id =
   match wait () with
   | None -> ()
   | Some j ->
-      run_chunks j ~worker:slot;
+      run_indices j ~worker:slot;
       worker_loop t ~slot ~last_id:j.id
 
 let create ~jobs () =
@@ -180,30 +177,23 @@ let default () =
 
 let resolve = function Some t -> t | None -> default ()
 
-let run_inline ~label ~total body =
-  run_chunk_retrying ~label body ~worker:0 ~lo:0 ~hi:total
-
-let parallel_for ?pool ?chunk ?(label = "parallel region") ~total body =
+let parallel_for ?pool ?(label = "parallel region") ~total body =
   if total > 0 then begin
     let t = resolve pool in
     if t.n_jobs = 1 || t.shut || not (Atomic.compare_and_set t.busy false true)
-    then run_inline ~label ~total body
+    then
+      for i = 0 to total - 1 do
+        run_index_retrying ~label body ~worker:0 i
+      done
     else
       Fun.protect
         ~finally:(fun () -> Atomic.set t.busy false)
         (fun () ->
-          let chunk =
-            match chunk with
-            | Some c when c >= 1 -> c
-            | Some _ -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
-            | None -> max 1 (total / (t.n_jobs * 8))
-          in
           t.next_id <- t.next_id + 1;
           let j =
             {
               id = t.next_id;
               total;
-              chunk;
               label;
               next = Atomic.make 0;
               failed = Atomic.make false;
@@ -218,7 +208,7 @@ let parallel_for ?pool ?chunk ?(label = "parallel region") ~total body =
           t.state <- Work j;
           Condition.broadcast t.ready;
           Mutex.unlock t.m;
-          run_chunks j ~worker:0;
+          run_indices j ~worker:0;
           Mutex.lock j.jm;
           while j.completed < j.total do
             Condition.wait j.done_c j.jm
@@ -230,19 +220,3 @@ let parallel_for ?pool ?chunk ?(label = "parallel region") ~total body =
           Mutex.unlock t.m;
           match e with Some e -> raise e | None -> ())
   end
-
-let parallel_init ?pool ?chunk ?label n f =
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for ?pool ?chunk ?label ~total:n (fun ~worker:_ ~lo ~hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- Some (f i)
-        done);
-    Array.map
-      (function Some v -> v | None -> assert false (* every index ran *))
-      out
-  end
-
-let parallel_map_array ?pool ?chunk ?label f arr =
-  parallel_init ?pool ?chunk ?label (Array.length arr) (fun i -> f arr.(i))

@@ -3,38 +3,35 @@
     A pool owns [jobs - 1] worker domains (the submitting domain is the
     remaining participant, worker slot 0), fed through a single
     mutex/condition work queue — no dependency beyond the OCaml 5 stdlib.
-    Work is distributed as contiguous index chunks claimed atomically, so
+    Each participant claims one index at a time from an atomic cursor, so
     load-balancing is dynamic while every index is executed exactly once.
 
-    Determinism contract: all combinators assign result slot [i] from the
-    task for index [i], whatever domain ran it, so any computation whose
-    tasks are pure functions of their index (plus read-only shared state)
-    produces bit-identical results at every job count.
+    Determinism contract: a body that writes result slot [i] from index
+    [i] alone (plus read-only shared state) produces bit-identical
+    results at every job count, whatever domain ran each index.
 
-    Nested parallelism is safe but not amplified: a [parallel_*] call made
+    Nested parallelism is safe but not amplified: a {!parallel_for} made
     while the same pool is already running a region (from a worker, or
-    reentrantly from the caller's own chunk) degrades to an inline
-    sequential loop. *)
+    reentrantly from the caller's own index) degrades to an inline
+    sequential loop, as do regions on a one-job or shut-down pool. *)
 
 type t
 
-(** Raised by the [parallel_*] combinators when a chunk body keeps
-    failing: a chunk that raises is re-run once, at once, on the same
-    worker, so one-shot faults heal (bodies must be idempotent per
-    index, which every slot-writing combinator here is).
+(** Raised by {!parallel_for} when an index keeps failing: an index
+    that raises is re-run once, at once, on the same worker, so one-shot
+    faults heal (bodies must be idempotent per index).
     {!Error.Reseed_error} diagnostics are never re-run.  The surviving
     exception is wrapped with its task context — the region's [label],
-    the worker slot, the index range and the attempt count — so failures
-    in a fleet of domains stay attributable.  The first failing chunk
-    wins; chunks not yet started are skipped.  Every chunk attempt also
-    passes the [pool.task] {!Faultpoint}. *)
+    the worker slot, the index and the attempt count — so failures in a
+    fleet of domains stay attributable.  The first failing index wins;
+    indices not yet started are skipped.  Every attempt, inline or on the
+    pool, also passes the [pool.task] {!Faultpoint}. *)
 exception
   Task_error of {
     label : string;  (** the [?label] of the failed region *)
-    worker : int;  (** participant slot that ran the chunk *)
-    lo : int;  (** failed index range, [lo] inclusive *)
-    hi : int;  (** … [hi] exclusive *)
-    attempts : int;  (** runs of the chunk body: 1, or 2 after a re-run *)
+    worker : int;  (** participant slot that ran the index *)
+    index : int;  (** the failed index *)
+    attempts : int;  (** runs of the body: 1, or 2 after a re-run *)
     exn : exn;  (** the underlying exception (last attempt's) *)
   }
 
@@ -57,36 +54,17 @@ val default : unit -> t
 (** [jobs t] is the number of participants (worker slots [0 .. jobs-1]). *)
 val jobs : t -> int
 
-(** [shutdown t] joins the pool's worker domains.  Idempotent.  Calling a
-    [parallel_*] combinator on a shut-down pool runs inline. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f pool] and always shuts the pool down. *)
+(** [with_pool ~jobs f] runs [f pool] and always shuts the pool down
+    (joins its worker domains) afterwards. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** [parallel_for ?pool ?chunk ?label ~total body] runs
-    [body ~worker ~lo ~hi] over disjoint chunks covering [0 .. total-1]
-    ([lo] inclusive, [hi] exclusive).  [worker] identifies the
-    participant slot executing the chunk — index per-worker scratch
-    (e.g. {i Fault_sim} shards) with it.  [chunk] is the claim
-    granularity (default: coarse, [total/(8*jobs)]).  [label] names the
-    region in failure reports (default ["parallel region"]).  A chunk
-    that raises is re-run once; a second failure is re-raised in the
-    caller as {!Task_error} (first failing chunk wins) after every
-    participant has stopped — the pool itself never hangs or dies. *)
+(** [parallel_for ?pool ?label ~total body] runs [body ~worker i] once
+    for every [i] in [0 .. total-1].  [worker] identifies the participant
+    slot running the index — index per-worker scratch (e.g.
+    {i Fault_sim} shards) with it.  [label] names the region in failure
+    reports (default ["parallel region"]).  An index that raises is
+    re-run once; a second failure is re-raised in the caller as
+    {!Task_error} (first failing index wins) after every participant has
+    stopped — the pool itself never hangs or dies. *)
 val parallel_for :
-  ?pool:t ->
-  ?chunk:int ->
-  ?label:string ->
-  total:int ->
-  (worker:int -> lo:int -> hi:int -> unit) ->
-  unit
-
-(** [parallel_init ?pool ?chunk ?label n f] is [Array.init n f] with the
-    calls to [f] distributed over the pool. *)
-val parallel_init : ?pool:t -> ?chunk:int -> ?label:string -> int -> (int -> 'a) -> 'a array
-
-(** [parallel_map_array ?pool ?chunk ?label f arr] is [Array.map f arr]
-    with the calls to [f] distributed over the pool. *)
-val parallel_map_array :
-  ?pool:t -> ?chunk:int -> ?label:string -> ('a -> 'b) -> 'a array -> 'b array
+  ?pool:t -> ?label:string -> total:int -> (worker:int -> int -> unit) -> unit

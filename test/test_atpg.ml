@@ -30,31 +30,6 @@ let test_deterministic_given_seed () =
   in
   check "same seed same tests" true (run () = run ())
 
-let test_seed_changes_tests () =
-  let run seed =
-    let _, r =
-      Atpg.run_circuit ~config:{ Atpg.default_config with Atpg.seed } (Library.ripple_adder 6)
-    in
-    r.Atpg.tests
-  in
-  check "different seed different tests" true (run 1 <> run 2)
-
-let test_no_random_phase () =
-  let config = { Atpg.default_config with Atpg.use_random_phase = false } in
-  let sim, r = Atpg.run_circuit ~config (Library.ripple_adder 4) in
-  check_int "no random patterns" 0 r.Atpg.random_patterns_tried;
-  check "still full coverage" true (Atpg.fault_coverage sim r >= 100.0)
-
-let test_compaction_preserves_coverage () =
-  let c = Library.comparator 8 in
-  let with_c = { Atpg.default_config with Atpg.compaction = true } in
-  let without_c = { Atpg.default_config with Atpg.compaction = false } in
-  let sim1, r1 = Atpg.run_circuit ~config:with_c c in
-  let _, r2 = Atpg.run_circuit ~config:without_c c in
-  check "coverage equal" true (Bitvec.equal r1.Atpg.detected r2.Atpg.detected);
-  check "compacted not longer" true (Array.length r1.Atpg.tests <= Array.length r2.Atpg.tests);
-  ignore sim1
-
 let test_untestable_alu () =
   (* the ALU contains a synthesised constant: some faults are redundant *)
   let sim, r = Atpg.run_circuit (Library.alu 4) in
@@ -72,12 +47,11 @@ let test_synthetic_circuit () =
 
 let test_sat_engine_equivalent () =
   (* The SAT engine must reach the same coverage as PODEM (both are
-     complete); test sets may differ. *)
+     complete); test sets may differ.  Only the deterministic engines
+     prove faults untestable, so the redundancy lists compare them. *)
   let c = Library.alu 3 in
-  let podem_cfg = { Atpg.default_config with Atpg.use_random_phase = false } in
-  let sat_cfg = { podem_cfg with Atpg.engine = Atpg.Sat_engine } in
-  let _, r1 = Atpg.run_circuit ~config:podem_cfg c in
-  let _, r2 = Atpg.run_circuit ~config:sat_cfg c in
+  let _, r1 = Atpg.run_circuit ~engine:Atpg.Podem_engine c in
+  let _, r2 = Atpg.run_circuit ~engine:Atpg.Sat_engine c in
   check "same coverage" true (Bitvec.equal r1.Atpg.detected r2.Atpg.detected);
   check "same redundancies" true
     (List.sort compare r1.Atpg.untestable = List.sort compare r2.Atpg.untestable)
@@ -116,9 +90,6 @@ let suite =
         Alcotest.test_case "full coverage on structured circuits" `Slow test_full_coverage_structured;
         Alcotest.test_case "detected set reproducible" `Quick test_detected_reproducible;
         Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
-        Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_tests;
-        Alcotest.test_case "PODEM-only mode" `Quick test_no_random_phase;
-        Alcotest.test_case "compaction preserves coverage" `Slow test_compaction_preserves_coverage;
         Alcotest.test_case "redundancy on ALU" `Quick test_untestable_alu;
         Alcotest.test_case "synthetic circuit" `Slow test_synthetic_circuit;
         Alcotest.test_case "SAT engine equivalent" `Slow test_sat_engine_equivalent;

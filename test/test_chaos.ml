@@ -246,17 +246,36 @@ let test_artifact_save_failure_nonfatal () =
 let test_pool_task_fault_heals () =
   with_chaos "1:pool.task=fail@1" @@ fun () ->
   Pool.with_pool ~jobs:2 @@ fun pool ->
-  let out = Pool.parallel_init ~pool ~chunk:4 16 (fun i -> i * i) in
+  let out = Array.make 16 0 in
+  Pool.parallel_for ~pool ~total:16 (fun ~worker:_ i -> out.(i) <- i * i);
   check "pool result correct under one-shot fault" true
-    (Array.for_all Fun.id (Array.mapi (fun i v -> v = i * i) out))
+    (out = Array.init 16 (fun i -> i * i))
+
+(* Every index passes [pool.task] on its own, inline or on the pool: a
+   10-index region with its third hit failed hits the point 11 times
+   (10 indices plus one retry) and runs every body exactly once. *)
+let test_pool_task_hit_per_index () =
+  let fp = Faultpoint.register "pool.task" in
+  List.iter
+    (fun jobs ->
+      with_chaos "1:pool.task=fail@3" @@ fun () ->
+      Pool.with_pool ~jobs @@ fun pool ->
+      let runs = Array.init 10 (fun _ -> Atomic.make 0) in
+      Pool.parallel_for ~pool ~total:10 (fun ~worker:_ i -> Atomic.incr runs.(i));
+      let what s = Printf.sprintf "jobs=%d: %s" jobs s in
+      check_int (what "pool.task hits") 11 (Faultpoint.hit_count fp);
+      Array.iteri
+        (fun i r -> check_int (what (Printf.sprintf "index %d runs" i)) 1 (Atomic.get r))
+        runs)
+    [ 1; 4 ]
 
 let test_pool_task_exhaustion_is_task_error () =
   with_chaos "1:pool.task=fail" @@ fun () ->
   (* [fail] with no selector fires on every hit: retries cannot heal it
      and the pool must surface a structured Task_error. *)
   Pool.with_pool ~jobs:2 @@ fun pool ->
-  match Pool.parallel_init ~pool 8 (fun i -> i) with
-  | _ -> Alcotest.fail "expected Task_error"
+  match Pool.parallel_for ~pool ~total:8 (fun ~worker:_ _ -> ()) with
+  | () -> Alcotest.fail "expected Task_error"
   | exception Pool.Task_error { attempts; exn = Faultpoint.Injected _; _ } ->
       check_int "attempt count surfaced" 2 attempts
 
@@ -266,7 +285,7 @@ let test_pool_diagnostic_not_rerun () =
   let runs = Atomic.make 0 in
   Pool.with_pool ~jobs:1 @@ fun pool ->
   match
-    Pool.parallel_init ~pool 1 (fun _ ->
+    Pool.parallel_for ~pool ~total:1 (fun ~worker:_ _ ->
         Atomic.incr runs;
         Error.fail Error.Input_error "documented")
   with
@@ -439,6 +458,8 @@ let suite =
           test_artifact_save_failure_nonfatal;
         Alcotest.test_case "pool: one-shot task fault heals" `Quick
           test_pool_task_fault_heals;
+        Alcotest.test_case "pool: pool.task hit once per index" `Quick
+          test_pool_task_hit_per_index;
         Alcotest.test_case "pool: persistent fault is Task_error" `Quick
           test_pool_task_exhaustion_is_task_error;
         Alcotest.test_case "pool: diagnostic is not re-run" `Quick

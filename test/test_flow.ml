@@ -202,8 +202,8 @@ let test_table_rows () =
   let s2 = Suite.render_table2 [ row2 ] in
   check "renders" true (String.length s1 > 0 && String.length s2 > 0)
 
-(* Two preparations of one circuit that differ only in the ATPG seed are
-   different workloads: each Table 2 row must match a direct flow run on
+(* Two preparations of one circuit that differ only in the fault model
+   are different workloads: each Table 2 row must match a direct flow run on
    its own preparation, never the row memoised for the other. *)
 let test_table_rows_keyed_by_workload () =
   let row_of p =
@@ -222,14 +222,14 @@ let test_table_rows_keyed_by_workload () =
       (fun e -> Suite.(e.t2_tpg, e.necessary, e.reduced_rows, e.reduced_cols))
       (Suite.table2_row p).Suite.t2_entries
   in
-  let p42 = Suite.prepare "c432" in
-  let p7 =
-    Suite.prepare ~atpg_config:{ Reseed_atpg.Atpg.default_config with seed = 7 } "c432"
+  let stuck = Suite.prepare "c432" in
+  let transition =
+    Suite.prepare ~fault_model:Reseed_fault.Fault_model.Transition_delay "c432"
   in
-  check "the seeds prepare different workloads" true
-    (p42.Suite.fingerprint <> p7.Suite.fingerprint);
-  check "seed 42 row" true (memo_row p42 = row_of p42);
-  check "seed 7 row is its own" true (memo_row p7 = row_of p7)
+  check "the models prepare different workloads" true
+    (stuck.Suite.fingerprint <> transition.Suite.fingerprint);
+  check "stuck-at row" true (memo_row stuck = row_of stuck);
+  check "transition row is its own" true (memo_row transition = row_of transition)
 
 (* The detection matrix against per-fault injection: every row and
    [useful_cycles] entry [Builder.build] computes on a prepared workload

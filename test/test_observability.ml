@@ -163,10 +163,8 @@ let test_instant () =
 let names_at_jobs jobs =
   with_tracer @@ fun () ->
   Pool.with_pool ~jobs (fun pool ->
-      Pool.parallel_for ~pool ~chunk:1 ~total:16 (fun ~worker:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            Trace.with_span (Printf.sprintf "job-%02d" i) (fun () -> ())
-          done));
+      Pool.parallel_for ~pool ~total:16 (fun ~worker:_ i ->
+          Trace.with_span (Printf.sprintf "job-%02d" i) (fun () -> ())));
   List.sort compare (Trace.span_names ())
 
 let test_merge_determinism () =
@@ -233,10 +231,7 @@ let test_metrics_parallel_adds () =
   let c = Metrics.counter "obs_test_parallel" in
   let base = Metrics.value c in
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.parallel_for ~pool ~chunk:1 ~total:64 (fun ~worker:_ ~lo ~hi ->
-          for _ = lo to hi - 1 do
-            Metrics.add c 5
-          done));
+      Pool.parallel_for ~pool ~total:64 (fun ~worker:_ _ -> Metrics.add c 5));
   check_int "atomic under contention" (base + 320) (Metrics.value c)
 
 let test_metrics_json () =

@@ -16,18 +16,25 @@ let check_int = Alcotest.(check int)
 
 (* --- Pool ----------------------------------------------------------- *)
 
+(* [Array.init n f] over [pool]: index [i] writes slot [i]. *)
+let par_init ~pool n f =
+  let out = Array.make n None in
+  Pool.parallel_for ~pool ~total:n (fun ~worker:_ i -> out.(i) <- Some (f i));
+  Array.map Option.get out
+
 let test_pool_map () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      check_int "jobs" 4 (Pool.jobs pool);
-      let xs = Array.init 1000 (fun i -> i) in
-      let f x = (x * 7919) mod 104729 in
-      check "map = sequential map" true
-        (Pool.parallel_map_array ~pool f xs = Array.map f xs);
-      check "map chunk=1" true (Pool.parallel_map_array ~pool ~chunk:1 f xs = Array.map f xs);
-      check "init = sequential init" true
-        (Pool.parallel_init ~pool 777 f = Array.init 777 f);
-      check "empty map" true (Pool.parallel_map_array ~pool f [||] = [||]);
-      check "empty init" true (Pool.parallel_init ~pool 0 f = [||]))
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          check_int "jobs" jobs (Pool.jobs pool);
+          let f x = (x * 7919) mod 104729 in
+          check
+            (Printf.sprintf "init = sequential init at jobs=%d" jobs)
+            true
+            (par_init ~pool 777 f = Array.init 777 f);
+          Pool.parallel_for ~pool ~total:0 (fun ~worker:_ _ ->
+              Alcotest.fail "an empty region runs nothing")))
+    [ 1; 2; 4 ]
 
 let test_pool_reuse_and_order () =
   (* Result slot [i] always holds task [i]'s value, across repeated jobs
@@ -35,24 +42,24 @@ let test_pool_reuse_and_order () =
   Pool.with_pool ~jobs:3 (fun pool ->
       for round = 1 to 20 do
         let n = 50 + round in
-        let out = Pool.parallel_init ~pool ~chunk:1 n (fun i -> (round * 1000) + i) in
+        let out = par_init ~pool n (fun i -> (round * 1000) + i) in
         Array.iteri (fun i v -> check_int "slot" ((round * 1000) + i) v) out
       done)
 
 let test_pool_exception () =
   Pool.with_pool ~jobs:4 (fun pool ->
       (match
-         Pool.parallel_for ~pool ~chunk:1 ~label:"boom job" ~total:100
-           (fun ~worker:_ ~lo ~hi:_ -> if lo = 42 then failwith "boom")
+         Pool.parallel_for ~pool ~label:"boom job" ~total:100 (fun ~worker:_ i ->
+             if i = 42 then failwith "boom")
        with
       | () -> Alcotest.fail "expected exception"
-      | exception Pool.Task_error { label; lo; attempts; exn; _ } ->
+      | exception Pool.Task_error { label; index; attempts; exn; _ } ->
           check "exn propagated" true (exn = Failure "boom");
           check "task label" true (label = "boom job");
-          check "failing chunk" true (lo = 42);
+          check_int "failing index" 42 index;
           check "retried once" true (attempts = 2));
       (* The pool survives a failed job. *)
-      let xs = Pool.parallel_init ~pool 100 (fun i -> i * i) in
+      let xs = par_init ~pool 100 (fun i -> i * i) in
       check "pool usable after failure" true (xs = Array.init 100 (fun i -> i * i)))
 
 let test_pool_nested () =
@@ -60,8 +67,8 @@ let test_pool_nested () =
      call degrades to the sequential path. *)
   Pool.with_pool ~jobs:4 (fun pool ->
       let out =
-        Pool.parallel_init ~pool ~chunk:1 8 (fun i ->
-            let inner = Pool.parallel_init ~pool 10 (fun j -> (i * 10) + j) in
+        par_init ~pool 8 (fun i ->
+            let inner = par_init ~pool 10 (fun j -> (i * 10) + j) in
             Array.fold_left ( + ) 0 inner)
       in
       check "nested totals" true
@@ -71,7 +78,7 @@ let test_pool_jobs_one_inline () =
   Pool.with_pool ~jobs:1 (fun pool ->
       let d = Domain.self () in
       let saw = ref true in
-      Pool.parallel_for ~pool ~total:64 (fun ~worker:_ ~lo:_ ~hi:_ ->
+      Pool.parallel_for ~pool ~total:64 (fun ~worker:_ _ ->
           if Domain.self () <> d then saw := false);
       check "jobs=1 runs on the calling domain" true !saw)
 
@@ -100,10 +107,8 @@ let test_copy_isolation () =
   let shard = Fault_sim.shard sim jobs in
   let got = Array.make jobs (Bitvec.create 0) in
   Pool.with_pool ~jobs (fun pool ->
-      Pool.parallel_for ~pool ~chunk:1 ~total:jobs (fun ~worker:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            got.(i) <- Fault_sim.detected_set shard.(i) batches.(i) ~active
-          done));
+      Pool.parallel_for ~pool ~total:jobs (fun ~worker:_ i ->
+          got.(i) <- Fault_sim.detected_set shard.(i) batches.(i) ~active));
   Array.iteri
     (fun i e -> check (Printf.sprintf "batch %d isolated" i) true (Bitvec.equal e got.(i)))
     expect;

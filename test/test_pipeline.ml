@@ -157,7 +157,7 @@ let test_row_codec () =
 let test_atpg_stage_invalidation () =
   with_store @@ fun store ->
   let c = Library.load "c17" in
-  let prep ?atpg_config () = Suite.prepare_circuit ?atpg_config ~store c in
+  let prep ?fault_model () = Suite.prepare_circuit ?fault_model ~store c in
   let p_cold, m = delta "stage_atpg_cache_misses" (fun () -> prep ()) in
   check_int "cold run misses" 1 m;
   let p_warm, h = delta "stage_atpg_cache_hits" (fun () -> prep ()) in
@@ -174,11 +174,8 @@ let test_atpg_stage_invalidation () =
     check (name ^ " changes fingerprint") false
       (Fingerprint.equal p.Suite.fingerprint p_cold.Suite.fingerprint)
   in
-  miss "ATPG config" (fun () ->
-      prep
-        ~atpg_config:
-          { Reseed_atpg.Atpg.default_config with Reseed_atpg.Atpg.seed = 99 }
-        ());
+  miss "fault model" (fun () ->
+      prep ~fault_model:Reseed_fault.Fault_model.Transition_delay ());
   (* A different netlist misses too (fresh store dir proves nothing —
      same store, different circuit key). *)
   let _, m =

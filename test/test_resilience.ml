@@ -224,38 +224,34 @@ let test_checkpoint_interrupted_build_resumes_bit_identically () =
 let test_pool_task_error_context () =
   Pool.with_pool ~jobs:3 (fun pool ->
       match
-        Pool.parallel_for ~pool ~chunk:4 ~label:"resilience probe" ~total:20
-          (fun ~worker:_ ~lo ~hi:_ -> if lo = 8 then invalid_arg "injected")
+        Pool.parallel_for ~pool ~label:"resilience probe" ~total:20 (fun ~worker:_ i ->
+            if i = 8 then invalid_arg "injected")
       with
       | () -> Alcotest.fail "expected Task_error"
-      | exception Pool.Task_error { label; lo; hi; attempts; exn; _ } ->
+      | exception Pool.Task_error { label; index; attempts; exn; _ } ->
           check "label" true (label = "resilience probe");
-          check_int "chunk lo" 8 lo;
-          check_int "chunk hi" 12 hi;
+          check_int "index" 8 index;
           check_int "attempted twice" 2 attempts;
           check "underlying exn" true (exn = Invalid_argument "injected"))
 
 let test_pool_transient_failure_retried () =
-  (* Fails the first attempt of one chunk only; the retry must succeed and
+  (* Fails the first attempt of one index only; the retry must succeed and
      the overall region complete with correct results. *)
   let attempts = Array.init 32 (fun _ -> Atomic.make 0) in
   let out = Array.make 32 0 in
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.parallel_for ~pool ~chunk:1 ~label:"transient" ~total:32
-        (fun ~worker:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            if i = 13 && Atomic.fetch_and_add attempts.(i) 1 = 0 then
-              failwith "transient glitch";
-            out.(i) <- i * 3
-          done));
+      Pool.parallel_for ~pool ~label:"transient" ~total:32 (fun ~worker:_ i ->
+          if i = 13 && Atomic.fetch_and_add attempts.(i) 1 = 0 then
+            failwith "transient glitch";
+          out.(i) <- i * 3));
   check "result correct" true (out = Array.init 32 (fun i -> i * 3));
-  check_int "failed chunk ran twice" 2 (Atomic.get attempts.(13))
+  check_int "failed index ran twice" 2 (Atomic.get attempts.(13))
 
 let test_pool_inline_jobs_one_retries_too () =
   let tries = Atomic.make 0 in
   Pool.with_pool ~jobs:1 (fun pool ->
-      Pool.parallel_for ~pool ~total:4 (fun ~worker:_ ~lo ~hi:_ ->
-          if lo = 0 && Atomic.fetch_and_add tries 1 = 0 then failwith "once"))
+      Pool.parallel_for ~pool ~total:4 (fun ~worker:_ i ->
+          if i = 0 && Atomic.fetch_and_add tries 1 = 0 then failwith "once"))
 
 (* --- parser diagnostics --- *)
 
