@@ -213,7 +213,7 @@ let run_ablation () =
       let config =
         {
           Gatsby.default_config with
-          Gatsby.ga = { Ga.default_config with Ga.population = pop; generations = gens };
+          Gatsby.ga = { Ga.population = pop; generations = gens };
         }
       in
       let rng = Rng.create 1234 in

@@ -387,7 +387,7 @@ let solve_cmd =
 (* gatsby *)
 
 let gatsby_cmd =
-  let pop_arg = Arg.(value & opt (int_from 2) 12 & info [ "population" ] ~docv:"P") in
+  let pop_arg = Arg.(value & opt (int_from (Ga.elite + 1)) 12 & info [ "population" ] ~docv:"P") in
   let gens_arg = Arg.(value & opt int 6 & info [ "generations" ] ~docv:"G") in
   let run name scale tpg_name cycles seed pop gens deadline jobs obs =
     session ~obs ~deadline ?jobs @@ fun s ->
@@ -398,7 +398,7 @@ let gatsby_cmd =
       {
         Gatsby.default_config with
         Gatsby.cycles;
-        ga = { Ga.default_config with Ga.population = pop; generations = gens };
+        ga = { Ga.population = pop; generations = gens };
       }
     in
     let rng = Rng.create seed in

@@ -535,6 +535,12 @@ let detected_set ?budget t patterns ~active =
       Bitvec.unsafe_set detected fi);
   detected
 
+(* The index of the first pattern lane set in a nonzero detection word. *)
+let lowest_lane d =
+  let k = ref 0 in
+  while d lsr !k land 1 = 0 do incr k done;
+  !k
+
 let first_detections ?budget t ?active patterns =
   (match active with
   | Some a when Bitvec.length a <> fault_count t ->
@@ -547,9 +553,19 @@ let first_detections ?budget t ?active patterns =
      sizable fault list) would drag out of the minor heap. *)
   let firsts = Array.init (Array.length patterns) Option.some in
   drop_sweep ?budget t ?active patterns (fun fi ~base d ->
-      let k = ref 0 in
-      while d lsr !k land 1 = 0 do incr k done;
-      result.(fi) <- firsts.(base + !k));
+      result.(fi) <- firsts.(base + lowest_lane d));
   result
+
+(* [drop_sweep] reads [live] once, before the first block, so the
+   detections can clear it as they come. *)
+let useful_length t ~live patterns =
+  if Bitvec.length live <> fault_count t then
+    invalid_arg "Fault_sim.useful_length: live mask size mismatch";
+  with_sweep "fault_sim.useful_length" t patterns @@ fun () ->
+  let len = ref 0 in
+  drop_sweep t ~active:live patterns (fun fi ~base d ->
+      Bitvec.clear live fi;
+      len := max !len (base + lowest_lane d + 1));
+  !len
 
 let coverage_pct t detected = Stats.pct (Bitvec.count detected) (fault_count t)

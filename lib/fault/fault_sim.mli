@@ -46,17 +46,19 @@
     count the capture grades, so cost metrics stay comparable across
     models.
 
-    Three entry points cover the library's needs:
+    Four entry points cover the library's needs:
 
     - {!detection_map}: full per-pattern detection bit-matrix, with no
       dropping — used only by the oracle tests; the Detection Matrix of
       Section 3.1 of the paper is built from {!first_detections};
     - {!first_detections}: fault-dropping sweep returning the first
       detecting pattern index per fault — feeds ATPG (its random phase
-      and its reverse-order compaction), the Detection Matrix rows and
-      GATSBY;
+      and its reverse-order compaction) and the Detection Matrix rows;
     - {!detected_set}: the faults of an active mask that a candidate
-      pattern set detects — feeds ATPG and the GATSBY fitness function. *)
+      pattern set detects — feeds ATPG and the GATSBY fitness function;
+    - {!useful_length}: the truncated length of a burst applied after
+      earlier ones, clearing what it detects from the live-fault mask —
+      the test-length accounting of the covering flow and of GATSBY. *)
 
 open Reseed_netlist
 open Reseed_util
@@ -145,6 +147,14 @@ val detected_set : ?budget:Budget.t -> t -> bool array array -> active:Bitvec.t 
     first detection. *)
 val first_detections :
   ?budget:Budget.t -> t -> ?active:Bitvec.t -> bool array array -> int option array
+
+(** [useful_length t ~live patterns] applies one burst under the
+    Section-4 truncation rule: it runs [patterns] with fault dropping
+    over the faults of [live], clears every fault it detects from
+    [live], and returns one past the last pattern that detected one of
+    them, or 0 (with [live] untouched) when none did.  Truncating the
+    burst to that length detects the same faults. *)
+val useful_length : t -> live:Bitvec.t -> bool array array -> int
 
 (** [coverage_pct t detected] renders fault coverage as a percentage of
     the simulator's fault list. *)

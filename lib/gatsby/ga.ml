@@ -2,29 +2,18 @@ open Reseed_util
 
 type 'a problem = {
   init : Rng.t -> 'a;
-  fitness : 'a -> float;
+  fitness : 'a array -> float array;
   crossover : Rng.t -> 'a -> 'a -> 'a;
   mutate : Rng.t -> 'a -> 'a;
 }
 
-type config = {
-  population : int;
-  generations : int;
-  elite : int;
-  tournament : int;
-  crossover_rate : float;
-  mutation_rate : float;
-}
+type config = { population : int; generations : int }
 
-let default_config =
-  {
-    population = 24;
-    generations = 16;
-    elite = 2;
-    tournament = 3;
-    crossover_rate = 0.9;
-    mutation_rate = 0.5;
-  }
+let default_config = { population = 24; generations = 16 }
+let elite = 2
+let tournament = 3
+let crossover_rate = 0.9
+let mutation_rate = 0.5
 
 type 'a outcome = {
   best : 'a;
@@ -39,9 +28,9 @@ let m_generations =
 let m_evaluations =
   Metrics.counter ~help:"GA fitness evaluations" "ga_evaluations"
 
-let optimize ?(config = default_config) ?eval_batch ?budget ~rng problem =
-  if config.population < 2 then invalid_arg "Ga.optimize: population must be >= 2";
-  if config.elite >= config.population then invalid_arg "Ga.optimize: elite too large";
+let optimize ?(config = default_config) ?budget ~rng problem =
+  if config.population <= elite then
+    invalid_arg "Ga.optimize: population must exceed the elite";
   Trace.with_span "ga.optimize"
     ~args:
       [
@@ -51,15 +40,13 @@ let optimize ?(config = default_config) ?eval_batch ?budget ~rng problem =
   @@ fun () ->
   let evaluations = ref 0 in
   (* Genome creation (the only RNG consumer) stays sequential; fitness
-     evaluation happens in whole-cohort batches so a caller-supplied
-     [eval_batch] can fan the expensive evaluations out over domains.
-     The batch boundary does not change which genomes are created or in
-     which order, so results are independent of the evaluator. *)
+     is evaluated a whole cohort at a time, so the problem can fan the
+     expensive evaluations out over domains.  The cohort boundary does
+     not change which genomes are created or in which order, so results
+     are independent of the evaluator. *)
   let eval_all gs =
     evaluations := !evaluations + Array.length gs;
-    match eval_batch with
-    | Some f -> f gs
-    | None -> Array.map problem.fitness gs
+    problem.fitness gs
   in
   let genomes = Array.init config.population (fun _ -> problem.init rng) in
   let fits = eval_all genomes in
@@ -72,7 +59,7 @@ let optimize ?(config = default_config) ?eval_batch ?budget ~rng problem =
   let best = ref (fst scored.(0)) and best_fitness = ref (snd scored.(0)) in
   let tournament_pick () =
     let best_i = ref (Rng.int rng config.population) in
-    for _ = 2 to config.tournament do
+    for _ = 2 to tournament do
       let i = Rng.int rng config.population in
       if snd scored.(i) > snd scored.(!best_i) then best_i := i
     done;
@@ -84,25 +71,25 @@ let optimize ?(config = default_config) ?eval_batch ?budget ~rng problem =
   while !gen < config.generations && not (Budget.check budget) do
     incr gen;
     Trace.with_span "ga.generation" @@ fun () ->
-    let n_children = config.population - config.elite in
+    let n_children = config.population - elite in
     let children =
       Array.init n_children (fun _ ->
           let a = tournament_pick () in
           let child =
-            if Rng.float rng < config.crossover_rate then
+            if Rng.float rng < crossover_rate then
               problem.crossover rng a (tournament_pick ())
             else a
           in
-          if Rng.float rng < config.mutation_rate then problem.mutate rng child
+          if Rng.float rng < mutation_rate then problem.mutate rng child
           else child)
     in
     let child_fits = eval_all children in
     let next = Array.make config.population scored.(0) in
-    for i = 0 to config.elite - 1 do
+    for i = 0 to elite - 1 do
       next.(i) <- scored.(i)
     done;
     for k = 0 to n_children - 1 do
-      next.(config.elite + k) <- (children.(k), child_fits.(k))
+      next.(elite + k) <- (children.(k), child_fits.(k))
     done;
     Array.blit next 0 scored 0 config.population;
     sort ();

@@ -2,13 +2,10 @@ open Reseed_fault
 open Reseed_tpg
 open Reseed_util
 
-type config = {
-  cycles : int;
-  ga : Ga.config;
-  max_rounds : int;
-  stall_retries : int;
-  target_coverage : float;
-}
+type config = { cycles : int; ga : Ga.config; max_rounds : int }
+
+(* Fresh GA restarts tolerated without progress before giving up. *)
+let stall_retries = 2
 
 (* The GA budget (population × generations ≈ 72 burst fault-simulations
    per committed reseeding) is calibrated to the published GATSBY
@@ -18,10 +15,8 @@ type config = {
 let default_config =
   {
     cycles = 150;
-    ga = { Ga.default_config with Ga.population = 12; generations = 6 };
+    ga = { Ga.population = 12; generations = 6 };
     max_rounds = 200;
-    stall_retries = 2;
-    target_coverage = 100.0;
   }
 
 type result = {
@@ -69,13 +64,11 @@ let m_committed =
   Metrics.counter ~help:"GATSBY triplets committed" "gatsby_triplets"
 
 let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
-  let nf = Fault_sim.fault_count sim in
-  if Bitvec.length targets <> nf then invalid_arg "Gatsby.run: target mask size";
+  if Bitvec.length targets <> Fault_sim.fault_count sim then
+    invalid_arg "Gatsby.run: target mask size";
   Trace.with_span "gatsby.run" ~args:[ ("tpg", tpg.Tpg.name) ] @@ fun () ->
-  let width = tpg.Tpg.width in
-  let active = Bitvec.copy targets in
-  let detected = Bitvec.create nf in
-  let total_targets = max 1 (Bitvec.count targets) in
+  let live = Bitvec.copy targets in
+  let n_targets = Bitvec.count targets in
   let sims_at_start = Fault_sim.sims_performed sim in
   let triplets = ref [] and test_length = ref 0 and ga_evals = ref 0 in
   let burst g =
@@ -85,54 +78,41 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
   in
   (* Population members are evaluated in parallel: each worker
      fault-simulates bursts on its own simulator shard against the shared
-     read-only [active] mask (only mutated between GA rounds).  The GA's
+     read-only [live] mask (only mutated between GA rounds).  The GA's
      RNG never leaves the master domain, so the search trajectory is
      bit-identical at every job count. *)
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let shard = Fault_sim.shard sim (Pool.jobs pool) in
-  let eval_batch genomes =
+  let fitness genomes =
     let out = Array.make (Array.length genomes) 0.0 in
     Pool.parallel_for ~pool ~total:(Array.length genomes) (fun ~worker i ->
         out.(i) <-
           float_of_int
             (Bitvec.count
-               (Fault_sim.detected_set shard.(worker) (burst genomes.(i)) ~active)));
+               (Fault_sim.detected_set shard.(worker) (burst genomes.(i)) ~active:live)));
     out
   in
-  let coverage () = 100.0 *. float_of_int (Bitvec.count detected) /. float_of_int total_targets in
+  let problem = genome_problem ~width:tpg.Tpg.width ~fitness in
+  let coverage () =
+    100.0 *. float_of_int (n_targets - Bitvec.count live) /. float_of_int (max 1 n_targets)
+  in
   let rounds = ref 0 and stalls = ref 0 and go = ref true in
-  while !go && !rounds < config.max_rounds && coverage () < config.target_coverage
+  while !go && !rounds < config.max_rounds && coverage () < 100.0
         && not (Budget.check budget) do
     incr rounds;
     Trace.with_span "gatsby.round" @@ fun () ->
-    let fitness g =
-      float_of_int (Bitvec.count (Fault_sim.detected_set sim (burst g) ~active))
-    in
-    let problem = genome_problem ~width ~fitness in
-    let outcome = Ga.optimize ~config:config.ga ~eval_batch ?budget ~rng problem in
+    let outcome = Ga.optimize ~config:config.ga ?budget ~rng problem in
     ga_evals := !ga_evals + outcome.Ga.evaluations;
     if outcome.Ga.best_fitness < 0.5 then begin
       incr stalls;
-      if !stalls > config.stall_retries then go := false
+      if !stalls > stall_retries then go := false
     end
     else begin
       stalls := 0;
       let g = outcome.Ga.best in
-      let patterns = burst g in
-      let firsts = Fault_sim.first_detections sim ~active patterns in
-      let last_useful = ref (-1) in
-      Array.iteri
-        (fun fi first ->
-          match first with
-          | Some p when Bitvec.get active fi ->
-              Bitvec.set detected fi;
-              Bitvec.clear active fi;
-              if p > !last_useful then last_useful := p
-          | _ -> ())
-        firsts;
+      let eff = Fault_sim.useful_length sim ~live (burst g) in
       (* The GA claimed a positive gain, so some pattern was useful. *)
-      assert (!last_useful >= 0);
-      let eff = !last_useful + 1 in
+      assert (eff > 0);
       let triplet =
         Triplet.make ~seed:g.g_seed ~operand:(tpg.Tpg.fix_operand g.g_operand) ~cycles:eff
       in
@@ -145,7 +125,7 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
   Metrics.add m_committed (List.length !triplets);
   {
     triplets = List.rev !triplets;
-    detected;
+    detected = Bitvec.diff targets live;
     test_length = !test_length;
     fault_sims = Fault_sim.sims_performed sim - sims_at_start;
     ga_evaluations = !ga_evals;

@@ -17,9 +17,7 @@ open Reseed_util
 type config = {
   cycles : int;  (** evolution length T per triplet *)
   ga : Ga.config;
-  max_rounds : int;  (** hard cap on reseedings *)
-  stall_retries : int;  (** fresh GA restarts tolerated without progress *)
-  target_coverage : float;  (** stop at this % of the target faults *)
+  max_rounds : int;  (** hard cap on GA rounds *)
 }
 
 val default_config : config
@@ -36,9 +34,12 @@ type result = {
 }
 
 (** [run ?config ?pool ?budget sim tpg ~rng ~targets] hunts triplets until
-    [targets] is covered (or the configuration gives up).  [targets]
+    [targets] is covered, [max_rounds] GA rounds have run, or three GA
+    rounds in a row find no burst that detects a live fault.  [targets]
     restricts the fault universe, mirroring the paper's "faults not
-    covered by the other triplets" accounting.  GA fitness evaluations
+    covered by the other triplets" accounting.  Each committed burst is
+    truncated by {!Fault_sim.useful_length}, the rule the covering flow
+    applies to its selected triplets.  GA fitness evaluations
     (burst fault simulations) run in parallel over [pool] (default:
     {!Pool.default}) on per-worker simulator shards; the GA's RNG stays
     on the calling domain, so the search is bit-identical at every job

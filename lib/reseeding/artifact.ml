@@ -79,10 +79,8 @@ module Codec = struct
     u32 b (Bitvec.length v);
     Buffer.add_bytes b (Bitvec.to_bytes v)
 
-  (* A detection-matrix row: a tag byte, then the row.  Rows are always
-     written as packed bits (tag 0); tag 1, an index list, is what stores
-     filled by earlier versions hold for their sparse rows, and is still
-     read. *)
+  (* A detection-matrix row: a tag byte, then the row as packed bits
+     (tag 0).  The byte stays so that no store file changes. *)
   let row b v =
     Buffer.add_char b '\000';
     bitvec b v
@@ -152,24 +150,8 @@ module Codec = struct
     try Bitvec.of_substring n r.s off with Invalid_argument _ -> raise Malformed
 
   let get_row r =
-    let tag = String.get r.s (take r 1) in
-    match tag with
-    | '\000' -> get_bitvec r
-    | '\001' ->
-        let len = get_u32 r in
-        let cnt = get_u32 r in
-        (* A truncated index list is caught before the row is allocated. *)
-        if cnt > len || 4 * cnt > r.stop - r.pos then raise Malformed;
-        let v = Bitvec.create len in
-        let prev = ref (-1) in
-        for _ = 1 to cnt do
-          let i = get_u32 r in
-          if i <= !prev || i >= len then raise Malformed;
-          Bitvec.set v i;
-          prev := i
-        done;
-        v
-    | _ -> raise Malformed
+    if String.get r.s (take r 1) <> '\000' then raise Malformed;
+    get_bitvec r
 
   let get_packed r n =
     let off = take r ((n + 7) / 8) in

@@ -65,13 +65,11 @@ module Codec : sig
   val bitvec : Buffer.t -> Bitvec.t -> unit
 
   (** [row] stores a detection-matrix row: a tag byte [0], then the row
-      as {!bitvec}.  [get_row] reads that, and also tag [1] — the
-      ascending index list ([length], [count], then [count] indices)
-      that stores filled by earlier versions hold for rows sparser than
-      one set bit in 64 — expanding it into a fresh vector.  A count
-      above the length, an index out of range or not strictly above its
-      predecessor, an unknown tag or a truncated payload raises
-      {!Malformed}. *)
+      as {!bitvec}.  [get_row] reads that back.  Any other tag raises
+      {!Malformed}, and so does a truncated payload.  Tag [1], an
+      ascending index list, is what stores filled by earlier versions
+      hold for sparse rows: {!cached} counts such a blob as corrupt,
+      recomputes it and rewrites it with tag [0] rows. *)
   val row : Buffer.t -> Bitvec.t -> unit
 
   (** [pattern] / [patterns] pack simulator bit patterns LSB-first, eight

@@ -50,32 +50,21 @@ let m_dropped =
    that detects a fault no earlier burst (or pattern) already covered. *)
 let truncate_solution sim tpg ~triplets ~targets rows =
   Trace.with_span "flow.truncate" @@ fun () ->
-  let active = Bitvec.copy targets in
+  let live = Bitvec.copy targets in
   let final = ref [] in
   let dropped = ref 0 in
   List.iter
     (fun row ->
       let triplet = triplets.(row) in
-      let burst = Triplet.patterns tpg triplet in
-      let firsts = Fault_sim.first_detections sim ~active burst in
-      let last_useful = ref (-1) in
-      Array.iteri
-        (fun fi first ->
-          match first with
-          | Some p when Bitvec.get active fi ->
-              Bitvec.clear active fi;
-              if p > !last_useful then last_useful := p
-          | _ -> ())
-        firsts;
       (* A *minimal* cover gives every selected triplet some unique fault,
          so nothing is dropped on the optimal path.  A degraded (greedy /
          incumbent) cover can select redundant rows; those are dropped
          from the final reseeding and counted, not silently vanished. *)
-      if !last_useful >= 0 then
-        final := Triplet.truncate triplet (!last_useful + 1) :: !final
-      else incr dropped)
+      match Fault_sim.useful_length sim ~live (Triplet.patterns tpg triplet) with
+      | 0 -> incr dropped
+      | len -> final := Triplet.truncate triplet len :: !final)
     rows;
-  (List.rev !final, active, !dropped)
+  (List.rev !final, live, !dropped)
 
 (* ------------------------------------------------------------------ *)
 (* Stage fingerprints and payload codecs for the covering stages.  The

@@ -7,17 +7,15 @@
     search's second incumbent on instances the first node quantum does
     not close (see {!Ilp.solve}). *)
 
-(** [solve m] returns selected row indices in pick order, minimising
-    cardinality.  Columns no row covers are ignored.  The result always
-    covers every coverable column. *)
-val solve : Matrix.t -> int list
-
-(** [solve_weighted ?weights m] — with [weights], each pick maximises
-    [gain /. weights.(i)] (ties broken by lowest index, like [solve]);
-    without, this is exactly {!solve} — the unweighted path is shared, so
-    cardinality results stay byte-identical.  Raises [Invalid_argument]
-    on a weight count mismatch or non-positive weights. *)
-val solve_weighted : ?weights:float array -> Matrix.t -> int list
+(** [solve ?weights m] returns selected row indices in pick order.  Each
+    pick maximises [gain /. weights.(i)], the number of still-uncovered
+    columns row [i] covers per unit weight, ties broken by lowest index.
+    [weights] defaults to 1.0 for every row, which minimises cardinality:
+    the ratio is then the integer gain, exactly.  Columns no row covers
+    are ignored; the result always covers every coverable column.
+    Raises [Invalid_argument] on a weight count mismatch or non-positive
+    weights. *)
+val solve : ?weights:float array -> Matrix.t -> int list
 
 (** [cost ?weights rows] is the objective value of a selection:
     cardinality without weights, [Σ weights.(i)] with. *)
@@ -30,6 +28,6 @@ val cost : ?weights:float array -> int list -> float
     (then highest-index) first.  Rows come back ascending; the result
     covers every coverable column, keeps no redundant row and is a pure
     function of [m], [weights], [alpha] and [rng]'s state.  Raises
-    [Invalid_argument] on bad weights, like {!solve_weighted}. *)
+    [Invalid_argument] on bad weights, like {!solve}. *)
 val grasp_cover :
   ?weights:float array -> rng:Reseed_util.Rng.t -> alpha:float -> Matrix.t -> int list

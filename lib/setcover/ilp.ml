@@ -104,7 +104,7 @@ let seed_of ?weights m =
      cardinality-greedy seed on a weighted instance both starts the
      search from the wrong cover and reports the wrong cost when a
      budget expires before any improvement. *)
-  let rows = Greedy.solve_weighted ?weights m in
+  let rows = Greedy.solve ?weights m in
   (rows, Greedy.cost ?weights rows)
 
 let weights_of ?weights m =

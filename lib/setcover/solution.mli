@@ -67,7 +67,13 @@ type memo = {
 
     [row_weights] switches the objective from cardinality to weighted
     cost (e.g. estimated per-triplet test length); reduction honours the
-    weights, the greedy method ignores them.
+    weights, the greedy method ignores them.  Passing them on to
+    {!Greedy.solve} would be a one-argument change, but weighting the
+    greedy end-game by useful cycles made the truncated test longer on
+    most table1 circuits (adder TPG, T=150: c432 388 → 458, c880
+    623 → 640, s641 603 → 638, s820 694 → 821; c499 unchanged) and
+    shorter only on s420 (651 → 636) and s1238 (937 → 852): a cheap
+    row per uncovered fault is not a short truncated burst.
 
     [budget] bounds the end-game: on expiry the solver's best incumbent
     (the greedy cover at worst) is used and the degradation is recorded

@@ -63,6 +63,7 @@ let test_out_of_range_is_usage () =
       ("--cycles", [ "solve"; "c17"; "--cycles"; "0" ]);
       ("--scale", [ "solve"; "c432"; "--scale"; "0" ]);
       ("--population", [ "gatsby"; "c17"; "--population"; "1" ]);
+      ("--population", [ "gatsby"; "c17"; "--population"; "2" ]);
     ]
 
 (* A 1-job pool runs every span on the calling domain: the trace must

@@ -77,6 +77,39 @@ let test_active_mask_respected () =
     (fun fi f -> if f <> None && not (Bitvec.get active fi) then Alcotest.fail "mask leak")
     firsts
 
+(* The truncation rule: a burst is cut after its last pattern that
+   detects a live fault, and what it detects leaves the live mask; a
+   burst that detects no live fault has length 0 and changes nothing. *)
+let test_useful_length () =
+  let c = Library.c17 () in
+  let faults = Fault.all c in
+  let sim = Fault_sim.create c faults in
+  let nf = Array.length faults in
+  let p = Array.init 5 (fun i -> i land 1 = 0) in
+  let all = Bitvec.create nf in
+  Bitvec.fill_all all;
+  let by_p = Fault_sim.detected_set sim [| p |] ~active:all in
+  check "the pattern detects something" false (Bitvec.is_empty by_p);
+  let live = Bitvec.copy all in
+  check_int "cut after the one useful pattern" 1
+    (Fault_sim.useful_length sim ~live [| p; p; p |]);
+  check "its detections dropped" true (Bitvec.equal live (Bitvec.diff all by_p));
+  let before = Bitvec.copy live in
+  check_int "nothing live detected" 0 (Fault_sim.useful_length sim ~live [| p; p |]);
+  check "mask untouched" true (Bitvec.equal live before);
+  (* Exhaustive patterns: the cut falls at the largest first detection. *)
+  let patterns = Array.init 32 (fun q -> Array.init 5 (fun i -> q lsr i land 1 = 1)) in
+  let firsts = Fault_sim.first_detections sim ~active:before patterns in
+  let want =
+    Array.fold_left (fun acc f -> match f with Some q -> max acc (q + 1) | None -> acc) 0 firsts
+  in
+  check "some live fault left" true (want > 0);
+  check_int "cut at the last first detection" want
+    (Fault_sim.useful_length sim ~live patterns);
+  let want_live = Bitvec.copy before in
+  Array.iteri (fun fi f -> if f <> None then Bitvec.clear want_live fi) firsts;
+  check "every first detection dropped" true (Bitvec.equal live want_live)
+
 let test_sims_counter_monotone () =
   let c = Library.c17 () in
   let sim = Fault_sim.create c (Fault.all c) in
@@ -158,6 +191,7 @@ let suite =
         Alcotest.test_case "oracle: random circuits" `Slow test_oracle_random_circuits;
         Alcotest.test_case "oracle: structured circuits" `Slow test_oracle_structured;
         Alcotest.test_case "first_detections = first set bit" `Quick test_first_detections_drop;
+        Alcotest.test_case "useful_length truncates a burst" `Quick test_useful_length;
         Alcotest.test_case "active mask respected" `Quick test_active_mask_respected;
         Alcotest.test_case "sims counter monotone" `Quick test_sims_counter_monotone;
         Alcotest.test_case "empty pattern set" `Quick test_empty_patterns;

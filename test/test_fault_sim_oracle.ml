@@ -58,7 +58,21 @@ let differences c patterns =
             (R.detection_map oracle patterns);
           check "detected_set"
             (Fault_sim.detected_set sim patterns ~active)
-            (R.detected_set oracle patterns ~active))
+            (R.detected_set oracle patterns ~active);
+          (* [useful_length]: the largest first detection plus one, and
+             the mask left by clearing every detected fault. *)
+          let live = Bitvec.copy active in
+          let len = Fault_sim.useful_length sim ~live patterns in
+          let want_live = Bitvec.copy active and want_len = ref 0 in
+          Array.iteri
+            (fun fi first ->
+              match first with
+              | Some p ->
+                  Bitvec.clear want_live fi;
+                  want_len := max !want_len (p + 1)
+              | None -> ())
+            (R.first_detections oracle ~active patterns);
+          check "useful_length" (len, live) (!want_len, want_live))
         engines)
     models;
   List.rev !mismatches

@@ -7,7 +7,7 @@ let check = Alcotest.(check bool)
 let onemax_problem =
   {
     Ga.init = (fun rng -> Rng.bits rng 24);
-    fitness = (fun g -> float_of_int (Bitvec.popcount_int g));
+    fitness = Array.map (fun g -> float_of_int (Bitvec.popcount_int g));
     crossover =
       (fun rng a b ->
         let mask = Rng.bits rng 24 in
@@ -18,7 +18,7 @@ let onemax_problem =
 let test_ga_optimizes () =
   let rng = Rng.create 42 in
   let out =
-    Ga.optimize ~config:{ Ga.default_config with Ga.population = 30; generations = 40 }
+    Ga.optimize ~config:{ Ga.population = 30; generations = 40 }
       ~rng onemax_problem
   in
   check "near-optimal onemax" true (out.Ga.best_fitness >= 22.0)
@@ -29,9 +29,9 @@ let test_ga_deterministic () =
 
 let test_ga_evaluation_count () =
   let rng = Rng.create 1 in
-  let config = { Ga.default_config with Ga.population = 10; generations = 5; elite = 2 } in
+  let config = { Ga.population = 10; generations = 5 } in
   let out = Ga.optimize ~config ~rng onemax_problem in
-  (* 10 initial + 5 generations × 8 children *)
+  (* 10 initial + 5 generations × 8 children (2 elite) *)
   Alcotest.(check int) "evaluations" (10 + (5 * 8)) out.Ga.evaluations
 
 let test_ga_best_never_lost () =
@@ -59,11 +59,11 @@ let test_ga_config_validation () =
        ignore (Ga.optimize ~config:{ Ga.default_config with Ga.population = 1 } ~rng onemax_problem);
        false
      with Invalid_argument _ -> true);
-  check "elite >= pop rejected" true
+  check "pop = elite rejected" true
     (try
        ignore
          (Ga.optimize
-            ~config:{ Ga.default_config with Ga.population = 4; elite = 4 }
+            ~config:{ Ga.default_config with Ga.population = Ga.elite }
             ~rng onemax_problem);
        false
      with Invalid_argument _ -> true)

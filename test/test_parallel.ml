@@ -154,12 +154,7 @@ let gatsby_with ~jobs =
   let c, faults, _tests, targets, tpg = builder_setup () in
   let sim = Fault_sim.create c faults in
   let config =
-    {
-      Gatsby.default_config with
-      Gatsby.cycles = 30;
-      max_rounds = 30;
-      ga = { Ga.default_config with Ga.population = 6; generations = 3 };
-    }
+    { Gatsby.cycles = 30; max_rounds = 30; ga = { Ga.population = 6; generations = 3 } }
   in
   let rng = Rng.create 2024 in
   Pool.with_pool ~jobs (fun pool -> Gatsby.run ~config ~pool sim tpg ~rng ~targets)

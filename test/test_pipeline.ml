@@ -107,9 +107,9 @@ let test_artifact_cached_and_corruption () =
   check_string "overwritten artifact hits again" "hello" v4;
   check_int "rewarm hits" 1 hits
 
-(* Detection-matrix rows are written as packed bits (tag 0).  The
-   reader still expands an index list (tag 1), the form earlier versions
-   stored sparse rows in, and rejects every malformed variant of it. *)
+(* Detection-matrix rows are written and read as packed bits (tag 0).
+   An index list (tag 1), the form earlier versions stored sparse rows
+   in, is malformed like any other tag, and so is a truncated payload. *)
 let test_row_codec () =
   let bits = Bitvec.of_list 100 [ 3; 17; 64; 99 ] in
   let decode s =
@@ -131,25 +131,16 @@ let test_row_codec () =
     List.iter (Artifact.Codec.u32 b) idx;
     Buffer.contents b
   in
-  let v, at_end = decode (index_list ~len:100 ~cnt:4 [ 3; 17; 64; 99 ]) in
-  check "index list expands to the row" true (Bitvec.equal v bits && at_end);
-  let v, at_end = decode (index_list ~len:70 ~cnt:0 []) in
-  check "empty index list" true
-    (Bitvec.length v = 70 && Bitvec.is_empty v && at_end);
   let malformed what s =
     match decode s with
     | exception Artifact.Codec.Malformed -> ()
     | _ -> Alcotest.failf "%s: accepted" what
   in
-  malformed "count above length" (index_list ~len:2 ~cnt:3 [ 0; 1; 2 ]);
-  malformed "index out of range" (index_list ~len:100 ~cnt:2 [ 3; 100 ]);
-  malformed "repeated index" (index_list ~len:100 ~cnt:3 [ 3; 17; 17 ]);
-  malformed "descending indices" (index_list ~len:100 ~cnt:2 [ 17; 3 ]);
-  malformed "missing index" (index_list ~len:100 ~cnt:4 [ 3; 17; 64 ]);
-  let full = index_list ~len:100 ~cnt:4 [ 3; 17; 64; 99 ] in
-  malformed "truncated last index" (String.sub full 0 (String.length full - 1));
-  malformed "truncated header" (String.sub full 0 6);
+  malformed "index list" (index_list ~len:100 ~cnt:4 [ 3; 17; 64; 99 ]);
+  malformed "empty index list" (index_list ~len:70 ~cnt:0 []);
   malformed "unknown tag" (index_list ~tag:'\002' ~len:100 ~cnt:0 []);
+  malformed "truncated row" (String.sub packed 0 (String.length packed - 1));
+  malformed "truncated length" (String.sub packed 0 3);
   malformed "empty payload" ""
 
 (* --- ATPG-stage invalidation ------------------------------------------ *)
@@ -215,6 +206,57 @@ let test_matrix_stage_bit_identity () =
   (* Builder cycles participate in the key. *)
   let _, m = delta "stage_matrix_cache_misses" (fun () -> build ~cycles:80) in
   check_int "different cycles miss" 1 m
+
+(* A matrix blob whose rows are index lists (tag 1), as stores filled by
+   earlier versions hold it, is corrupt: the stage recomputes the same
+   matrix and rewrites the blob with packed rows, byte for byte what a
+   cold build writes. *)
+let test_matrix_stage_index_list_recomputed () =
+  with_store @@ fun store ->
+  let p = Suite.prepare_circuit (Library.load "c17") in
+  let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
+  let config = Builder.default_config in
+  let fp =
+    Builder.fingerprint ~salt:p.Suite.fingerprint ~tests:p.Suite.tests
+      ~targets:p.Suite.targets tpg ~config
+  in
+  let build () =
+    Builder.build ~store ~fingerprint:fp p.Suite.sim tpg ~tests:p.Suite.tests
+      ~targets:p.Suite.targets ~config
+  in
+  let cold = build () in
+  let path = Artifact.path store ~stage:"matrix" fp in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let packed = read () in
+  let m = cold.Builder.matrix in
+  let b = Buffer.create 256 in
+  Artifact.Codec.u32 b (Matrix.rows m);
+  Artifact.Codec.u32 b (Matrix.cols m);
+  Array.iteri
+    (fun i useful ->
+      let ones = Bitvec.to_list (Matrix.row m i) in
+      Artifact.Codec.u32 b useful;
+      Buffer.add_char b '\001';
+      Artifact.Codec.u32 b (Matrix.cols m);
+      Artifact.Codec.u32 b (List.length ones);
+      List.iter (Artifact.Codec.u32 b) ones)
+    cold.Builder.useful_cycles;
+  Artifact.save store ~stage:"matrix" fp (Buffer.contents b);
+  check "index-list blob stored" false (read () = packed);
+  let (again, corrupt), misses =
+    delta "stage_matrix_cache_misses" (fun () -> delta "artifact_corrupt" build)
+  in
+  check_int "counts as corrupt" 1 corrupt;
+  check_int "misses" 1 misses;
+  check "same matrix" true
+    (Array.for_all
+       (fun i -> Bitvec.equal (Matrix.row m i) (Matrix.row again.Builder.matrix i))
+       (Array.init (Matrix.rows m) Fun.id));
+  check "same useful cycles" true
+    (cold.Builder.useful_cycles = again.Builder.useful_cycles);
+  check "rewritten with packed rows" true (read () = packed);
+  let _, hits = delta "stage_matrix_cache_hits" (fun () -> ignore (build ())) in
+  check_int "rewritten blob hits" 1 hits
 
 (* --- cached flow vs plain flow ----------------------------------------- *)
 
@@ -467,12 +509,14 @@ let suite =
           test_circuit_fingerprint;
         Alcotest.test_case "artifact: cached + corruption recovery" `Quick
           test_artifact_cached_and_corruption;
-        Alcotest.test_case "artifact: row codec reads index lists" `Quick
+        Alcotest.test_case "artifact: row codec reads packed rows only" `Quick
           test_row_codec;
         Alcotest.test_case "atpg stage: every knob invalidates" `Quick
           test_atpg_stage_invalidation;
         Alcotest.test_case "matrix stage: warm hit bit-identical" `Quick
           test_matrix_stage_bit_identity;
+        Alcotest.test_case "matrix stage: index-list blob recomputed" `Quick
+          test_matrix_stage_index_list_recomputed;
         Alcotest.test_case "flow: cached = plain" `Quick
           test_cached_flow_matches_plain;
         Alcotest.test_case "sweep: prefix sharing = per-point flows" `Quick

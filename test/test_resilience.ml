@@ -70,14 +70,14 @@ let test_ga_budget_stops_after_initial_cohort () =
   let problem =
     {
       Ga.init = (fun rng -> Rng.int rng 1000);
-      fitness = (fun g -> float_of_int g);
+      fitness = Array.map float_of_int;
       crossover = (fun _ a b -> max a b);
       mutate = (fun rng g -> g + Rng.int rng 3);
     }
   in
   let budget = Budget.create () in
   Budget.cancel budget;
-  let config = { Ga.default_config with Ga.population = 8; generations = 50 } in
+  let config = { Ga.population = 8; generations = 50 } in
   let o = Ga.optimize ~config ~budget ~rng:(Rng.create 7) problem in
   check "stopped early" true o.Ga.stopped_early;
   check_int "only the initial cohort evaluated" 8 o.Ga.evaluations

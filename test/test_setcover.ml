@@ -145,26 +145,47 @@ let test_greedy_weighted_regression () =
   let m = matrix_of 3 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 1; 2 ] ] in
   let unweighted = Greedy.solve m in
   check "cardinality greedy takes the big row" true (unweighted = [ 3 ]);
-  let weighted = Greedy.solve_weighted ~weights:[| 1.; 1.; 1.; 10. |] m in
+  let weighted = Greedy.solve ~weights:[| 1.; 1.; 1.; 10. |] m in
   check "weighted greedy avoids it" true
     (List.sort compare weighted = [ 0; 1; 2 ]);
   check "weighted cost" true
     (abs_float (Greedy.cost ~weights:[| 1.; 1.; 1.; 10. |] weighted -. 3.) < 1e-9);
   check "bad weights rejected" true
     (try
-       ignore (Greedy.solve_weighted ~weights:[| 1.; 1. |] m);
+       ignore (Greedy.solve ~weights:[| 1.; 1. |] m);
        false
      with Invalid_argument _ -> true)
 
-(* Without weights, [solve_weighted] delegates to the original picker:
-   identical picks in identical order on any instance. *)
-let test_greedy_unweighted_unchanged () =
-  let rng = Rng.create 31 in
-  for _ = 1 to 20 do
-    let m = random_instance rng in
-    if Greedy.solve_weighted m <> Greedy.solve m then
-      Alcotest.fail "solve_weighted without weights diverged from solve"
-  done
+(* Reference for the unweighted [Greedy.solve]: the cardinality greedy
+   on integer gains, ties to the lowest index. *)
+let cardinality_greedy m =
+  let need = Bitvec.copy (Matrix.universe m) in
+  let chosen = ref [] in
+  while not (Bitvec.is_empty need) do
+    let best = ref (-1) and best_gain = ref 0 in
+    for i = 0 to Matrix.rows m - 1 do
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
+      if gain > !best_gain then begin
+        best := i;
+        best_gain := gain
+      end
+    done;
+    chosen := !best :: !chosen;
+    Bitvec.diff_into ~into:need (Matrix.row m !best)
+  done;
+  List.rev !chosen
+
+(* Without weights every row weighs 1.0, and an integer gain over 1.0
+   compares exactly: identical picks in identical order on any instance,
+   equal to the integer-gain loop's. *)
+let prop_greedy_unit_weights =
+  QCheck.Test.make ~name:"unweighted greedy unchanged" ~count:100 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (seed + 3000) in
+      let m = random_instance rng in
+      let picks = Greedy.solve m in
+      picks = Greedy.solve ~weights:(Array.make (Matrix.rows m) 1.0) m
+      && picks = cardinality_greedy m)
 
 (* Weighted greedy is a valid upper bound for the weighted exact solver:
    it covers, and never costs less than the optimum. *)
@@ -176,7 +197,7 @@ let prop_weighted_greedy_bounds_ilp =
       let weights =
         Array.init (Matrix.rows m) (fun _ -> 1. +. float_of_int (Rng.int rng 9))
       in
-      let picks = Greedy.solve_weighted ~weights m in
+      let picks = Greedy.solve ~weights m in
       let r = Ilp.solve ~weights m in
       Matrix.covers m ~rows_subset:picks
       && (not r.Ilp.optimal || Greedy.cost ~weights picks >= r.Ilp.cost -. 1e-9))
@@ -312,7 +333,6 @@ let suite =
         Alcotest.test_case "residual maps correct" `Quick test_residual_maps;
         Alcotest.test_case "greedy covers" `Quick test_greedy_covers;
         Alcotest.test_case "greedy honours weights" `Quick test_greedy_weighted_regression;
-        Alcotest.test_case "unweighted greedy unchanged" `Quick test_greedy_unweighted_unchanged;
         Alcotest.test_case "greedy vs exact gap" `Quick test_greedy_suboptimal_instance;
         Alcotest.test_case "ilp simple" `Quick test_ilp_simple;
         Alcotest.test_case "ilp weighted" `Quick test_ilp_weighted;
@@ -323,6 +343,7 @@ let suite =
         Alcotest.test_case "stats consistent" `Quick test_solution_stats_consistent;
         Alcotest.test_case "uncovered surfaced" `Quick test_solution_uncovered_surfaced;
         QCheck_alcotest.to_alcotest prop_reduction_preserves_optimum;
+        QCheck_alcotest.to_alcotest prop_greedy_unit_weights;
         QCheck_alcotest.to_alcotest prop_weighted_greedy_bounds_ilp;
         QCheck_alcotest.to_alcotest prop_ilp_matches_brute_force;
       ] );
