@@ -388,7 +388,7 @@ let solve_cmd =
 
 let gatsby_cmd =
   let pop_arg = Arg.(value & opt (int_from (Ga.elite + 1)) 12 & info [ "population" ] ~docv:"P") in
-  let gens_arg = Arg.(value & opt int 6 & info [ "generations" ] ~docv:"G") in
+  let gens_arg = Arg.(value & opt (int_from 0) 6 & info [ "generations" ] ~docv:"G") in
   let run name scale tpg_name cycles seed pop gens deadline jobs obs =
     session ~obs ~deadline ?jobs @@ fun s ->
     let c = load_circuit name ~scale in

@@ -31,6 +31,8 @@ let m_evaluations =
 let optimize ?(config = default_config) ?budget ~rng problem =
   if config.population <= elite then
     invalid_arg "Ga.optimize: population must exceed the elite";
+  if config.generations < 0 then
+    invalid_arg "Ga.optimize: generations must be >= 0";
   Trace.with_span "ga.optimize"
     ~args:
       [

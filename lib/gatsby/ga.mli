@@ -39,8 +39,9 @@ type 'a outcome = {
     when it is called, so the outcome is identical whatever the
     evaluator's execution order.  [budget] is polled between
     generations; on expiry the best genome so far is returned with
-    [stopped_early] set (the initial cohort always completes).  Raises
-    [Invalid_argument] unless [config.population > elite]. *)
+    [stopped_early] set (the initial cohort always completes; zero
+    [generations] runs it alone).  Raises [Invalid_argument] unless
+    [config.population > elite] and [config.generations >= 0]. *)
 val optimize :
   ?config:config ->
   ?budget:Budget.t ->

@@ -69,6 +69,9 @@ let fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~targets tpg
   let h = bitvec h targets in
   patterns h tests
 
+(* Sets in [row] every target fault first detected within the burst's
+   first [cycles] patterns; returns 1 + the largest such index (1 for an
+   empty row), the row's useful cycles. *)
 let fill_row ~cycles ~targets row firsts =
   let useful = ref 1 in
   Array.iteri
@@ -115,21 +118,56 @@ let encode_built b =
     Some (Buffer.contents buf)
   end
 
+(* The one way a [t] is put together: every row a packed vector over
+   the whole fault list, adopted by the matrix without a copy. *)
+let of_rows ?(fault_sims = 0) ?(rows_skipped = 0) ?(rows_restored = 0) ~triplets
+    ~targets useful_cycles rows =
+  {
+    triplets;
+    matrix = Matrix.of_rows ~cols:(Bitvec.length targets) rows;
+    targets;
+    useful_cycles;
+    fault_sims;
+    rows_skipped;
+    rows_restored;
+  }
+
 let decode_built ~config ~tests ~targets tpg r =
   let nf = Bitvec.length targets in
   let n = Artifact.Codec.get_u32 r in
   let cols = Artifact.Codec.get_u32 r in
   if n <> Array.length tests || cols <> nf then raise Artifact.Codec.Malformed;
   let useful_cycles, rows = get_entries ~nf n r in
-  {
-    triplets = make_triplets ~config tpg tests;
-    matrix = Matrix.of_rows ~cols:nf rows;
-    targets;
-    useful_cycles;
-    fault_sims = 0;
-    rows_skipped = 0;
-    rows_restored = 0;
-  }
+  of_rows ~triplets:(make_triplets ~config tpg tests) ~targets useful_cycles rows
+
+let cached store ~fp ~config ~tests ~targets tpg =
+  Artifact.cached store ~stage:"matrix" ~fp ~encode:encode_built
+    ~decode:(decode_built ~config ~tests ~targets tpg)
+
+(* One task per row of [lo, hi); each worker fault-simulates on its own
+   simulator shard and [commit i firsts] writes only row [i]'s slots, so
+   the result is bit-identical at every job count.  An expired budget may
+   cut a sweep short: such a row is never committed. *)
+let simulate_rows ?budget ~pool shards tpg triplets ~targets ~lo ~hi commit =
+  Pool.parallel_for ~pool ~label:"detection-matrix rows" ~total:(hi - lo)
+    (fun ~worker j ->
+      let i = lo + j in
+      if not (Budget.check budget) then begin
+        let firsts =
+          Fault_sim.first_detections ?budget shards.(worker) ~active:targets
+            (Triplet.patterns tpg triplets.(i))
+        in
+        if not (Budget.check budget) then commit i firsts
+      end)
+
+let threshold ?store ~fingerprint:fp ~config ~tests ~targets tpg firsts =
+  cached store ~fp ~config ~tests ~targets tpg @@ fun () ->
+  let firsts = Lazy.force firsts in
+  let rows = Array.map (fun _ -> Bitvec.create (Bitvec.length targets)) firsts in
+  let useful_cycles =
+    Array.mapi (fun i f -> fill_row ~cycles:config.cycles ~targets rows.(i) f) firsts
+  in
+  of_rows ~triplets:(make_triplets ~config tpg tests) ~targets useful_cycles rows
 
 (* One shard = one [shard_rows]-sized row range, published to the store
    as soon as its rows are complete and keyed by the matrix fingerprint
@@ -165,9 +203,7 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
         fingerprint ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg ~config
     | None, None -> Fingerprint.empty
   in
-  Artifact.cached store ~stage:"matrix" ~fp ~encode:encode_built
-    ~decode:(decode_built ~config ~tests ~targets tpg)
-  @@ fun () ->
+  cached store ~fp ~config ~tests ~targets tpg @@ fun () ->
   Trace.with_span "builder.build"
     ~args:
       [ ("rows", string_of_int (Array.length tests)); ("faults", string_of_int nf) ]
@@ -177,18 +213,14 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
   let n = Array.length triplets in
   let useful_cycles = Array.make n 1 in
   (* Every row starts as its own empty vector and is filled in place
-     once its burst is simulated; the matrix adopts the vectors as they
-     are. *)
+     once its burst is simulated. *)
   let rows = Array.init n (fun _ -> Bitvec.create nf) in
   let completed = Array.make n false in
   let restored = ref 0 in
-  (* One task per matrix row; each worker fault-simulates on its own
-     simulator shard, and every write lands in the task's own row slot, so
-     the matrix is bit-identical at every job count.  With an artifact
-     store the rows are processed in [shard_rows]-sized groups so each
-     finished group can be persisted and restored independently before the
-     next starts; a budget-abandoned row stays empty and [completed] false,
-     and is never persisted. *)
+  (* With an artifact store the rows are processed in [shard_rows]-sized
+     groups so each finished group can be persisted and restored
+     independently before the next starts; a budget-abandoned row stays
+     empty and [completed] false, and is never persisted. *)
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let sim_shard = Fault_sim.shard sim (Pool.jobs pool) in
   let group = if Option.is_none store then max 1 n else shard_rows in
@@ -203,23 +235,10 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
           ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
         @@ fun () ->
         computed := true;
-        Pool.parallel_for ~pool ~label:"detection-matrix rows" ~total:(hi - lo)
-          (fun ~worker j ->
-            let i = lo + j in
-            if not (Budget.check budget) then begin
-              let burst = Triplet.patterns tpg triplets.(i) in
-              let firsts =
-                Fault_sim.first_detections ?budget sim_shard.(worker)
-                  ~active:targets burst
-              in
-              (* An expired budget may have cut the sweep short: discard
-                 the partial row rather than commit an understated one. *)
-              if not (Budget.check budget) then begin
-                useful_cycles.(i) <-
-                  fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
-                completed.(i) <- true
-              end
-            end);
+        simulate_rows ?budget ~pool sim_shard tpg triplets ~targets ~lo ~hi
+          (fun i firsts ->
+            useful_cycles.(i) <- fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
+            completed.(i) <- true);
         let all = ref true in
         for i = lo to hi - 1 do
           if not completed.(i) then all := false
@@ -255,13 +274,6 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
   Metrics.add m_rows_computed (n - !restored - !skipped);
   Metrics.add m_ck_hits !restored;
   Metrics.add m_rows_skipped !skipped;
-  let matrix = Matrix.of_rows ~cols:nf rows in
-  {
-    triplets;
-    matrix;
-    targets;
-    useful_cycles;
-    fault_sims = Fault_sim.sims_performed sim - sims_before;
-    rows_skipped = !skipped;
-    rows_restored = !restored;
-  }
+  of_rows ~triplets ~targets
+    ~fault_sims:(Fault_sim.sims_performed sim - sims_before)
+    ~rows_skipped:!skipped ~rows_restored:!restored useful_cycles rows

@@ -71,15 +71,47 @@ val fingerprint :
   ?fault_model:Fault_model.t ->
   tests:bool array array -> targets:Bitvec.t -> Tpg.t -> config:config -> Fingerprint.t
 
-(** [fill_row ~cycles ~targets row firsts] sets in [row] every target
-    fault whose first detection [firsts.(f)] (as
-    {!Fault_sim.first_detections} returns it) falls within the first
-    [cycles] patterns of the burst, and returns the row's useful cycles:
-    1 + the largest such index, or 1 for an empty row.  [build] fills
-    every matrix row with it, and {!Tradeoff.sweep} thresholds one long
-    burst's detections at each shorter [cycles]. *)
-val fill_row :
-  cycles:int -> targets:Bitvec.t -> Bitvec.t -> int option array -> int
+(** [simulate_rows ?budget ~pool shards tpg triplets ~targets ~lo ~hi
+    commit] is the one detection-matrix row loop: one {!Pool.parallel_for}
+    task per row [i] in [\[lo, hi)], which sweeps [triplets.(i)]'s burst
+    with {!Fault_sim.first_detections} on its worker's shard of [shards]
+    (from {!Fault_sim.shard}, one per pool participant) and hands the
+    result to [commit i].  Each task should write only row [i]'s slots;
+    the result is then bit-identical at every job count.  [budget] is
+    checked before each row's sweep and after it: a row whose sweep the
+    budget may have cut short is never committed.  [build] fills its
+    rows with it, and {!Tradeoff.sweep} its longest burst's detections. *)
+val simulate_rows :
+  ?budget:Budget.t ->
+  pool:Pool.t ->
+  Fault_sim.t array ->
+  Tpg.t ->
+  Triplet.t array ->
+  targets:Bitvec.t ->
+  lo:int ->
+  hi:int ->
+  (int -> int option array -> unit) ->
+  unit
+
+(** [threshold ?store ~fingerprint ~config ~tests ~targets tpg firsts]
+    is the [matrix] stage at [config.cycles] derived from longer bursts:
+    [firsts.(i)] is row [i]'s {!Fault_sim.first_detections} over a burst
+    from the same triplet at least [config.cycles] long.  A T-cycle burst
+    is a prefix of any longer burst from that triplet, so keeping every
+    target fault first detected below [config.cycles] yields exactly the
+    rows and [useful_cycles] that [build] simulates, and the same
+    artifact under the same [fingerprint] (the {!fingerprint} at
+    [config]).  [firsts] is forced only when [store] misses; the result
+    reports [fault_sims = 0]. *)
+val threshold :
+  ?store:Artifact.store ->
+  fingerprint:Fingerprint.t ->
+  config:config ->
+  tests:bool array array ->
+  targets:Bitvec.t ->
+  Tpg.t ->
+  int option array array Lazy.t ->
+  t
 
 (** [build ?pool ?budget ?store ?fingerprint sim tpg ~tests ~targets
     ~config] — [tests] is ATPGTS; [targets] selects the fault list F

@@ -144,24 +144,9 @@ let flow_config_with_cycles cycles =
         Flow.builder = { Builder.default_config with Builder.cycles = c };
       }
 
-(* Flow runs are deterministic; Table 1 and Table 2 share them.  The key
-   is the workload's fingerprint (netlist, ATPG settings, fault model), so
-   two preparations of one circuit that differ in any of these never
-   share a row within one process. *)
-let flow_cache : (Fingerprint.t * string * int, Flow.result) Hashtbl.t =
-  Hashtbl.create 64
-
-let cached_flow p tpg config =
-  let key = (p.fingerprint, tpg.Tpg.name, config.Flow.builder.Builder.cycles) in
-  match Hashtbl.find_opt flow_cache key with
-  | Some r -> r
-  | None ->
-      let r =
-        Flow.run ~config ?store:p.store ~fingerprint:p.fingerprint p.sim tpg
-          ~tests:p.tests ~targets:p.targets
-      in
-      Hashtbl.replace flow_cache key r;
-      r
+let run_flow p tpg config =
+  Flow.run ~config ?store:p.store ~fingerprint:p.fingerprint p.sim tpg
+    ~tests:p.tests ~targets:p.targets
 
 let gatsby_fingerprint p tpg ~gconfig ~seed =
   let open Fingerprint in
@@ -207,7 +192,7 @@ let table1_row ?cycles ?(with_gatsby = true) p =
   let entries =
     List.map
       (fun tpg ->
-        let r = cached_flow p tpg config in
+        let r = run_flow p tpg config in
         let gatsby =
           if with_gatsby then begin
             let gconfig =
@@ -258,7 +243,7 @@ let table2_row ?cycles p =
   let t2_entries =
     List.map
       (fun tpg ->
-        let r = cached_flow p tpg config in
+        let r = run_flow p tpg config in
         let s = r.Flow.solution.Reseed_setcover.Solution.stats in
         {
           t2_tpg = tpg.Tpg.name;

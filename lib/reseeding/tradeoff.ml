@@ -1,6 +1,4 @@
 open Reseed_fault
-open Reseed_setcover
-open Reseed_tpg
 open Reseed_util
 
 type point = { cycles : int; triplets : int; test_length : int }
@@ -10,49 +8,8 @@ type point = { cycles : int; triplets : int; test_length : int }
    independently with the full target mask active.  So one sweep at
    T_max = max(grid) yields, per row, the first-detection index of every
    fault — and the detection matrix for any shorter T is exactly the
-   thresholding "first < T" of those indices.  The whole grid costs one
-   matrix build instead of |grid|. *)
-
-let sweep_fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~targets
-    ~builder ~t_max tpg =
-  let open Fingerprint in
-  let h = salted "sweep" in
-  let h = option int64 h salt in
-  let h = string h ("workload:faults:" ^ Fault_model.name fault_model) in
-  let h = int h t_max in
-  let h = int h builder.Builder.seed in
-  let h = string h (Builder.operand_tag builder.Builder.operand_mode) in
-  let h = string h tpg.Tpg.name in
-  let h = int h tpg.Tpg.width in
-  let h = bitvec h targets in
-  patterns h tests
-
-(* firsts.(i).(f) is the first burst index at which row i's T_max burst
-   detects fault f, if any; stored as first+1, or 0 for none, so the
-   codec stays non-negative. *)
-let encode_firsts firsts =
-  let n = Array.length firsts in
-  let nf = if n = 0 then 0 else Array.length firsts.(0) in
-  let b = Buffer.create (8 + (n * nf * 4)) in
-  Artifact.Codec.u32 b n;
-  Artifact.Codec.u32 b nf;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun first ->
-          Artifact.Codec.u32 b (match first with Some p -> p + 1 | None -> 0))
-        row)
-    firsts;
-  Some (Buffer.contents b)
-
-let decode_firsts ~rows ~faults r =
-  let n = Artifact.Codec.get_u32 r in
-  let nf = Artifact.Codec.get_u32 r in
-  if n <> rows || nf <> faults then raise Artifact.Codec.Malformed;
-  Array.init n (fun _ ->
-      Array.init nf (fun _ ->
-          match Artifact.Codec.get_u32 r with 0 -> None | k -> Some (k - 1)))
-
+   thresholding "first < T" of those indices.  The whole grid costs at
+   most one matrix build instead of |grid|. *)
 let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
   let grid = Array.of_list (List.sort compare grid) in
   Array.iter
@@ -64,74 +21,56 @@ let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
     Trace.with_span "tradeoff.sweep"
       ~args:[ ("points", string_of_int (Array.length grid)) ]
     @@ fun () ->
-    let t_max = grid.(Array.length grid - 1) in
+    if Bitvec.length targets <> Fault_sim.fault_count sim then
+      invalid_arg "Tradeoff.sweep: target mask size";
     let builder = Flow.default_config.Flow.builder in
     let config_at cycles =
       { Flow.default_config with Flow.builder = { builder with Builder.cycles } }
     in
-    let triplets_max =
-      Builder.make_triplets ~config:{ builder with Builder.cycles = t_max } tpg tests
-    in
-    let n = Array.length triplets_max in
-    let nf = Fault_sim.fault_count sim in
-    if Bitvec.length targets <> nf then invalid_arg "Tradeoff.sweep: target mask size";
     let pool = match pool with Some p -> p | None -> Pool.default () in
     let shard = Fault_sim.shard sim (Pool.jobs pool) in
+    (* Forced by the first point the store misses, on this domain. *)
     let firsts =
-      Artifact.cached store ~stage:"sweep"
-        ~fp:
-          (sweep_fingerprint ?salt:fingerprint
-             ~fault_model:(Fault_sim.model sim) ~tests ~targets ~builder ~t_max
-             tpg)
-        ~encode:encode_firsts
-        ~decode:(decode_firsts ~rows:n ~faults:nf)
-      @@ fun () ->
-      let firsts = Array.make n [||] in
-      (* One task per row on per-worker shards, exactly as Builder.build
-         sequences it: bit-identical at every job count. *)
-      Trace.with_span "tradeoff.firsts" ~args:[ ("rows", string_of_int n) ]
-      @@ fun () ->
-      Pool.parallel_for ~pool ~label:"trade-off burst sweeps" ~total:n
-        (fun ~worker i ->
-          let burst = Triplet.patterns tpg triplets_max.(i) in
-          firsts.(i) <- Fault_sim.first_detections shard.(worker) ~active:targets burst);
-      firsts
+      lazy
+        (let t_max = grid.(Array.length grid - 1) in
+         let triplets =
+           Builder.make_triplets ~config:{ builder with Builder.cycles = t_max } tpg tests
+         in
+         let n = Array.length triplets in
+         Trace.with_span "tradeoff.firsts" ~args:[ ("rows", string_of_int n) ]
+         @@ fun () ->
+         let firsts = Array.make n [||] in
+         Builder.simulate_rows ~pool shard tpg triplets ~targets ~lo:0 ~hi:n
+           (fun i f -> firsts.(i) <- f);
+         firsts)
     in
-    (* Each grid point thresholds the shared firsts into the detection
-       matrix it would have built at its own T, then runs the covering
-       half of the flow.  The per-point fingerprint is the plain
-       matrix-stage key at that T, so reduce/solve/truncate artifacts are
-       shared with standalone runs at the same evolution length. *)
+    (* Each point's matrix is the plain matrix stage at its own T, so it
+       and its reduce/solve/truncate artifacts are shared with standalone
+       runs at the same evolution length.  All are resolved here, before
+       the covering halves run in parallel. *)
+    let prebuilt =
+      Array.map
+        (fun cycles ->
+          let config = config_at cycles in
+          let fingerprint =
+            Builder.fingerprint ?salt:fingerprint ~fault_model:(Fault_sim.model sim)
+              ~tests ~targets tpg ~config:config.Flow.builder
+          in
+          ( config,
+            fingerprint,
+            Builder.threshold ?store ~fingerprint ~config:config.Flow.builder ~tests
+              ~targets tpg firsts ))
+        grid
+    in
     let points = Array.make (Array.length grid) None in
     Pool.parallel_for ~pool ~total:(Array.length grid) (fun ~worker gi ->
         let cycles = grid.(gi) in
         Trace.with_span "tradeoff.point" ~args:[ ("cycles", string_of_int cycles) ]
         @@ fun () ->
-        let config = config_at cycles in
-        let triplets = Builder.make_triplets ~config:config.Flow.builder tpg tests in
-        let rows = Array.init n (fun _ -> Bitvec.create nf) in
-        let useful_cycles =
-          Array.init n (fun i -> Builder.fill_row ~cycles ~targets rows.(i) firsts.(i))
-        in
-        let initial =
-          {
-            Builder.triplets;
-            matrix = Matrix.of_rows ~cols:nf rows;
-            targets;
-            useful_cycles;
-            fault_sims = 0;
-            rows_skipped = 0;
-            rows_restored = 0;
-          }
-        in
-        let fpm =
-          Builder.fingerprint ?salt:fingerprint
-            ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg
-            ~config:config.Flow.builder
-        in
+        let config, fingerprint, initial = prebuilt.(gi) in
         let r =
-          Flow.run_prebuilt ~config ?store ~fingerprint:fpm shard.(worker) tpg
-            ~initial ~targets
+          Flow.run_prebuilt ~config ?store ~fingerprint shard.(worker) tpg ~initial
+            ~targets
         in
         points.(gi) <-
           Some

@@ -22,17 +22,21 @@ type point = {
 
     A T-cycle burst is a prefix of the 2T-cycle burst from the same
     triplet, so the sweep fault-simulates each row {e once} at
-    [max grid], records every fault's first-detection index, and derives
-    each shorter point's detection matrix by thresholding — identical, bit
-    for bit, to running the full flow per point, at a fraction of the
-    injections.  Points then run the covering half in parallel over
-    [pool] (default: {!Pool.default}) on per-worker simulator shards; the
-    series is bit-identical at every job count.
+    [max grid] (through {!Builder.simulate_rows}), records every fault's
+    first-detection index, and derives each point's detection matrix by
+    thresholding ({!Builder.threshold}) — identical, bit for bit, to
+    running the full flow per point, at a fraction of the injections.
+    Every point's matrix is resolved first; the points then run the
+    covering half in parallel over [pool] (default: {!Pool.default}) on
+    per-worker simulator shards; the series is bit-identical at every job
+    count.
 
-    [store] caches the shared first-detection table (stage [sweep]) and
-    the per-point covering stages, keyed off [fingerprint] (the upstream
-    ATPG lineage) so points share artifacts with standalone runs at the
-    same evolution length. *)
+    [store] caches each point's detection matrix (stage [matrix]) and
+    its covering stages under the keys a standalone run at the same
+    evolution length uses, chained off [fingerprint] (the upstream ATPG
+    lineage): a sweep and [reseed solve --cycles T] share every artifact.
+    The first-detection table is simulated only when some point's matrix
+    misses the store, and at most once per sweep. *)
 val sweep :
   ?pool:Pool.t ->
   ?store:Artifact.store ->

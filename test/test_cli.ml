@@ -64,6 +64,7 @@ let test_out_of_range_is_usage () =
       ("--scale", [ "solve"; "c432"; "--scale"; "0" ]);
       ("--population", [ "gatsby"; "c17"; "--population"; "1" ]);
       ("--population", [ "gatsby"; "c17"; "--population"; "2" ]);
+      ("--generations", [ "gatsby"; "c17"; "--generations=-1" ]);
     ]
 
 (* A 1-job pool runs every span on the calling domain: the trace must

@@ -204,7 +204,7 @@ let test_table_rows () =
 
 (* Two preparations of one circuit that differ only in the fault model
    are different workloads: each Table 2 row must match a direct flow run on
-   its own preparation, never the row memoised for the other. *)
+   its own preparation, never one computed for the other. *)
 let test_table_rows_keyed_by_workload () =
   let row_of p =
     List.map

@@ -66,7 +66,21 @@ let test_ga_config_validation () =
             ~config:{ Ga.default_config with Ga.population = Ga.elite }
             ~rng onemax_problem);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  check "negative generations rejected" true
+    (try
+       ignore
+         (Ga.optimize
+            ~config:{ Ga.default_config with Ga.generations = -1 }
+            ~rng onemax_problem);
+       false
+     with Invalid_argument _ -> true);
+  let zero =
+    Ga.optimize ~config:{ Ga.default_config with Ga.generations = 0 } ~rng onemax_problem
+  in
+  Alcotest.(check int)
+    "zero generations: the initial cohort alone" Ga.default_config.Ga.population
+    zero.Ga.evaluations
 
 (* GATSBY end-to-end on a small circuit. *)
 

@@ -319,31 +319,60 @@ let test_sweep_matches_per_point_runs () =
   let p = Suite.prepare_circuit (Library.load "c17") in
   let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
   let grid = [ 10; 20; 40 ] in
-  let sweep () =
+  let sweep store =
     Tradeoff.sweep ~store ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg
       ~tests:p.Suite.tests ~targets:p.Suite.targets ~grid
   in
-  let points = sweep () in
+  let config_at cycles =
+    { Flow.default_config with Flow.builder = { Builder.default_config with Builder.cycles } }
+  in
+  let run ?store cycles =
+    Flow.run ~config:(config_at cycles) ?store ~fingerprint:p.Suite.fingerprint
+      p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets
+  in
+  let points = sweep store in
   let naive =
     List.map
       (fun cycles ->
-        let config =
-          {
-            Flow.default_config with
-            Flow.builder = { Builder.default_config with Builder.cycles };
-          }
-        in
-        let r =
-          Flow.run ~config p.Suite.sim tpg ~tests:p.Suite.tests
-            ~targets:p.Suite.targets
-        in
+        let r = run cycles in
         { Tradeoff.cycles; triplets = Flow.reseedings r; test_length = r.Flow.test_length })
       grid
   in
   check "prefix-shared sweep = naive per-point flows" true (points = naive);
-  let warm, h = delta "stage_sweep_cache_hits" sweep in
+  (* Warm: every point's matrix is a [matrix]-stage hit, and nothing is
+     simulated or missed. *)
+  let ((warm, hits), sims), misses =
+    delta "artifact_misses" (fun () ->
+        delta "fault_sims" (fun () ->
+            delta "stage_matrix_cache_hits" (fun () -> sweep store)))
+  in
   check "warm sweep identical" true (warm = points);
-  check_int "first-detection table hits" 1 h
+  check_int "one matrix hit per grid point" (List.length grid) hits;
+  check_int "warm sweep simulates nothing" 0 sims;
+  check_int "warm sweep misses nothing" 0 misses;
+  (* A standalone flow at a swept T finds everything the sweep wrote, and
+     the sweep's matrix blob is the one a cold standalone run writes. *)
+  let (_, sims), misses =
+    delta "artifact_misses" (fun () -> delta "fault_sims" (fun () -> run ~store 20))
+  in
+  check_int "solve after sweep simulates nothing" 0 sims;
+  check_int "solve after sweep misses nothing" 0 misses;
+  let matrix_blob store =
+    let fp =
+      Builder.fingerprint ~salt:p.Suite.fingerprint ~tests:p.Suite.tests
+        ~targets:p.Suite.targets tpg ~config:(config_at 20).Flow.builder
+    in
+    In_channel.with_open_bin (Artifact.path store ~stage:"matrix" fp) In_channel.input_all
+  in
+  with_store (fun cold ->
+      ignore (run ~store:cold 20);
+      check "sweep matrix blob = standalone blob" true
+        (matrix_blob store = matrix_blob cold);
+      (* A store that already holds one point's matrix: the sweep reads it
+         and thresholds the others, with the same result. *)
+      let partial, hits = delta "stage_matrix_cache_hits" (fun () -> sweep cold) in
+      check "sweep over a partly filled store = cold sweep" true (partial = points);
+      check_int "the solved point's matrix is reused" 1 hits)
 
 let test_default_grid_edges () =
   Alcotest.check_raises "0 rejected"
