@@ -40,6 +40,6 @@ let () =
   (* The detected set must be reproducible from the test set alone. *)
   let active = Bitvec.create (Fault_sim.fault_count sim) in
   Bitvec.fill_all active;
-  let redetected = Fault_sim.detected_set sim result.Atpg.tests ~active in
+  let redetected = Fault_sim.detected_set sim (Array.map Word.of_bits result.Atpg.tests) ~active in
   assert (Bitvec.equal redetected result.Atpg.detected);
   Printf.printf "Re-simulation check: PASSED\n"

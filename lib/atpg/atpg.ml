@@ -108,7 +108,7 @@ let run ?(engine = Podem_engine) ?budget sim =
              let active = Bitvec.create nf in
              Bitvec.fill_all active;
              Bitvec.diff_into ~into:active detected;
-             let newly = Fault_sim.detected_set sim [| pattern |] ~active in
+             let newly = Fault_sim.detected_set sim [| Word.of_bits pattern |] ~active in
              Bitvec.union_into ~into:detected newly;
              push_tests [| pattern |]
          | Podem.Untestable -> untestable := fi :: !untestable

@@ -1,4 +1,5 @@
 open Reseed_fault
+open Reseed_util
 
 (* Pattern [p] is kept iff it is the last pattern of the set to detect
    some fault: fault-simulating the set backwards with dropping, that is
@@ -7,9 +8,7 @@ open Reseed_fault
 let reverse_order sim tests =
   let n = Array.length tests in
   let keep = Array.make n false in
-  let reversed = Array.init n (fun p -> tests.(n - 1 - p)) in
-  Array.iter
-    (function Some q -> keep.(n - 1 - q) <- true | None -> ())
-    (Fault_sim.first_detections sim reversed);
+  let reversed = Array.init n (fun p -> Word.of_bits tests.(n - 1 - p)) in
+  Fault_sim.first_detections sim reversed (fun _ q -> keep.(n - 1 - q) <- true);
   let kept = List.filteri (fun p _ -> keep.(p)) (Array.to_list tests) in
   (Array.of_list kept, n - List.length kept)

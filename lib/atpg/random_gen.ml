@@ -40,19 +40,14 @@ let run ?budget sim ~rng ?already ?(max_patterns = 10_000) ?(give_up_after = 5) 
     let active = Bitvec.create nf in
     Bitvec.fill_all active;
     Bitvec.diff_into ~into:active detected;
-    let firsts = Fault_sim.first_detections sim ~active block in
     let useful = Array.make block_size false in
     let progress = ref false in
-    Array.iteri
-      (fun fi first ->
-        match first with
-        | Some p when Bitvec.get active fi ->
-            Bitvec.set detected fi;
-            useful.(p) <- true;
-            if transition && p > 0 then useful.(p - 1) <- true;
-            progress := true
-        | _ -> ())
-      firsts;
+    Fault_sim.first_detections sim ~active (Array.map Word.of_bits block)
+      (fun fi p ->
+        Bitvec.set detected fi;
+        useful.(p) <- true;
+        if transition && p > 0 then useful.(p - 1) <- true;
+        progress := true);
     if !progress then begin
       useless_blocks := 0;
       Array.iteri (fun p pat -> if useful.(p) then kept := pat :: !kept) block

@@ -153,7 +153,7 @@ let generate_checked c fault ~rng () =
       let sim = Fault_sim.create c [| fault |] in
       let active = Bitvec.create 1 in
       Bitvec.fill_all active;
-      let detected = Fault_sim.detected_set sim [| pattern |] ~active in
+      let detected = Fault_sim.detected_set sim [| Word.of_bits pattern |] ~active in
       if not (Bitvec.get detected 0) then
         failwith "Satpg.generate_checked: SAT model is not a valid test";
       Test pattern

@@ -53,6 +53,9 @@ type t = {
   path : int array; (* [sens]'s stack of the FFR path it walks *)
   mutable sims : int;
   mutable props : int;
+  mutable evals : int;
+      (* nodes the gate kernel evaluated: every node of each block's good
+         machine, plus each propagation's sweep interval *)
 }
 
 let full = max_int
@@ -88,6 +91,7 @@ let copy t =
     path = Array.make n 0;
     sims = 0;
     props = 0;
+    evals = 0;
   }
 
 (* Compressed-row form of an array of index lists. *)
@@ -186,6 +190,7 @@ let create ?(model = Fault_model.Stuck_at) circuit faults =
       path = [||];
       sims = 0;
       props = 0;
+      evals = 0;
     }
 
 let shard t n =
@@ -198,8 +203,10 @@ let merge_sims ~into shards =
       if s != into then begin
         into.sims <- into.sims + s.sims;
         into.props <- into.props + s.props;
+        into.evals <- into.evals + s.evals;
         s.sims <- 0;
-        s.props <- 0
+        s.props <- 0;
+        s.evals <- 0
       end)
     shards
 
@@ -209,6 +216,7 @@ let model t = t.model
 let fault_count t = Array.length t.faults
 let sims_performed t = t.sims
 let event_propagations t = t.props
+let node_evals t = t.evals
 let cone_hi t i = t.cone_hi.(i)
 
 (* --- The gate kernel ---------------------------------------------------- *)
@@ -271,6 +279,7 @@ let simulate_block t (block : Logic_sim.block) =
     (fun k i -> Array.unsafe_set good i block.Logic_sim.per_input.(k))
     t.input_nodes;
   sweep t good 0 (n - 1);
+  t.evals <- t.evals + n;
   (* A plain loop: [Array.blit] onto the major-heap mirror goes through
      the write barrier once per element. *)
   for i = 0 to n - 1 do
@@ -324,6 +333,7 @@ let propagate t (good : int array) mask site v =
   let lo = if first < t.fout_start.(site + 1) then t.fout.(first) else site + 1 in
   let hi = t.cone_hi.(site) in
   sweep t fv lo hi;
+  t.evals <- t.evals + (hi - lo + 1);
   let detect = ref 0 and p = ref t.next_po.(lo) in
   while !p <= hi do
     detect := !detect lor (Array.unsafe_get fv !p lxor Array.unsafe_get good !p);
@@ -439,7 +449,7 @@ let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
   let base = ref 0 in
   while !base < total && not (stop ()) do
     let len = min Logic_sim.block_width (total - !base) in
-    let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
+    let block = Logic_sim.pack t.circuit ~pos:!base ~len patterns in
     simulate_block t block;
     t.block <- t.block + 1; (* new good values: memoised [sens] go stale *)
     let good = t.good in
@@ -468,33 +478,20 @@ let m_props =
   Metrics.counter ~help:"fanout-cone propagations (one kernel sweep each)"
     "event_propagations"
 
+let m_evals =
+  Metrics.counter ~help:"nodes evaluated by the gate kernel" "fault_sim_node_evals"
+
 let with_sweep name t patterns f =
   Trace.with_span name
     ~args:[ ("patterns", string_of_int (Array.length patterns)) ]
   @@ fun () ->
-  let sims0 = t.sims and props0 = t.props in
+  let sims0 = t.sims and props0 = t.props and evals0 = t.evals in
   Fun.protect
     ~finally:(fun () ->
       Metrics.add m_sims (t.sims - sims0);
-      Metrics.add m_props (t.props - props0))
+      Metrics.add m_props (t.props - props0);
+      Metrics.add m_evals (t.evals - evals0))
     f
-
-let detection_map ?budget t patterns =
-  with_sweep "fault_sim.detection_map" t patterns @@ fun () ->
-  let total = Array.length patterns in
-  let result = Array.init (fault_count t) (fun _ -> Bitvec.create total) in
-  iter_blocks ?budget t patterns (fun ~base ~good ~mask ->
-      Array.iteri
-        (fun fi fault ->
-          let d = process_fault t good mask fi fault in
-          if d <> 0 then
-            (* [d land mask] keeps every set lane below the block length,
-               so [base + k] is always in range. *)
-            for k = 0 to Logic_sim.block_width - 1 do
-              if d lsr k land 1 = 1 then Bitvec.unsafe_set result.(fi) (base + k)
-            done)
-        t.faults);
-  result
 
 (* The fault-dropping sweep behind [detected_set] and
    [first_detections]: [t.live] starts as the faults of [active] (every
@@ -541,20 +538,14 @@ let lowest_lane d =
   while d lsr !k land 1 = 0 do incr k done;
   !k
 
-let first_detections ?budget t ?active patterns =
+let first_detections ?budget t ?active patterns found =
   (match active with
   | Some a when Bitvec.length a <> fault_count t ->
       invalid_arg "Fault_sim.first_detections: active mask size mismatch"
   | _ -> ());
   with_sweep "fault_sim.first_detections" t patterns @@ fun () ->
-  let result = Array.make (fault_count t) None in
-  (* One shared [Some p] per pattern index: a detection stores a pointer,
-     not a fresh box that the result array (on the major heap for any
-     sizable fault list) would drag out of the minor heap. *)
-  let firsts = Array.init (Array.length patterns) Option.some in
   drop_sweep ?budget t ?active patterns (fun fi ~base d ->
-      result.(fi) <- firsts.(base + lowest_lane d));
-  result
+      found fi (base + lowest_lane d))
 
 (* [drop_sweep] reads [live] once, before the first block, so the
    detections can clear it as they come. *)

@@ -1,7 +1,11 @@
 (** Parallel-pattern fault simulation by critical-path tracing, under
     either fault model.
 
-    Patterns are simulated 62 per block against the good machine once;
+    A pattern is a {!Reseed_util.Word.t} of the circuit's input width
+    (bit [i] drives primary input [i]) — the state word a TPG emits, or an
+    ATPG pattern converted at its producer with {!Reseed_util.Word.of_bits}.
+    Patterns are packed 62 per block straight from the words' limbs
+    ({!Reseed_sim.Logic_sim.pack}) and simulated against the good machine once;
     per-fault detection words are then derived by critical-path tracing.
     The circuit is decomposed once into fanout-free regions
     ({!Reseed_netlist.Ffr}); a fault inside a region is graded by a
@@ -46,14 +50,14 @@
     count the capture grades, so cost metrics stay comparable across
     models.
 
-    Four entry points cover the library's needs:
+    Three entry points cover the library's needs, all with fault
+    dropping:
 
-    - {!detection_map}: full per-pattern detection bit-matrix, with no
-      dropping — used only by the oracle tests; the Detection Matrix of
-      Section 3.1 of the paper is built from {!first_detections};
-    - {!first_detections}: fault-dropping sweep returning the first
-      detecting pattern index per fault — feeds ATPG (its random phase
-      and its reverse-order compaction) and the Detection Matrix rows;
+    - {!first_detections}: hands each fault's first detecting pattern
+      index to a callback as the sweep finds it — feeds ATPG (its random
+      phase and its reverse-order compaction) and the Detection Matrix
+      rows of Section 3.1 of the paper, which the builder fills in the
+      callback;
     - {!detected_set}: the faults of an active mask that a candidate
       pattern set detects — feeds ATPG and the GATSBY fitness function;
     - {!useful_length}: the truncated length of a burst applied after
@@ -113,6 +117,14 @@ val sims_performed : t -> int
     because reports read it. *)
 val event_propagations : t -> int
 
+(** [node_evals t] counts the nodes the gate kernel evaluated: every node
+    of each block's good machine, plus [hi - lo + 1] for each propagation
+    over the index interval [\[lo, hi\]].  It is the kernel's work,
+    independent of how patterns reach it; published as the
+    [fault_sim_node_evals] metric and summed over shards by
+    {!merge_sims}. *)
+val node_evals : t -> int
+
 (** [cone_hi t i] is the largest node index in [i]'s fanout cone ([i]
     itself when nothing reads [i]): the upper end of the index interval a
     propagation from [i] re-evaluates.  Exposed for tests. *)
@@ -125,28 +137,25 @@ val good_values : t -> Reseed_sim.Logic_sim.block -> int array
 
 (** Every sweep below takes an optional [budget]: a tripped deadline or
     cancellation stops the sweep cleanly at the next 62-pattern block
-    boundary, returning the (sound but possibly incomplete) detections
-    gathered so far.  Callers that need completeness must re-check the
-    budget after the call. *)
-
-(** [detection_map ?budget t patterns] is one {!Bitvec.t} per fault,
-    indexed over patterns: bit [p] set iff pattern [p] detects the fault.
-    No dropping. *)
-val detection_map : ?budget:Budget.t -> t -> bool array array -> Bitvec.t array
+    boundary, with the (sound but possibly incomplete) detections
+    gathered so far returned or already reported.  Callers that need
+    completeness must re-check the budget after the call. *)
 
 (** [detected_set ?budget t patterns ~active] is the set of faults from
     [active] detected by at least one pattern (with dropping inside the
     run).  Stops simulating blocks as soon as every active fault is
     detected. *)
-val detected_set : ?budget:Budget.t -> t -> bool array array -> active:Bitvec.t -> Bitvec.t
+val detected_set : ?budget:Budget.t -> t -> Word.t array -> active:Bitvec.t -> Bitvec.t
 
-(** [first_detections ?budget t ?active patterns] runs with fault
-    dropping; result [i] is [Some p] when fault [i] is first detected by
-    pattern [p].  Faults outside [active] (default: all) are skipped
-    entirely.  Stops simulating blocks as soon as every live fault has a
-    first detection. *)
+(** [first_detections ?budget t ?active patterns found] runs with fault
+    dropping and calls [found i p] once for each fault [i] that pattern
+    [p] detects first, as the sweep reaches it: block by block, each
+    block's detections in ascending fault order.  Faults outside [active]
+    (default: all) are skipped entirely.  Stops simulating blocks as soon
+    as every live fault has a first detection.  [found] runs inside the
+    sweep and must not use [t]. *)
 val first_detections :
-  ?budget:Budget.t -> t -> ?active:Bitvec.t -> bool array array -> int option array
+  ?budget:Budget.t -> t -> ?active:Bitvec.t -> Word.t array -> (int -> int -> unit) -> unit
 
 (** [useful_length t ~live patterns] applies one burst under the
     Section-4 truncation rule: it runs [patterns] with fault dropping
@@ -154,7 +163,7 @@ val first_detections :
     [live], and returns one past the last pattern that detected one of
     them, or 0 (with [live] untouched) when none did.  Truncating the
     burst to that length detects the same faults. *)
-val useful_length : t -> live:Bitvec.t -> bool array array -> int
+val useful_length : t -> live:Bitvec.t -> Word.t array -> int
 
 (** [coverage_pct t detected] renders fault coverage as a percentage of
     the simulator's fault list. *)

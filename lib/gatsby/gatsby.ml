@@ -72,7 +72,7 @@ let run ?(config = default_config) ?pool ?budget sim tpg ~rng ~targets =
   let sims_at_start = Fault_sim.sims_performed sim in
   let triplets = ref [] and test_length = ref 0 and ga_evals = ref 0 in
   let burst g =
-    Tpg.run_bits tpg ~seed:g.g_seed
+    Tpg.run tpg ~seed:g.g_seed
       ~operand:(tpg.Tpg.fix_operand g.g_operand)
       ~cycles:config.cycles
   in

@@ -69,20 +69,12 @@ let fingerprint ?salt ?(fault_model = Fault_model.Stuck_at) ~tests ~targets tpg
   let h = bitvec h targets in
   patterns h tests
 
-(* Sets in [row] every target fault first detected within the burst's
-   first [cycles] patterns; returns 1 + the largest such index (1 for an
-   empty row), the row's useful cycles. *)
-let fill_row ~cycles ~targets row firsts =
-  let useful = ref 1 in
-  Array.iteri
-    (fun fi first ->
-      match first with
-      | Some p when p < cycles && Bitvec.get targets fi ->
-          Bitvec.set row fi;
-          if p + 1 > !useful then useful := p + 1
-      | _ -> ())
-    firsts;
-  !useful
+(* Row [i]'s burst first detects target fault [fi] at pattern [p]: set
+   the row's bit and raise its useful cycles (1 + the largest such [p],
+   from 1 for an empty row) to cover [p]. *)
+let detect rows useful_cycles i fi p =
+  Bitvec.set rows.(i) fi;
+  if p >= useful_cycles.(i) then useful_cycles.(i) <- p + 1
 
 (* Both matrix payloads carry what fault simulation produced: per row,
    its useful-cycle count (u32) then its row set. *)
@@ -145,28 +137,33 @@ let cached store ~fp ~config ~tests ~targets tpg =
     ~decode:(decode_built ~config ~tests ~targets tpg)
 
 (* One task per row of [lo, hi); each worker fault-simulates on its own
-   simulator shard and [commit i firsts] writes only row [i]'s slots, so
-   the result is bit-identical at every job count.  An expired budget may
-   cut a sweep short: such a row is never committed. *)
-let simulate_rows ?budget ~pool shards tpg triplets ~targets ~lo ~hi commit =
+   simulator shard, [found i] receives row [i]'s first detections as its
+   sweep makes them, and [commit i] follows a sweep the budget did not
+   cut short.  Both write only row [i]'s slots, so the result is
+   bit-identical at every job count. *)
+let simulate_rows ?budget ~pool shards tpg triplets ~targets ~lo ~hi ~found commit =
   Pool.parallel_for ~pool ~label:"detection-matrix rows" ~total:(hi - lo)
     (fun ~worker j ->
       let i = lo + j in
       if not (Budget.check budget) then begin
-        let firsts =
-          Fault_sim.first_detections ?budget shards.(worker) ~active:targets
-            (Triplet.patterns tpg triplets.(i))
-        in
-        if not (Budget.check budget) then commit i firsts
+        Fault_sim.first_detections ?budget shards.(worker) ~active:targets
+          (Triplet.patterns tpg triplets.(i))
+          (found i);
+        if not (Budget.check budget) then commit i
       end)
 
 let threshold ?store ~fingerprint:fp ~config ~tests ~targets tpg firsts =
   cached store ~fp ~config ~tests ~targets tpg @@ fun () ->
   let firsts = Lazy.force firsts in
-  let rows = Array.map (fun _ -> Bitvec.create (Bitvec.length targets)) firsts in
-  let useful_cycles =
-    Array.mapi (fun i f -> fill_row ~cycles:config.cycles ~targets rows.(i) f) firsts
-  in
+  let n = Array.length firsts in
+  let rows = Array.init n (fun _ -> Bitvec.create (Bitvec.length targets)) in
+  let useful_cycles = Array.make n 1 in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun fi p -> if p < config.cycles then detect rows useful_cycles i fi p)
+        row)
+    firsts;
   of_rows ~triplets:(make_triplets ~config tpg tests) ~targets useful_cycles rows
 
 (* One shard = one [shard_rows]-sized row range, published to the store
@@ -212,8 +209,8 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
   let triplets = make_triplets ~config tpg tests in
   let n = Array.length triplets in
   let useful_cycles = Array.make n 1 in
-  (* Every row starts as its own empty vector and is filled in place
-     once its burst is simulated. *)
+  (* Every row starts as its own empty vector and is filled in place,
+     detection by detection, as its burst is simulated. *)
   let rows = Array.init n (fun _ -> Bitvec.create nf) in
   let completed = Array.make n false in
   let restored = ref 0 in
@@ -236,12 +233,17 @@ let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
         @@ fun () ->
         computed := true;
         simulate_rows ?budget ~pool sim_shard tpg triplets ~targets ~lo ~hi
-          (fun i firsts ->
-            useful_cycles.(i) <- fill_row ~cycles:config.cycles ~targets rows.(i) firsts;
-            completed.(i) <- true);
+          ~found:(detect rows useful_cycles)
+          (fun i -> completed.(i) <- true);
+        (* A row whose sweep the budget cut short holds a partial fill:
+           it goes back to empty. *)
         let all = ref true in
         for i = lo to hi - 1 do
-          if not completed.(i) then all := false
+          if not completed.(i) then begin
+            all := false;
+            Bitvec.zero_all rows.(i);
+            useful_cycles.(i) <- 1
+          end
         done;
         if !all then
           Some (Array.sub useful_cycles lo (hi - lo), Array.sub rows lo (hi - lo))

@@ -72,15 +72,19 @@ val fingerprint :
   tests:bool array array -> targets:Bitvec.t -> Tpg.t -> config:config -> Fingerprint.t
 
 (** [simulate_rows ?budget ~pool shards tpg triplets ~targets ~lo ~hi
-    commit] is the one detection-matrix row loop: one {!Pool.parallel_for}
-    task per row [i] in [\[lo, hi)], which sweeps [triplets.(i)]'s burst
-    with {!Fault_sim.first_detections} on its worker's shard of [shards]
-    (from {!Fault_sim.shard}, one per pool participant) and hands the
-    result to [commit i].  Each task should write only row [i]'s slots;
-    the result is then bit-identical at every job count.  [budget] is
-    checked before each row's sweep and after it: a row whose sweep the
-    budget may have cut short is never committed.  [build] fills its
-    rows with it, and {!Tradeoff.sweep} its longest burst's detections. *)
+    ~found commit] is the one detection-matrix row loop: one
+    {!Pool.parallel_for} task per row [i] in [\[lo, hi)], which sweeps
+    [triplets.(i)]'s burst — its state words, {!Triplet.patterns} — with
+    {!Fault_sim.first_detections} over the faults of [targets] on its
+    worker's shard of [shards] (from {!Fault_sim.shard}, one per pool
+    participant).  The sweep calls [found i fi p] for each target [fi]
+    that pattern [p] of the burst detects first; then [commit i] runs
+    unless the budget expired.  Each task should write only row [i]'s
+    slots; the result is then bit-identical at every job count.
+    [budget] is checked before each row's sweep and after it: a row
+    whose sweep the budget may have cut short gets [found] calls but no
+    [commit], and its caller must discard them.  [build] fills its rows
+    with it, and {!Tradeoff.sweep} its longest burst's detections. *)
 val simulate_rows :
   ?budget:Budget.t ->
   pool:Pool.t ->
@@ -90,13 +94,16 @@ val simulate_rows :
   targets:Bitvec.t ->
   lo:int ->
   hi:int ->
-  (int -> int option array -> unit) ->
+  found:(int -> int -> int -> unit) ->
+  (int -> unit) ->
   unit
 
 (** [threshold ?store ~fingerprint ~config ~tests ~targets tpg firsts]
     is the [matrix] stage at [config.cycles] derived from longer bursts:
-    [firsts.(i)] is row [i]'s {!Fault_sim.first_detections} over a burst
-    from the same triplet at least [config.cycles] long.  A T-cycle burst
+    [firsts.(i).(fi)] is the first pattern of a burst from row [i]'s
+    triplet, at least [config.cycles] long, that detects target fault
+    [fi] ([max_int] when none does, and for every non-target column), as
+    {!simulate_rows} reports it.  A T-cycle burst
     is a prefix of any longer burst from that triplet, so keeping every
     target fault first detected below [config.cycles] yields exactly the
     rows and [useful_cycles] that [build] simulates, and the same
@@ -110,7 +117,7 @@ val threshold :
   tests:bool array array ->
   targets:Bitvec.t ->
   Tpg.t ->
-  int option array array Lazy.t ->
+  int array array Lazy.t ->
   t
 
 (** [build ?pool ?budget ?store ?fingerprint sim tpg ~tests ~targets
@@ -121,7 +128,8 @@ val threshold :
     per-worker simulator shards; the result — matrix, [useful_cycles] and
     [fault_sims] — is bit-identical at every job count.  An expired
     [budget] stops the build at the next row boundary; unfinished rows
-    stay empty and are counted in [rows_skipped], never persisted.
+    stay empty and are counted in [rows_skipped], never persisted: a row
+    whose sweep the budget cut short is reset to empty.
 
     [store] memoises the whole stage under [fingerprint] (computed via
     {!fingerprint} when omitted): a warm hit reconstructs the result with
@@ -135,8 +143,9 @@ val threshold :
     (counted in [rows_restored]) and simulates only the rest.  A shard
     that fails its checksum or decode is re-simulated, and a failed save
     only costs a miss next run.  Each row is a packed vector over the
-    fault list, filled in place as its burst is simulated and adopted by
-    the matrix without a copy. *)
+    fault list, filled in place by {!simulate_rows}'s [found] callback
+    as the sweep detects each target fault, and adopted by the matrix
+    without a copy. *)
 val build :
   ?pool:Pool.t ->
   ?budget:Budget.t ->

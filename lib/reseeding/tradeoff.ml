@@ -39,9 +39,11 @@ let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
          let n = Array.length triplets in
          Trace.with_span "tradeoff.firsts" ~args:[ ("rows", string_of_int n) ]
          @@ fun () ->
-         let firsts = Array.make n [||] in
+         let nf = Fault_sim.fault_count sim in
+         let firsts = Array.init n (fun _ -> Array.make nf max_int) in
          Builder.simulate_rows ~pool shard tpg triplets ~targets ~lo:0 ~hi:n
-           (fun i f -> firsts.(i) <- f);
+           ~found:(fun i fi p -> firsts.(i).(fi) <- p)
+           ignore;
          firsts)
     in
     (* Each point's matrix is the plain matrix stage at its own T, so it

@@ -1,4 +1,5 @@
 open Reseed_netlist
+open Reseed_util
 
 let block_width = 62
 
@@ -8,31 +9,60 @@ let valid_mask width =
   if width < 1 || width > block_width then invalid_arg "Logic_sim.valid_mask";
   if width = block_width then max_int else (1 lsl width) - 1
 
-let pack c patterns =
-  let count = Array.length patterns in
-  if count < 1 || count > block_width then
-    invalid_arg "Logic_sim.pack: block must hold 1..62 patterns";
-  let n = Circuit.input_count c in
-  let per_input = Array.make n 0 in
-  Array.iteri
-    (fun k pattern ->
-      if Array.length pattern <> n then
-        invalid_arg "Logic_sim.pack: pattern width mismatch";
-      for i = 0 to n - 1 do
-        if pattern.(i) then per_input.(i) <- per_input.(i) lor (1 lsl k)
-      done)
-    patterns;
-  { width = count; per_input }
+(* Transpose in place the 32x32 bit matrix whose row [r] is the low 32
+   bits of [a.(r)]: afterwards bit [r] of [a.(c)] is what bit [c] of
+   [a.(r)] was.  Five rounds swap the off-diagonal [j]x[j] blocks of
+   every [2j]x[2j] block, [j] = 16, 8, 4, 2, 1 (Hacker's Delight,
+   section 7-3, in LSB-first order); [m] selects the low [j] columns of
+   each [2j]-column group, and [k] visits the rows with bit [j] clear. *)
+let transpose32 (a : int array) =
+  let j = ref 16 and m = ref 0xFFFF in
+  while !j <> 0 do
+    let k = ref 0 in
+    while !k < 32 do
+      let lo = Array.unsafe_get a !k and hi = Array.unsafe_get a (!k + !j) in
+      let t = ((lo lsr !j) lxor hi) land !m in
+      Array.unsafe_set a !k (lo lxor (t lsl !j));
+      Array.unsafe_set a (!k + !j) (hi lxor t);
+      k := (!k + !j + 1) land lnot !j
+    done;
+    j := !j lsr 1;
+    m := !m lxor (!m lsl !j)
+  done
 
-let pack_all c patterns =
-  let total = Array.length patterns in
-  let rec go start acc =
-    if start >= total then List.rev acc
-    else
-      let len = min block_width (total - start) in
-      go (start + len) (pack c (Array.sub patterns start len) :: acc)
-  in
-  go 0 []
+(* Pattern [k] of the block is word [pos + k]; input [i] reads bit [i] of
+   every word.  Each [Word.limb_bits]-bit limb of the 32 words of one
+   half of the block is a 32x32 bit matrix whose transpose holds, in row
+   [j], input [limb * limb_bits + j] over those 32 patterns: two
+   transposes per limb fill every input word of the block. *)
+let pack c ?(pos = 0) ?len words =
+  let len = match len with Some l -> l | None -> Array.length words - pos in
+  if len < 1 || len > block_width then
+    invalid_arg "Logic_sim.pack: block must hold 1..62 patterns";
+  if pos < 0 || pos + len > Array.length words then
+    invalid_arg "Logic_sim.pack: range outside the pattern array";
+  let n = Circuit.input_count c in
+  for k = pos to pos + len - 1 do
+    if Word.width words.(k) <> n then invalid_arg "Logic_sim.pack: pattern width mismatch"
+  done;
+  let per_input = Array.make n 0 in
+  let m = Array.make 32 0 in
+  for limb = 0 to ((n + Word.limb_bits - 1) / Word.limb_bits) - 1 do
+    let first = limb * Word.limb_bits in
+    let inputs = min Word.limb_bits (n - first) in
+    for half = 0 to (len - 1) / 32 do
+      let rows = min 32 (len - (32 * half)) in
+      for r = 0 to rows - 1 do
+        m.(r) <- Word.limb words.(pos + (32 * half) + r) limb
+      done;
+      Array.fill m rows (32 - rows) 0;
+      transpose32 m;
+      for j = 0 to inputs - 1 do
+        per_input.(first + j) <- per_input.(first + j) lor (m.(j) lsl (32 * half))
+      done
+    done
+  done;
+  { width = len; per_input }
 
 (* Evaluate one gate directly against the node-value array.  Each gate kind
    folds its fanins in its own loop, so no closure is allocated per gate. *)

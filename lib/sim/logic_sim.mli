@@ -16,12 +16,13 @@ type block = private {
   per_input : int array;  (** one word per primary input *)
 }
 
-(** [pack c patterns] packs up to 62 patterns (each a [bool array] of
-    length [input_count c], PI order) into a block. *)
-val pack : Circuit.t -> bool array array -> block
-
-(** [pack_all c patterns] splits an arbitrary pattern list into blocks. *)
-val pack_all : Circuit.t -> bool array array -> block list
+(** [pack c ?pos ?len words] packs the [len] patterns [words.(pos ..
+    pos + len - 1)] ([pos] defaults to 0, [len] to the rest of the array;
+    [len] in 1..62) into a block: input [i] of pattern [k] is bit [i] of
+    word [pos + k], whose width must be [input_count c].  Each 30-bit
+    {!Reseed_util.Word} limb is moved with 32x32 bit-matrix transposes,
+    two per limb per block, not bit by bit. *)
+val pack : Circuit.t -> ?pos:int -> ?len:int -> Reseed_util.Word.t array -> block
 
 (** [simulate c block] returns the value word of every node. *)
 val simulate : Circuit.t -> block -> int array

@@ -26,9 +26,6 @@ let run tpg ~seed ~operand ~cycles =
   done;
   out
 
-let run_bits tpg ~seed ~operand ~cycles =
-  Array.map Word.to_bits (run tpg ~seed ~operand ~cycles)
-
 let period tpg ~seed ~operand ~limit =
   check_widths tpg seed operand;
   let seen = Hashtbl.create 64 in

@@ -36,13 +36,10 @@ val make :
 
 (** [run tpg ~seed ~operand ~cycles] is the emitted pattern sequence,
     [cycles] words starting with [seed].  Width of [seed] and [operand]
-    must equal [tpg.width]. *)
+    must equal [tpg.width].  The words are the patterns themselves: bit
+    [i] drives primary input [i], and the fault simulator packs them
+    as they are. *)
 val run : t -> seed:Word.t -> operand:Word.t -> cycles:int -> Word.t array
-
-(** [run_bits tpg ~seed ~operand ~cycles] is {!run} with each word
-    expanded to an LSB-first bit pattern — directly consumable by the
-    logic/fault simulators. *)
-val run_bits : t -> seed:Word.t -> operand:Word.t -> cycles:int -> bool array array
 
 (** [period tpg ~seed ~operand ~limit] is the number of steps until the
     state first revisits a previous value, or [None] if no repeat occurs

@@ -8,7 +8,7 @@ let make ~seed ~operand ~cycles =
   if cycles < 1 then invalid_arg "Triplet.make: cycles must be >= 1";
   { seed; operand; cycles }
 
-let patterns tpg t = Tpg.run_bits tpg ~seed:t.seed ~operand:t.operand ~cycles:t.cycles
+let patterns tpg t = Tpg.run tpg ~seed:t.seed ~operand:t.operand ~cycles:t.cycles
 
 let truncate t cycles =
   if cycles < 1 || cycles > t.cycles then invalid_arg "Triplet.truncate: bad cycle count";

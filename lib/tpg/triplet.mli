@@ -12,9 +12,11 @@ type t = { seed : Word.t; operand : Word.t; cycles : int }
 (** [make ~seed ~operand ~cycles] checks widths match and [cycles >= 1]. *)
 val make : seed:Word.t -> operand:Word.t -> cycles:int -> t
 
-(** [patterns tpg t] is the burst emitted by [tpg] under triplet [t], as
-    simulator-ready bit patterns ([t.cycles] of them). *)
-val patterns : Tpg.t -> t -> bool array array
+(** [patterns tpg t] is the burst emitted by [tpg] under triplet [t]:
+    its [t.cycles] state words, seed first ({!Tpg.run}).  The fault
+    simulator grades them as they are — step 3 of the paper fault-simulates
+    exactly these words. *)
+val patterns : Tpg.t -> t -> Word.t array
 
 (** [truncate t cycles] shortens the burst (["deleting the last
     subsequence of patterns not contributing to the fault coverage"],

@@ -7,6 +7,7 @@ let limb_mask = (1 lsl limb_bits) - 1
 type t = { width : int; limbs : int array }
 
 let width w = w.width
+let limb w k = w.limbs.(k)
 
 let nlimbs width = (width + limb_bits - 1) / limb_bits
 

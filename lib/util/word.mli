@@ -31,6 +31,17 @@ val get_bit : t -> int -> bool
 (** [set_bit w i b] is [w] with bit [i] replaced by [b]. *)
 val set_bit : t -> int -> bool -> t
 
+(** [limb_bits] is the number of bits per limb: a word is stored as
+    little-endian limbs, bit [i] being bit [i mod limb_bits] of limb
+    [i / limb_bits]. *)
+val limb_bits : int
+
+(** [limb w k] is limb [k] of [w]: bits [k * limb_bits] and up, as a
+    native int of [limb_bits] bits, zero above the width.  [k] must be
+    below [ceil (width w / limb_bits)].  This is the fast path by which
+    the simulators read a pattern word without expanding it bit by bit. *)
+val limb : t -> int -> int
+
 (** [of_bits bits] packs [bits.(0)] as the least-significant bit. *)
 val of_bits : bool array -> t
 

@@ -16,7 +16,7 @@ let reverse_order sim tests =
     (* Restrict to faults the set actually detects, so undetectable faults
        never hold patterns hostage. *)
     let detectable = Bitvec.create nf in
-    let map = Fault_sim.detection_map sim tests in
+    let map = Sweeps.detection_map sim tests in
     Array.iteri (fun fi v -> if not (Bitvec.is_empty v) then Bitvec.set detectable fi) map;
     let remaining = Bitvec.copy detectable in
     let keep = Array.make n false in

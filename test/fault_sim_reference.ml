@@ -468,7 +468,9 @@ let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
   let base = ref 0 in
   while !base < total && not (stop ()) do
     let len = min Logic_sim.block_width (total - !base) in
-    let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
+    let block =
+      Logic_sim.pack t.circuit (Array.map Word.of_bits (Array.sub patterns !base len))
+    in
     let good = t.good in
     Logic_sim.simulate_into t.circuit block good;
     t.block <- t.block + 1; (* new good values: memoised [sens] go stale *)

@@ -20,7 +20,7 @@ let test_detected_reproducible () =
   let sim, r = Atpg.run_circuit c in
   let active = Bitvec.create (Fault_sim.fault_count sim) in
   Bitvec.fill_all active;
-  let re = Fault_sim.detected_set sim r.Atpg.tests ~active in
+  let re = Fault_sim.detected_set sim (Sweeps.words r.Atpg.tests) ~active in
   check "claimed coverage reproducible" true (Bitvec.equal re r.Atpg.detected)
 
 let test_deterministic_given_seed () =

@@ -18,9 +18,9 @@ let test_compaction_never_loses_coverage () =
   let tests = Array.init 200 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   let active = Bitvec.create (Fault_sim.fault_count sim) in
   Bitvec.fill_all active;
-  let before = Fault_sim.detected_set sim tests ~active in
+  let before = Fault_sim.detected_set sim (Sweeps.words tests) ~active in
   let kept, dropped = Compact.reverse_order sim tests in
-  let after = Fault_sim.detected_set sim kept ~active in
+  let after = Fault_sim.detected_set sim (Sweeps.words kept) ~active in
   check "coverage preserved" true (Bitvec.equal before after);
   check_int "kept + dropped = total" 200 (Array.length kept + dropped);
   check "drops redundancy" true (dropped > 0)
@@ -55,7 +55,7 @@ let test_random_gen_useful_patterns () =
      must reach the same coverage *)
   let active = Bitvec.create (Fault_sim.fault_count sim) in
   Bitvec.fill_all active;
-  let re = Fault_sim.detected_set sim r.Random_gen.tests ~active in
+  let re = Fault_sim.detected_set sim (Sweeps.words r.Random_gen.tests) ~active in
   check "kept patterns reach recorded coverage" true
     (Bitvec.subset r.Random_gen.detected re)
 

@@ -24,7 +24,7 @@ let check_identical_maps c patterns =
       if not (Bitvec.equal row ev_map.(fi)) then
         Alcotest.failf "%s: fault %d detection word differs from event"
           (Circuit.name c) fi)
-    (Fault_sim.detection_map sim patterns)
+    (Sweeps.detection_map sim patterns)
 
 (* Random generated circuits crossed with random pattern blocks, including
    a block count that leaves the final word partially filled. *)
@@ -75,7 +75,9 @@ let test_detected_set_partial_active () =
       for fi = 0 to nf - 1 do
         if fi mod keep_one_in = 0 then Bitvec.set active fi
       done;
-      let cpt = Fault_sim.detected_set (Fault_sim.create c faults) patterns ~active in
+      let cpt =
+        Fault_sim.detected_set (Fault_sim.create c faults) (Sweeps.words patterns) ~active
+      in
       let ev = R.detected_set (R.create ~engine:R.Event c faults) patterns ~active in
       check "cpt = event (partial active)" true (Bitvec.equal cpt ev))
     [ 1; 3; 17 ]
@@ -93,7 +95,7 @@ let test_first_detections_identical () =
       Alcotest.(check (array (option int)))
         (name ^ " cpt firsts")
         (R.first_detections ev patterns)
-        (Fault_sim.first_detections sim patterns))
+        (Sweeps.first_detections sim patterns))
     [ "c17"; "s420" ]
 
 (* The cross-check on catalog circuits: tracing and injection grade every
@@ -111,27 +113,28 @@ let test_catalog_engines_agree () =
     [ "c17"; "c432"; "s420"; "s820_x4" ]
 
 (* The optimisation claim itself: on a reconvergent benchmark tracing
-   must launch fewer propagations than injecting every excited fault.
-   The exact work counters are pinned too: they are the paper's cost
-   metric, and a change to the propagation kernel or to the
-   observability memo that altered them would show here. *)
+   must launch fewer propagations than injecting every excited fault,
+   both grading the same fault-dropping sweep.  The exact work counters
+   are pinned too: they are the paper's cost metric, and a change to
+   the propagation kernel or to the observability memo that altered them
+   would show here. *)
 let test_props_reduction () =
   let rng = Rng.create 781 in
   let c = Library.load "c432" in
   let n = Circuit.input_count c in
   let patterns = Array.init 124 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   let cpt_sim, ev_sim = sims_for c in
-  ignore (Fault_sim.detection_map cpt_sim patterns);
-  ignore (R.detection_map ev_sim patterns);
+  ignore (Sweeps.first_detections cpt_sim patterns);
+  ignore (R.first_detections ev_sim patterns);
   let ev = R.event_propagations ev_sim in
   let cpt = Fault_sim.event_propagations cpt_sim in
   if not (2 * cpt <= ev) then
     Alcotest.failf "cpt props %d not >=2x below event props %d" cpt ev;
   let check_int = Alcotest.(check int) in
-  check_int "event props" 1373 ev;
-  check_int "cpt props" 206 cpt;
-  check_int "event sims" 1418 (R.sims_performed ev_sim);
-  check_int "cpt sims" 1418 (Fault_sim.sims_performed cpt_sim)
+  check_int "event props" 732 ev;
+  check_int "cpt props" 122 cpt;
+  check_int "event sims" 774 (R.sims_performed ev_sim);
+  check_int "cpt sims" 774 (Fault_sim.sims_performed cpt_sim)
 
 (* Fault-dropping tails: with a single live fault, CPT refreshes at most
    the one stem that fault reaches, so a [first_detections] sweep costs at
@@ -152,7 +155,7 @@ let test_single_fault_tail () =
       let active = Bitvec.create nf in
       Bitvec.set active fi;
       let blocks =
-        match (Fault_sim.first_detections sim ~active patterns).(fi) with
+        match (Sweeps.first_detections sim ~active patterns).(fi) with
         | Some p -> (p / w) + 1
         | None -> all_blocks
       in
@@ -185,23 +188,26 @@ type answer =
   | Detected_of of Bitvec.t
 
 let run_sweep sim active patterns = function
-  | Map -> Map_of (Fault_sim.detection_map sim patterns)
-  | Firsts -> Firsts_of (Fault_sim.first_detections sim ~active patterns)
-  | Detected -> Detected_of (Fault_sim.detected_set sim patterns ~active)
+  | Map -> Map_of (Sweeps.detection_map sim patterns)
+  | Firsts -> Firsts_of (Sweeps.first_detections sim ~active patterns)
+  | Detected -> Detected_of (Fault_sim.detected_set sim (Sweeps.words patterns) ~active)
 
-(* A budget-stopped detection map must be the fresh map cut at a block
+(* Budget-stopped first detections must be the fresh ones cut at a block
    boundary.  The one cut to test is after the block holding its last
-   detection: further blocks it swept, if any, show no detections, so the
-   fresh map has none there either. *)
+   detection: further blocks it swept, if any, show no first detections,
+   so the fresh sweep has none there either. *)
 let is_block_prefix ~full ~cut =
   let w = Reseed_sim.Logic_sim.block_width in
-  let last = Array.fold_left (Bitvec.fold_ones (fun acc i -> max acc i)) (-1) cut in
+  let last =
+    Array.fold_left (fun acc k -> match k with Some p -> max acc p | None -> acc) (-1) cut
+  in
   let stop = (last + w) / w * w in
   Array.for_all2
     (fun f k ->
-      let expect = Bitvec.copy f in
-      Bitvec.iter_ones (fun i -> if i >= stop then Bitvec.clear expect i) f;
-      Bitvec.equal expect k)
+      match (f, k) with
+      | Some p, Some q -> p = q
+      | Some p, None -> p >= stop
+      | None, k -> k = None)
     full cut
 
 (* One long-lived simulator per fault model serves an interleaved stream
@@ -248,13 +254,14 @@ let test_no_state_leak () =
          Where it stops depends on timing; that it stops on a block
          boundary with the fresh answer so far does not. *)
       let t0 = Unix.gettimeofday () in
-      let full = Fault_sim.detection_map (fresh ()) long in
+      let full = Sweeps.first_detections (fresh ()) long in
       let deadline_s = (Unix.gettimeofday () -. t0) /. 2. in
       let cut =
-        Fault_sim.detection_map ~budget:(Budget.create ~deadline_s ()) sim long
+        Sweeps.first_detections ~budget:(Budget.create ~deadline_s ()) sim long
       in
       if not (is_block_prefix ~full ~cut) then
-        Alcotest.failf "%s: budget-stopped map is not a block prefix" label;
+        Alcotest.failf "%s: budget-stopped first detections are not a block prefix"
+          label;
       check_stream ())
     [ Fault_model.Stuck_at; Fault_model.Transition_delay ]
 
@@ -267,11 +274,11 @@ let test_concurrent_copies () =
   let a = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   let b = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
   let sim = Fault_sim.create c (Fault.all c) in
-  let want_a = Fault_sim.detection_map (Fault_sim.copy sim) a in
-  let want_b = Fault_sim.first_detections (Fault_sim.copy sim) b in
+  let want_a = Sweeps.detection_map (Fault_sim.copy sim) a in
+  let want_b = Sweeps.first_detections (Fault_sim.copy sim) b in
   let s0 = Fault_sim.copy sim and s1 = Fault_sim.copy sim in
-  let d = Domain.spawn (fun () -> Fault_sim.first_detections s1 b) in
-  let got_a = Fault_sim.detection_map s0 a in
+  let d = Domain.spawn (fun () -> Sweeps.first_detections s1 b) in
+  let got_a = Sweeps.detection_map s0 a in
   let got_b = Domain.join d in
   check "concurrent map = sequential" true (Array.for_all2 Bitvec.equal want_a got_a);
   Alcotest.(check (array (option int))) "concurrent firsts = sequential" want_b got_b

@@ -46,7 +46,7 @@ let test_collapse_preserves_detectability () =
      fault the patterns detect is detected at exactly the patterns of some
      kept fault.  c17 runs exhaustively; c432 over 60 random patterns. *)
   let check_circuit c patterns =
-    let signature faults = Fault_sim.detection_map (Fault_sim.create c faults) patterns in
+    let signature faults = Sweeps.detection_map (Fault_sim.create c faults) patterns in
     let universe = Fault.universe c in
     let sig_u = signature universe and sig_c = signature (Fault.all c) in
     Array.iteri

@@ -9,7 +9,7 @@ let check_int = Alcotest.(check int)
 let cross_check c patterns =
   let faults = Fault.all c in
   let sim = Fault_sim.create c faults in
-  let map = Fault_sim.detection_map sim patterns in
+  let map = Sweeps.detection_map sim patterns in
   Array.iteri
     (fun fi fault ->
       for p = 0 to Array.length patterns - 1 do
@@ -52,8 +52,8 @@ let test_first_detections_drop () =
   let faults = Fault.all c in
   let sim = Fault_sim.create c faults in
   let patterns = Array.init 32 (fun p -> Array.init 5 (fun i -> p lsr i land 1 = 1)) in
-  let firsts = Fault_sim.first_detections sim patterns in
-  let map = Fault_sim.detection_map sim patterns in
+  let firsts = Sweeps.first_detections sim patterns in
+  let map = Sweeps.detection_map sim patterns in
   Array.iteri
     (fun fi first ->
       match (first, Bitvec.first_one map.(fi)) with
@@ -70,9 +70,9 @@ let test_active_mask_respected () =
   let active = Bitvec.create (Array.length faults) in
   Bitvec.set active 0;
   Bitvec.set active 3;
-  let det = Fault_sim.detected_set sim patterns ~active in
+  let det = Fault_sim.detected_set sim (Sweeps.words patterns) ~active in
   check "detected ⊆ active" true (Bitvec.subset det active);
-  let firsts = Fault_sim.first_detections sim ~active patterns in
+  let firsts = Sweeps.first_detections sim ~active patterns in
   Array.iteri
     (fun fi f -> if f <> None && not (Bitvec.get active fi) then Alcotest.fail "mask leak")
     firsts
@@ -88,24 +88,25 @@ let test_useful_length () =
   let p = Array.init 5 (fun i -> i land 1 = 0) in
   let all = Bitvec.create nf in
   Bitvec.fill_all all;
-  let by_p = Fault_sim.detected_set sim [| p |] ~active:all in
+  let by_p = Fault_sim.detected_set sim (Sweeps.words [| p |]) ~active:all in
   check "the pattern detects something" false (Bitvec.is_empty by_p);
   let live = Bitvec.copy all in
   check_int "cut after the one useful pattern" 1
-    (Fault_sim.useful_length sim ~live [| p; p; p |]);
+    (Fault_sim.useful_length sim ~live (Sweeps.words [| p; p; p |]));
   check "its detections dropped" true (Bitvec.equal live (Bitvec.diff all by_p));
   let before = Bitvec.copy live in
-  check_int "nothing live detected" 0 (Fault_sim.useful_length sim ~live [| p; p |]);
+  check_int "nothing live detected" 0
+    (Fault_sim.useful_length sim ~live (Sweeps.words [| p; p |]));
   check "mask untouched" true (Bitvec.equal live before);
   (* Exhaustive patterns: the cut falls at the largest first detection. *)
   let patterns = Array.init 32 (fun q -> Array.init 5 (fun i -> q lsr i land 1 = 1)) in
-  let firsts = Fault_sim.first_detections sim ~active:before patterns in
+  let firsts = Sweeps.first_detections sim ~active:before patterns in
   let want =
     Array.fold_left (fun acc f -> match f with Some q -> max acc (q + 1) | None -> acc) 0 firsts
   in
   check "some live fault left" true (want > 0);
   check_int "cut at the last first detection" want
-    (Fault_sim.useful_length sim ~live patterns);
+    (Fault_sim.useful_length sim ~live (Sweeps.words patterns));
   let want_live = Bitvec.copy before in
   Array.iteri (fun fi f -> if f <> None then Bitvec.clear want_live fi) firsts;
   check "every first detection dropped" true (Bitvec.equal live want_live)
@@ -116,7 +117,7 @@ let test_sims_counter_monotone () =
   let before = Fault_sim.sims_performed sim in
   let active = Bitvec.create (Fault_sim.fault_count sim) in
   Bitvec.fill_all active;
-  ignore (Fault_sim.detected_set sim [| Array.make 5 true |] ~active);
+  ignore (Fault_sim.detected_set sim [| Word.ones 5 |] ~active);
   check "sims increased" true (Fault_sim.sims_performed sim > before)
 
 let test_empty_patterns () =
@@ -150,8 +151,8 @@ let prop_detection_order_independent =
       let active = Bitvec.create (Array.length faults) in
       Bitvec.fill_all active;
       Bitvec.equal
-        (Fault_sim.detected_set sim patterns ~active)
-        (Fault_sim.detected_set sim shuffled ~active))
+        (Fault_sim.detected_set sim (Sweeps.words patterns) ~active)
+        (Fault_sim.detected_set sim (Sweeps.words shuffled) ~active))
 
 (* The serial checker's first detections equal the simulator's, under
    both fault models, on generated circuits and 1 to 100 patterns: one
@@ -177,7 +178,7 @@ let prop_serial_checker =
         (fun model ->
           let faults = Fault_model.faults model c in
           let sim = Fault_sim.create ~model c faults in
-          Fault_sim.first_detections sim patterns
+          Sweeps.first_detections sim patterns
           = Fault_checker.first_detections model c faults patterns
           || QCheck.Test.fail_reportf "seed %d: %s first detections differ" seed
                (Fault_model.name model))

@@ -262,7 +262,8 @@ let test_flow_engines_agree () =
                   Bitvec.set row fi;
                   useful := max !useful (k + 1)
               | None -> ())
-            (R.first_detections ev ~active:targets (Triplet.patterns tpg triplet));
+            (R.first_detections ev ~active:targets
+               (Array.map Word.to_bits (Triplet.patterns tpg triplet)));
           if not (Bitvec.equal row (Matrix.row b.Builder.matrix i)) then
             Alcotest.failf "%s: row %d differs from event" name i;
           check_int

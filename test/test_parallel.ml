@@ -100,7 +100,7 @@ let test_copy_isolation () =
   (* Sequential reference: a fresh simulator per batch. *)
   let expect =
     Array.map
-      (fun ps -> Fault_sim.detected_set (Fault_sim.create c faults) ps ~active)
+      (fun ps -> Fault_sim.detected_set (Fault_sim.create c faults) (Sweeps.words ps) ~active)
       batches
   in
   (* Concurrent run: all batches at once, one shard per worker. *)
@@ -108,7 +108,7 @@ let test_copy_isolation () =
   let got = Array.make jobs (Bitvec.create 0) in
   Pool.with_pool ~jobs (fun pool ->
       Pool.parallel_for ~pool ~total:jobs (fun ~worker:_ i ->
-          got.(i) <- Fault_sim.detected_set shard.(i) batches.(i) ~active));
+          got.(i) <- Fault_sim.detected_set shard.(i) (Sweeps.words batches.(i)) ~active));
   Array.iteri
     (fun i e -> check (Printf.sprintf "batch %d isolated" i) true (Bitvec.equal e got.(i)))
     expect;
@@ -149,6 +149,36 @@ let test_builder_jobs_invariant () =
   done;
   check "useful_cycles identical" true (b1.Builder.useful_cycles = b4.Builder.useful_cycles);
   check_int "fault_sims identical" b1.Builder.fault_sims b4.Builder.fault_sims
+
+(* The gate kernel's work is a function of the rows alone: after
+   [merge_sims], [node_evals] and the [fault_sim_node_evals] metric read
+   the same at 1, 2 and 8 jobs. *)
+let test_node_evals_jobs_invariant () =
+  let c = Library.load "c432" in
+  let faults = Fault.all c in
+  let inputs = Circuit.input_count c in
+  let tests = random_patterns (Rng.create 11) ~inputs ~n:12 in
+  let targets = Bitvec.create (Array.length faults) in
+  Bitvec.fill_all targets;
+  let tpg = Accumulator.adder inputs in
+  let evals jobs =
+    let sim = Fault_sim.create c faults in
+    let metric = Metrics.counter "fault_sim_node_evals" in
+    let before = Metrics.value metric in
+    ignore
+      (Pool.with_pool ~jobs (fun pool ->
+           Builder.build ~pool sim tpg ~tests ~targets ~config:Builder.default_config));
+    check_int
+      (Printf.sprintf "metric = merged counter at jobs=%d" jobs)
+      (Fault_sim.node_evals sim)
+      (Metrics.value metric - before);
+    Fault_sim.node_evals sim
+  in
+  let e1 = evals 1 in
+  check "the kernel evaluated nodes" true (e1 > 0);
+  List.iter
+    (fun jobs -> check_int (Printf.sprintf "node evals at jobs=%d" jobs) e1 (evals jobs))
+    [ 2; 8 ]
 
 let gatsby_with ~jobs =
   let c, faults, _tests, targets, tpg = builder_setup () in
@@ -210,6 +240,8 @@ let suite =
           test_pool_env_malformed;
         Alcotest.test_case "fault_sim: shard isolation" `Quick test_copy_isolation;
         Alcotest.test_case "builder: jobs=1 = jobs=4" `Quick test_builder_jobs_invariant;
+        Alcotest.test_case "fault_sim: node evals at jobs 1, 2, 8" `Quick
+          test_node_evals_jobs_invariant;
         Alcotest.test_case "gatsby: jobs=1 = jobs=4" `Quick test_gatsby_jobs_invariant;
         Alcotest.test_case "tradeoff: jobs=1 = jobs=4" `Quick test_tradeoff_jobs_invariant;
       ] );

@@ -11,7 +11,7 @@ let validates_fault c fault pattern =
   let sim = Fault_sim.create c [| fault |] in
   let active = Bitvec.create 1 in
   Bitvec.fill_all active;
-  let det = Fault_sim.detected_set sim [| pattern |] ~active in
+  let det = Fault_sim.detected_set sim [| Word.of_bits pattern |] ~active in
   Bitvec.get det 0
 
 let test_all_c17_faults () =

@@ -46,7 +46,7 @@ let prop_podem_tests_validate =
               let sim = Fault_sim.create c [| fault |] in
               let active = Bitvec.create 1 in
               Bitvec.fill_all active;
-              Bitvec.get (Fault_sim.detected_set sim [| pattern |] ~active) 0
+              Bitvec.get (Fault_sim.detected_set sim [| Word.of_bits pattern |] ~active) 0
           | Podem.Untestable | Podem.Aborted -> true)
         faults)
 
@@ -84,7 +84,7 @@ let prop_burst_detection_is_union =
       let rng = Rng.create tseed in
       let tpg = Reseed_tpg.Accumulator.adder 8 in
       let seed = Word.random rng 8 and operand = Word.random rng 8 in
-      let burst = Reseed_tpg.Tpg.run_bits tpg ~seed ~operand ~cycles:20 in
+      let burst = Reseed_tpg.Tpg.run tpg ~seed ~operand ~cycles:20 in
       let active = Bitvec.create (Array.length faults) in
       Bitvec.fill_all active;
       let whole = Fault_sim.detected_set sim burst ~active in
@@ -111,9 +111,9 @@ let prop_compaction_sound =
       in
       let active = Bitvec.create (Array.length faults) in
       Bitvec.fill_all active;
-      let before = Fault_sim.detected_set sim tests ~active in
+      let before = Fault_sim.detected_set sim (Sweeps.words tests) ~active in
       let kept, dropped = Compact.reverse_order sim tests in
-      let after = Fault_sim.detected_set sim kept ~active in
+      let after = Fault_sim.detected_set sim (Sweeps.words kept) ~active in
       Bitvec.equal before after
       && Array.length kept + dropped = n_tests)
 

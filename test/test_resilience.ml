@@ -100,6 +100,48 @@ let test_builder_cancelled_budget_skips_all_rows () =
   let s = Solution.solve b.Builder.matrix in
   check "solvable" true (Solution.verify b.Builder.matrix s)
 
+(* A deadline that lands part-way through a build.  With one job the
+   rows are simulated in order, so the committed rows are a prefix: each
+   must equal the unbudgeted build's, and every later row — the one whose
+   sweep the deadline cut short included — must be empty, with one useful
+   cycle, and counted in [rows_skipped].  Where the deadline lands is
+   timing, so it moves (halved when the build finished, grown when it
+   committed nothing) until it lands inside the build. *)
+let test_builder_budget_trips_mid_build () =
+  let p = Suite.prepare "c880" in
+  let tpg = Accumulator.adder (Circuit.input_count p.Suite.circuit) in
+  let build ?budget () =
+    Pool.with_pool ~jobs:1 (fun pool ->
+        Builder.build ~pool ?budget p.Suite.sim tpg ~tests:p.Suite.tests
+          ~targets:p.Suite.targets ~config:Builder.default_config)
+  in
+  let t0 = Unix.gettimeofday () in
+  let full = build () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let n = Array.length p.Suite.tests in
+  let rec attempt k deadline_s =
+    let b = build ~budget:(Budget.create ~deadline_s ()) () in
+    let committed = n - b.Builder.rows_skipped in
+    for i = 0 to n - 1 do
+      let row = Matrix.row b.Builder.matrix i in
+      if i < committed then begin
+        if not (Bitvec.equal row (Matrix.row full.Builder.matrix i)) then
+          Alcotest.failf "committed row %d differs from the unbudgeted build" i;
+        check_int "committed useful cycles" full.Builder.useful_cycles.(i)
+          b.Builder.useful_cycles.(i)
+      end
+      else begin
+        if not (Bitvec.is_empty row) then
+          Alcotest.failf "row %d of %d left uncommitted is not empty" i n;
+        check_int "uncommitted useful cycles" 1 b.Builder.useful_cycles.(i)
+      end
+    done;
+    if committed = n && k < 10 then attempt (k + 1) (deadline_s /. 2.)
+    else if committed = 0 && k < 10 then attempt (k + 1) (deadline_s *. 1.5)
+    else check "the deadline landed part-way" true (0 < committed && committed < n)
+  in
+  attempt 0 (elapsed /. 2.)
+
 let test_flow_degraded_result_is_sound () =
   let p = Lazy.force prepared_c17 in
   let tpg = Accumulator.adder 5 in
@@ -312,6 +354,8 @@ let suite =
           test_ga_budget_stops_after_initial_cohort;
         Alcotest.test_case "builder: cancelled budget skips rows" `Quick
           test_builder_cancelled_budget_skips_all_rows;
+        Alcotest.test_case "builder: budget trips mid-build" `Quick
+          test_builder_budget_trips_mid_build;
         Alcotest.test_case "flow: degraded result is sound" `Quick
           test_flow_degraded_result_is_sound;
         Alcotest.test_case "checkpoint: roundtrip bit-identical" `Quick

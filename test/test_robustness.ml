@@ -68,7 +68,7 @@ let test_fault_sim_no_faults () =
   let c = Library.c17 () in
   let sim = Fault_sim.create c [||] in
   let active = Bitvec.create 0 in
-  let det = Fault_sim.detected_set sim [| Array.make 5 true |] ~active in
+  let det = Fault_sim.detected_set sim [| Word.ones 5 |] ~active in
   check "empty detected" true (Bitvec.is_empty det)
 
 let test_tradeoff_invalid_grid () =

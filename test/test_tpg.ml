@@ -43,13 +43,18 @@ let test_seed_is_first_pattern () =
       check "first = seed" true (Word.equal out.(0) seed))
     (Accumulator.paper_tpgs 8)
 
-let test_run_bits_shape () =
+(* A burst's patterns are the state words themselves: bit [i] of the
+   word drives primary input [i]. *)
+let test_burst_words_shape () =
   let tpg = Accumulator.adder 8 in
-  let bits = Tpg.run_bits tpg ~seed:(w8 5) ~operand:(w8 1) ~cycles:4 in
-  check_int "4 patterns" 4 (Array.length bits);
-  check_int "8 bits each" 8 (Array.length bits.(0));
-  check "lsb-first" true bits.(0).(0);
-  check "bit2 of 5" true bits.(0).(2)
+  let t = Triplet.make ~seed:(w8 5) ~operand:(w8 1) ~cycles:4 in
+  let words = Triplet.patterns tpg t in
+  check_int "4 patterns" 4 (Array.length words);
+  check_int "8 bits each" 8 (Word.width words.(0));
+  check "lsb-first" true (Word.get_bit words.(0) 0);
+  check "bit2 of 5" true (Word.get_bit words.(0) 2);
+  check "the state words" true
+    (Array.for_all2 Word.equal words (Tpg.run tpg ~seed:(w8 5) ~operand:(w8 1) ~cycles:4))
 
 let test_width_checks () =
   let tpg = Accumulator.adder 8 in
@@ -143,7 +148,7 @@ let suite =
         Alcotest.test_case "subtracter" `Quick test_subtracter;
         Alcotest.test_case "multiplier" `Quick test_multiplier;
         Alcotest.test_case "seed is first pattern" `Quick test_seed_is_first_pattern;
-        Alcotest.test_case "run_bits shape" `Quick test_run_bits_shape;
+        Alcotest.test_case "burst words shape" `Quick test_burst_words_shape;
         Alcotest.test_case "width checks" `Quick test_width_checks;
         Alcotest.test_case "period (adder)" `Quick test_period_adder;
         Alcotest.test_case "fibonacci lfsr" `Quick test_lfsr_fibonacci;

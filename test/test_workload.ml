@@ -51,7 +51,7 @@ module R = Fault_sim_reference
 let transition_maps c faults =
   let model = Fault_model.Transition_delay in
   [
-    ("cpt", Fault_sim.detection_map (Fault_sim.create ~model c faults));
+    ("cpt", Sweeps.detection_map (Fault_sim.create ~model c faults));
     ("event", R.detection_map (R.create ~engine:R.Event ~model c faults));
   ]
 
@@ -173,10 +173,10 @@ let test_stuck_model_is_verbatim () =
     via_model;
   let patterns = random_patterns ~seed:7 ~inputs:5 100 in
   let map_default =
-    Fault_sim.detection_map (Fault_sim.create c direct) patterns
+    Sweeps.detection_map (Fault_sim.create c direct) patterns
   in
   let map_explicit =
-    Fault_sim.detection_map
+    Sweeps.detection_map
       (Fault_sim.create ~model:Fault_model.Stuck_at c via_model)
       patterns
   in
