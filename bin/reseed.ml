@@ -198,7 +198,7 @@ let obs_arg =
   Term.(const (fun t m -> (t, m)) $ trace $ metrics)
 
 let cache_info ?(extra = "") names =
-  Arg.info names ~docv:"DIR" ~doc:("Content-addressed artifact store: completed pipeline stages (ATPG, matrix, reduce, solve, truncate) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set." ^ extra)
+  Arg.info names ~docv:"DIR" ~doc:("Content-addressed artifact store: completed pipeline stages (ATPG, matrix, cover: the reduced, solved and truncated reseeding) are persisted under $(docv) and reloaded on reruns.  Defaults to $(b,RESEED_CACHE) when set." ^ extra)
 
 let cache_arg = Arg.(value & opt (some string) None & cache_info [ "cache" ])
 
@@ -545,7 +545,7 @@ let compress_cmd =
   in
   Cmd.v
     (Cmd.info "compress"
-       ~doc:"Code-based test-data compression: select a minimum dictionary of fully-specified words covering every ternary test-data block of the corpus, via the same covering pipeline (matrix, reduce, exact end-game) the reseeding flow uses.")
+       ~doc:"Code-based test-data compression: select a minimum dictionary of fully-specified words covering every ternary test-data block of the corpus, via the same covering pipeline (matrix, reduce, exact end-game) the reseeding flow uses; with $(b,--cache) its solution is one cover artifact.")
     Term.(
       const run $ source_arg $ scale_arg $ width_arg $ method_arg $ deadline_arg
       $ jobs_arg $ cache_arg $ chaos_arg $ obs_arg)

@@ -1,7 +1,8 @@
 (** Content-addressed artifact store backing the stage pipeline.
 
     The reseeding flow is a fixed chain of stages — [atpg] → [matrix] →
-    [reduce] → [solve] → [truncate] — each a pure function of its inputs.
+    [cover] (reduction, end-game and truncation) — each a pure function
+    of its inputs.
     An artifact is one stage output, serialised and filed under the
     {!Reseed_util.Fingerprint} of everything it depends on:
 

@@ -67,171 +67,140 @@ let truncate_solution sim tpg ~triplets ~targets rows =
   (List.rev !final, live, !dropped)
 
 (* ------------------------------------------------------------------ *)
-(* Stage fingerprints and payload codecs for the covering stages.  The
-   matrix-stage fingerprint [fpm] is the lineage root: reduce, solve and
-   truncate keys all chain from it, so any upstream change — tests,
-   targets, TPG, builder config, or the ATPG-stage salt — invalidates
-   every downstream artifact at once. *)
+(* The cover stage: reduction, end-game and (for a reseeding flow) the
+   Section-4 truncation, cached as one artifact.  Its key chains from the
+   matrix-stage fingerprint [fpm], the lineage root, so any upstream
+   change — tests, targets, TPG, builder config, or the ATPG-stage salt —
+   invalidates it. *)
 
-let reduce_fingerprint ~fpm ~reduce ~row_weights =
+let cover_fingerprint config fpm =
   let open Fingerprint in
-  let h = salted "reduce" in
+  let h = salted "cover" in
   let h = int64 h fpm in
-  let h = bool h reduce.Reduce.row_dominance in
-  let h = bool h reduce.Reduce.col_dominance in
-  let h = bool h reduce.Reduce.essentials in
-  let h = int h reduce.Reduce.col_dominance_limit in
-  option (array float) h row_weights
+  let h = string h (Solution.method_name config.method_) in
+  let h = string h (objective_name config.objective) in
+  let h = bool h config.reduce.Reduce.row_dominance in
+  let h = bool h config.reduce.Reduce.col_dominance in
+  let h = bool h config.reduce.Reduce.essentials in
+  int h config.reduce.Reduce.col_dominance_limit
 
-let solve_fingerprint ~base ~method_ ~row_weights =
-  let open Fingerprint in
-  let h = salted "solve" in
-  let h = int64 h base in
-  let h = string h (Solution.method_name method_) in
-  option (array float) h row_weights
-
-let truncate_fingerprint ~fpm ~rows =
-  let open Fingerprint in
-  let h = salted "truncate" in
-  let h = int64 h fpm in
-  list int h rows
-
-let encode_reduce (r : Reduce.result) =
-  let b = Buffer.create 256 in
-  Artifact.Codec.int_list b r.Reduce.necessary;
-  Artifact.Codec.int_list b r.Reduce.remaining_rows;
-  Artifact.Codec.int_list b r.Reduce.remaining_cols;
-  Artifact.Codec.vint b r.Reduce.iterations;
-  Artifact.Codec.vint b r.Reduce.rows_dominated;
-  Artifact.Codec.vint b r.Reduce.cols_dominated;
-  Some (Buffer.contents b)
-
-let decode_reduce r =
-  let necessary = Artifact.Codec.get_int_list r in
-  let remaining_rows = Artifact.Codec.get_int_list r in
-  let remaining_cols = Artifact.Codec.get_int_list r in
-  let iterations = Artifact.Codec.get_vint r in
-  let rows_dominated = Artifact.Codec.get_vint r in
-  let cols_dominated = Artifact.Codec.get_vint r in
-  {
-    Reduce.necessary;
-    remaining_rows;
-    remaining_cols;
-    iterations;
-    rows_dominated;
-    cols_dominated;
-  }
-
-(* Only proven-complete end-games are worth reusing; an incumbent cut
-   short by a budget must be recomputed next time (maybe with more time). *)
-let encode_solve (e : Solution.endgame) =
-  if e.Solution.stop <> Ilp.Complete then None
+(* Only complete covers are stored: an incumbent cut short by a budget
+   must be recomputed next time (maybe with more time).  What follows
+   from the matrix — its size and its uncoverable columns — is not
+   stored but recomputed on decode. *)
+let encode_cover (s, truncation) =
+  let st = s.Solution.stats in
+  if st.Solution.degraded then None
   else begin
-    let b = Buffer.create 64 in
-    Artifact.Codec.int_list b e.Solution.selected;
-    Artifact.Codec.vint b e.Solution.nodes;
-    Artifact.Codec.u32 b (if e.Solution.optimal then 1 else 0);
-    Some (Buffer.contents b)
-  end
-
-let decode_solve r =
-  let selected = Artifact.Codec.get_int_list r in
-  let nodes = Artifact.Codec.get_vint r in
-  let optimal =
-    match Artifact.Codec.get_u32 r with
-    | 0 -> false
-    | 1 -> true
-    | _ -> raise Artifact.Codec.Malformed
-  in
-  { Solution.selected; nodes; stop = Ilp.Complete; optimal }
-
-let encode_truncate ~targets (final, missed, dropped) =
-  if Bitvec.length missed <> Bitvec.length targets then None
-  else begin
+    let open Artifact.Codec in
     let b = Buffer.create 256 in
-    Artifact.Codec.vint b dropped;
-    Artifact.Codec.bitvec b missed;
-    Artifact.Codec.u32 b (List.length final);
-    List.iter
-      (fun t ->
-        Artifact.Codec.word b t.Triplet.seed;
-        Artifact.Codec.word b t.Triplet.operand;
-        Artifact.Codec.u32 b t.Triplet.cycles)
-      final;
+    int_list b st.Solution.necessary;
+    int_list b st.Solution.from_solver;
+    vint b st.Solution.reduced_rows;
+    vint b st.Solution.reduced_cols;
+    vint b st.Solution.reduction_iterations;
+    vint b st.Solution.solver_nodes;
+    u32 b (Bool.to_int st.Solution.solver_optimal);
+    Option.iter
+      (fun (final, missed, dropped) ->
+        vint b dropped;
+        bitvec b missed;
+        u32 b (List.length final);
+        List.iter
+          (fun t ->
+            word b t.Triplet.seed;
+            word b t.Triplet.operand;
+            u32 b t.Triplet.cycles)
+          final)
+      truncation;
     Some (Buffer.contents b)
   end
 
-let decode_truncate ~targets r =
-  let dropped = Artifact.Codec.get_vint r in
-  let missed = Artifact.Codec.get_bitvec r in
-  if Bitvec.length missed <> Bitvec.length targets then
-    raise Artifact.Codec.Malformed;
-  let n = Artifact.Codec.get_u32 r in
-  let final =
-    List.init n (fun _ ->
-        let seed = Artifact.Codec.get_word r in
-        let operand = Artifact.Codec.get_word r in
-        let cycles = Artifact.Codec.get_u32 r in
-        try Triplet.make ~seed ~operand ~cycles
-        with Invalid_argument _ -> raise Artifact.Codec.Malformed)
+let decode_cover ?targets m r =
+  let open Artifact.Codec in
+  let necessary = get_int_list r in
+  let from_solver = get_int_list r in
+  let reduced_rows = get_vint r in
+  let reduced_cols = get_vint r in
+  let reduction_iterations = get_vint r in
+  let solver_nodes = get_vint r in
+  let solver_optimal =
+    match get_u32 r with 0 -> false | 1 -> true | _ -> raise Malformed
   in
-  (final, missed, dropped)
+  let solution =
+    {
+      Solution.rows = List.sort_uniq compare (necessary @ from_solver);
+      stats =
+        {
+          Solution.initial_rows = Matrix.rows m;
+          initial_cols = Matrix.cols m;
+          necessary;
+          reduced_rows;
+          reduced_cols;
+          from_solver;
+          reduction_iterations;
+          solver_nodes;
+          solver_optimal;
+          solver_stop = Ilp.Complete;
+          degraded = false;
+          uncovered = Matrix.uncoverable m;
+        };
+    }
+  in
+  let truncation =
+    Option.map
+      (fun targets ->
+        let dropped = get_vint r in
+        let missed = get_bitvec r in
+        if Bitvec.length missed <> Bitvec.length targets then raise Malformed;
+        let n = get_u32 r in
+        let final =
+          List.init n (fun _ ->
+              let seed = get_word r in
+              let operand = get_word r in
+              let cycles = get_u32 r in
+              try Triplet.make ~seed ~operand ~cycles
+              with Invalid_argument _ -> raise Malformed)
+        in
+        (final, missed, dropped))
+      targets
+  in
+  (solution, truncation)
 
-(* Only the reduce result is stored: the residual is cheap to rebuild and
-   deterministic in (m, red), so [Solution.solve] recomputes it. *)
-let memo ~method_ ~reduce ~row_weights store fpm =
-  let fp_reduce = reduce_fingerprint ~fpm ~reduce ~row_weights in
-  let base = if method_ = Solution.No_reduction_exact then fpm else fp_reduce in
-  let fp_solve = solve_fingerprint ~base ~method_ ~row_weights in
-  {
-    Solution.reduce =
-      Artifact.cached (Some store) ~stage:"reduce" ~fp:fp_reduce
-        ~encode:encode_reduce ~decode:decode_reduce;
-    endgame =
-      Artifact.cached (Some store) ~stage:"solve" ~fp:fp_solve
-        ~encode:encode_solve ~decode:decode_solve;
-  }
+let cached_cover store ~fp ?targets m compute =
+  Artifact.cached (Some store) ~stage:"cover" ~fp ~encode:encode_cover
+    ~decode:(decode_cover ?targets m) compute
 
 let run_prebuilt ?(config = default_config) ?pool:_ ?budget ?store ?fingerprint:fpm
     sim tpg ~initial ~targets =
   let t0 = Unix.gettimeofday () in
   let sims_before = Fault_sim.sims_performed sim in
+  let m = initial.Builder.matrix in
   let row_weights =
     match config.objective with
     | Min_triplets -> None
     | Min_test_length ->
         Some (Array.map float_of_int initial.Builder.useful_cycles)
   in
-  (* A matrix with skipped rows differs from what its fingerprint
-     promises: neither read nor write any downstream artifact for it. *)
-  let cache =
-    match (store, fpm) with
-    | Some st, Some fpm when initial.Builder.rows_skipped = 0 -> Some (st, fpm)
-    | _ -> None
-  in
-  let memo =
-    Option.map
-      (fun (st, fpm) ->
-        memo ~method_:config.method_ ~reduce:config.reduce ~row_weights st fpm)
-      cache
-  in
-  let solution =
-    Solution.solve ~method_:config.method_ ~reduce_config:config.reduce
-      ?row_weights ?budget ?memo initial.Builder.matrix
-  in
-  let final_triplets, missed, dropped =
-    let compute () =
-      truncate_solution sim tpg ~triplets:initial.Builder.triplets ~targets
-        solution.Solution.rows
+  let compute () =
+    let solution =
+      Solution.solve ~method_:config.method_ ~reduce_config:config.reduce
+        ?row_weights ?budget m
     in
-    match cache with
-    | Some (st, fpm) when not solution.Solution.stats.Solution.degraded ->
-        let fp = truncate_fingerprint ~fpm ~rows:solution.Solution.rows in
-        Artifact.cached (Some st) ~stage:"truncate" ~fp
-          ~encode:(encode_truncate ~targets) ~decode:(decode_truncate ~targets)
-          compute
+    ( solution,
+      Some
+        (truncate_solution sim tpg ~triplets:initial.Builder.triplets ~targets
+           solution.Solution.rows) )
+  in
+  (* A matrix with skipped rows differs from what its fingerprint
+     promises: neither read nor write its cover. *)
+  let solution, truncation =
+    match (store, fpm) with
+    | Some st, Some fpm when initial.Builder.rows_skipped = 0 ->
+        cached_cover st ~fp:(cover_fingerprint config fpm) ~targets m compute
     | _ -> compute ()
   in
+  let final_triplets, missed, dropped = Option.get truncation in
   let covered = Bitvec.count targets - Bitvec.count missed in
   let test_length =
     List.fold_left (fun acc t -> acc + t.Triplet.cycles) 0 final_triplets

@@ -73,13 +73,14 @@ val reseedings : result -> int
     the result is valid but possibly partial: see [degraded],
     [coverage_pct] and {!Builder.t.rows_skipped}.
 
-    [store] memoises each stage — [matrix], [reduce], [solve],
-    [truncate] — in the artifact store, keyed by {!Builder.fingerprint}
-    salted with [fingerprint] (the upstream ATPG-stage lineage, see
-    {!Suite.prepared}), and makes the matrix build crash-resumable
-    through its row shards.  A fully warm run touches no fault simulator
-    and no solver; results are bit-identical to the uncached path.
-    Degraded results are never persisted. *)
+    [store] caches both stages after the ATPG set — the [matrix] and
+    the [cover] (reduction, end-game and truncation, see
+    {!cached_cover}) — in the artifact store, keyed by
+    {!Builder.fingerprint} salted with [fingerprint] (the upstream
+    ATPG-stage lineage, see {!Suite.prepared}), and makes the matrix
+    build crash-resumable through its row shards.  A fully warm run
+    touches no fault simulator and no solver; results are bit-identical
+    to the uncached path.  Degraded results are never persisted. *)
 val run :
   ?config:config ->
   ?pool:Pool.t ->
@@ -92,21 +93,30 @@ val run :
   targets:Bitvec.t ->
   result
 
-(** [memo ~method_ ~reduce ~row_weights store fpm] memoises
-    {!Reseed_setcover.Solution.solve}'s reduce and end-game legs in
-    [store], keyed off the matrix-stage fingerprint [fpm] exactly as
-    {!run} keys them: the reduce stage off [fpm], the solve stage off the
-    reduce key ([fpm] itself for [No_reduction_exact]).  Cached and plain
-    solves are bit-identical.  Exposed so other workloads mapped onto the
-    same covering {!Reseed_setcover.Matrix} (the compression workload,
-    see {!Workload}) reuse the cached covering pipeline. *)
-val memo :
-  method_:Solution.method_ ->
-  reduce:Reduce.config ->
-  row_weights:float array option ->
+(** [cover_fingerprint config fpm] keys the [cover] stage: the
+    matrix-stage fingerprint [fpm] (the lineage root, e.g.
+    {!Builder.fingerprint}) with [config]'s method, objective and
+    {!Reduce.config}.  The builder config is not part of it: [fpm]
+    already covers it. *)
+val cover_fingerprint : config -> Fingerprint.t -> Fingerprint.t
+
+(** [cached_cover store ~fp ?targets m compute] runs [compute] — a
+    {!Reseed_setcover.Solution.solve} of [m], paired with its Section-4
+    truncation (final triplets, missed targets, dropped count) when
+    [targets] is given — under the [cover] stage of [store] at [fp].
+    A hit decodes the solution bit-identical to what [compute] returns,
+    recomputing the stats that follow from [m]; a degraded solution is
+    never written.  With [targets] the truncation is stored and read back
+    too, and its missed mask must have the targets' length; without,
+    [compute] must return [None] for it.  {!run} caches through it, and
+    so does the compression workload ({!Workload.solve}). *)
+val cached_cover :
   Artifact.store ->
-  Fingerprint.t ->
-  Solution.memo
+  fp:Fingerprint.t ->
+  ?targets:Bitvec.t ->
+  Matrix.t ->
+  (unit -> Solution.t * (Triplet.t list * Bitvec.t * int) option) ->
+  Solution.t * (Triplet.t list * Bitvec.t * int) option
 
 (** [run_prebuilt ?config ?pool ?budget ?store ?fingerprint sim tpg
     ~initial ~targets] is the back half of {!run} — covering, end-game
@@ -116,9 +126,9 @@ val memo :
     after the matrix build runs on the pool.  [fingerprint] is the
     {e matrix-stage} fingerprint of [initial] (i.e. {!Builder.fingerprint}
     of the inputs that produced it); when both it and [store] are
-    present the reduce/solve/truncate stages are memoised exactly as in
-    {!run}.  [elapsed_s] and [fault_sims] cover this half only, plus
-    [initial.fault_sims]. *)
+    present the cover stage is cached exactly as in {!run}; an [initial]
+    with skipped rows neither reads nor writes it.  [elapsed_s] and
+    [fault_sims] cover this half only, plus [initial.fault_sims]. *)
 val run_prebuilt :
   ?config:config ->
   ?pool:Pool.t ->

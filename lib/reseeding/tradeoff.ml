@@ -47,9 +47,9 @@ let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
          firsts)
     in
     (* Each point's matrix is the plain matrix stage at its own T, so it
-       and its reduce/solve/truncate artifacts are shared with standalone
-       runs at the same evolution length.  All are resolved here, before
-       the covering halves run in parallel. *)
+       and its cover artifact are shared with standalone runs at the
+       same evolution length.  All are resolved here, before the
+       covering halves run in parallel. *)
     let prebuilt =
       Array.map
         (fun cycles ->

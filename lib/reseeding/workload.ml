@@ -137,24 +137,21 @@ let distinct_count corpus =
   Array.iter (fun b -> Hashtbl.replace seen (b.value, b.care) ()) corpus.blocks;
   Hashtbl.length seen
 
-let solve ?(method_ = Solution.Exact) ?(reduce = Reduce.default_config) ?budget
-    ?store corpus =
+let solve ?(method_ = Solution.Exact) ?budget ?store corpus =
   Trace.with_span "workload.compress"
     ~args:[ ("blocks", string_of_int (Array.length corpus.blocks)) ]
   @@ fun () ->
   let cands = candidates corpus in
   let m = matrix corpus cands in
+  let compute () = (Solution.solve ~method_ ?budget m, None) in
   (* An empty corpus has nothing worth caching: it never touches the store. *)
-  let memo =
-    if Array.length corpus.blocks = 0 then None
-    else
-      Option.map
-        (fun st ->
-          Flow.memo ~method_ ~reduce ~row_weights:None st (fingerprint corpus))
-        store
-  in
-  let solution =
-    Solution.solve ~method_ ~reduce_config:reduce ?budget ?memo m
+  let solution, _ =
+    match store with
+    | Some st when Array.length corpus.blocks > 0 ->
+        let config = { Flow.default_config with Flow.method_ } in
+        let fp = Flow.cover_fingerprint config (fingerprint corpus) in
+        Flow.cached_cover st ~fp m compute
+    | _ -> compute ()
   in
   let entries = List.map (fun r -> cands.(r)) solution.Solution.rows in
   let nb = Array.length corpus.blocks in

@@ -20,8 +20,9 @@
 
     This module holds the workload tags plus the whole compression
     workload: corpus construction, candidate minting, the covering
-    matrix, and a solver that reuses the cached covering pipeline
-    ({!Flow.memo}) under a compression-salted fingerprint. *)
+    matrix, and a solver that caches its cover in the reseeding flow's
+    [cover] stage ({!Flow.cached_cover}) under a compression-salted
+    fingerprint. *)
 
 open Reseed_setcover
 open Reseed_util
@@ -79,7 +80,7 @@ val matrix : corpus -> int array -> Matrix.t
 (** [fingerprint corpus] keys the compression matrix stage: the workload
     tag, the block width and every block's (value, care).  The same
     lineage-root role {!Builder.fingerprint} plays for the faults
-    workload; reduce/solve artifacts chain from it. *)
+    workload; the [cover] artifact chains from it. *)
 val fingerprint : corpus -> Fingerprint.t
 
 (** {1 Compression solve} *)
@@ -96,16 +97,15 @@ type compressed = {
   raw_bits : int;  (** blocks × width — the uncompressed baseline *)
 }
 
-(** [solve ?method_ ?reduce ?budget ?store corpus] selects a
-    minimum dictionary covering every block.  With [store] the reduce and
-    end-game stages are memoised through {!Flow.memo} under
-    {!fingerprint} — cached compression artifacts share the store with
-    reseeding runs but can never collide with them (different stage
-    salt and workload tag).  [method_] defaults to
-    [Solution.Exact]. *)
+(** [solve ?method_ ?budget ?store corpus] selects a minimum dictionary
+    covering every block, reducing with {!Reduce.default_config}.  With
+    [store] the solution is one [cover] artifact ({!Flow.cached_cover})
+    keyed by {!Flow.cover_fingerprint} over {!fingerprint} — cached
+    compression artifacts share the store with reseeding runs but can
+    never collide with them (different matrix-stage salt and workload
+    tag).  [method_] defaults to [Solution.Exact]. *)
 val solve :
   ?method_:Solution.method_ ->
-  ?reduce:Reduce.config ->
   ?budget:Budget.t ->
   ?store:Artifact.store ->
   corpus ->

@@ -34,21 +34,7 @@ let method_name = function
   | Greedy_only -> "greedy"
   | No_reduction_exact -> "noreduce"
 
-type endgame = {
-  selected : int list;
-  nodes : int;
-  stop : Ilp.stop_reason;
-  optimal : bool;
-}
-
-type memo = {
-  reduce : (unit -> Reduce.result) -> Reduce.result;
-  endgame : (unit -> endgame) -> endgame;
-}
-
-let no_memo = { reduce = (fun f -> f ()); endgame = (fun f -> f ()) }
-
-let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_memo) m =
+let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget m =
   Reseed_util.Trace.with_span "solution.solve"
     ~args:[ ("method", method_name method_) ]
   @@ fun () ->
@@ -58,50 +44,34 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_mem
      once instead of being dropped on the floor per-solver. *)
   let uncovered = Matrix.uncoverable m in
   (* [No_reduction_exact] hands the whole matrix to the solver, which
-     itself excludes the uncoverable columns.  The residual sub-matrix is
-     only the end-game's input, so it is built inside the end-game's
-     thunk: a memoised end-game never pays for it. *)
-  let necessary, iterations, reduced_rows, reduced_cols, residual =
+     itself excludes the uncoverable columns. *)
+  let necessary, iterations, residual, row_of =
     match method_ with
-    | No_reduction_exact -> ([], 0, Matrix.rows m, Matrix.cols m, fun () -> (m, Fun.id))
+    | No_reduction_exact -> ([], 0, m, Fun.id)
     | Exact | Greedy_only ->
-        let red =
-          memo.reduce (fun () -> Reduce.run ?config:reduce_config ?row_weights m)
-        in
-        ( red.Reduce.necessary,
-          red.Reduce.iterations,
-          List.length red.Reduce.remaining_rows,
-          List.length red.Reduce.remaining_cols,
-          fun () ->
-            let residual, row_map, _col_map = Reduce.residual m red in
-            (residual, fun ri -> row_map.(ri)) )
+        let red = Reduce.run ?config:reduce_config ?row_weights m in
+        let residual, row_map, _col_map = Reduce.residual m red in
+        (red.Reduce.necessary, red.Reduce.iterations, residual, fun ri -> row_map.(ri))
   in
-  let mapped row_of selected nodes stop optimal =
-    { selected = List.map row_of selected; nodes; stop; optimal }
-  in
-  let e =
+  let reduced_rows = Matrix.rows residual and reduced_cols = Matrix.cols residual in
+  let selected, nodes, stop, optimal =
     if method_ <> No_reduction_exact && (reduced_rows = 0 || reduced_cols = 0)
-    then { selected = []; nodes = 0; stop = Ilp.Complete; optimal = true }
+    then ([], 0, Ilp.Complete, true)
     else
       match method_ with
-      | Greedy_only ->
-          memo.endgame (fun () ->
-              let residual, row_of = residual () in
-              mapped row_of (Greedy.solve residual) 0 Ilp.Complete false)
+      | Greedy_only -> (Greedy.solve residual, 0, Ilp.Complete, false)
       | Exact | No_reduction_exact ->
-          memo.endgame (fun () ->
-              let residual, row_of = residual () in
-              let weights =
-                Option.map
-                  (fun w -> Array.init (Matrix.rows residual) (fun ri -> w.(row_of ri)))
-                  row_weights
-              in
-              let r = Ilp.solve ?weights ?budget residual in
-              mapped row_of r.Ilp.selected r.Ilp.nodes_explored r.Ilp.stop_reason
-                r.Ilp.optimal)
+          let weights =
+            Option.map
+              (fun w -> Array.init reduced_rows (fun ri -> w.(row_of ri)))
+              row_weights
+          in
+          let r = Ilp.solve ?weights ?budget residual in
+          (r.Ilp.selected, r.Ilp.nodes_explored, r.Ilp.stop_reason, r.Ilp.optimal)
   in
+  let from_solver = List.map row_of selected in
   {
-    rows = List.sort_uniq compare (necessary @ e.selected);
+    rows = List.sort_uniq compare (necessary @ from_solver);
     stats =
       {
         initial_rows = Matrix.rows m;
@@ -109,12 +79,12 @@ let solve ?(method_ = Exact) ?reduce_config ?row_weights ?budget ?(memo = no_mem
         necessary;
         reduced_rows;
         reduced_cols;
-        from_solver = e.selected;
+        from_solver;
         reduction_iterations = iterations;
-        solver_nodes = e.nodes;
-        solver_optimal = e.optimal;
-        solver_stop = e.stop;
-        degraded = is_degraded method_ e.stop;
+        solver_nodes = nodes;
+        solver_optimal = optimal;
+        solver_stop = stop;
+        degraded = is_degraded method_ stop;
         uncovered;
       };
   }

@@ -43,24 +43,7 @@ type stats = {
 
 type t = { rows : int list;  (** the final solution N, ascending *) stats : stats }
 
-(** An end-game solver's answer, in rows of the {e input} matrix. *)
-type endgame = {
-  selected : int list;
-  nodes : int;  (** branch-and-bound nodes; 0 for greedy *)
-  stop : Ilp.stop_reason;
-  optimal : bool;
-}
-
-(** Hooks around [solve]'s two expensive legs: each receives its leg as
-    a thunk and must return what the thunk would (e.g. a cached copy).
-    [endgame] wraps the greedy or exact solve; it is skipped when
-    reduction leaves an empty residual. *)
-type memo = {
-  reduce : (unit -> Reduce.result) -> Reduce.result;
-  endgame : (unit -> endgame) -> endgame;
-}
-
-(** [solve ?method_ ?reduce_config ?row_weights ?budget ?memo m] —
+(** [solve ?method_ ?reduce_config ?row_weights ?budget m] —
     [method_] defaults to [Exact].  [Greedy_only] replaces the exact
     end-game with greedy (ablation #2); [No_reduction_exact] skips
     reduction entirely (ablation showing why the paper reduces first).
@@ -81,15 +64,14 @@ type memo = {
     optimality.  The returned rows are always a valid cover of the
     coverable columns.
 
-    [memo] (default: run every thunk) lets a caller memoise the reduce
-    and end-game legs; the result is the same either way, so long as
-    the hooks return what their thunks would. *)
+    [solve] caches nothing: the reseeding flow and the compression
+    workload store its result, with their own extras, as one [cover]
+    artifact (see [Flow.cached_cover] in the reseeding library). *)
 val solve :
   ?method_:method_ ->
   ?reduce_config:Reduce.config ->
   ?row_weights:float array ->
   ?budget:Budget.t ->
-  ?memo:memo ->
   Matrix.t ->
   t
 

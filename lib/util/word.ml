@@ -97,7 +97,19 @@ let lognot a =
 
 let neg a = add (lognot a) (of_int a.width 1)
 
-let sub a b = same_width a b; add a (neg b)
+(* One pass with a borrow: a limb difference below zero wraps by
+   [2^limb_bits], and its sign bit is the borrow into the next limb. *)
+let sub a b =
+  same_width a b;
+  let n = Array.length a.limbs in
+  let limbs = Array.make n 0 in
+  let borrow = ref 0 in
+  for i = 0 to n - 1 do
+    let d = a.limbs.(i) - b.limbs.(i) - !borrow in
+    limbs.(i) <- d land limb_mask;
+    borrow := (d asr limb_bits) land 1
+  done;
+  normalize { width = a.width; limbs }
 
 let mul a b =
   same_width a b;

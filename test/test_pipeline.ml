@@ -312,6 +312,106 @@ let test_cached_flow_matches_plain () =
         [ (Flow.Min_triplets, "triplets"); (Flow.Min_test_length, "length") ])
     Solution.methods
 
+(* --- cover stage --------------------------------------------------------- *)
+
+(* c17 under the mp-lfsr TPG at T=5: reduction leaves a non-empty
+   residual, so the exact end-game runs and a budget can cut it short.
+   [run] is the covering half over one prebuilt matrix. *)
+let cover_setup () =
+  let p = Suite.prepare_circuit (Library.load "c17") in
+  let tpg = Lfsr.multi_polynomial (Circuit.input_count p.Suite.circuit) in
+  let builder = { Builder.default_config with Builder.cycles = 5 } in
+  let config = { Flow.default_config with Flow.builder } in
+  let tests = p.Suite.tests and targets = p.Suite.targets in
+  let fpm = Builder.fingerprint ~salt:p.Suite.fingerprint ~tests ~targets tpg ~config:builder in
+  let initial = Builder.build p.Suite.sim tpg ~tests ~targets ~config:builder in
+  let run ?budget store =
+    Flow.run_prebuilt ~config ?budget ~store ~fingerprint:fpm p.Suite.sim tpg ~initial
+      ~targets
+  in
+  (targets, Flow.cover_fingerprint config fpm, run)
+
+let test_degraded_cover_not_written () =
+  with_store @@ fun store ->
+  let _, fp, run = cover_setup () in
+  let blob = Artifact.path store ~stage:"cover" fp in
+  let cut, writes =
+    delta "artifact_writes" (fun () -> run ~budget:(Budget.create ~deadline_s:0.0 ()) store)
+  in
+  let stats = cut.Flow.solution.Solution.stats in
+  check "residual non-empty" true (stats.Solution.reduced_rows > 0);
+  check "end-game cut short" true (stats.Solution.degraded && cut.Flow.degraded);
+  check_int "degraded run writes nothing" 0 writes;
+  check "no cover blob" false (Sys.file_exists blob);
+  let full, writes = delta "artifact_writes" (fun () -> run store) in
+  check "unbudgeted rerun complete" false full.Flow.degraded;
+  check_int "unbudgeted rerun writes the cover" 1 writes;
+  check "cover blob written" true (Sys.file_exists blob);
+  let (warm, sims), hits =
+    delta "stage_cover_cache_hits" (fun () -> delta "fault_sims" (fun () -> run store))
+  in
+  check_int "third run hits the cover" 1 hits;
+  check_int "third run simulates nothing" 0 sims;
+  check "third run = second" true
+    (warm.Flow.solution = full.Flow.solution && flow_signature warm = flow_signature full)
+
+(* Each defect is caught by the decoder, counted as one corrupt blob, and
+   recomputed to the identical result, which overwrites the blob.  The
+   payloads are built here from the layout [Flow] writes; the unmodified
+   one must be the very blob a cold run wrote. *)
+let test_cover_decoder_rejects () =
+  with_store @@ fun store ->
+  let targets, fp, run = cover_setup () in
+  let path = Artifact.path store ~stage:"cover" fp in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let good = run store in
+  let written = read () in
+  check "full coverage: nothing missed" true (good.Flow.coverage_pct = 100.0);
+  let payload ?optimal ?(missed = Bitvec.create (Bitvec.length targets))
+      ?(cycles = fun t -> t.Triplet.cycles) () =
+    let st = good.Flow.solution.Solution.stats in
+    let open Artifact.Codec in
+    let b = Buffer.create 256 in
+    int_list b st.Solution.necessary;
+    int_list b st.Solution.from_solver;
+    vint b st.Solution.reduced_rows;
+    vint b st.Solution.reduced_cols;
+    vint b st.Solution.reduction_iterations;
+    vint b st.Solution.solver_nodes;
+    u32 b (Option.value optimal ~default:(Bool.to_int st.Solution.solver_optimal));
+    vint b good.Flow.dropped_triplets;
+    bitvec b missed;
+    u32 b (List.length good.Flow.final_triplets);
+    List.iter
+      (fun t ->
+        word b t.Triplet.seed;
+        word b t.Triplet.operand;
+        u32 b (cycles t))
+      good.Flow.final_triplets;
+    Buffer.contents b
+  in
+  let whole = payload () in
+  Artifact.save store ~stage:"cover" fp whole;
+  check "test layout = written blob" true (read () = written);
+  List.iter
+    (fun (what, bad) ->
+      Artifact.save store ~stage:"cover" fp bad;
+      let (r, corrupt), misses =
+        delta "stage_cover_cache_misses" (fun () ->
+            delta "artifact_corrupt" (fun () -> run store))
+      in
+      check_int (what ^ ": one corrupt blob") 1 corrupt;
+      check_int (what ^ ": recomputed") 1 misses;
+      check (what ^ ": same solution") true (r.Flow.solution = good.Flow.solution);
+      check (what ^ ": same flow") true (flow_signature r = flow_signature good);
+      check (what ^ ": blob rewritten") true (read () = written))
+    [
+      ("missed mask length", payload ~missed:(Bitvec.create (Bitvec.length targets + 1)) ());
+      ("optimal byte 2", payload ~optimal:2 ());
+      ("invalid triplet", payload ~cycles:(fun _ -> 0) ());
+      ("truncated payload", String.sub whole 0 (String.length whole - 1));
+    ]
+
 (* --- trade-off sweep --------------------------------------------------- *)
 
 let test_sweep_matches_per_point_runs () =
@@ -548,6 +648,10 @@ let suite =
           test_matrix_stage_index_list_recomputed;
         Alcotest.test_case "flow: cached = plain" `Quick
           test_cached_flow_matches_plain;
+        Alcotest.test_case "cover: degraded end-game writes no blob" `Quick
+          test_degraded_cover_not_written;
+        Alcotest.test_case "cover: decoder rejects malformed payloads" `Quick
+          test_cover_decoder_rejects;
         Alcotest.test_case "sweep: prefix sharing = per-point flows" `Quick
           test_sweep_matches_per_point_runs;
         Alcotest.test_case "tradeoff: default_grid edges" `Quick test_default_grid_edges;

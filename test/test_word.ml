@@ -101,6 +101,23 @@ let prop_sub_add_inverse =
       let a' = w_of n a and b' = w_of n b in
       Word.equal (Word.sub (Word.add a' b') b') a')
 
+(* [sub] borrows limb by limb in one pass; [add a (neg b)] is the
+   two's-complement definition it must agree with, across limb
+   boundaries and at the extremes (zero, one, all ones). *)
+let prop_sub_is_add_neg =
+  QCheck.Test.make ~name:"sub a b = add a (neg b), widths 1-130" ~count:1000
+    QCheck.(quad (int_range 1 130) small_int (int_bound 3) (int_bound 3))
+    (fun (n, seed, ka, kb) ->
+      let rng = Rng.create seed in
+      let pick = function
+        | 0 -> Word.zero n
+        | 1 -> Word.one n
+        | 2 -> Word.ones n
+        | _ -> Word.random rng n
+      in
+      let a = pick ka and b = pick kb in
+      Word.equal (Word.sub a b) (Word.add a (Word.neg b)))
+
 let prop_random_width =
   QCheck.Test.make ~name:"random word has requested width" ~count:100
     QCheck.(pair (int_range 1 300) small_int)
@@ -132,6 +149,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_add;
         QCheck_alcotest.to_alcotest prop_mul;
         QCheck_alcotest.to_alcotest prop_sub_add_inverse;
+        QCheck_alcotest.to_alcotest prop_sub_is_add_neg;
         QCheck_alcotest.to_alcotest prop_random_width;
         QCheck_alcotest.to_alcotest prop_bits_roundtrip;
       ] );
