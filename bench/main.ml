@@ -2,20 +2,27 @@
 
    Usage: main.exe [--full] [table1|table2|figure2|ablation|all]
 
-     table1   — Table 1: reseeding solution, set covering vs GATSBY
+     table1   — Table 1: reseeding solution, set covering vs GATSBY, plus
+                the covering flow under transition-delay faults (c432, s820)
      table2   — Table 2: detection-matrix reduction statistics
      figure2  — Figure 2: reseedings vs test length trade-off (s1238/adder)
      ablation — design-choice ablations called out in DESIGN.md
      all      — the four above, in order (the default)
 
+   The tables are built here from one Flow.run per (prepared workload,
+   TPG), which Tables 1 and 2 share, and, for Table 1, one uncached
+   Gatsby.run per TPG on circuits of at most 1,600 gates.
+
    [--full] runs the full circuit suite (slow) instead of the quick one.
    Circuits above 2000 gates are generated at a quarter of their catalog
    size.  Timing and the resource envelope are measured by perfbench, not
-   here.
+   here.  test/golden/bench_<mode>.txt holds each mode's quick-suite
+   output at RESEED_JOBS=2, timings masked, and a tier-1 test diffs
+   against it.
 
    Environment: RESEED_JOBS (worker domains) and RESEED_CACHE (artifact
-   store: a warm table1 rerun touches neither ATPG nor the matrix
-   builder). *)
+   store: a warm rerun touches neither ATPG nor the matrix builder; the
+   GATSBY baseline is never stored and always reruns). *)
 
 open Reseed_core
 open Reseed_gatsby
@@ -31,6 +38,9 @@ let store = Artifact.from_env ()
 (* GATSBY is simulation-bound; the paper itself has no GATSBY numbers for
    the largest circuits ("too large to be dealt with by GATSBY"). *)
 let gatsby_gate_limit = 1600
+
+(* Table 1 order.  [--full] runs every circuit of the paper's suite. *)
+let quick_suite = [ "c17"; "c432"; "c499"; "c880"; "s420"; "s641"; "s820"; "s1238" ]
 
 let scale_for name =
   let spec = Library.spec_of name in
@@ -54,6 +64,83 @@ let prepare name =
       Hashtbl.add prepared name p;
       p
 
+let paper_tpgs p = Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit)
+
+(* One Flow.run per (prepared workload, TPG) feeds both tables, so [all]
+   runs each flow once.  The key is the workload's fingerprint, not its
+   name: the transition subset prepares c432 and s820 a second time,
+   under another fault model. *)
+let flows = Hashtbl.create 64
+
+let flow p tpg =
+  let key = (p.Suite.fingerprint, tpg.Tpg.name) in
+  match Hashtbl.find_opt flows key with
+  | Some r -> r
+  | None ->
+      let r =
+        Flow.run ?store:p.Suite.store ~fingerprint:p.Suite.fingerprint p.Suite.sim tpg
+          ~tests:p.Suite.tests ~targets:p.Suite.targets
+      in
+      Hashtbl.add flows key r;
+      r
+
+(* A Table 1 row per TPG: the flow and, unless skipped, GATSBY, uncached,
+   at the flow's evolution length and a fixed seed. *)
+let table1_rows ~with_gatsby p =
+  let config =
+    { Gatsby.default_config with Gatsby.cycles = Builder.default_config.Builder.cycles }
+  in
+  List.map
+    (fun tpg ->
+      let r = flow p tpg in
+      let g =
+        if with_gatsby then
+          Some
+            (Gatsby.run ~config p.Suite.sim tpg ~rng:(Rng.create 1234)
+               ~targets:p.Suite.targets)
+        else None
+      in
+      (tpg, r, g))
+    (paper_tpgs p)
+
+let print_table1 rows =
+  let t =
+    Table.create ~title:"Table 1: Reseeding solution (set covering vs GATSBY)"
+      [
+        ("Circuit", Table.Left);
+        ("TPG", Table.Left);
+        ("#Triplets", Table.Right);
+        ("Test Length", Table.Right);
+        ("ROM bits", Table.Right);
+        ("GATSBY #Triplets", Table.Right);
+        ("GATSBY Test Length", Table.Right);
+        ("Δ#Triplets", Table.Right);
+      ]
+  in
+  List.iter
+    (fun (p, entries) ->
+      List.iter
+        (fun (tpg, r, g) ->
+          let g_triplets = Option.map (fun g -> List.length g.Gatsby.triplets) g in
+          Table.add_row t
+            [
+              Circuit.name p.Suite.circuit;
+              tpg.Tpg.name;
+              Table.cell_int (Flow.reseedings r);
+              Table.cell_int r.Flow.test_length;
+              Table.cell_int
+                (List.fold_left
+                   (fun acc t -> acc + Triplet.storage_bits t)
+                   0 r.Flow.final_triplets);
+              Table.cell_opt Table.cell_int g_triplets;
+              Table.cell_opt Table.cell_int (Option.map (fun g -> g.Gatsby.test_length) g);
+              Table.cell_opt (fun n -> Table.cell_int (Flow.reseedings r - n)) g_triplets;
+            ])
+        entries;
+      Table.add_separator t)
+    rows;
+  Table.print t
+
 (* Transition-delay dimension: the same Table 1 flow re-run under the
    launch/capture model on a small subset.  GATSBY is skipped — the point
    is the covering flow under another fault model, not the GA baseline. *)
@@ -67,15 +154,15 @@ let run_transition_table1 () =
           Suite.prepare ~scale_factor:(scale_for name)
             ~fault_model:Reseed_fault.Fault_model.Transition_delay ?store name
         in
-        let row = Suite.table1_row ~with_gatsby:false p in
+        let entries = table1_rows ~with_gatsby:false p in
         log "  [t1-transition] %s done (%.1fs, %d faults, %d patterns)" name
           (Unix.gettimeofday () -. t0)
           (Reseed_fault.Fault_sim.fault_count p.Suite.sim)
           (Array.length p.Suite.tests);
-        row)
+        (p, entries))
       [ "c432"; "s820" ]
   in
-  print_string (Suite.render_table1 rows);
+  print_table1 rows;
   log "Launch/capture semantics: each fault needs a pattern pair, so the";
   log "detection matrix is sparser — the covering flow itself is unchanged."
 
@@ -87,14 +174,14 @@ let run_table1 names =
         let p = prepare name in
         let with_gatsby = Circuit.gate_count p.Suite.circuit <= gatsby_gate_limit in
         let t0 = Unix.gettimeofday () in
-        let row = Suite.table1_row ~with_gatsby p in
+        let entries = table1_rows ~with_gatsby p in
         log "  [t1] %s done (%.1fs, %d event propagations)" name
           (Unix.gettimeofday () -. t0)
           (Reseed_fault.Fault_sim.event_propagations p.Suite.sim);
-        row)
+        (p, entries))
       names
   in
-  print_string (Suite.render_table1 rows);
+  print_table1 rows;
   log "Paper shape: set covering needs as few or fewer triplets than GATSBY";
   log "(improvements of -2..-25 triplets on the paper's circuits), at a";
   log "fraction of the fault simulations; GATSBY column empty where skipped.";
@@ -103,8 +190,39 @@ let run_table1 names =
 
 let run_table2 names =
   log "== Table 2: set covering algorithm (reduction impact) ==";
-  let rows = List.map (fun name -> Suite.table2_row (prepare name)) names in
-  print_string (Suite.render_table2 rows);
+  let t =
+    Table.create ~title:"Table 2: Set Covering algorithm (matrix reduction impact)"
+      [
+        ("Circuit", Table.Left);
+        ("Initial matrix", Table.Right);
+        ("TPG", Table.Left);
+        ("Necessary", Table.Right);
+        ("Reduced matrix", Table.Right);
+        ("From solver", Table.Right);
+        ("Iter", Table.Right);
+      ]
+  in
+  List.iter
+    (fun name ->
+      let p = prepare name in
+      List.iter
+        (fun tpg ->
+          let s = (flow p tpg).Flow.solution.Solution.stats in
+          Table.add_row t
+            [
+              Circuit.name p.Suite.circuit;
+              Printf.sprintf "%dx%d" (Array.length p.Suite.tests)
+                (Bitvec.count p.Suite.targets);
+              tpg.Tpg.name;
+              Table.cell_int (List.length s.Solution.necessary);
+              Printf.sprintf "%dx%d" s.Solution.reduced_rows s.Solution.reduced_cols;
+              Table.cell_int (List.length s.Solution.from_solver);
+              Table.cell_int s.Solution.reduction_iterations;
+            ])
+        (paper_tpgs p);
+      Table.add_separator t)
+    names;
+  Table.print t;
   log "Paper shape: reduction prunes the matrix by orders of magnitude; on";
   log "several circuits the residual is empty (necessary triplets only)."
 
@@ -240,7 +358,7 @@ let () =
   let full, modes =
     List.partition (String.equal "--full") (List.tl (Array.to_list Sys.argv))
   in
-  let names = if full <> [] then Suite.full_suite else Suite.quick_suite in
+  let names = if full <> [] then Library.names else quick_suite in
   let t0 = Unix.gettimeofday () in
   (match modes with
   | [ "table1" ] -> run_table1 names

@@ -68,6 +68,13 @@ let parse_string ?(path = "<manifest>") text =
     if not (List.mem name tpg_names) then
       fail_line line "unknown TPG %S (expected %s)" name (String.concat ", " tpg_names)
   in
+  (* [Library.spec_of] accepts catalog and [_xN] names alike, so an
+     unknown circuit fails here, with its line, not at run time. *)
+  let check_circuit line name =
+    match Library.spec_of name with
+    | _ -> ()
+    | exception Error.Reseed_error e -> fail_line line "%s" e.Error.message
+  in
   let parse_cycles line s =
     match int_of_string_opt s with
     | Some c when c >= 1 -> c
@@ -101,7 +108,10 @@ let parse_string ?(path = "<manifest>") text =
             let v = trim (String.sub s (k + 1) (String.length s - k - 1)) in
             if v = "" then fail_line line "empty value for %S" key;
             (match key with
-            | "circuits" -> circuits := split_list v
+            | "circuits" ->
+                let l = split_list v in
+                List.iter (check_circuit line) l;
+                circuits := l
             | "tpgs" ->
                 let l = split_list v in
                 List.iter (check_tpg line) l;
@@ -124,6 +134,7 @@ let parse_string ?(path = "<manifest>") text =
         | None -> (
             match String.split_on_char ' ' s |> List.filter (fun x -> x <> "") with
             | [ "job"; circuit; tpg; cy ] ->
+                check_circuit line circuit;
                 check_tpg line tpg;
                 explicit :=
                   {
@@ -138,6 +149,7 @@ let parse_string ?(path = "<manifest>") text =
                   }
                   :: !explicit
             | [ "job"; circuit; tpg; cy; model ] ->
+                check_circuit line circuit;
                 check_tpg line tpg;
                 explicit :=
                   {
@@ -156,6 +168,7 @@ let parse_string ?(path = "<manifest>") text =
             | [ "compress"; circuit; w ] -> (
                 match int_of_string_opt w with
                 | Some width when width >= 1 && width <= 62 ->
+                    check_circuit line circuit;
                     explicit := { circuit; task = Compress { width } } :: !explicit
                 | _ -> fail_line line "bad block width %S (integer 1-62 expected)" w)
             | "compress" :: _ -> fail_line line "compress line wants: compress CIRCUIT WIDTH"

@@ -77,7 +77,8 @@ val tpg_of_name : string -> int -> Reseed_tpg.Tpg.t
 
 (** [parse_string ?path s] parses manifest text.  Raises
     {!Error.Reseed_error} ([Input_error]) with [path:line] coordinates on
-    unknown keys, malformed values, unknown TPG names, unknown fault
+    unknown keys, malformed values, unknown circuits (checked with
+    {!Reseed_netlist.Library.spec_of}), unknown TPG names, unknown fault
     models or workloads, or an empty job list. *)
 val parse_string : ?path:string -> string -> manifest
 

@@ -1,8 +1,6 @@
 open Reseed_atpg
 open Reseed_fault
-open Reseed_gatsby
 open Reseed_netlist
-open Reseed_tpg
 open Reseed_util
 
 type prepared = {
@@ -120,227 +118,6 @@ let prepare ?scale_factor ?fault_model ?budget ?store name =
   prepare_circuit ?fault_model ?budget ?store
     (Library.load ?scale_factor name)
 
-let paper_tpgs p = Accumulator.paper_tpgs (Circuit.input_count p.circuit)
-
-type table1_entry = {
-  tpg : string;
-  sc_triplets : int;
-  sc_test_length : int;
-  sc_rom_bits : int;
-  sc_fault_sims : int;
-  gatsby_triplets : int option;
-  gatsby_test_length : int option;
-  gatsby_fault_sims : int option;
-}
-
-type table1_row = { t1_name : string; entries : table1_entry list }
-
-let flow_config_with_cycles cycles =
-  match cycles with
-  | None -> Flow.default_config
-  | Some c ->
-      {
-        Flow.default_config with
-        Flow.builder = { Builder.default_config with Builder.cycles = c };
-      }
-
-let run_flow p tpg config =
-  Flow.run ~config ?store:p.store ~fingerprint:p.fingerprint p.sim tpg
-    ~tests:p.tests ~targets:p.targets
-
-let gatsby_fingerprint p tpg ~gconfig ~seed =
-  let open Fingerprint in
-  let h = salted "gatsby" in
-  let h = int64 h p.fingerprint in
-  let h = string h tpg.Tpg.name in
-  let h = int h gconfig.Gatsby.cycles in
-  let h = int h gconfig.Gatsby.max_rounds in
-  let h = int h gconfig.Gatsby.ga.Ga.population in
-  let h = int h gconfig.Gatsby.ga.Ga.generations in
-  int h seed
-
-(* Table 1 only reports three numbers from the GA leg; caching them (not
-   the triplets) is what makes a warm table1 rerun skip the most
-   expensive uncached phase. *)
-let gatsby_summary p tpg ~gconfig ~seed =
-  Artifact.cached p.store ~stage:"gatsby"
-    ~fp:(gatsby_fingerprint p tpg ~gconfig ~seed)
-    ~encode:(fun (triplets, test_length, fault_sims, stopped_early) ->
-      if stopped_early then None
-      else begin
-        let b = Buffer.create 32 in
-        Artifact.Codec.vint b triplets;
-        Artifact.Codec.vint b test_length;
-        Artifact.Codec.vint b fault_sims;
-        Some (Buffer.contents b)
-      end)
-    ~decode:(fun r ->
-      let triplets = Artifact.Codec.get_vint r in
-      let test_length = Artifact.Codec.get_vint r in
-      let fault_sims = Artifact.Codec.get_vint r in
-      (triplets, test_length, fault_sims, false))
-  @@ fun () ->
-  let rng = Rng.create seed in
-  let g = Gatsby.run ~config:gconfig p.sim tpg ~rng ~targets:p.targets in
-  ( List.length g.Gatsby.triplets,
-    g.Gatsby.test_length,
-    g.Gatsby.fault_sims,
-    g.Gatsby.stopped_early )
-
-let table1_row ?cycles ?(with_gatsby = true) p =
-  let config = flow_config_with_cycles cycles in
-  let entries =
-    List.map
-      (fun tpg ->
-        let r = run_flow p tpg config in
-        let gatsby =
-          if with_gatsby then begin
-            let gconfig =
-              {
-                Gatsby.default_config with
-                Gatsby.cycles = config.Flow.builder.Builder.cycles;
-              }
-            in
-            Some (gatsby_summary p tpg ~gconfig ~seed:1234)
-          end
-          else None
-        in
-        {
-          tpg = tpg.Tpg.name;
-          sc_triplets = Flow.reseedings r;
-          sc_test_length = r.Flow.test_length;
-          sc_rom_bits =
-            List.fold_left
-              (fun acc t -> acc + Triplet.storage_bits t)
-              0 r.Flow.final_triplets;
-          sc_fault_sims = r.Flow.fault_sims;
-          gatsby_triplets = Option.map (fun (t, _, _, _) -> t) gatsby;
-          gatsby_test_length = Option.map (fun (_, l, _, _) -> l) gatsby;
-          gatsby_fault_sims = Option.map (fun (_, _, s, _) -> s) gatsby;
-        })
-      (paper_tpgs p)
-  in
-  { t1_name = Circuit.name p.circuit; entries }
-
-type table2_entry = {
-  t2_tpg : string;
-  necessary : int;
-  reduced_rows : int;
-  reduced_cols : int;
-  from_solver : int;
-  iterations : int;
-}
-
-type table2_row = {
-  t2_name : string;
-  initial_triplets : int;
-  initial_faults : int;
-  t2_entries : table2_entry list;
-}
-
-let table2_row ?cycles p =
-  let config = flow_config_with_cycles cycles in
-  let t2_entries =
-    List.map
-      (fun tpg ->
-        let r = run_flow p tpg config in
-        let s = r.Flow.solution.Reseed_setcover.Solution.stats in
-        {
-          t2_tpg = tpg.Tpg.name;
-          necessary = List.length s.Reseed_setcover.Solution.necessary;
-          reduced_rows = s.Reseed_setcover.Solution.reduced_rows;
-          reduced_cols = s.Reseed_setcover.Solution.reduced_cols;
-          from_solver = List.length s.Reseed_setcover.Solution.from_solver;
-          iterations = s.Reseed_setcover.Solution.reduction_iterations;
-        })
-      (paper_tpgs p)
-  in
-  {
-    t2_name = Circuit.name p.circuit;
-    initial_triplets = Array.length p.tests;
-    initial_faults = Bitvec.count p.targets;
-    t2_entries;
-  }
-
-let figure2 ?grid ?pool p tpg =
-  let grid =
-    match grid with Some g -> g | None -> Tradeoff.default_grid ~max_cycles:256
-  in
+let figure2 ~grid ?pool p tpg =
   Tradeoff.sweep ?pool ?store:p.store ~fingerprint:p.fingerprint p.sim tpg ~tests:p.tests
     ~targets:p.targets ~grid
-
-let table1_table rows =
-  let t =
-    Table.create ~title:"Table 1: Reseeding solution (set covering vs GATSBY)"
-      [
-        ("Circuit", Table.Left);
-        ("TPG", Table.Left);
-        ("#Triplets", Table.Right);
-        ("Test Length", Table.Right);
-        ("ROM bits", Table.Right);
-        ("GATSBY #Triplets", Table.Right);
-        ("GATSBY Test Length", Table.Right);
-        ("Δ#Triplets", Table.Right);
-      ]
-  in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun e ->
-          Table.add_row t
-            [
-              row.t1_name;
-              e.tpg;
-              Table.cell_int e.sc_triplets;
-              Table.cell_int e.sc_test_length;
-              Table.cell_int e.sc_rom_bits;
-              Table.cell_opt Table.cell_int e.gatsby_triplets;
-              Table.cell_opt Table.cell_int e.gatsby_test_length;
-              Table.cell_opt
-                (fun g -> Table.cell_int (e.sc_triplets - g))
-                e.gatsby_triplets;
-            ])
-        row.entries;
-      Table.add_separator t)
-    rows;
-  t
-
-let render_table1 rows = Table.render (table1_table rows)
-
-let table2_table rows =
-  let t =
-    Table.create ~title:"Table 2: Set Covering algorithm (matrix reduction impact)"
-      [
-        ("Circuit", Table.Left);
-        ("Initial matrix", Table.Right);
-        ("TPG", Table.Left);
-        ("Necessary", Table.Right);
-        ("Reduced matrix", Table.Right);
-        ("From solver", Table.Right);
-        ("Iter", Table.Right);
-      ]
-  in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun e ->
-          Table.add_row t
-            [
-              row.t2_name;
-              Printf.sprintf "%dx%d" row.initial_triplets row.initial_faults;
-              e.t2_tpg;
-              Table.cell_int e.necessary;
-              Printf.sprintf "%dx%d" e.reduced_rows e.reduced_cols;
-              Table.cell_int e.from_solver;
-              Table.cell_int e.iterations;
-            ])
-        row.t2_entries;
-      Table.add_separator t)
-    rows;
-  t
-
-let render_table2 rows = Table.render (table2_table rows)
-
-let quick_suite = [ "c17"; "c432"; "c499"; "c880"; "s420"; "s641"; "s820"; "s1238" ]
-
-let full_suite = Library.names

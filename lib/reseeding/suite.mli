@@ -1,10 +1,11 @@
-(** Experiment drivers regenerating the paper's tables and figure.
+(** Prepared workloads, and the Figure 2 sweep over one.
 
-    Every [reseed] command prepares its workload here; the table and
-    figure drivers below serve [bench/main.exe].  A {!prepared}
+    Every [reseed] command prepares its workload here.  A {!prepared}
     workload bundles everything that is TPG-independent (circuit, fault
-    list, ATPG test set); each table row then reuses it across the three
-    accumulator TPGs, exactly like the paper's evaluation. *)
+    list, ATPG test set), so one preparation serves every TPG and every
+    evolution length run on it, exactly like the paper's evaluation.
+    The paper's tables are built by [bench/main.exe] from {!Flow.run}
+    results on these workloads. *)
 
 open Reseed_atpg
 open Reseed_fault
@@ -67,61 +68,8 @@ val prepare_circuit :
   Circuit.t ->
   prepared
 
-(** [paper_tpgs p] instantiates adder / multiplier / subtracter at the
-    circuit's PI width. *)
-val paper_tpgs : prepared -> Tpg.t list
-
-(** One Table 1 cell group: set covering vs GATSBY for one TPG. *)
-type table1_entry = {
-  tpg : string;
-  sc_triplets : int;
-  sc_test_length : int;
-  sc_rom_bits : int;  (** Σ triplet storage: the paper's area-overhead proxy *)
-  sc_fault_sims : int;
-  gatsby_triplets : int option;  (** [None] when GATSBY was skipped *)
-  gatsby_test_length : int option;
-  gatsby_fault_sims : int option;
-}
-
-type table1_row = { t1_name : string; entries : table1_entry list }
-
-(** [table1_row ?cycles ?with_gatsby p] evaluates all three TPGs.
-    [with_gatsby] defaults to [true]. *)
-val table1_row : ?cycles:int -> ?with_gatsby:bool -> prepared -> table1_row
-
-(** One Table 2 row: covering-instance statistics for one TPG. *)
-type table2_entry = {
-  t2_tpg : string;
-  necessary : int;  (** triplets forced by essentiality *)
-  reduced_rows : int;  (** residual matrix after reduction *)
-  reduced_cols : int;
-  from_solver : int;  (** triplets added by the exact solver *)
-  iterations : int;
-}
-
-type table2_row = {
-  t2_name : string;
-  initial_triplets : int;  (** |ATPGTS| — rows of the initial matrix *)
-  initial_faults : int;  (** |F| — columns that are real constraints *)
-  t2_entries : table2_entry list;
-}
-
-val table2_row : ?cycles:int -> prepared -> table2_row
-
-(** [figure2 ?grid ?pool p tpg] is the Figure 2 sweep for one TPG, on
-    [pool] (default: {!Reseed_util.Pool.default}). *)
+(** [figure2 ~grid ?pool p tpg] is the Figure 2 sweep for one TPG over
+    the evolution lengths [grid], on [pool] (default:
+    {!Reseed_util.Pool.default}). *)
 val figure2 :
-  ?grid:int list -> ?pool:Pool.t -> prepared -> Tpg.t -> Tradeoff.point list
-
-(** Rendering. *)
-
-val render_table1 : table1_row list -> string
-val render_table2 : table2_row list -> string
-
-(** Suites: catalog names in Table 1 order. *)
-
-val quick_suite : string list
-(** small circuits — seconds each. *)
-
-val full_suite : string list
-(** every catalog entry; the largest are scaled unless [scale_factor 1]. *)
+  grid:int list -> ?pool:Pool.t -> prepared -> Tpg.t -> Tradeoff.point list

@@ -81,13 +81,6 @@ let sweep ?pool ?store ?fingerprint sim tpg ~tests ~targets ~grid =
     Array.to_list (Array.map (function Some p -> p | None -> assert false) points)
   end
 
-let default_grid ~max_cycles =
-  if max_cycles < 1 then invalid_arg "Tradeoff.default_grid: max_cycles must be >= 1"
-  else if max_cycles < 8 then [ max_cycles ]
-  else
-    let rec go c acc = if c > max_cycles then List.rev acc else go (c * 2) (c :: acc) in
-    go 8 []
-
 let render points =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "Trade-off: reseedings vs test length\n";

@@ -48,12 +48,6 @@ val sweep :
   grid:int list ->
   point list
 
-(** [default_grid ~max_cycles] is a geometric grid from 8 up to
-    [max_cycles]; [\[max_cycles\]] itself when that is below 8 (the old
-    behaviour was a silently empty grid).  Raises [Invalid_argument] when
-    [max_cycles < 1]. *)
-val default_grid : max_cycles:int -> int list
-
 (** [render points] draws the trade-off as a small ASCII chart plus the
     numeric series, in the spirit of Figure 2. *)
 val render : point list -> string

@@ -1,14 +1,6 @@
 open Reseed_setcover
 open Reseed_util
 
-type t =
-  | Faults of Reseed_fault.Fault_model.t
-  | Compression
-
-let name = function
-  | Faults m -> "faults:" ^ Reseed_fault.Fault_model.name m
-  | Compression -> "compress"
-
 type block = { value : int; care : int }
 
 type corpus = { width : int; blocks : block array }

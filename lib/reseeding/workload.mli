@@ -4,36 +4,28 @@
     workload-generic; what varies is how rows and columns are minted and
     what a selected row costs:
 
-    - {!Faults}: the paper's reseeding workload.  Rows are TPG triplets,
+    - Faults: the paper's reseeding workload.  Rows are TPG triplets,
       columns are faults of a {!Reseed_fault.Fault_model.t}; the mapping
       is {!Builder.build}, pricing is either unit (minimise reseedings)
       or the triplet's useful burst length (minimise test length, see
-      {!Flow.objective}).
-    - {!Compression}: code-based test-data compression.  Rows are
+      {!Flow.objective}).  Its stage keys carry the tag
+      ["workload:faults:<model>"] (see {!Suite.prepare}).
+    - Compression: code-based test-data compression.  Rows are
       candidate dictionary entries (fully-specified words), columns are
       the ternary test-data blocks of a seed corpus; an entry covers a
       block when it matches every care bit.  Pricing is uniform — every
       entry costs [width] ROM bits — so minimum cardinality is minimum
       dictionary area.  Selecting a cover is exactly the dictionary
       selection problem: every block is then encoded as an index into the
-      dictionary.
+      dictionary.  Its stage keys carry the tag ["workload:compress"].
 
-    This module holds the workload tags plus the whole compression
-    workload: corpus construction, candidate minting, the covering
-    matrix, and a solver that caches its cover in the reseeding flow's
-    [cover] stage ({!Flow.cached_cover}) under a compression-salted
-    fingerprint. *)
+    This module holds the whole compression workload: corpus
+    construction, candidate minting, the covering matrix, and a solver
+    that caches its cover in the reseeding flow's [cover] stage
+    ({!Flow.cached_cover}) under a compression-salted fingerprint. *)
 
 open Reseed_setcover
 open Reseed_util
-
-type t =
-  | Faults of Reseed_fault.Fault_model.t
-  | Compression
-
-(** [name w] is a stable tag — ["faults:stuck"], ["faults:transition"]
-    or ["compress"] — used in stage keys, manifests and reports. *)
-val name : t -> string
 
 (** {1 Compression corpus}
 

@@ -2,17 +2,18 @@
    outside their range are usage errors (exit 2) naming the flag,
    tradeoff runs on the pool its --jobs asks for, solve --verify checks
    degraded runs too, and solve reports the faults outside F by their
-   ATPG class. *)
+   ATPG class.  The table bench is spawned the same way: each of its
+   modes must print its golden file, timings masked. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let exe = "../bin/reseed.exe"
+let reseed = "../bin/reseed.exe"
 
-(* Runs [exe args] with [env] added to the environment minus every
-   RESEED_* variable; returns the exit code and the captured stdout and
-   stderr. *)
-let run ?(env = []) args =
+(* Runs [exe args] ([exe] defaults to the reseed executable) with [env]
+   added to the environment minus every RESEED_* variable; returns the
+   exit code and the captured stdout and stderr. *)
+let run ?(exe = reseed) ?(env = []) args =
   let inherited =
     List.filter
       (fun s -> not (String.starts_with ~prefix:"RESEED_" s))
@@ -124,6 +125,43 @@ let test_faults_outside_f () =
   check "no warning" false (contains ~sub:"warning:" out);
   check "full coverage" true (contains ~sub:"coverage 100.00%" out)
 
+(* The masks for bench output: every time [N.Ms] reads [N.Ns]; with
+   [~unsuffixed_time], so does a float that closes a table row (the
+   ablation table's seconds column), as [T]. *)
+let mask_line ~unsuffixed_time line =
+  let line = Str.global_replace (Str.regexp "[0-9]+\\.[0-9]+s") "N.Ns" line in
+  if unsuffixed_time then
+    Str.global_replace (Str.regexp "| *[0-9]+\\.[0-9]+ |$") "| T |" line
+  else line
+
+(* [bench/main.exe mode] at 2 worker domains, no store, masked, must
+   equal [golden/bench_<mode>.txt] line for line. *)
+let test_bench_golden mode () =
+  let code, out, _ =
+    run ~exe:"../bench/main.exe" ~env:[ "RESEED_JOBS=2" ] [ mode ]
+  in
+  check_int "exit 0" 0 code;
+  let lines s = String.split_on_char '\n' s in
+  let got =
+    List.map (mask_line ~unsuffixed_time:(mode = "ablation")) (lines out)
+  in
+  let want =
+    lines
+      (In_channel.with_open_bin
+         (Printf.sprintf "golden/bench_%s.txt" mode)
+         In_channel.input_all)
+  in
+  let rec first_diff k = function
+    | g :: gs, w :: ws -> if g = w then first_diff (k + 1) (gs, ws) else Some (k, g, w)
+    | [], [] -> None
+    | g :: _, [] -> Some (k, g, "<end of golden file>")
+    | [], w :: _ -> Some (k, "<end of output>", w)
+  in
+  match first_diff 1 (got, want) with
+  | None -> ()
+  | Some (k, g, w) ->
+      Alcotest.failf "bench %s, line %d:\n  got    %S\n  golden %S" mode k g w
+
 let suite =
   [
     ( "cli",
@@ -136,4 +174,8 @@ let suite =
         Alcotest.test_case "solve splits the faults outside F" `Quick
           test_faults_outside_f;
       ] );
+    ( "bench-golden",
+      List.map
+        (fun mode -> Alcotest.test_case mode `Quick (test_bench_golden mode))
+        [ "table1"; "table2"; "figure2"; "ablation" ] );
   ]

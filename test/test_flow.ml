@@ -180,57 +180,6 @@ let test_tradeoff_grid_sorted_and_rendered () =
   let s = Tradeoff.render points in
   check "render nonempty" true (String.length s > 0)
 
-let test_default_grid () =
-  let g = Tradeoff.default_grid ~max_cycles:64 in
-  check "grid" true (g = [ 8; 16; 32; 64 ])
-
-(* --- Suite drivers --- *)
-
-let test_table_rows () =
-  let p = Lazy.force prepared_c17 in
-  let row = Suite.table1_row ~with_gatsby:true p in
-  check_int "three TPG entries" 3 (List.length row.Suite.entries);
-  List.iter
-    (fun e ->
-      check "sc triplets positive" true (e.Suite.sc_triplets >= 1);
-      check "gatsby present" true (e.Suite.gatsby_triplets <> None))
-    row.Suite.entries;
-  let row2 = Suite.table2_row p in
-  check_int "t2 entries" 3 (List.length row2.Suite.t2_entries);
-  check_int "initial triplets = |ATPGTS|" (Array.length p.Suite.tests) row2.Suite.initial_triplets;
-  let s1 = Suite.render_table1 [ row ] in
-  let s2 = Suite.render_table2 [ row2 ] in
-  check "renders" true (String.length s1 > 0 && String.length s2 > 0)
-
-(* Two preparations of one circuit that differ only in the fault model
-   are different workloads: each Table 2 row must match a direct flow run on
-   its own preparation, never one computed for the other. *)
-let test_table_rows_keyed_by_workload () =
-  let row_of p =
-    List.map
-      (fun tpg ->
-        let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
-        let s = r.Flow.solution.Solution.stats in
-        ( tpg.Tpg.name,
-          List.length s.Solution.necessary,
-          s.Solution.reduced_rows,
-          s.Solution.reduced_cols ))
-      (Suite.paper_tpgs p)
-  in
-  let memo_row p =
-    List.map
-      (fun e -> Suite.(e.t2_tpg, e.necessary, e.reduced_rows, e.reduced_cols))
-      (Suite.table2_row p).Suite.t2_entries
-  in
-  let stuck = Suite.prepare "c432" in
-  let transition =
-    Suite.prepare ~fault_model:Reseed_fault.Fault_model.Transition_delay "c432"
-  in
-  check "the models prepare different workloads" true
-    (stuck.Suite.fingerprint <> transition.Suite.fingerprint);
-  check "stuck-at row" true (memo_row stuck = row_of stuck);
-  check "transition row is its own" true (memo_row transition = row_of transition)
-
 (* The detection matrix against per-fault injection: every row and
    [useful_cycles] entry [Builder.build] computes on a prepared workload
    must equal the one the reference's [Event] engine derives from the
@@ -290,10 +239,6 @@ let suite =
         Alcotest.test_case "fault sims counted" `Quick test_flow_fault_sims_counted;
         Alcotest.test_case "tradeoff monotone" `Slow test_tradeoff_monotone_triplets;
         Alcotest.test_case "tradeoff sorting/render" `Quick test_tradeoff_grid_sorted_and_rendered;
-        Alcotest.test_case "default grid" `Quick test_default_grid;
-        Alcotest.test_case "suite table rows" `Slow test_table_rows;
-        Alcotest.test_case "table rows keyed by workload" `Quick
-          test_table_rows_keyed_by_workload;
         Alcotest.test_case "event = cpt end to end" `Slow test_flow_engines_agree;
       ] );
   ]

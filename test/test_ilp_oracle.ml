@@ -169,7 +169,8 @@ let test_table1_endgame () =
                 total := !total + ilp.Ilp.nodes_explored
               end)
             [ None; Some (Array.map float_of_int b.Builder.useful_cycles) ])
-        (Suite.paper_tpgs p))
+        (Reseed_tpg.Accumulator.paper_tpgs
+           (Reseed_netlist.Circuit.input_count p.Suite.circuit)))
     [ "c432"; "c499"; "c880"; "s420"; "s641"; "s820"; "s1238" ];
   Alcotest.(check int) "table1 end-game nodes" table1_nodes !total
 

@@ -24,13 +24,13 @@ let test_pipeline_all_tpgs () =
         (tpg.Tpg.name ^ " solution <= initial")
         true
         (Flow.reseedings r <= Array.length p.Suite.tests))
-    (Suite.paper_tpgs p)
+    (Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit))
 
 let test_reduction_is_effective () =
   (* Paper shape (Table 2): the residual matrix is dramatically smaller
      than the initial one. *)
   let p = Lazy.force prepared in
-  let tpg = List.hd (Suite.paper_tpgs p) in
+  let tpg = List.hd (Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit)) in
   let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
   let s = r.Flow.solution.Solution.stats in
   check "rows shrink 2x+" true (s.Solution.reduced_rows * 2 <= s.Solution.initial_rows);
@@ -42,7 +42,7 @@ let test_sc_beats_or_ties_gatsby () =
      one exception, s838 — we allow a one-triplet tie-break on this small
      scaled workload), and always costs far fewer fault simulations. *)
   let p = Lazy.force prepared in
-  let tpg = List.hd (Suite.paper_tpgs p) in
+  let tpg = List.hd (Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit)) in
   let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
   let rng = Rng.create 1234 in
   let g = Gatsby.run p.Suite.sim tpg ~rng ~targets:p.Suite.targets in
@@ -52,7 +52,7 @@ let test_sc_beats_or_ties_gatsby () =
 
 let test_flow_deterministic () =
   let p = Lazy.force prepared in
-  let tpg = List.hd (Suite.paper_tpgs p) in
+  let tpg = List.hd (Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit)) in
   let run () =
     let r = Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets in
     (Flow.reseedings r, r.Flow.test_length)

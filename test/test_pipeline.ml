@@ -474,16 +474,6 @@ let test_sweep_matches_per_point_runs () =
       check "sweep over a partly filled store = cold sweep" true (partial = points);
       check_int "the solved point's matrix is reused" 1 hits)
 
-let test_default_grid_edges () =
-  Alcotest.check_raises "0 rejected"
-    (Invalid_argument "Tradeoff.default_grid: max_cycles must be >= 1") (fun () ->
-      ignore (Tradeoff.default_grid ~max_cycles:0));
-  Alcotest.(check (list int)) "below 8" [ 5 ] (Tradeoff.default_grid ~max_cycles:5);
-  Alcotest.(check (list int)) "exactly 8" [ 8 ] (Tradeoff.default_grid ~max_cycles:8);
-  Alcotest.(check (list int))
-    "doubling" [ 8; 16; 32; 64 ]
-    (Tradeoff.default_grid ~max_cycles:100)
-
 let test_render_zero_triplets () =
   let s =
     Tradeoff.render
@@ -654,7 +644,6 @@ let suite =
           test_cover_decoder_rejects;
         Alcotest.test_case "sweep: prefix sharing = per-point flows" `Quick
           test_sweep_matches_per_point_runs;
-        Alcotest.test_case "tradeoff: default_grid edges" `Quick test_default_grid_edges;
         Alcotest.test_case "tradeoff: render all-zero series" `Quick
           test_render_zero_triplets;
         Alcotest.test_case "reduce: col-dominance limit skips" `Quick

@@ -152,7 +152,7 @@ let prop_flow_verifies_everywhere =
             Flow.run p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets
           in
           Flow.verify p.Suite.sim tpg r && r.Flow.coverage_pct >= 100.0)
-        (Suite.paper_tpgs p))
+        (Accumulator.paper_tpgs (Circuit.input_count p.Suite.circuit)))
 
 let suite =
   [

@@ -316,7 +316,10 @@ let test_manifest_rejects_with_line_numbers () =
   rejects "non-numeric compress width" ~line:1 "compress c17 wide";
   rejects "compress arity" ~line:1 "compress c17";
   rejects "unknown workload" ~line:3 "# one\n# two\nfrobnicate c17 8";
-  rejects "unknown key" ~line:1 "frobnicate = 1\njob c17 adder 10"
+  rejects "unknown key" ~line:1 "frobnicate = 1\njob c17 adder 10";
+  rejects "unknown circuit in the circuits line" ~line:2
+    "tpgs = adder\ncircuits = c17, nosuch\ncycles = 10";
+  rejects "unknown job-line circuit" ~line:3 "# one\njob c17 adder 10\njob nosuch adder 10"
 
 let count_substring haystack needle =
   let n = String.length needle and h = String.length haystack in
